@@ -66,34 +66,41 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(path, *, command: str, config: dict, inputs, outputs,
-                    seed, started: str) -> None:
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
+def _write_manifest(args, anchor, *, config: dict, inputs, outputs, seed) -> None:
+    """Write the run manifest to ``--manifest``, else next to ``anchor``
+    (the command's main output), else to ``treeattn-manifest.json``."""
+    if args.manifest:
+        path = Path(args.manifest)
+    elif anchor:
+        path = Path(str(anchor) + ".manifest.json")
+    else:
+        path = Path("treeattn-manifest.json")
     manifest = {
         "tool": "treeattn",
         "version": __version__,
-        "command": command,
+        "command": args.subcommand,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
         "outputs": [str(p) for p in outputs if p is not None],
         "seed": seed,
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
+        "started": args.started,
+        "finished": _now(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _manifest_path(args, default_anchor) -> Path:
-    if args.manifest:
-        return Path(args.manifest)
-    if default_anchor:
-        return Path(str(default_anchor) + ".manifest.json")
-    return Path("treeattn-manifest.json")
+def _write_output(path, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _load_checkpoint(path) -> Checkpoint:
@@ -120,7 +127,6 @@ def _read_sentences(path):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    started = _now()
     _require_files(args.train, args.val, args.embeddings)
     seed = args.seed
     if seed is None:
@@ -153,15 +159,13 @@ def cmd_train(args) -> int:
         fh.write(result.log_text)
     best = result.checkpoint
     print(f"best epoch {best.epoch}: val acc {best.best_val_acc:.4f} -> {args.out}")
-    _write_manifest(_manifest_path(args, args.out), command="train",
-                    config=json.loads(config.to_json()),
+    _write_manifest(args, args.out, config=json.loads(config.to_json()),
                     inputs=[args.train, args.val, args.embeddings],
-                    outputs=[args.out, metrics_path], seed=seed, started=started)
+                    outputs=[args.out, metrics_path], seed=seed)
     return 0
 
 
 def cmd_eval(args) -> int:
-    started = _now()
     _require_files(args.corpus)
     checkpoint = _load_checkpoint(args.checkpoint)
     model = checkpoint.build_model()
@@ -181,15 +185,13 @@ def cmd_eval(args) -> int:
                 probs = " ".join(f"{x:.6f}" for x in p.probs)
                 fh.write(f"{p.index}\t{cfg.labels[p.gold]}\t"
                          f"{cfg.labels[p.predicted]}\t{probs}\n")
-    _write_manifest(_manifest_path(args, args.predictions), command="eval",
-                    config=json.loads(cfg.to_json()),
+    _write_manifest(args, args.predictions, config=json.loads(cfg.to_json()),
                     inputs=[args.checkpoint, args.corpus],
-                    outputs=[args.predictions], seed=cfg.seed, started=started)
+                    outputs=[args.predictions], seed=cfg.seed)
     return 0
 
 
 def cmd_parse(args) -> int:
-    started = _now()
     _require_files(args.input)
     checkpoint = _load_checkpoint(args.checkpoint)
     model = checkpoint.build_model()
@@ -201,32 +203,20 @@ def cmd_parse(args) -> int:
                                tokens=tuple(tokens))
         tree_lines.append(export_bracketed(encoded.tree))
         if args.attention:
-            spans = [(i, i + 1) for i in range(encoded.tree.n)]
-            kids = encoded.tree.children()
-            for node in range(encoded.tree.n, 2 * encoded.tree.n - 1):
-                left, right = kids[node]
-                spans.append((spans[left][0], spans[right][1]))
-            for node, (start, end) in enumerate(spans):
+            for node, (start, end) in enumerate(encoded.tree.node_spans()):
                 weight = encoded.weights.data[node]
                 text = " ".join(tokens[start:end])
                 weight_rows.append(f"{index}\t{node}\t{start}\t{end}\t{weight:.6f}\t{text}")
-    output = "\n".join(tree_lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
-        sys.stdout.write(output)
+    _write_output(args.out, "\n".join(tree_lines) + "\n")
     if args.attention:
         Path(args.attention).write_text("\n".join(weight_rows) + "\n", encoding="utf-8")
-    _write_manifest(_manifest_path(args, args.out), command="parse",
-                    config=json.loads(checkpoint.config.to_json()),
+    _write_manifest(args, args.out, config=json.loads(checkpoint.config.to_json()),
                     inputs=[args.checkpoint, args.input],
-                    outputs=[args.out, args.attention],
-                    seed=checkpoint.config.seed, started=started)
+                    outputs=[args.out, args.attention], seed=checkpoint.config.seed)
     return 0
 
 
 def cmd_treescore(args) -> int:
-    started = _now()
     if args.ref is None and not args.baselines_only:
         raise CliError("provide --ref or pass --baselines-only")
     if args.per_sentence and len(args.pred) > 1:
@@ -255,10 +245,7 @@ def cmd_treescore(args) -> int:
                       f"{max(r.f1_right for r in reports):16.1f} "
                       f"{ref_cell:>16}\n")
         text = "\n".join(pieces)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, text)
     if args.per_sentence:
         with open(args.per_sentence, "w", encoding="utf-8") as fh:
             fh.write("index\tlength\tf1_left\tf1_right\tf1_reference\tdepth\n")
@@ -266,15 +253,14 @@ def cmd_treescore(args) -> int:
                 ref_cell = f"{s.f1_reference:.2f}" if s.f1_reference is not None else "-"
                 fh.write(f"{s.index}\t{s.length}\t{s.f1_left:.2f}\t"
                          f"{s.f1_right:.2f}\t{ref_cell}\t{s.depth:.3f}\n")
-    _write_manifest(_manifest_path(args, args.out), command="treescore",
+    _write_manifest(args, args.out,
                     config={"exclude_root": args.exclude_root, "micro": args.micro},
                     inputs=[*args.pred, args.ref],
-                    outputs=[args.out, args.per_sentence], seed=None, started=started)
+                    outputs=[args.out, args.per_sentence], seed=None)
     return 0
 
 
 def cmd_similarity(args) -> int:
-    started = _now()
     _require_files(args.pairs)
     checkpoint = _load_checkpoint(args.checkpoint)
     model = checkpoint.build_model()
@@ -293,15 +279,10 @@ def cmd_similarity(args) -> int:
                     raise CliError(f"{args.pairs}:{lineno}: empty sentence")
                 vectors.append(model.encode(model.vocab.encode(tokens)).sentence)
             scores.append(cosine_similarity(vectors[0], vectors[1]))
-    output = "".join(f"{s:.4f}\n" for s in scores)
-    if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
-        sys.stdout.write(output)
-    _write_manifest(_manifest_path(args, args.out), command="similarity",
-                    config=json.loads(checkpoint.config.to_json()),
+    _write_output(args.out, "".join(f"{s:.4f}\n" for s in scores))
+    _write_manifest(args, args.out, config=json.loads(checkpoint.config.to_json()),
                     inputs=[args.checkpoint, args.pairs], outputs=[args.out],
-                    seed=checkpoint.config.seed, started=started)
+                    seed=checkpoint.config.seed)
     return 0
 
 
@@ -391,6 +372,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
+    args.started = _now()
     try:
         return args.func(args)
     except (CliError, CorpusError, FileNotFoundError) as err:

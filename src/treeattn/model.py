@@ -8,7 +8,7 @@ mapping for the optimizer and checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,14 @@ class EncodedSentence:
     nodes: list[parser.NodeState]
     sentence: Tensor
     weights: Tensor
+
+
+def _collect_tensors(prefix: str, value, out: dict[str, Tensor]) -> None:
+    if isinstance(value, Tensor):
+        out[prefix] = value
+        return
+    for f in fields(value):
+        _collect_tensors(f"{prefix}.{f.name}", getattr(value, f.name), out)
 
 
 class Model:
@@ -84,31 +92,17 @@ class Model:
         return self.head.out_bias.shape[0]
 
     def parameters(self) -> dict[str, Tensor]:
-        """Trainable tensors by stable name, in a fixed order."""
+        """Trainable tensors by stable name, in a fixed order.
+
+        Names are dataclass field paths, e.g. ``leaf.fwd.update_in``.
+        """
         params: dict[str, Tensor] = {}
         if self.embedding.trainable:
             params["embedding"] = self.embedding.vectors
-        leaf = self.leaf_params
-        if self.leaf_kind == "affine":
-            params["leaf.weight"] = leaf.weight
-            params["leaf.bias"] = leaf.bias
-        else:
-            for direction, gru in (("fwd", leaf.forward), ("bwd", leaf.backward)):
-                for gate in ("update", "reset", "cand"):
-                    params[f"leaf.{direction}.{gate}_in"] = getattr(gru, f"{gate}_in")
-                    params[f"leaf.{direction}.{gate}_state"] = getattr(gru, f"{gate}_state")
-                    params[f"leaf.{direction}.{gate}_bias"] = getattr(gru, f"{gate}_bias")
-            params["leaf.proj_weight"] = leaf.proj_weight
-            params["leaf.proj_bias"] = leaf.proj_bias
-        params["composition.weight"] = self.composition.weight
-        params["composition.bias"] = self.composition.bias
-        params["query"] = self.query
-        params["attention.embed_weight"] = self.attn.embed_weight
-        params["attention.score_weight"] = self.attn.score_weight
-        params["head.hidden_weight"] = self.head.hidden_weight
-        params["head.hidden_bias"] = self.head.hidden_bias
-        params["head.out_weight"] = self.head.out_weight
-        params["head.out_bias"] = self.head.out_bias
+        for prefix, value in (("leaf", self.leaf_params), ("composition", self.composition),
+                              ("query", self.query), ("attention", self.attn),
+                              ("head", self.head)):
+            _collect_tensors(prefix, value, params)
         return params
 
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -76,13 +76,13 @@ class GruParams:
 class LeafRnnParams:
     """Bidirectional GRU over the words, projected per position to (h, c)."""
 
-    forward: GruParams
-    backward: GruParams
+    fwd: GruParams
+    bwd: GruParams
     proj_weight: Tensor  # (2H, 2H)
     proj_bias: Tensor    # (2H,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GumbelConfig:
     """Selection behaviour at each layer.
 
@@ -150,11 +150,11 @@ def leaf_rnn(word_vectors: list[Tensor], params: LeafRnnParams) -> list[NodeStat
     fwd, bwd = [], []
     state = Tensor(np.zeros(hidden))
     for x in word_vectors:
-        state = _gru_step(x, state, params.forward, hidden)
+        state = _gru_step(x, state, params.fwd, hidden)
         fwd.append(state)
     state = Tensor(np.zeros(hidden))
     for x in reversed(word_vectors):
-        state = _gru_step(x, state, params.backward, hidden)
+        state = _gru_step(x, state, params.bwd, hidden)
         bwd.append(state)
     bwd.reverse()
     states = []
@@ -202,8 +202,6 @@ def st_gumbel_select(scores: Tensor, config: GumbelConfig,
     softmax relaxation in ``soft`` mode, and a constant one-hot in
     ``infer`` mode.  Argmax ties resolve to the lowest index.
     """
-    if config.temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {config.temperature}")
     k = scores.shape[0]
     if abs(float(np.sum(scores.data)) - 1.0) > 1e-6 or np.any(scores.data < 0):
         raise ValueError("st_gumbel_select: scores are not a probability vector")

@@ -61,19 +61,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # Arithmetic sugar; the named functions below are the real surface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __abs__(self):
-        return absolute(self)
-
 
 class _Record:
     __slots__ = ("name", "inputs", "output", "grad_fn")

@@ -91,6 +91,17 @@ class TrainConfig:
         return cls(**json.loads(text))
 
 
+def _build_model(config: TrainConfig, rng: np.random.Generator, vocab: Vocabulary,
+                 embedding: EmbeddingMatrix) -> Model:
+    """The model a training run or a checkpoint of ``config`` describes."""
+    return Model.build(rng, task=config.task, num_classes=len(config.labels),
+                       hidden=config.hidden, d_attn=config.d_attn, d_clf=config.d_clf,
+                       vocab=vocab, embedding=embedding, leaf_kind=config.leaf_kind,
+                       temperature=config.temperature,
+                       perturb_probs=config.perturb_probs,
+                       noise_per_layer=config.noise_per_layer)
+
+
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
@@ -294,13 +305,7 @@ class Checkpoint:
             Tensor(np.asarray(self.params["embedding"], dtype=np.float64),
                    requires_grad=cfg.finetune_embeddings),
             trainable=cfg.finetune_embeddings)
-        model = Model.build(np.random.default_rng(0), task=cfg.task,
-                            num_classes=len(cfg.labels), hidden=cfg.hidden,
-                            d_attn=cfg.d_attn, d_clf=cfg.d_clf, vocab=vocab,
-                            embedding=embedding, leaf_kind=cfg.leaf_kind,
-                            temperature=cfg.temperature,
-                            perturb_probs=cfg.perturb_probs,
-                            noise_per_layer=cfg.noise_per_layer)
+        model = _build_model(cfg, np.random.default_rng(0), vocab, embedding)
         model.load_state_arrays(self.params)
         return model
 
@@ -361,13 +366,7 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
     if embedding.trainable != config.finetune_embeddings:
         raise ValueError("embedding.trainable must match config.finetune_embeddings")
 
-    model = Model.build(_seeded(config.seed, 0), task=config.task,
-                        num_classes=len(config.labels), hidden=config.hidden,
-                        d_attn=config.d_attn, d_clf=config.d_clf, vocab=vocab,
-                        embedding=embedding, leaf_kind=config.leaf_kind,
-                        temperature=config.temperature,
-                        perturb_probs=config.perturb_probs,
-                        noise_per_layer=config.noise_per_layer)
+    model = _build_model(config, _seeded(config.seed, 0), vocab, embedding)
     params = model.parameters()
     optimizer = Adam(params, config.learning_rate, config.beta1, config.beta2,
                      config.adam_eps)

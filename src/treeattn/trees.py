@@ -54,17 +54,19 @@ class BinaryTree:
             active[pos:pos + 2] = [self.n + t]
         return out
 
+    def node_spans(self) -> list[tuple[int, int]]:
+        """Half-open leaf interval of every node, indexed by node id."""
+        spans = [(i, i + 1) for i in range(self.n)]
+        active = list(spans)
+        for pos in self.merges:
+            span = (active[pos][0], active[pos + 1][1])
+            active[pos:pos + 2] = [span]
+            spans.append(span)
+        return spans
+
     def span_set(self) -> frozenset[tuple[int, int]]:
         """Half-open leaf intervals of all internal nodes (width >= 2)."""
-        spans = []
-        kids = self.children()
-        lo = list(range(self.n)) + [0] * (self.n - 1)
-        hi = [i + 1 for i in range(self.n)] + [0] * (self.n - 1)
-        for node in range(self.n, 2 * self.n - 1):
-            left, right = kids[node]
-            lo[node], hi[node] = lo[left], hi[right]
-            spans.append((lo[node], hi[node]))
-        return frozenset(spans)
+        return frozenset(self.node_spans()[self.n:])
 
     def leaf_depths(self) -> list[int]:
         """Edge count from the root to each leaf, in leaf order."""
@@ -93,17 +95,16 @@ def export_bracketed(tree: BinaryTree) -> str:
     without tokens are rendered with placeholder leaves ``w1..wn``.
     """
     tokens = tree.tokens or tuple(f"w{i + 1}" for i in range(tree.n))
-    kids = tree.children()
-
-    def render(node: int) -> str:
-        if node < tree.n:
-            return tokens[node]
-        left, right = kids[node]
-        return f"( {render(left)} {render(right)} )"
-
-    if tree.n == 1:
-        return f"( {tokens[0]} )"
-    return render(2 * tree.n - 2)
+    spans = tree.node_spans()
+    opens, closes = [0] * tree.n, [0] * tree.n
+    # a one-leaf tree is still wrapped in one pair of brackets
+    for start, end in spans[tree.n:] or spans:
+        opens[start] += 1
+        closes[end - 1] += 1
+    parts: list[str] = []
+    for token, before, after in zip(tokens, opens, closes):
+        parts += ["("] * before + [token] + [")"] * after
+    return " ".join(parts)
 
 
 def parse_bracketed(line: str) -> tuple[BinaryTree, int]:
@@ -112,72 +113,43 @@ def parse_bracketed(line: str) -> tuple[BinaryTree, int]:
     Tokens and parentheses must be whitespace-delimited.  Nodes with more
     than two children are left-binarized; unary wrappers are collapsed.
     Both count toward the second return value.
+
+    One left-to-right pass emits the merges in leftmost-first order: each
+    completed child that is not the first in its open constituent merges
+    with the node before it, which sits at ``pending - 2`` among the
+    ``pending`` nodes that cover the leaves read so far.
     """
     symbols = line.split()
     if not symbols:
         raise TreeFormatError("empty tree line")
-
-    def parse_node(pos: int):
-        if symbols[pos] == ")":
-            raise TreeFormatError("unbalanced parentheses: unexpected ')'")
-        if symbols[pos] != "(":
-            return symbols[pos], pos + 1
-        children = []
-        pos += 1
-        while pos < len(symbols) and symbols[pos] != ")":
-            child, pos = parse_node(pos)
-            children.append(child)
-        if pos >= len(symbols):
-            raise TreeFormatError("unbalanced parentheses: missing ')'")
-        if not children:
-            raise TreeFormatError("empty constituent '( )'")
-        return children, pos + 1
-
-    nested, end = parse_node(0)
-    if end != len(symbols):
-        raise TreeFormatError("trailing content after the root constituent")
-
-    fixups = 0
-
-    def binarize(node):
-        nonlocal fixups
-        if isinstance(node, str):
-            return node
-        kids = [binarize(child) for child in node]
-        if len(kids) == 1:
-            if isinstance(node, list) and node is not nested:
-                fixups += 1
-            return kids[0]
-        while len(kids) > 2:
-            kids[0:2] = [(kids[0], kids[1])]
-            fixups += 1
-        return (kids[0], kids[1])
-
-    shape = binarize(nested)
     tokens: list[str] = []
-    spans: set[tuple[int, int]] = set()
-
-    def collect(node) -> tuple[int, int]:
-        if isinstance(node, str):
-            tokens.append(node)
-            return len(tokens) - 1, len(tokens)
-        left = collect(node[0])
-        right = collect(node[1])
-        span = (left[0], right[1])
-        spans.add(span)
-        return span
-
-    collect(shape)
-    n = len(tokens)
     merges: list[int] = []
-    active = [(i, i + 1) for i in range(n)]
-    while len(active) > 1:
-        for pos in range(len(active) - 1):
-            candidate = (active[pos][0], active[pos + 1][1])
-            if candidate in spans:
-                merges.append(pos)
-                active[pos:pos + 2] = [candidate]
-                break
-        else:  # pragma: no cover - spans always admit a merge
-            raise TreeFormatError("inconsistent constituent spans")
-    return BinaryTree(n, tuple(merges), tuple(tokens)), fixups
+    children: list[int] = []  # completed-child count per open constituent
+    fixups = pending = 0
+    for pos, symbol in enumerate(symbols):
+        if pos and not children:
+            raise TreeFormatError("trailing content after the root constituent")
+        if symbol == "(":
+            children.append(0)
+            continue
+        if symbol == ")":
+            if not children:
+                raise TreeFormatError("unbalanced parentheses: unexpected ')'")
+            count = children.pop()
+            if not count:
+                raise TreeFormatError("empty constituent '( )'")
+            if count > 2:
+                fixups += count - 2
+            elif count == 1 and children:  # a unary root wrapper is not a fixup
+                fixups += 1
+        else:
+            tokens.append(symbol)
+            pending += 1
+        if children:
+            if children[-1]:
+                merges.append(pending - 2)
+                pending -= 1
+            children[-1] += 1
+    if children:
+        raise TreeFormatError("unbalanced parentheses: missing ')'")
+    return BinaryTree(len(tokens), tuple(merges), tuple(tokens)), fixups

@@ -157,12 +157,22 @@ class TestParse:
         by_sentence = {}
         for row in attn_out.read_text().splitlines():
             sent, node, start, end, weight, text = row.split("\t")
-            by_sentence.setdefault(int(sent), []).append(float(weight))
+            by_sentence.setdefault(int(sent), []).append(
+                (int(node), (int(start), int(end)), float(weight), text))
+        assert sorted(by_sentence) == [0, 1, 2]
         assert len(by_sentence[0]) == 9
-        assert len(by_sentence[1]) == 1 and by_sentence[1][0] == pytest.approx(1.0)
-        # rows carry 6 decimal places, so sums match 1 at that precision
-        for weights in by_sentence.values():
-            assert sum(weights) == pytest.approx(1.0, abs=1e-5)
+        assert len(by_sentence[1]) == 1 and by_sentence[1][0][2] == pytest.approx(1.0)
+        for index, rows in by_sentence.items():
+            tree, _ = parse_bracketed(lines[index])
+            tokens, n = tree.tokens, tree.n
+            assert [node for node, *_ in rows] == list(range(2 * n - 1))
+            assert [span for _, span, *_ in rows[:n]] == [(i, i + 1) for i in range(n)]
+            assert {span for _, span, *_ in rows[n:]} == tree.span_set()
+            assert rows[-1][1] == (0, n)
+            for _, (start, end), _, text in rows:
+                assert text == " ".join(tokens[start:end])
+            # rows carry 6 decimal places, so sums match 1 at that precision
+            assert sum(weight for _, _, weight, _ in rows) == pytest.approx(1.0, abs=1e-5)
 
     def test_oov_sentence_still_parses(self, workspace, tmp_path, capsys):
         source = tmp_path / "oov.txt"
@@ -203,6 +213,18 @@ class TestTreescore:
         assert per_sentence.read_text().count("\n") == 3  # header + 2 rows
         out = capsys.readouterr().out
         assert "100.0" in out
+
+    def test_deep_tree_scores_without_recursion(self, tmp_path, capsys):
+        n = 3000  # far past the interpreter's default recursion limit
+        pred = tmp_path / "deep.txt"
+        pred.write_text(" ".join(f"( t{i}" for i in range(n - 1))
+                        + f" t{n - 1}" + " )" * (n - 1) + "\n")
+        per_sentence = tmp_path / "per.tsv"
+        assert main(["treescore", "--pred", str(pred), "--baselines-only",
+                     "--per-sentence", str(per_sentence)]) == 0
+        assert capsys.readouterr().err == ""
+        row = per_sentence.read_text().splitlines()[1].split("\t")
+        assert row[1] == str(n) and row[3] == "100.00"
 
     def test_misaligned_exits_2(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"

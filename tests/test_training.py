@@ -1,5 +1,7 @@
 """Optimizer, evaluation metrics, training loop, checkpoints."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from treeattn.training import (Adam, Checkpoint, TrainConfig, TrainingDiverged,
 from treeattn import toy
 
 from conftest import tiny_pair_model
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def toy_setup(tmp_path, n_train=24, n_val=12, emb_seed=1):
@@ -219,6 +223,17 @@ class TestCheckpoint:
         original = model.logits(example, mode="infer").data
         recovered = rebuilt.logits(example, mode="infer").data
         np.testing.assert_allclose(recovered, original, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("name", ["rnn_finetune.ckpt", "affine.ckpt"])
+    def test_committed_checkpoint_resaves_byte_identically(self, name, tmp_path):
+        # fixtures written by an earlier release: parameter names, order,
+        # shapes and values must survive a rebuild unchanged
+        source = FIXTURES / name
+        ckpt = Checkpoint.load(source)
+        out = tmp_path / name
+        snapshot(ckpt.build_model(), ckpt.config, ckpt.rng_state, ckpt.epoch,
+                 ckpt.best_val_acc).save(out)
+        assert out.read_bytes() == source.read_bytes()
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

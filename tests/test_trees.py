@@ -84,14 +84,18 @@ class TestBracketedText:
         assert tree.span_set() == {(0, 2)}
 
     def test_unbalanced_raises(self):
-        with pytest.raises(TreeFormatError):
+        with pytest.raises(TreeFormatError, match="missing"):
             parse_bracketed("( a ( b c )")
-        with pytest.raises(TreeFormatError):
+        with pytest.raises(TreeFormatError, match="trailing"):
             parse_bracketed("( a b ) )")
-        with pytest.raises(TreeFormatError):
+        with pytest.raises(TreeFormatError, match="unexpected"):
+            parse_bracketed(") a b")
+        with pytest.raises(TreeFormatError, match="empty tree"):
             parse_bracketed("")
-        with pytest.raises(TreeFormatError):
+        with pytest.raises(TreeFormatError, match="empty constituent"):
             parse_bracketed("( )")
+        with pytest.raises(TreeFormatError, match="empty constituent"):
+            parse_bracketed("( a ( ) b")
 
     def test_trailing_content_raises(self):
         with pytest.raises(TreeFormatError, match="trailing"):
@@ -108,3 +112,61 @@ class TestBracketedText:
         assert fixups == 0
         assert parsed == tree
         assert export_bracketed(parsed) == line
+
+    def test_deep_tree_roundtrip(self):
+        n = 3000  # far past the interpreter's default recursion limit
+        tree = BinaryTree(n, tuple(n - 2 - t for t in range(n - 1)),
+                          tuple(f"t{i}" for i in range(n)))
+        line = export_bracketed(tree)
+        assert line.startswith("( t0 ( t1 ") and line.endswith(" t2999" + " )" * (n - 1))
+        parsed, fixups = parse_bracketed(line)
+        assert fixups == 0
+        assert parsed == tree and parsed.merges == tree.merges
+
+    @given(st.recursive(st.sampled_from("abcdefg"),
+                        lambda kids: st.lists(kids, min_size=1, max_size=4),
+                        max_leaves=24))
+    @settings(max_examples=300, deadline=None)
+    def test_merges_match_leftmost_first_oracle(self, nested):
+        tree, fixups = parse_bracketed(render_nested(nested))
+        assert (tree.merges, tree.tokens, fixups) == leftmost_first(nested)
+
+
+def render_nested(node) -> str:
+    if isinstance(node, str):
+        return node
+    return "( " + " ".join(render_nested(child) for child in node) + " )"
+
+
+def leftmost_first(nested):
+    """Reference (merges, tokens, fixups) for a nested-list bracketing:
+    left-binarize, collect every constituent span, then repeatedly merge
+    the leftmost adjacent pair whose union is one of those spans."""
+    tokens: list[str] = []
+    spans: set[tuple[int, int]] = set()
+    fixups = 0
+
+    def walk(node, is_root: bool) -> tuple[int, int]:
+        nonlocal fixups
+        if isinstance(node, str):
+            tokens.append(node)
+            return len(tokens) - 1, len(tokens)
+        kid_spans = [walk(child, False) for child in node]
+        if len(node) == 1 and not is_root:
+            fixups += 1
+        fixups += max(len(node) - 2, 0)
+        span = kid_spans[0]
+        for right in kid_spans[1:]:
+            span = (span[0], right[1])
+            spans.add(span)
+        return span
+
+    walk(nested, True)
+    merges: list[int] = []
+    active = [(i, i + 1) for i in range(len(tokens))]
+    while len(active) > 1:
+        pos = next(p for p in range(len(active) - 1)
+                   if (active[p][0], active[p + 1][1]) in spans)
+        merges.append(pos)
+        active[pos:pos + 2] = [(active[pos][0], active[pos + 1][1])]
+    return tuple(merges), tuple(tokens), fixups
