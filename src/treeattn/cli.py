@@ -38,6 +38,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
@@ -314,7 +321,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=_rate, default=0.13, help="dropout rate")
     p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--epochs", type=_positive_int, default=50)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--patience", type=_nonnegative_int, default=10)
     p.add_argument("--seed", type=int, help="omit to draw one from entropy")
     p.add_argument("--temperature", type=_positive_float, default=1.0)
     p.add_argument("--leaf", choices=("rnn", "affine"), default="rnn")

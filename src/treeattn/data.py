@@ -139,9 +139,13 @@ def _iter_json_records(path):
             if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise CorpusError(f"{path}:{lineno}: bad record: {err}") from None
+            if not isinstance(record, dict):
+                raise CorpusError(f"{path}:{lineno}: bad record: expected a JSON object, "
+                                  f"got {type(record).__name__}")
+            yield lineno, record
 
 
 def _label_index(path, lineno, record, labels) -> int:

@@ -132,6 +132,8 @@ class Model:
                rng: np.random.Generator | None = None,
                tokens=None) -> EncodedSentence:
         """Run the encoder over one sentence of vocabulary indices."""
+        if mode != "infer" and rng is None:
+            raise ValueError(f"mode {mode!r} draws Gumbel noise and needs an rng")
         vectors = [take_row(self.embedding.vectors, i) for i in token_ids]
         leaves = parser.leaf_transform(vectors, self.leaf_params, self.leaf_kind)
         tree, nodes = parser.induce_tree(leaves, self.composition, self.query,

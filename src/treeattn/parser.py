@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Tensor, ShapeError, add, concat, dot, glorot, log, matmul,
-                     mul, narrow, sigmoid, softmax, st_onehot, sub, tanh,
-                     weighted_sum)
+                     mul, narrow, select, sigmoid, softmax, st_onehot, sub, tanh,
+                     tree_lstm_cell, weighted_sum)
 from .trees import BinaryTree
 
 MODES = ("train", "infer", "soft")
@@ -166,24 +166,24 @@ def leaf_rnn(word_vectors: list[Tensor], params: LeafRnnParams) -> list[NodeStat
 
 def compose(left: NodeState, right: NodeState, params: CompositionParams) -> NodeState:
     """Binary Tree-LSTM cell merging two child states into a parent."""
-    hidden = params.hidden
-    pre = add(matmul(params.weight, concat([left.h, right.h])), params.bias)
-    candidate = tanh(narrow(pre, 0, hidden))
-    gate_in = sigmoid(narrow(pre, hidden, hidden))
-    forget_l = sigmoid(narrow(pre, 2 * hidden, hidden))
-    forget_r = sigmoid(narrow(pre, 3 * hidden, hidden))
-    gate_out = sigmoid(narrow(pre, 4 * hidden, hidden))
-    c = add(mul(candidate, gate_in),
-            add(mul(left.c, forget_l), mul(right.c, forget_r)))
-    h = mul(tanh(c), gate_out)
-    return NodeState(h, c)
+    packed = tree_lstm_cell(params.weight, params.bias, left.h, right.h, left.c, right.c)
+    return _split_state(packed, params.hidden)
 
 
-def validity_scores(candidates: list[NodeState], query: Tensor) -> Tensor:
-    """Softmax over query-vs-candidate dot products; sums to one."""
+def validity_scores(candidates: list[NodeState], query: Tensor,
+                    logits: list[Tensor | None]) -> Tensor:
+    """Softmax over query-vs-candidate dot products; sums to one.
+
+    ``logits`` is a cache kept in step with ``candidates``: entries that
+    are ``None`` are filled in place with fresh dot products, the others
+    are reused as they are.
+    """
     if not candidates:
         raise ShapeError("validity_scores: no candidates")
-    return softmax(concat([dot(query, cand.h) for cand in candidates]))
+    for i, cand in enumerate(candidates):
+        if logits[i] is None:
+            logits[i] = dot(query, cand.h)
+    return softmax(concat(logits))
 
 
 def gumbel_noise(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -229,8 +229,10 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
 
     At every layer all adjacent pairs are composed, scored, and one is
     selected; the new node enters the graph as the selection-weighted sum
-    over all candidates, so in train mode it equals the chosen candidate
-    exactly while gradients still reach the scores.  Returns the induced
+    over all candidates (a ``select`` of one candidate when the weights are
+    one-hot), so in train mode it equals the chosen candidate exactly while
+    gradients still reach the scores.  Each candidate's validity logit is
+    computed once, when the candidate is composed.  Returns the induced
     tree and all 2n - 1 node states (leaves first, then composed nodes in
     creation order).
     """
@@ -244,15 +246,19 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     if config.mode != "infer" and not config.noise_per_layer and n > 1:
         presampled = gumbel_noise(n - 1, rng)
     # candidates[i] composes nodes[i] with nodes[i+1]; after a merge only
-    # the pairs touching the new node change, the rest are reused as-is
+    # the pairs touching the new node change, the rest (and their cached
+    # logits) are reused as-is
     candidates = [compose(nodes[i], nodes[i + 1], params) for i in range(n - 1)]
+    logits: list[Tensor | None] = [None] * len(candidates)
     while len(nodes) > 1:
-        scores = validity_scores(candidates, query)
+        scores = validity_scores(candidates, query, logits)
         noise = presampled[: len(candidates)] if presampled is not None else None
         index, weights = st_gumbel_select(scores, config, rng, noise=noise)
-        merged = NodeState(
-            weighted_sum([cand.h for cand in candidates], weights),
-            weighted_sum([cand.c for cand in candidates], weights))
+        hs, cs = [cand.h for cand in candidates], [cand.c for cand in candidates]
+        if config.mode == "soft":
+            merged = NodeState(weighted_sum(hs, weights), weighted_sum(cs, weights))
+        else:  # exactly one-hot weights
+            merged = NodeState(select(hs, weights, index), select(cs, weights, index))
         merges.append(index)
         nodes[index:index + 2] = [merged]
         all_nodes.append(merged)
@@ -262,7 +268,9 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
                 fresh.append(compose(nodes[index - 1], merged, params))
             if index < len(nodes) - 1:
                 fresh.append(compose(merged, nodes[index + 1], params))
-            candidates[max(index - 1, 0):index + 2] = fresh
+            window = slice(max(index - 1, 0), index + 2)
+            candidates[window] = fresh
+            logits[window] = [None] * len(fresh)
     return BinaryTree(n, tuple(merges), tokens), all_nodes
 
 

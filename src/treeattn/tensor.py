@@ -6,7 +6,9 @@ gradients additively into the ``grad`` slot of every tensor that requires
 them.  Without an active tape, operations run forward-only (inference).
 
 Deliberately small: no broadcasting beyond matrix-vector products, no
-fusion, no higher-order derivatives.  All arithmetic is 64-bit so that
+higher-order derivatives, and one fused operation, the binary Tree-LSTM
+cell, whose hand-written backward pass replaces the 20 elementary records
+a composition would otherwise cost.  All arithmetic is 64-bit so that
 finite-difference checks are decisive.
 """
 
@@ -157,6 +159,13 @@ def _check_vector(name: str, t: Tensor) -> None:
         raise ShapeError(f"{name}: expected a vector, got shape {t.shape}")
 
 
+def _check_same_vectors(name: str, vectors: Sequence[Tensor]) -> None:
+    first = vectors[0].data.shape
+    if len(first) != 1 or any(v.data.shape != first for v in vectors):
+        raise ShapeError(f"{name}: expected vectors of one length, got shapes "
+                         f"{[v.shape for v in vectors]}")
+
+
 # ---------------------------------------------------------------------------
 # Operation catalog
 # ---------------------------------------------------------------------------
@@ -199,10 +208,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"matmul: right operand must be a vector or matrix, got {b.shape}")
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _logistic(x: np.ndarray) -> np.ndarray:
     # exp over -|x| never overflows; negative inputs use 1 - sigma(|x|)
-    inv = 1.0 / (1.0 + np.exp(-np.abs(x.data)))
-    out = np.where(x.data >= 0, inv, 1.0 - inv)
+    inv = 1.0 / (1.0 + np.exp(-np.abs(x)))
+    return np.where(x >= 0, inv, 1.0 - inv)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _logistic(x.data)
     return _emit("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
 
 
@@ -245,12 +258,13 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate vectors; scalar tensors count as length-1 vectors."""
     if not parts:
         raise ShapeError("concat: empty input list")
+    parts = tuple(parts)  # the caller may reuse its list after this returns
     sizes = []
     for t in parts:
         if t.data.ndim > 1:
             raise ShapeError(f"concat: expected vectors or scalars, got shape {t.shape}")
         sizes.append(t.data.size)
-    out = np.concatenate([np.atleast_1d(t.data) for t in parts])
+    out = np.concatenate([t.data.reshape(-1) for t in parts])
 
     def grad_fn(g):
         grads, pos = [], 0
@@ -260,7 +274,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             pos += size
         return tuple(grads)
 
-    return _emit("concat", tuple(parts), out, grad_fn)
+    return _emit("concat", parts, out, grad_fn)
 
 
 def weighted_sum(vectors: Sequence[Tensor], weights: Tensor) -> Tensor:
@@ -269,9 +283,7 @@ def weighted_sum(vectors: Sequence[Tensor], weights: Tensor) -> Tensor:
     if len(vectors) != weights.shape[0]:
         raise ShapeError(
             f"weighted_sum: {len(vectors)} vectors but {weights.shape[0]} weights")
-    for v in vectors:
-        _check_same_shape("weighted_sum", v, vectors[0])
-        _check_vector("weighted_sum", v)
+    _check_same_vectors("weighted_sum", vectors)
     stacked = np.stack([v.data for v in vectors])
     out = weights.data @ stacked
 
@@ -281,6 +293,81 @@ def weighted_sum(vectors: Sequence[Tensor], weights: Tensor) -> Tensor:
         return tuple(grads)
 
     return _emit("weighted_sum", (*vectors, weights), out, grad_fn)
+
+
+def select(vectors: Sequence[Tensor], weights: Tensor, index: int) -> Tensor:
+    """``weighted_sum(vectors, weights)`` for weights that are exactly one-hot
+    at ``index``, in O(H) forward work.
+
+    The forward value is a copy of ``vectors[index]``.  The backward pass
+    is the gradient ``weighted_sum`` has at those weights: ``g`` to the
+    chosen vector, nothing to the others, and each vector's dot product
+    with ``g`` to the weights, so straight-through weights keep their
+    signal.
+    """
+    _check_vector("select", weights)
+    if len(vectors) != weights.shape[0]:
+        raise ShapeError(f"select: {len(vectors)} vectors but {weights.shape[0]} weights")
+    if not 0 <= index < len(vectors):
+        raise ShapeError(f"select: index {index} outside {len(vectors)} vectors")
+    _check_same_vectors("select", vectors)
+    vectors = tuple(vectors)
+    out = vectors[index].data.copy()
+
+    def grad_fn(g):
+        grads: list = [None] * len(vectors)
+        grads[index] = g
+        grads.append(np.stack([v.data for v in vectors]) @ g)
+        return tuple(grads)
+
+    return _emit("select", (*vectors, weights), out, grad_fn)
+
+
+def tree_lstm_cell(weight: Tensor, bias: Tensor, h_left: Tensor, h_right: Tensor,
+                   c_left: Tensor, c_right: Tensor) -> Tensor:
+    """Binary Tree-LSTM cell (Tai et al. 2015) as one record; returns the
+    packed ``[h; c]`` of the parent.
+
+    ``weight`` is (5H, 2H) and ``bias`` (5H,), with gate blocks
+    [candidate; input; forget-left; forget-right; output] applied to
+    ``[h_left; h_right]``.  The forward arithmetic is the one the
+    elementary ops give, in the same order; the pre-activation is checked
+    for non-finite values too, because the saturating gates would
+    otherwise hide an overflow.
+    """
+    for t in (h_left, h_right, c_left, c_right, bias):
+        _check_vector("tree_lstm_cell", t)
+    hidden = h_left.shape[0]
+    for t in (h_right, c_left, c_right):
+        _check_same_shape("tree_lstm_cell", h_left, t)
+    if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
+        raise ShapeError(f"tree_lstm_cell: weight {weight.shape} and bias {bias.shape} "
+                         f"do not fit children of size {hidden}")
+    children = np.concatenate([h_left.data, h_right.data])
+    pre = weight.data @ children + bias.data
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("tree_lstm_cell: pre-activation has non-finite values")
+    candidate = np.tanh(pre[:hidden])
+    gates = _logistic(pre[hidden:])
+    gate_in, forget_l, forget_r, gate_out = (
+        gates[k * hidden:(k + 1) * hidden] for k in range(4))
+    c = candidate * gate_in + (c_left.data * forget_l + c_right.data * forget_r)
+    tanh_c = np.tanh(c)
+    h = tanh_c * gate_out
+
+    def grad_fn(g):
+        g_h = g[:hidden]
+        g_c = g[hidden:] + g_h * gate_out * (1.0 - tanh_c * tanh_c)
+        g_gates = np.concatenate([g_c * candidate, g_c * c_left.data,
+                                  g_c * c_right.data, g_h * tanh_c])
+        g_pre = np.concatenate([g_c * gate_in * (1.0 - candidate * candidate),
+                                g_gates * gates * (1.0 - gates)])
+        g_children = weight.data.T @ g_pre
+        return (np.outer(g_pre, children), g_pre, g_children[:hidden],
+                g_children[hidden:], g_c * forget_l, g_c * forget_r)
+
+    return _emit("tree_lstm_cell", (weight, bias, h_left, h_right, c_left, c_right),
+                 np.concatenate([h, c]), grad_fn)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -88,7 +88,11 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
-        return cls(**json.loads(text))
+        values = json.loads(text)
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+        return cls(**values)
 
 
 def _build_model(config: TrainConfig, rng: np.random.Generator, vocab: Vocabulary,
@@ -274,7 +278,10 @@ class Checkpoint:
         magic = lines[0].split()
         if magic[0] != CHECKPOINT_MAGIC or int(magic[1]) != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint format {lines[0]!r}")
-        config = TrainConfig.from_json(lines[1])
+        try:
+            config = TrainConfig.from_json(lines[1])
+        except ValueError as err:
+            raise ValueError(f"{path}: bad config: {err}") from None
         meta = json.loads(lines[2])
         vocab_words = json.loads(lines[3])
         count = int(lines[4].split()[1])

@@ -63,6 +63,9 @@ def tiny_pair_model(seed: int = 42, hidden: int = 8, d_attn: int = 6,
                        embedding=embedding, leaf_kind=leaf_kind)
 
 
+TREE_LSTM_CELL_INPUTS = ("weight", "bias", "h_left", "h_right", "c_left", "c_right")
+
+
 def op_gradient_cases(seed: int = 0):
     """(name, build) pairs where build(rng) returns (f, x): a scalar-valued
     function of one tensor plus the input to probe, with inputs kept away
@@ -154,6 +157,46 @@ def op_gradient_cases(seed: int = 0):
         vs = [Tensor(rng.normal(size=4)) for _ in range(3)]
         return (via_dot(rng, 4, lambda x: T.weighted_sum(vs, x)),
                 Tensor(rng.normal(size=3)))
+
+    @case("select_vectors")
+    def _(rng):
+        w = Tensor([0.0, 1.0, 0.0])
+        vs = [Tensor(rng.normal(size=4)) for _ in range(2)]
+        return (via_dot(rng, 4, lambda x: T.select([vs[0], x, vs[1]], w, 1)),
+                Tensor(rng.normal(size=4)))
+
+    @case("select_weights")
+    def _(rng):
+        # select equals weighted_sum at one-hot weights, so this is
+        # weighted_sum everywhere and select runs at the one-hot probe point
+        vs = [Tensor(rng.normal(size=4)) for _ in range(3)]
+
+        def merge(x):
+            index = int(np.argmax(x.data))
+            if np.array_equal(x.data, np.eye(3)[index]):
+                return T.select(vs, x, index)
+            return T.weighted_sum(vs, x)
+
+        return via_dot(rng, 4, merge), Tensor([0.0, 1.0, 0.0])
+
+    def tree_lstm_cell_case(probe):
+        def build(rng):
+            hidden = 3
+            values = {"weight": rng.normal(scale=0.5, size=(5 * hidden, 2 * hidden)),
+                      "bias": rng.normal(size=5 * hidden)}
+            for name in TREE_LSTM_CELL_INPUTS[2:]:
+                values[name] = rng.normal(size=hidden)
+            fixed = {name: Tensor(v) for name, v in values.items()}
+
+            def cell(x):
+                args = dict(fixed, **{probe: x})
+                return T.tree_lstm_cell(*(args[name] for name in TREE_LSTM_CELL_INPUTS))
+
+            return via_dot(rng, 2 * hidden, cell), Tensor(values[probe])
+        return build
+
+    for probe in TREE_LSTM_CELL_INPUTS:
+        case(f"tree_lstm_cell_{probe}")(tree_lstm_cell_case(probe))
 
     @case("dot")
     def _(rng):

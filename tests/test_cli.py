@@ -100,6 +100,33 @@ class TestTrain:
                   "--out", str(workspace / "x.ckpt"), "--hidden", "0"])
         assert info.value.code == 2
 
+    def test_negative_patience_exits_2(self, workspace, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--task", "pair",
+                  "--train", str(workspace / "train.jsonl"),
+                  "--val", str(workspace / "val.jsonl"),
+                  "--embeddings", str(workspace / "emb.txt"),
+                  "--labels", "mixed,subset",
+                  "--out", str(workspace / "x.ckpt"), "--patience", "-1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--patience: must be a nonnegative integer" in err
+        assert "Traceback" not in err
+
+    def test_corpus_line_that_is_not_an_object_exits_2(self, workspace, tmp_path,
+                                                       capsys):
+        corpus = tmp_path / "list.jsonl"
+        lines = (workspace / "train.jsonl").read_text().splitlines()
+        corpus.write_text("\n".join([lines[0], '["tok00", "tok01"]', *lines[1:]]) + "\n")
+        code = main(["train", "--task", "pair", "--train", str(corpus),
+                     "--val", str(workspace / "val.jsonl"),
+                     "--embeddings", str(workspace / "emb.txt"),
+                     "--labels", "mixed,subset", "--out", str(tmp_path / "x.ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}:2: bad record: expected a JSON object")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["train", "--frobnicate"])
@@ -139,6 +166,18 @@ class TestEval:
         assert gold in ("mixed", "subset") and predicted in ("mixed", "subset")
         values = [float(x) for x in probs.split()]
         assert sum(values) == pytest.approx(1.0, abs=1e-6)
+
+    def test_checkpoint_with_unknown_config_key_exits_2(self, workspace, tmp_path,
+                                                        capsys):
+        magic, config, rest = (workspace / "model.ckpt").read_bytes().split(b"\n", 2)
+        config = config[:-1] + b', "frobnicate": 1}'
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"\n".join([magic, config, rest]))
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--corpus", str(workspace / "val.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: bad config: unknown config key 'frobnicate'\n"
 
 
 class TestParse:

@@ -1,0 +1,118 @@
+"""Model outputs pinned to the bit, plus the model's input contracts.
+
+The values below were recorded from the unfused implementation (one
+elementary op per gate, a fresh validity dot product for every candidate
+at every layer, a ``weighted_sum`` merge).  Reorganizing the hot path must
+not change a single bit of a forward value, in any mode.  Floats are
+stored as ``float.hex`` strings so that equality is exact.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from treeattn.data import PairExample, SentenceExample
+from treeattn.training import Checkpoint
+
+from conftest import tiny_pair_model
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SEQUENCES = ([2, 3], [4, 2, 3, 3, 1, 4], [3, 2, 4, 1, 2, 4, 4, 3, 2])
+MODELS = ("affine.ckpt", "rnn_finetune.ckpt", "tiny")
+
+TREES = {
+    ('affine.ckpt', 0): (0,),
+    ('affine.ckpt', 1): (0, 0, 2, 0, 0),
+    ('affine.ckpt', 2): (3, 3, 0, 4, 2, 2, 0, 0),
+    ('rnn_finetune.ckpt', 0): (0,),
+    ('rnn_finetune.ckpt', 1): (2, 2, 1, 1, 0),
+    ('rnn_finetune.ckpt', 2): (0, 0, 0, 0, 0, 2, 0, 0),
+    ('tiny', 0): (0,),
+    ('tiny', 1): (3, 1, 1, 0, 0),
+    ('tiny', 2): (3, 0, 5, 1, 3, 0, 1, 0),
+}
+SENTENCE_VECTORS = {
+    ('affine.ckpt', 0):
+        ['0x1.0823f10e2b458p-2', '0x1.407a00ec01a52p-2'],
+    ('affine.ckpt', 1):
+        ['0x1.16f5d6ec9c506p-3', '0x1.59c7e3c565c2bp-4'],
+    ('affine.ckpt', 2):
+        ['0x1.d1da45e2103c8p-4', '0x1.e5c8df3c95f74p-3'],
+    ('rnn_finetune.ckpt', 0):
+        ['-0x1.b6748fc1d2ccap-5', '0x1.cc2ae63916fcdp-7'],
+    ('rnn_finetune.ckpt', 1):
+        ['-0x1.aaaeaaea94987p-5', '0x1.2ccae78b82ca8p-13'],
+    ('rnn_finetune.ckpt', 2):
+        ['-0x1.7fdfcb1fade72p-8', '-0x1.0e49f42e4e4ebp-7'],
+    ('tiny', 0):
+        ['-0x1.4976c3e1b735bp-6', '0x1.a71a02a0f18d9p-5', '-0x1.53dcc381b7aeap-4',
+         '-0x1.e7f92efbbab90p-6', '0x1.d8adbc5fff5fbp-7', '-0x1.7715b442a0072p-4',
+         '-0x1.c26e3e6036644p-4', '-0x1.124efc1d17cfcp-7'],
+    ('tiny', 1):
+        ['0x1.b5365ea8f1489p-8', '0x1.5f1dd49c42caep-5', '-0x1.5122c3fe53131p-4',
+         '0x1.46d4930a14a18p-6', '0x1.6fdfeb16b0d00p-8', '-0x1.cc6f2bfb96166p-5',
+         '-0x1.bd360be95ed1cp-4', '-0x1.0b1f24434d5e8p-5'],
+    ('tiny', 2):
+        ['0x1.08a5387285a7ap-5', '0x1.00780d9c23773p-5', '-0x1.1cdd40c09b342p-5',
+         '0x1.3a7403b497084p-6', '-0x1.b752e2186ac13p-6', '-0x1.e2fbe6ff5d5f2p-7',
+         '-0x1.5c83b1521adbbp-4', '-0x1.4be73c3a43649p-5'],
+}
+LOGITS = {
+    ('affine.ckpt', 'infer'):
+        ['0x1.f8fefc6736cbcp-6', '0x1.ea963b94663b9p-4'],
+    ('affine.ckpt', 'train'):
+        ['0x1.0ce0e856182afp-5', '0x1.0534e10c2c9ffp-3'],
+    ('affine.ckpt', 'soft'):
+        ['0x1.0e5a11ee4b347p-5', '0x1.06a347a6cc172p-3'],
+    ('rnn_finetune.ckpt', 'infer'):
+        ['0x1.0859c6aea7bb7p-6', '-0x1.6de5c1b37f359p-8'],
+    ('rnn_finetune.ckpt', 'train'):
+        ['0x1.be2f38a36ed5fp-7', '-0x1.34ca469df5cecp-8'],
+    ('rnn_finetune.ckpt', 'soft'):
+        ['0x1.8ea78055c74ecp-6', '-0x1.13e561cce7a3fp-7'],
+    ('tiny', 'infer'):
+        ['0x1.739ec93728c04p-9', '-0x1.0f9d85c91deadp-5', '0x1.2d31991d47378p-6'],
+    ('tiny', 'train'):
+        ['0x1.19d72b6a75388p-8', '-0x1.31f2341513938p-5', '0x1.69b3a34fbfbd6p-6'],
+    ('tiny', 'soft'):
+        ['0x1.7126825e83f71p-7', '-0x1.2a01fd9558560p-5', '0x1.4ea88a8e78702p-6'],
+}
+
+
+def load(name):
+    if name == "tiny":
+        return tiny_pair_model(seed=42, hidden=8, d_attn=6, d_clf=16)
+    return Checkpoint.load(FIXTURES / name).build_model()
+
+
+def as_hex(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_encode_trees_and_sentence_vectors_are_pinned(name):
+    model = load(name)
+    for i, tokens in enumerate(SEQUENCES):
+        encoded = model.encode(tokens)
+        assert encoded.tree.merges == TREES[name, i]
+        assert as_hex(encoded.sentence.data) == SENTENCE_VECTORS[name, i]
+
+
+@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("mode", ["infer", "train", "soft"])
+def test_logits_are_pinned(name, mode):
+    model = load(name)
+    if model.task == "pair":
+        example = PairExample(SEQUENCES[2], SEQUENCES[1], 0)
+    else:
+        example = SentenceExample(SEQUENCES[2], 0)
+    logits = model.logits(example, mode=mode, rng=np.random.default_rng(3))
+    assert as_hex(logits.data) == LOGITS[name, mode]
+
+
+@pytest.mark.parametrize("mode", ["train", "soft"])
+def test_noisy_modes_without_rng_name_the_mode(mode):
+    model = tiny_pair_model()
+    with pytest.raises(ValueError, match=f"mode '{mode}'.*rng"):
+        model.logits(PairExample([2, 3], [4, 5], 0), mode=mode)

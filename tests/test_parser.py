@@ -111,25 +111,35 @@ class TestLeafTransforms:
 class TestValidityScores:
     def test_identical_candidates_uniform(self):
         cands = [state([1.0, 2.0], [0.0, 0.0])] * 4
-        scores = validity_scores(cands, Tensor([0.3, -0.2]))
+        scores = validity_scores(cands, Tensor([0.3, -0.2]), [None] * 4)
         np.testing.assert_allclose(scores.data, np.full(4, 0.25), atol=1e-15)
 
     def test_single_candidate(self):
-        scores = validity_scores([state([5.0], [0.0])], Tensor([1.0]))
+        scores = validity_scores([state([5.0], [0.0])], Tensor([1.0]), [None])
         assert scores.data.tolist() == [1.0]
 
     def test_log_ratio_hand_value(self):
         cands = [state([math.log(2.0)], [0.0]), state([0.0], [0.0])]
-        scores = validity_scores(cands, Tensor([1.0]))
+        scores = validity_scores(cands, Tensor([1.0]), [None] * 2)
         np.testing.assert_allclose(scores.data, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             k = int(rng.integers(1, 9))
-            scores = validity_scores(random_states(rng, k, 4), Tensor(rng.normal(size=4)))
+            scores = validity_scores(random_states(rng, k, 4), Tensor(rng.normal(size=4)),
+                                     [None] * k)
             assert abs(scores.data.sum() - 1.0) <= 1e-12
             assert (scores.data >= 0).all()
+
+    def test_cached_logits_are_reused_and_fresh_ones_filled(self):
+        cands = [state([1.0], [0.0]), state([2.0], [0.0]), state([3.0], [0.0])]
+        cached = Tensor(math.log(2.0))  # deliberately not dot(query, cands[1].h)
+        logits = [None, cached, None]
+        scores = validity_scores(cands, Tensor([0.0]), logits)
+        assert logits[1] is cached
+        assert [float(t.data) for t in logits] == [0.0, math.log(2.0), 0.0]
+        np.testing.assert_allclose(scores.data, [0.25, 0.5, 0.25], atol=1e-15)
 
 
 class TestGumbelNoise:
@@ -267,6 +277,18 @@ class TestInduceTree:
         direct = compose(leaves[0], leaves[1], params)
         assert (nodes[-1].h.data == direct.h.data).all()
         assert (nodes[-1].c.data == direct.c.data).all()
+
+    def test_one_validity_logit_per_composed_candidate(self):
+        # recomputing every candidate's logit at every layer would take
+        # (n - 1) + (n - 2) + ... + 1 = 36 dot products here
+        rng = np.random.default_rng(5)
+        params = init_composition_params(rng, 4)
+        query = init_query(rng, 4)
+        with Tape() as tape:
+            induce_tree(random_states(rng, 9, 4), params, query, GumbelConfig(),
+                        np.random.default_rng(0))
+        names = [rec.name for rec in tape._records]
+        assert names.count("dot") == names.count("tree_lstm_cell") < 36
 
     def test_structural_validity_over_seeds_and_lengths(self):
         rng = np.random.default_rng(7)

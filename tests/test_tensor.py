@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+import ast
+import inspect
+
+from treeattn import tensor
 from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, absolute,
                              add, backward, concat, cross_entropy, dot,
                              finite_difference_check, log, matmul, mean, mul,
-                             narrow, relu, sigmoid, softmax, st_onehot,
-                             take_row, tanh, weighted_sum, exp)
+                             narrow, relu, select, sigmoid, softmax, st_onehot,
+                             take_row, tanh, tree_lstm_cell, weighted_sum, exp)
 
-from conftest import max_op_gradient_error
+from conftest import TREE_LSTM_CELL_INPUTS, max_op_gradient_error, op_gradient_cases
 
 
 class TestForward:
@@ -116,6 +120,17 @@ class TestBackward:
         y = mul(x, x)
         assert not y.requires_grad
 
+    def test_concat_keeps_its_own_copy_of_the_parts(self):
+        a = Tensor([1.0], requires_grad=True)
+        b = Tensor([2.0], requires_grad=True)
+        parts = [a, b]
+        with Tape() as tape:
+            out = concat(parts)
+            parts.pop()
+            backward(tape, dot(out, Tensor([4.0, 5.0])))
+        np.testing.assert_array_equal(a.grad, [4.0])
+        np.testing.assert_array_equal(b.grad, [5.0])
+
     def test_relu_and_abs_subgradient_zero_at_zero(self):
         x = Tensor([0.0], requires_grad=True)
         with Tape() as tape:
@@ -198,3 +213,123 @@ class TestFiniteDifference:
             backward(tape, loss)
         assert out.data.tolist() == [0.0, 1.0, 0.0]
         np.testing.assert_array_equal(p.grad, [1.0, 2.0, 3.0])
+
+
+def unfused_tree_lstm_cell(weight, bias, h_left, h_right, c_left, c_right):
+    """The cell written with elementary ops, gate blocks [candidate; input;
+    forget-left; forget-right; output]."""
+    hidden = h_left.shape[0]
+    pre = add(matmul(weight, concat([h_left, h_right])), bias)
+    candidate = tanh(narrow(pre, 0, hidden))
+    gate_in = sigmoid(narrow(pre, hidden, hidden))
+    forget_l = sigmoid(narrow(pre, 2 * hidden, hidden))
+    forget_r = sigmoid(narrow(pre, 3 * hidden, hidden))
+    gate_out = sigmoid(narrow(pre, 4 * hidden, hidden))
+    c = add(mul(candidate, gate_in), add(mul(c_left, forget_l), mul(c_right, forget_r)))
+    return concat([mul(tanh(c), gate_out), c])
+
+
+class TestTreeLstmCell:
+    def inputs(self, seed, hidden=5, scale=1.0):
+        rng = np.random.default_rng(seed)
+        shapes = [(5 * hidden, 2 * hidden), (5 * hidden,)] + [(hidden,)] * 4
+        return [Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
+                for shape in shapes]
+
+    def gradients(self, cell, inputs, probe):
+        for t in inputs:
+            t.grad = None
+        with Tape() as tape:
+            out = cell(*inputs)
+            backward(tape, dot(out, Tensor(probe)))
+        return out.data, [t.grad.copy() for t in inputs]
+
+    def test_matches_unfused_oracle(self):
+        for seed in range(5):
+            inputs = self.inputs(seed, scale=1.5)
+            probe = np.random.default_rng(100 + seed).normal(size=10)
+            fused, fused_grads = self.gradients(tree_lstm_cell, inputs, probe)
+            oracle, oracle_grads = self.gradients(unfused_tree_lstm_cell, inputs, probe)
+            np.testing.assert_array_equal(fused, oracle)
+            for name, got, want in zip(TREE_LSTM_CELL_INPUTS, fused_grads, oracle_grads):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15, err_msg=name)
+
+    def test_one_tape_record(self):
+        inputs = self.inputs(0)
+        with Tape() as tape:
+            tree_lstm_cell(*inputs)
+        assert [rec.name for rec in tape._records] == ["tree_lstm_cell"]
+
+    def test_pre_activation_overflow_raises(self):
+        # tanh and sigmoid saturate, so only the pre-activation shows the overflow
+        weight, bias, *children = self.inputs(1, hidden=2)
+        weight.data[:] = 1e308
+        children[0].data[:] = 10.0
+        with pytest.raises(NonFiniteError, match="tree_lstm_cell"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            tree_lstm_cell(weight, bias, *children)
+
+    def test_shape_mismatch_names_op(self):
+        weight, bias, hl, hr, cl, cr = self.inputs(2, hidden=3)
+        with pytest.raises(ShapeError, match="tree_lstm_cell"):
+            tree_lstm_cell(weight, bias, hl, hr, cl, Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match="tree_lstm_cell"):
+            tree_lstm_cell(Tensor(np.zeros((15, 5))), bias, hl, hr, cl, cr)
+
+
+class TestSelect:
+    def test_forward_copies_chosen_vector(self):
+        vs = [Tensor([1.0, 2.0]), Tensor([3.0, 4.0]), Tensor([5.0, 6.0])]
+        out = select(vs, Tensor([0.0, 0.0, 1.0]), 2)
+        np.testing.assert_array_equal(out.data, [5.0, 6.0])
+        assert out.data is not vs[2].data
+
+    def test_gradient_equals_weighted_sum_at_one_hot(self):
+        rng = np.random.default_rng(4)
+        probe = Tensor(rng.normal(size=3))
+        values = rng.normal(size=(3, 3))
+        results = []
+        for merge in (lambda vs, w: select(vs, w, 1), weighted_sum):
+            vs = [Tensor(v, requires_grad=True) for v in values]
+            w = Tensor([0.0, 1.0, 0.0], requires_grad=True)
+            with Tape() as tape:
+                out = merge(vs, w)
+                backward(tape, dot(out, probe))
+            results.append((out.data, w.grad, [v.grad for v in vs]))
+        (out_s, w_s, v_s), (out_w, w_w, v_w) = results
+        np.testing.assert_array_equal(out_s, out_w)
+        np.testing.assert_array_equal(w_s, w_w)
+        np.testing.assert_array_equal(v_s[1], v_w[1])
+        assert v_s[0] is None and v_s[2] is None
+        assert not v_w[0].any() and not v_w[2].any()
+
+    def test_errors(self):
+        vs = [Tensor([1.0]), Tensor([2.0])]
+        with pytest.raises(ShapeError, match="select"):
+            select(vs, Tensor([1.0, 0.0]), 2)
+        with pytest.raises(ShapeError, match="select"):
+            select(vs, Tensor([1.0, 0.0, 0.0]), 0)
+        with pytest.raises(ShapeError, match="select"):
+            select([Tensor([1.0]), Tensor([1.0, 2.0])], Tensor([1.0, 0.0]), 0)
+
+
+# straight-through ops: the backward pass is by design not the derivative of
+# the forward value, so finite differences cannot check it
+NOT_FINITE_DIFFERENCE_CHECKED = {"st_onehot": "acceptance criterion 2 checks it"}
+
+
+def test_every_emitted_op_has_a_gradient_case():
+    tree = ast.parse(inspect.getsource(tensor))
+    emitted = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_emit"):
+            first = node.args[0]
+            assert isinstance(first, ast.Constant) and isinstance(first.value, str), (
+                f"line {node.lineno}: _emit needs a literal op name")
+            emitted.add(first.value)
+    assert {"add", "tree_lstm_cell", "select"} <= emitted
+    cases = [name for name, _ in op_gradient_cases()]
+    missing = sorted(op for op in emitted - set(NOT_FINITE_DIFFERENCE_CHECKED)
+                     if not any(c == op or c.startswith(op + "_") for c in cases))
+    assert not missing, f"ops without an op_gradient_cases entry: {missing}"

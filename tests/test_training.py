@@ -257,6 +257,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(patience=-1)
 
+    def test_unknown_json_key_is_named(self):
+        text = small_config().to_json()[:-1] + ', "frobnicate": 1}'
+        with pytest.raises(ValueError, match="unknown config key 'frobnicate'"):
+            TrainConfig.from_json(text)
+
     def test_json_roundtrip(self):
         cfg = small_config(seed=99)
         assert TrainConfig.from_json(cfg.to_json()) == cfg
