@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import NonFiniteError, Tensor
 from .trees import BinaryTree, TreeFormatError, parse_bracketed
 
 log = logging.getLogger(__name__)
@@ -102,6 +102,7 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
     """
     words: list[str] = []
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -122,6 +123,7 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
                 raise CorpusError(f"{path}:{lineno}: {err}") from None
             words.append(word)
             rows.append(row)
+            linenos.append(lineno)
             if vocab_limit is not None and len(words) >= vocab_limit:
                 break
     if not rows:
@@ -129,8 +131,13 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
     rng = np.random.default_rng(seed)
     unk = rng.uniform(-0.05, 0.05, size=dim)
     matrix = np.vstack([np.zeros(dim), unk, *rows])
-    vocab = Vocabulary.from_words(words)
-    return vocab, EmbeddingMatrix(Tensor(matrix, requires_grad=trainable), trainable)
+    try:
+        vectors = Tensor(matrix, requires_grad=trainable)
+    except NonFiniteError:  # "nan" and "inf" parse as floats
+        row = int(np.argmin(np.isfinite(matrix).all(axis=1))) - 2
+        raise CorpusError(
+            f"{path}:{linenos[row]}: non-finite vector component") from None
+    return Vocabulary.from_words(words), EmbeddingMatrix(vectors, trainable)
 
 
 def _iter_json_records(path):

@@ -5,6 +5,12 @@ Every differentiable operation appends one record to the innermost active
 gradients additively into the ``grad`` slot of every tensor that requires
 them.  Without an active tape, operations run forward-only (inference).
 
+Weight gradients of matrix-vector products are summed once per weight per
+backward pass: each such record hands back its rank-1 gradient as a pair
+of vectors, and ``backward`` adds all of one tensor's pairs with a single
+matrix product, just before that tensor's own record is replayed or at the
+end of the pass.  An embedding lookup's gradient goes into its one row.
+
 Deliberately small: no broadcasting beyond matrix-vector products, no
 higher-order derivatives, and one fused operation, the binary Tree-LSTM
 cell, whose hand-written backward pass replaces the 20 elementary records
@@ -71,8 +77,29 @@ class _Record:
         self.name = name
         self.inputs = inputs
         self.output = output
-        # grad_fn(output_grad) -> one gradient array (or None) per input
+        # grad_fn(output_grad) -> one gradient (array, marker or None) per input
         self.grad_fn = grad_fn
+
+
+class _Outer:
+    """The gradient ``outer(left, right)``, left unformed until ``backward``
+    sums it with the other rank-1 gradients of its tensor."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        self.left = left
+        self.right = right
+
+
+class _Row:
+    """A matrix gradient that is ``row`` at row ``index`` and zero elsewhere."""
+
+    __slots__ = ("index", "row")
+
+    def __init__(self, index: int, row: np.ndarray):
+        self.index = index
+        self.row = row
 
 
 _STATE = threading.local()
@@ -134,19 +161,47 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if not any(rec.output is loss for rec in tape._records):
         raise ValueError("backward: loss was not produced on this tape")
     loss.grad = (loss.grad if loss.grad is not None else np.zeros(())) + 1.0
+    # id(tensor) -> (tensor, lefts, rights) of its not yet summed _Outer gradients
+    pending: dict[int, tuple[Tensor, list, list]] = {}
     for rec in reversed(tape._records):
-        out_grad = rec.output.grad
-        if out_grad is None:
+        out = rec.output
+        entry = pending.pop(id(out), None)
+        if entry is not None:  # out was made on the tape and used in a matvec
+            _flush_outers(*entry)
+        if out.grad is None:
             continue
-        grads = rec.grad_fn(out_grad)
+        grads = rec.grad_fn(out.grad)
         for tensor, g in zip(rec.inputs, grads):
             if g is None or not tensor.requires_grad:
                 continue
-            if tensor.grad is None:
+            kind = type(g)
+            if kind is _Outer:
+                entry = pending.get(id(tensor))
+                if entry is None:
+                    pending[id(tensor)] = (tensor, [g.left], [g.right])
+                else:
+                    entry[1].append(g.left)
+                    entry[2].append(g.right)
+            elif kind is _Row:
+                if tensor.grad is None:
+                    tensor.grad = np.zeros_like(tensor.data)
+                tensor.grad[g.index] += g.row
+            elif tensor.grad is None:
                 # copy: grad_fn may hand back a shared or reused array
                 tensor.grad = np.array(g, dtype=np.float64)
             else:
                 tensor.grad += g
+    for entry in pending.values():
+        _flush_outers(*entry)
+
+
+def _flush_outers(tensor: Tensor, lefts: list, rights: list) -> None:
+    """Add the sum of ``outer(left, right)`` over the pairs to ``tensor.grad``."""
+    total = np.stack(lefts, axis=1) @ np.stack(rights)
+    if tensor.grad is None:
+        tensor.grad = total
+    else:
+        tensor.grad += total
 
 
 def _check_same_shape(name: str, a: Tensor, b: Tensor) -> None:
@@ -199,7 +254,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
         return _emit("matmul", (a, b), a.data @ b.data,
-                     lambda g: (np.outer(g, b.data), a.data.T @ g))
+                     lambda g: (_Outer(g, b.data), a.data.T @ g))
     if b.data.ndim == 2:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
@@ -363,7 +418,7 @@ def tree_lstm_cell(weight: Tensor, bias: Tensor, h_left: Tensor, h_right: Tensor
         g_pre = np.concatenate([g_c * gate_in * (1.0 - candidate * candidate),
                                 g_gates * gates * (1.0 - gates)])
         g_children = weight.data.T @ g_pre
-        return (np.outer(g_pre, children), g_pre, g_children[:hidden],
+        return (_Outer(g_pre, children), g_pre, g_children[:hidden],
                 g_children[hidden:], g_c * forget_l, g_c * forget_r)
 
     return _emit("tree_lstm_cell", (weight, bias, h_left, h_right, c_left, c_right),
@@ -424,12 +479,7 @@ def take_row(matrix: Tensor, index: int) -> Tensor:
         raise ShapeError(f"take_row: row {index} outside shape {matrix.shape}")
     out = matrix.data[index].copy()
 
-    def grad_fn(g):
-        full = np.zeros_like(matrix.data)
-        full[index] = g
-        return (full,)
-
-    return _emit("take_row", (matrix,), out, grad_fn)
+    return _emit("take_row", (matrix,), out, lambda g: (_Row(index, g),))
 
 
 def st_onehot(probs: Tensor, index: int) -> Tensor:

@@ -12,7 +12,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -89,10 +89,19 @@ class TrainConfig:
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
         values = json.loads(text)
+        if not isinstance(values, dict):
+            raise ValueError("config is not a JSON object")
         unknown = sorted(set(values) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
-        return cls(**values)
+        missing = [f.name for f in fields(cls) if f.name not in values
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"missing config key {', '.join(map(repr, missing))}")
+        try:
+            return cls(**values)
+        except TypeError as err:  # a value of the wrong JSON type
+            raise ValueError(f"bad config value: {err}") from None
 
 
 def _build_model(config: TrainConfig, rng: np.random.Generator, vocab: Vocabulary,
@@ -274,21 +283,10 @@ class Checkpoint:
         cut = raw.find(b"blob\n")
         if cut < 0:
             raise ValueError(f"{path}: not a checkpoint (missing blob marker)")
-        lines = raw[:cut].decode("utf-8").splitlines()
-        magic = lines[0].split()
-        if magic[0] != CHECKPOINT_MAGIC or int(magic[1]) != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint format {lines[0]!r}")
         try:
-            config = TrainConfig.from_json(lines[1])
+            config, meta, vocab_words, shapes = _read_header(raw[:cut])
         except ValueError as err:
-            raise ValueError(f"{path}: bad config: {err}") from None
-        meta = json.loads(lines[2])
-        vocab_words = json.loads(lines[3])
-        count = int(lines[4].split()[1])
-        shapes = []
-        for line in lines[5:5 + count]:
-            parts = line.split()
-            shapes.append((parts[0], tuple(int(d) for d in parts[1:])))
+            raise ValueError(f"{path}: {err}") from None
         blob = raw[cut + len(b"blob\n"):]
         params: dict[str, np.ndarray] = {}
         offset = 0
@@ -315,6 +313,54 @@ class Checkpoint:
         model = _build_model(cfg, np.random.default_rng(0), vocab, embedding)
         model.load_state_arrays(self.params)
         return model
+
+
+def _read_header(header: bytes):
+    """Config, metadata, vocabulary and parameter shapes of a checkpoint
+    header; a missing or malformed line raises ``ValueError`` naming it."""
+    lines = iter(header.decode("utf-8").splitlines())
+
+    def line(what: str) -> str:
+        text = next(lines, None)
+        if text is None:
+            raise ValueError(f"truncated header: no {what} line")
+        return text
+
+    def json_line(what: str, kind: type):
+        try:
+            value = json.loads(line(what))
+        except json.JSONDecodeError as err:
+            raise ValueError(f"bad {what} line: {err}") from None
+        if not isinstance(value, kind):
+            raise ValueError(f"bad {what} line: not a JSON {kind.__name__}")
+        return value
+
+    def numbered_line(what: str) -> tuple[str, tuple[int, ...]]:
+        # "<word> <n> <n> ..." with natural numbers n
+        text = line(what)
+        words = text.split()
+        if not words or not all(w.isascii() and w.isdigit() for w in words[1:]):
+            raise ValueError(f"bad {what} line {text!r}")
+        return words[0], tuple(int(w) for w in words[1:])
+
+    magic = line("format")
+    if magic.split() != [CHECKPOINT_MAGIC, str(CHECKPOINT_VERSION)]:
+        raise ValueError(f"unsupported checkpoint format {magic!r}")
+    config_text = line("config")
+    try:
+        config = TrainConfig.from_json(config_text)
+    except ValueError as err:
+        raise ValueError(f"bad config: {err}") from None
+    meta = json_line("metadata", dict)
+    missing = [k for k in ("epoch", "best_val_acc", "rng_state") if k not in meta]
+    if missing:
+        raise ValueError(f"metadata is missing key {', '.join(map(repr, missing))}")
+    vocab_words = json_line("vocabulary", list)
+    head, count = numbered_line("parameter count")
+    if head != "params" or len(count) != 1:
+        raise ValueError("bad parameter count line: expected 'params <n>'")
+    shapes = [numbered_line("parameter shape") for _ in range(count[0])]
+    return config, meta, vocab_words, shapes
 
 
 def snapshot(model: Model, config: TrainConfig, rng_state: dict, epoch: int,

@@ -127,6 +127,21 @@ class TestTrain:
         assert err.startswith(f"error: {corpus}:2: bad record: expected a JSON object")
         assert len(err.splitlines()) == 1
 
+    def test_non_finite_embedding_exits_2(self, workspace, tmp_path, capsys):
+        emb = tmp_path / "nan.txt"
+        lines = (workspace / "emb.txt").read_text().splitlines()
+        word = lines[2].split()[0]
+        lines[2] = f"{word} 0.1 nan {' '.join(['0.2'] * 4)}"
+        emb.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["train", "--task", "pair",
+                     "--train", str(workspace / "train.jsonl"),
+                     "--val", str(workspace / "val.jsonl"),
+                     "--embeddings", str(emb),
+                     "--labels", "mixed,subset", "--out", str(tmp_path / "x.ckpt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {emb}:3: non-finite vector component\n")
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["train", "--frobnicate"])
@@ -178,6 +193,29 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {bad}: bad config: unknown config key 'frobnicate'\n"
+
+    def test_checkpoint_with_missing_header_lines_exits_2(self, workspace, tmp_path,
+                                                          capsys):
+        bad = tmp_path / "short.ckpt"
+        bad.write_bytes(b"treeattn-checkpoint 1\nblob\n")
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--corpus", str(workspace / "val.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: truncated header: no config line\n"
+
+    def test_checkpoint_config_missing_a_key_exits_2(self, workspace, tmp_path,
+                                                      capsys):
+        magic, config, rest = (workspace / "model.ckpt").read_bytes().split(b"\n", 2)
+        values = json.loads(config)
+        del values["task"]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"\n".join([magic, json.dumps(values).encode(), rest]))
+        code = main(["parse", "--checkpoint", str(bad),
+                     "--input", str(workspace / "sents.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: bad config: missing config key 'task'\n"
 
 
 class TestParse:

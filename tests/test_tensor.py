@@ -142,6 +142,63 @@ class TestBackward:
         assert x.grad[0] == 0.0
 
 
+class TestDeferredWeightGradients:
+    def test_matvec_weight_accumulates_sum_of_outer_products(self):
+        rng = np.random.default_rng(5)
+        start = rng.normal(size=(4, 3))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w.grad = start.copy()
+        m = Tensor(rng.normal(size=(3, 2)))
+        expected = start.copy()
+        for uses in (3, 2):  # two backward calls on fresh tapes
+            xs = [rng.normal(size=3) for _ in range(uses)]
+            rs = [rng.normal(size=4) for _ in range(uses)]
+            r_mat = rng.normal(size=(4, 2))
+            with Tape() as tape:
+                terms = [dot(matmul(w, Tensor(x)), Tensor(r)) for x, r in zip(xs, rs)]
+                # a 2-D product of the same weight takes the dense path
+                terms.append(mean(mul(matmul(w, m), Tensor(r_mat))))
+                loss = terms[0]
+                for term in terms[1:]:
+                    loss = add(loss, term)
+                backward(tape, loss)
+            expected += sum(np.outer(r, x) for x, r in zip(xs, rs))
+            expected += (r_mat / r_mat.size) @ m.data.T
+            np.testing.assert_allclose(w.grad, expected, rtol=0, atol=1e-12)
+
+    def test_matrix_made_on_the_tape_gets_its_gradient_before_replay(self):
+        rng = np.random.default_rng(6)
+        b = Tensor(rng.normal(size=(3, 4)))
+        xs = [Tensor(rng.normal(size=4)) for _ in range(3)]
+        r = Tensor(rng.normal(size=3))
+
+        def f(a):
+            made = matmul(a, b)  # a matrix produced on the tape
+            loss = dot(tanh(matmul(made, xs[0])), r)
+            for x in xs[1:]:
+                loss = add(loss, dot(tanh(matmul(made, x)), r))
+            return loss
+
+        assert finite_difference_check(f, Tensor(rng.normal(size=(3, 3)))) < 1e-8
+
+    def test_repeated_token_row_gets_sum_of_both_lookups(self):
+        rng = np.random.default_rng(7)
+        table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        sentence = [4, 1, 4, 2]
+        w = Tensor(rng.normal(size=(3, 3)))
+        with Tape() as tape:
+            rows = [take_row(table, i) for i in sentence]
+            state = tanh(rows[0])
+            for row in rows[1:]:
+                state = tanh(add(matmul(w, state), row))
+            backward(tape, dot(state, Tensor(rng.normal(size=3))))
+        assert table.grad.shape == table.shape
+        np.testing.assert_array_equal(table.grad[4], rows[0].grad + rows[2].grad)
+        np.testing.assert_array_equal(table.grad[1], rows[1].grad)
+        np.testing.assert_array_equal(table.grad[2], rows[3].grad)
+        assert not table.grad[[0, 3, 5]].any()
+
+
 class TestErrors:
     def test_shape_error_names_operation_and_shapes(self):
         with pytest.raises(ShapeError, match=r"add.*\(2,\).*\(3,\)"):

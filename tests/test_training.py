@@ -1,5 +1,7 @@
 """Optimizer, evaluation metrics, training loop, checkpoints."""
 
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +243,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             Checkpoint.load(path)
 
+    @pytest.mark.parametrize("line, replacement, message", [
+        (0, b"treeattn-checkpoint", "unsupported checkpoint format"),
+        (2, b'{"epoch": 1}', "metadata is missing key 'best_val_acc', 'rng_state'"),
+        (2, b"[1, 2]", "bad metadata line: not a JSON dict"),
+        (3, b'{"a": 1}', "bad vocabulary line: not a JSON list"),
+        (3, b"[unquoted]", "bad vocabulary line: Expecting value"),
+        (4, b"params", "bad parameter count line: expected 'params <n>'"),
+        (4, b"params 99", "truncated header: no parameter shape line"),
+        (5, b"embedding x 6", "bad parameter shape line 'embedding x 6'"),
+    ])
+    def test_malformed_header_line_is_named(self, tmp_path, line, replacement, message):
+        ckpt = snapshot(tiny_pair_model(seed=3), small_config(), {}, epoch=1,
+                        best_val_acc=0.5)
+        path = tmp_path / "model.ckpt"
+        ckpt.save(path)
+        header, blob = path.read_bytes().split(b"blob\n", 1)
+        lines = header.split(b"\n")
+        lines[line] = replacement
+        path.write_bytes(b"\n".join(lines) + b"blob\n" + blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             f"{re.escape(message)}"):
+            Checkpoint.load(path)
+
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
@@ -261,6 +286,20 @@ class TestConfigValidation:
         text = small_config().to_json()[:-1] + ', "frobnicate": 1}'
         with pytest.raises(ValueError, match="unknown config key 'frobnicate'"):
             TrainConfig.from_json(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ('["pair"]', "config is not a JSON object"),
+        ('{"task": "pair", "labels": ["a", "b"], "hidden": "8"}', "bad config value"),
+    ])
+    def test_malformed_json_raises_value_error(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig.from_json(text)
+
+    def test_missing_json_key_is_named(self):
+        values = json.loads(small_config().to_json())
+        del values["task"]
+        with pytest.raises(ValueError, match="missing config key 'task'"):
+            TrainConfig.from_json(json.dumps(values))
 
     def test_json_roundtrip(self):
         cfg = small_config(seed=99)
