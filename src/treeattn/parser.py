@@ -12,12 +12,12 @@ parameters keep receiving signal.  n leaves always produce exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, add, concat, dot, glorot, log, matmul,
-                     mul, narrow, select, sigmoid, softmax, st_onehot, sub, tanh,
+from .tensor import (Tensor, ShapeError, add, concat, dot, glorot, gru_sequence, log,
+                     matmul, mul, narrow, select, softmax, st_onehot, take_row,
                      tree_lstm_cell, weighted_sum)
 from .trees import BinaryTree
 
@@ -134,32 +134,19 @@ def leaf_affine(word_vectors: list[Tensor], params: LeafAffineParams) -> list[No
     return states
 
 
-def _gru_step(x: Tensor, state: Tensor, params: GruParams, hidden: int) -> Tensor:
-    update = sigmoid(add(add(matmul(params.update_in, x),
-                             matmul(params.update_state, state)), params.update_bias))
-    reset = sigmoid(add(add(matmul(params.reset_in, x),
-                            matmul(params.reset_state, state)), params.reset_bias))
-    fresh = tanh(add(add(matmul(params.cand_in, x),
-                         matmul(params.cand_state, mul(reset, state))), params.cand_bias))
-    ones = Tensor(np.ones(hidden))
-    return add(mul(sub(ones, update), fresh), mul(update, state))
+def _gru_weights(params: GruParams) -> list[Tensor]:
+    # fields, not astuple: astuple deep-copies, so gradients would land on copies
+    return [getattr(params, f.name) for f in fields(params)]
 
 
 def leaf_rnn(word_vectors: list[Tensor], params: LeafRnnParams) -> list[NodeState]:
     hidden = params.proj_bias.shape[0] // 2
-    fwd, bwd = [], []
-    state = Tensor(np.zeros(hidden))
-    for x in word_vectors:
-        state = _gru_step(x, state, params.fwd, hidden)
-        fwd.append(state)
-    state = Tensor(np.zeros(hidden))
-    for x in reversed(word_vectors):
-        state = _gru_step(x, state, params.bwd, hidden)
-        bwd.append(state)
-    bwd.reverse()
+    fwd = gru_sequence(_gru_weights(params.fwd), word_vectors)
+    bwd = gru_sequence(_gru_weights(params.bwd), word_vectors, reverse=True)
     states = []
-    for f, b in zip(fwd, bwd):
-        packed = add(matmul(params.proj_weight, concat([f, b])), params.proj_bias)
+    for i in range(len(word_vectors)):
+        both = concat([take_row(fwd, i), take_row(bwd, i)])
+        packed = add(matmul(params.proj_weight, both), params.proj_bias)
         states.append(_split_state(packed, hidden))
     return states
 

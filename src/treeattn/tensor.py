@@ -12,10 +12,11 @@ matrix product, just before that tensor's own record is replayed or at the
 end of the pass.  An embedding lookup's gradient goes into its one row.
 
 Deliberately small: no broadcasting beyond matrix-vector products, no
-higher-order derivatives, and one fused operation, the binary Tree-LSTM
-cell, whose hand-written backward pass replaces the 20 elementary records
-a composition would otherwise cost.  All arithmetic is 64-bit so that
-finite-difference checks are decisive.
+higher-order derivatives, and two fused operations with hand-written
+backward passes: the binary Tree-LSTM cell, which replaces the 20
+elementary records a composition would otherwise cost, and one GRU
+direction over a whole sentence, which replaces 20 records per word.
+All arithmetic is 64-bit so that finite-difference checks are decisive.
 """
 
 from __future__ import annotations
@@ -253,13 +254,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b.data.ndim == 1:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-        return _emit("matmul", (a, b), a.data @ b.data,
-                     lambda g: (_Outer(g, b.data), a.data.T @ g))
+        return _emit("matmul", (a, b), a.data @ b.data, lambda g: (
+            _Outer(g, b.data) if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None))
     if b.data.ndim == 2:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-        return _emit("matmul", (a, b), a.data @ b.data,
-                     lambda g: (g @ b.data.T, a.data.T @ g))
+        return _emit("matmul", (a, b), a.data @ b.data, lambda g: (
+            g @ b.data.T if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None))
     raise ShapeError(f"matmul: right operand must be a vector or matrix, got {b.shape}")
 
 
@@ -423,6 +426,86 @@ def tree_lstm_cell(weight: Tensor, bias: Tensor, h_left: Tensor, h_right: Tensor
 
     return _emit("tree_lstm_cell", (weight, bias, h_left, h_right, c_left, c_right),
                  np.concatenate([h, c]), grad_fn)
+
+
+def gru_sequence(weights: Sequence[Tensor], inputs: Sequence[Tensor],
+                 reverse: bool = False) -> Tensor:
+    """One GRU direction over a whole sentence as one record; returns the
+    (n, H) states in input order.
+
+    ``weights`` are the nine tensors [update_in, update_state, update_bias,
+    reset_in, reset_state, reset_bias, cand_in, cand_state, cand_bias]: per
+    gate an input map (H, D), a state map (H, H) and a bias (H,).  The
+    state starts at zero and runs over ``inputs`` (vectors of size D) from
+    the first to the last, or from the last to the first if ``reverse``.
+    The forward arithmetic is the one the elementary ops give, one
+    matrix-vector product per gate and step in the same order; every
+    pre-activation is checked for non-finite values, because the saturating
+    gates would otherwise hide an overflow.  The backward pass is
+    backpropagation through time with one matrix product per weight.
+    """
+    if len(weights) != 9:
+        raise ShapeError(f"gru_sequence: expected 9 weight tensors, got {len(weights)}")
+    if not inputs:
+        raise ShapeError("gru_sequence: empty input sequence")
+    weights, inputs = tuple(weights), tuple(inputs)
+    _check_same_vectors("gru_sequence", inputs)
+    u_in, u_state, u_bias, r_in, r_state, r_bias, c_in, c_state, c_bias = (
+        w.data for w in weights)
+    hidden, d_in = u_bias.shape[0], inputs[0].shape[0]
+    if any(w.shape != shape for w, shape in zip(
+            weights, [(hidden, d_in), (hidden, hidden), (hidden,)] * 3)):
+        raise ShapeError(f"gru_sequence: weights {[w.shape for w in weights]} do not "
+                         f"fit inputs of size {d_in}")
+    n = len(inputs)
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    # per position, in input order: the state the step reads, the three
+    # pre-activations, the gates and candidate, and the state it writes
+    prev, fresh, states = (np.empty((n, hidden)) for _ in range(3))
+    pre, gates = np.empty((n, 3, hidden)), np.empty((n, 2, hidden))
+    state = np.zeros(hidden)
+    for t in order:
+        x = inputs[t].data
+        pre_u, pre_r, pre_c = pre[t]
+        np.add(u_in @ x + u_state @ state, u_bias, out=pre_u)
+        np.add(r_in @ x + r_state @ state, r_bias, out=pre_r)
+        gates[t] = _logistic(pre[t, :2])
+        u, r = gates[t]
+        np.add(c_in @ x + c_state @ (r * state), c_bias, out=pre_c)
+        f = np.tanh(pre_c)
+        prev[t], fresh[t] = state, f
+        state = (1.0 - u) * f + u * state
+        states[t] = state
+    update, reset = gates[:, 0], gates[:, 1]
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("gru_sequence: pre-activation has non-finite values")
+
+    def grad_fn(g):
+        # the factors of the pre-activation gradients that need no carry
+        d_u = (prev - fresh) * update * (1.0 - update)
+        d_r = prev * reset * (1.0 - reset)
+        d_c = (1.0 - update) * (1.0 - fresh * fresh)
+        g_u, g_r, g_c = (np.empty((n, hidden)) for _ in range(3))
+        carry = np.zeros(hidden)
+        for t in reversed(order):
+            g_s = g[t] + carry
+            g_u[t] = g_s * d_u[t]
+            g_c[t] = g_s * d_c[t]
+            g_reset_state = c_state.T @ g_c[t]
+            g_r[t] = g_reset_state * d_r[t]
+            carry = (g_s * update[t] + g_reset_state * reset[t]
+                     + u_state.T @ g_u[t] + r_state.T @ g_r[t])
+        x_all = np.stack([x.data for x in inputs])
+        grads = []
+        for g_pre, state_in in ((g_u, prev), (g_r, prev), (g_c, reset * prev)):
+            grads += [g_pre.T @ x_all, g_pre.T @ state_in, g_pre.sum(0)]
+        if any(x.requires_grad for x in inputs):
+            grads += list(g_u @ u_in + g_r @ r_in + g_c @ c_in)
+        else:
+            grads += [None] * n
+        return tuple(grads)
+
+    return _emit("gru_sequence", (*weights, *inputs), states, grad_fn)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:

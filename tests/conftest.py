@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
 from treeattn.data import EmbeddingMatrix, Vocabulary
 from treeattn.model import Model
+from treeattn.parser import GruParams
 from treeattn.tensor import Tensor, dot, finite_difference_check
 from treeattn.trees import BinaryTree
 from treeattn import tensor as T
@@ -66,6 +68,17 @@ def tiny_pair_model(seed: int = 42, hidden: int = 8, d_attn: int = 6,
 
 
 TREE_LSTM_CELL_INPUTS = ("weight", "bias", "h_left", "h_right", "c_left", "c_right")
+# the nine weights of one GRU direction, in gru_sequence's argument order
+GRU_WEIGHTS = tuple(f.name for f in fields(GruParams))
+
+
+def gru_values(rng: np.random.Generator, hidden: int, d_in: int, n: int,
+               scale: float = 0.5) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
+    """Random GRU weights by name and n random input vectors."""
+    shapes = {"in": (hidden, d_in), "state": (hidden, hidden), "bias": (hidden,)}
+    weights = {name: rng.normal(scale=scale, size=shapes[name.split("_")[1]])
+               for name in GRU_WEIGHTS}
+    return weights, [rng.normal(size=d_in) for _ in range(n)]
 
 
 def op_gradient_cases(seed: int = 0):
@@ -199,6 +212,26 @@ def op_gradient_cases(seed: int = 0):
 
     for probe in TREE_LSTM_CELL_INPUTS:
         case(f"tree_lstm_cell_{probe}")(tree_lstm_cell_case(probe))
+
+    def gru_sequence_case(probe, reverse):
+        # probe is a weight name or "word", the middle one of three inputs,
+        # which both directions reach with and without a carried state
+        def build(rng):
+            weights, words = gru_values(rng, hidden=3, d_in=4, n=3)
+            r = Tensor(rng.normal(size=(3, 3)))
+
+            def run(x):
+                ws = [x if name == probe else Tensor(v) for name, v in weights.items()]
+                xs = [x if probe == "word" and i == 1 else Tensor(w)
+                      for i, w in enumerate(words)]
+                return T.mean(T.mul(T.gru_sequence(ws, xs, reverse), r))
+
+            return run, Tensor(words[1] if probe == "word" else weights[probe])
+        return build
+
+    for probe in (*GRU_WEIGHTS, "word"):
+        case(f"gru_sequence_{probe}")(gru_sequence_case(probe, reverse=False))
+        case(f"gru_sequence_reverse_{probe}")(gru_sequence_case(probe, reverse=True))
 
     @case("dot")
     def _(rng):

@@ -7,6 +7,8 @@ import pytest
 
 from treeattn import toy
 from treeattn.cli import main
+from treeattn.data import load_pair_corpus
+from treeattn.training import Checkpoint, evaluate
 from treeattn.trees import parse_bracketed
 
 
@@ -181,6 +183,34 @@ class TestEval:
         assert gold in ("mixed", "subset") and predicted in ("mixed", "subset")
         values = [float(x) for x in probs.split()]
         assert sum(values) == pytest.approx(1.0, abs=1e-6)
+
+    def test_saved_checkpoint_reproduces_logged_best_val_acc(self, workspace, tmp_path,
+                                                             capsys):
+        # the checkpoint stores float32 weights; validation ran on float64 ones
+        toy.write_pair_corpus(tmp_path / "val.jsonl", toy.subset_pair_records(
+            40, vocab_size=20, min_len=3, max_len=8, seed=43))
+        ckpt = tmp_path / "rnn.ckpt"
+        assert main(["train", "--task", "pair",
+                     "--train", str(workspace / "train.jsonl"),
+                     "--val", str(tmp_path / "val.jsonl"),
+                     "--embeddings", str(workspace / "emb.txt"),
+                     "--labels", "mixed,subset", "--out", str(ckpt),
+                     "--hidden", "8", "--d-attn", "6", "--d-clf", "12",
+                     "--batch", "8", "--epochs", "3", "--seed", "7",
+                     "--leaf", "rnn"]) == 0
+        rows = [line.split("\t") for line in
+                (tmp_path / "rnn.ckpt.metrics.tsv").read_text().splitlines()
+                if not line.startswith("#")]
+        logged_best = max(rows, key=lambda row: float(row[3]))[3]
+        checkpoint = Checkpoint.load(ckpt)
+        assert f"{checkpoint.best_val_acc:.4f}" == logged_best
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--corpus", str(tmp_path / "val.jsonl")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"accuracy\t{logged_best}"
+        examples = load_pair_corpus(tmp_path / "val.jsonl", checkpoint.build_model().vocab,
+                                    checkpoint.config.labels, checkpoint.config.max_len)
+        assert evaluate(examples, checkpoint).accuracy == checkpoint.best_val_acc
 
     def test_checkpoint_with_unknown_config_key_exits_2(self, workspace, tmp_path,
                                                         capsys):

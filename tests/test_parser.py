@@ -1,6 +1,7 @@
 """Tree induction: composition cell, validity scores, Gumbel selection."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -99,6 +100,22 @@ class TestLeafTransforms:
         for sa, sb in zip(a, b):
             assert sa.h.shape == (3,) and sa.c.shape == (3,)
             assert (sa.h.data == sb.h.data).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_rnn_tape_cost_is_two_plus_seven_per_token(self, n):
+        # one record per GRU direction, then per position two row reads,
+        # concat, the projection matmul and add, and two narrows
+        params = init_leaf_rnn(np.random.default_rng(1), 4, 3)
+        words = [Tensor(np.random.default_rng(i).normal(size=4)) for i in range(n)]
+        with Tape() as tape:
+            states = leaf_transform(words, params, "rnn")
+            records = len(tape)
+            backward(tape, dot(states[0].h, states[-1].c))
+        assert records == 2 + 7 * n
+        names = [rec.name for rec in tape._records[:records]]
+        assert names.count("gru_sequence") == 2 and names.count("take_row") == 2 * n
+        for direction in (params.fwd, params.bwd):
+            assert all(getattr(direction, f.name).grad is not None for f in fields(direction))
 
     def test_unknown_kind_and_empty_sentence(self):
         params = init_leaf_affine(np.random.default_rng(0), 4, 3)

@@ -9,11 +9,13 @@ import inspect
 from treeattn import tensor
 from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, absolute,
                              add, backward, concat, cross_entropy, dot,
-                             finite_difference_check, log, matmul, mean, mul,
-                             narrow, relu, select, sigmoid, softmax, st_onehot,
-                             take_row, tanh, tree_lstm_cell, weighted_sum, exp)
+                             finite_difference_check, gru_sequence, log, matmul,
+                             mean, mul, narrow, relu, select, sigmoid, softmax,
+                             st_onehot, sub, take_row, tanh, tree_lstm_cell,
+                             weighted_sum, exp)
 
-from conftest import TREE_LSTM_CELL_INPUTS, max_op_gradient_error, op_gradient_cases
+from conftest import (GRU_WEIGHTS, TREE_LSTM_CELL_INPUTS, gru_values,
+                      max_op_gradient_error, op_gradient_cases)
 
 
 class TestForward:
@@ -199,6 +201,30 @@ class TestDeferredWeightGradients:
         assert not table.grad[[0, 3, 5]].any()
 
 
+    def test_matmul_hands_back_none_for_a_constant_operand(self):
+        rng = np.random.default_rng(8)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x, m = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(4, 2)))
+        left = Tensor(rng.normal(size=(2, 3)))
+        r_vec, r_mat = rng.normal(size=3), rng.normal(size=(3, 2))
+        with Tape() as tape:
+            loss = add(dot(matmul(w, x), Tensor(r_vec)),
+                       mean(mul(matmul(w, m), Tensor(r_mat))))
+            loss = add(loss, mean(matmul(left, w)))
+            by_shape = {(rec.inputs[0].shape, rec.inputs[1].shape): rec
+                        for rec in tape._records if rec.name == "matmul"}
+            backward(tape, loss)
+        matvec, right_const, left_const = (by_shape[((3, 4), (4,))],
+                                           by_shape[((3, 4), (4, 2))],
+                                           by_shape[((2, 3), (3, 4))])
+        assert matvec.grad_fn(np.ones(3))[1] is None
+        assert right_const.grad_fn(np.ones((3, 2)))[1] is None
+        assert left_const.grad_fn(np.ones((2, 4)))[0] is None
+        expected = (np.outer(r_vec, x.data) + (r_mat / r_mat.size) @ m.data.T
+                    + left.data.T @ np.full((2, 4), 1.0 / 8))
+        np.testing.assert_allclose(w.grad, expected, rtol=0, atol=1e-12)
+
+
 class TestErrors:
     def test_shape_error_names_operation_and_shapes(self):
         with pytest.raises(ShapeError, match=r"add.*\(2,\).*\(3,\)"):
@@ -334,6 +360,117 @@ class TestTreeLstmCell:
             tree_lstm_cell(Tensor(np.zeros((15, 5))), bias, hl, hr, cl, cr)
 
 
+def unfused_gru_step(x, state, weights):
+    """One GRU step written with elementary ops; ``weights`` in GRU_WEIGHTS order."""
+    u_in, u_state, u_bias, r_in, r_state, r_bias, c_in, c_state, c_bias = weights
+    update = sigmoid(add(add(matmul(u_in, x), matmul(u_state, state)), u_bias))
+    reset = sigmoid(add(add(matmul(r_in, x), matmul(r_state, state)), r_bias))
+    fresh = tanh(add(add(matmul(c_in, x), matmul(c_state, mul(reset, state))), c_bias))
+    ones = Tensor(np.ones(state.shape[0]))
+    return add(mul(sub(ones, update), fresh), mul(update, state))
+
+
+def unfused_gru_sequence(weights, inputs, reverse=False):
+    """The per-position state tensors, in input order."""
+    state = Tensor(np.zeros(weights[2].shape[0]))
+    states = [None] * len(inputs)
+    order = range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs))
+    for t in order:
+        state = unfused_gru_step(inputs[t], state, weights)
+        states[t] = state
+    return states
+
+
+class TestGruSequence:
+    def make_case(self, seed, n, hidden=4, d_in=5, vocab=6):
+        """Weights that require gradients and a fine-tuned embedding table;
+        the sentence repeats a token when it is long enough."""
+        rng = np.random.default_rng(seed)
+        values, _ = gru_values(rng, hidden, d_in, 0, scale=0.8)
+        weights = [Tensor(values[name], requires_grad=True) for name in GRU_WEIGHTS]
+        table = Tensor(rng.normal(size=(vocab, d_in)), requires_grad=True)
+        tokens = [int(i) for i in rng.integers(0, vocab, size=n)]
+        if n > 2:
+            tokens[-1] = tokens[0]
+        probe = rng.normal(size=(n, hidden))
+        return weights, table, tokens, probe
+
+    def gradients(self, fused, weights, table, tokens, probe, reverse):
+        for t in (*weights, table):
+            t.grad = None
+        with Tape() as tape:
+            xs = [take_row(table, i) for i in tokens]
+            if fused:
+                out = gru_sequence(weights, xs, reverse)
+                rows = [take_row(out, t) for t in range(len(tokens))]
+            else:
+                rows = unfused_gru_sequence(weights, xs, reverse)
+            loss = dot(rows[0], Tensor(probe[0]))
+            for row, r in zip(rows[1:], probe[1:]):
+                loss = add(loss, dot(row, Tensor(r)))
+            backward(tape, loss)
+        values = np.stack([row.data for row in rows])
+        return values, [t.grad.copy() for t in (*weights, table)]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_unfused_oracle(self, n, reverse):
+        for seed in range(3):
+            case = self.make_case(seed, n)
+            fused, fused_grads = self.gradients(True, *case, reverse)
+            oracle, oracle_grads = self.gradients(False, *case, reverse)
+            np.testing.assert_array_equal(fused, oracle)
+            for name, got, want in zip((*GRU_WEIGHTS, "embedding"),
+                                       fused_grads, oracle_grads):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12,
+                                           err_msg=name)
+
+    def test_one_tape_record_per_direction(self):
+        weights, table, tokens, _ = self.make_case(0, 5)
+        xs = [Tensor(table.data[i]) for i in tokens]
+        with Tape() as tape:
+            gru_sequence(weights, xs)
+            gru_sequence(weights, xs, reverse=True)
+        assert [rec.name for rec in tape._records] == ["gru_sequence"] * 2
+
+    def test_no_input_gradients_for_frozen_inputs(self):
+        weights, table, tokens, _ = self.make_case(1, 4)
+        xs = [Tensor(table.data[i]) for i in tokens]
+        with Tape() as tape:
+            gru_sequence(weights, xs)
+        grads = tape._records[0].grad_fn(np.ones((4, 4)))
+        assert len(grads) == 9 + 4
+        assert all(g is not None for g in grads[:9])
+        assert all(g is None for g in grads[9:])
+
+    def test_pre_activation_overflow_raises(self):
+        # the gates saturate, so only the pre-activation shows the overflow;
+        # the first step is finite, the second overflows
+        weights, _, _, _ = self.make_case(2, 2, hidden=2, d_in=3)
+        weights[GRU_WEIGHTS.index("cand_in")].data[:] = 1e308
+        xs = [Tensor(np.zeros(3)), Tensor(np.full(3, 10.0))]
+        for reverse in (False, True):
+            with pytest.raises(NonFiniteError, match="gru_sequence"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                gru_sequence(weights, xs, reverse)
+
+    def test_shape_errors_name_op(self):
+        weights, table, tokens, _ = self.make_case(3, 3)
+        xs = [Tensor(table.data[i]) for i in tokens]
+        with pytest.raises(ShapeError, match="gru_sequence"):
+            gru_sequence(weights[:8], xs)
+        with pytest.raises(ShapeError, match="gru_sequence"):
+            gru_sequence(weights, [])
+        with pytest.raises(ShapeError, match="gru_sequence"):
+            gru_sequence(weights, [*xs, Tensor(np.zeros(4))])
+        with pytest.raises(ShapeError, match="gru_sequence"):
+            gru_sequence(weights, [Tensor(np.zeros(4))] * 3)
+        swapped = list(weights)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        with pytest.raises(ShapeError, match="gru_sequence"):
+            gru_sequence(swapped, xs)
+
+
 class TestSelect:
     def test_forward_copies_chosen_vector(self):
         vs = [Tensor([1.0, 2.0]), Tensor([3.0, 4.0]), Tensor([5.0, 6.0])]
@@ -385,7 +522,7 @@ def test_every_emitted_op_has_a_gradient_case():
             assert isinstance(first, ast.Constant) and isinstance(first.value, str), (
                 f"line {node.lineno}: _emit needs a literal op name")
             emitted.add(first.value)
-    assert {"add", "tree_lstm_cell", "select"} <= emitted
+    assert {"add", "tree_lstm_cell", "select", "gru_sequence"} <= emitted
     cases = [name for name, _ in op_gradient_cases()]
     missing = sorted(op for op in emitted - set(NOT_FINITE_DIFFERENCE_CHECKED)
                      if not any(c == op or c.startswith(op + "_") for c in cases))
