@@ -24,7 +24,7 @@ class AttentionParams:
 
 @dataclass
 class AttentionOutput:
-    """Pooled sentence vector plus the weights and per-node embeddings.
+    """Pooled sentence vector plus the attention weights.
 
     ``sentence`` is exactly the weight-vector-weighted sum of the input
     hidden states; weights are nonnegative and sum to one.
@@ -32,7 +32,6 @@ class AttentionOutput:
 
     sentence: Tensor
     weights: Tensor
-    embeddings: list[Tensor]
 
 
 def attend(nodes: list[Tensor], params: AttentionParams) -> AttentionOutput:
@@ -48,7 +47,7 @@ def attend(nodes: list[Tensor], params: AttentionParams) -> AttentionOutput:
     logits = concat([matmul(params.score_weight, e) for e in embeddings])
     weights = softmax(logits)
     sentence = weighted_sum(nodes, weights)
-    return AttentionOutput(sentence, weights, embeddings)
+    return AttentionOutput(sentence, weights)
 
 
 def init_attention_params(rng: np.random.Generator, d_attn: int, hidden: int) -> AttentionParams:

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .classifier import cosine_similarity
 from .data import (CorpusError, load_embeddings, load_pair_corpus,
-                   load_sentence_corpus, load_tree_corpus, tokenize)
+                   load_sentence_corpus, load_tree_corpus, read_lines, tokenize)
 from .metrics import score_corpus
 from .tensor import NonFiniteError
 from .training import Checkpoint, TrainConfig, TrainingDiverged, evaluate, train
@@ -63,6 +63,12 @@ def _require_files(*paths) -> None:
     for path in paths:
         if path is not None and not Path(path).is_file():
             raise CliError(f"no such file: {path}")
+
+
+def _reject_directories(*paths) -> None:
+    for path in paths:
+        if path is not None and Path(path).is_dir():
+            raise CliError(f"output path is a directory: {path}")
 
 
 def _sha256(path) -> str:
@@ -120,12 +126,11 @@ def _load_checkpoint(path) -> Checkpoint:
 
 def _read_sentences(path):
     sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = tokenize(line)
-            if not tokens:
-                raise CliError(f"{path}:{lineno}: empty sentence")
-            sentences.append(tokens)
+    for lineno, line in read_lines(path):
+        tokens = tokenize(line)
+        if not tokens:
+            raise CliError(f"{path}:{lineno}: empty sentence")
+        sentences.append(tokens)
     return sentences
 
 
@@ -135,6 +140,9 @@ def _read_sentences(path):
 
 def cmd_train(args) -> int:
     _require_files(args.train, args.val, args.embeddings)
+    # the outputs are written after the whole run, so check them first
+    metrics_path = args.metrics_log or str(args.out) + ".metrics.tsv"
+    _reject_directories(args.out, metrics_path, args.manifest)
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 31))
@@ -161,7 +169,6 @@ def cmd_train(args) -> int:
 
     result = train(train_set, val_set, config, vocab, embedding)
     result.checkpoint.save(args.out)
-    metrics_path = args.metrics_log or str(args.out) + ".metrics.tsv"
     with open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write(result.log_text)
     best = result.checkpoint
@@ -272,20 +279,19 @@ def cmd_similarity(args) -> int:
     checkpoint = _load_checkpoint(args.checkpoint)
     model = checkpoint.build_model()
     scores = []
-    with open(args.pairs, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise CliError(f"{args.pairs}:{lineno}: expected two tab-separated sentences")
-            vectors = []
-            for sentence in parts:
-                tokens = tokenize(sentence)
-                if not tokens:
-                    raise CliError(f"{args.pairs}:{lineno}: empty sentence")
-                vectors.append(model.encode(model.vocab.encode(tokens)).sentence)
-            scores.append(cosine_similarity(vectors[0], vectors[1]))
+    for lineno, line in read_lines(args.pairs):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2:
+            raise CliError(f"{args.pairs}:{lineno}: expected two tab-separated sentences")
+        vectors = []
+        for sentence in parts:
+            tokens = tokenize(sentence)
+            if not tokens:
+                raise CliError(f"{args.pairs}:{lineno}: empty sentence")
+            vectors.append(model.encode(model.vocab.encode(tokens)).sentence)
+        scores.append(cosine_similarity(vectors[0], vectors[1]))
     _write_output(args.out, "".join(f"{s:.4f}\n" for s in scores))
     _write_manifest(args, args.out, config=json.loads(checkpoint.config.to_json()),
                     inputs=[args.checkpoint, args.pairs], outputs=[args.out],
@@ -382,7 +388,7 @@ def main(argv=None) -> int:
     args.started = _now()
     try:
         return args.func(args)
-    except (CliError, CorpusError, FileNotFoundError) as err:
+    except (CliError, CorpusError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (TrainingDiverged, NonFiniteError) as err:

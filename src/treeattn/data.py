@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,23 @@ class LoadStats:
     binarized: int = 0
 
 
+# what undecodable bytes become under errors="surrogateescape"
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def read_lines(path):
+    """Yield ``(line number, line)`` for every line of a UTF-8 text file.
+
+    A line with bytes that are not UTF-8 raises ``CorpusError`` naming the
+    file and the line.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and _UNDECODABLE.search(line):
+                raise CorpusError(f"{path}:{lineno}: not valid UTF-8")
+            yield lineno, line
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, then split on Unicode whitespace."""
     return text.lower().split()
@@ -104,28 +122,27 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
     rows: list[np.ndarray] = []
     linenos: list[int] = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            word, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise CorpusError(f"{path}:{lineno}: no vector components")
-            elif len(values) != dim:
-                raise CorpusError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(values)}")
-            try:
-                row = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as err:
-                raise CorpusError(f"{path}:{lineno}: {err}") from None
-            words.append(word)
-            rows.append(row)
-            linenos.append(lineno)
-            if vocab_limit is not None and len(words) >= vocab_limit:
-                break
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        word, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise CorpusError(f"{path}:{lineno}: no vector components")
+        elif len(values) != dim:
+            raise CorpusError(
+                f"{path}:{lineno}: expected {dim} components, got {len(values)}")
+        try:
+            row = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as err:
+            raise CorpusError(f"{path}:{lineno}: {err}") from None
+        words.append(word)
+        rows.append(row)
+        linenos.append(lineno)
+        if vocab_limit is not None and len(words) >= vocab_limit:
+            break
     if not rows:
         raise CorpusError(f"{path}: empty embedding file")
     rng = np.random.default_rng(seed)
@@ -141,18 +158,17 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
 
 
 def _iter_json_records(path):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise CorpusError(f"{path}:{lineno}: bad record: {err}") from None
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}:{lineno}: bad record: expected a JSON object, "
-                                  f"got {type(record).__name__}")
-            yield lineno, record
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise CorpusError(f"{path}:{lineno}: bad record: {err}") from None
+        if not isinstance(record, dict):
+            raise CorpusError(f"{path}:{lineno}: bad record: expected a JSON object, "
+                              f"got {type(record).__name__}")
+        yield lineno, record
 
 
 def _label_index(path, lineno, record, labels) -> int:
@@ -218,16 +234,15 @@ def load_tree_corpus(path, stats: LoadStats | None = None) -> list[BinaryTree]:
     """Load one bracketed tree per line; non-binary nodes are left-binarized."""
     stats = stats if stats is not None else LoadStats()
     trees: list[BinaryTree] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                tree, fixups = parse_bracketed(line)
-            except TreeFormatError as err:
-                raise CorpusError(f"{path}:{lineno}: {err}") from None
-            stats.binarized += fixups
-            trees.append(tree)
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            tree, fixups = parse_bracketed(line)
+        except TreeFormatError as err:
+            raise CorpusError(f"{path}:{lineno}: {err}") from None
+        stats.binarized += fixups
+        trees.append(tree)
     if stats.binarized:
         log.warning("%s: left-binarized %d non-binary nodes", path, stats.binarized)
     return trees

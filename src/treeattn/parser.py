@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, add, concat, dot, glorot, gru_sequence, log,
-                     matmul, mul, narrow, select, softmax, st_onehot, take_row,
+from .tensor import (Tensor, ShapeError, add, concat, glorot, gru_sequence, log,
+                     matmul, mul, select, softmax, split, st_onehot, take_row,
                      tree_lstm_cell, weighted_sum)
 from .trees import BinaryTree
 
@@ -121,17 +121,9 @@ def leaf_transform(word_vectors: list[Tensor], params, kind: str) -> list[NodeSt
     raise ValueError(f"unknown leaf transform {kind!r}")
 
 
-def _split_state(packed: Tensor, hidden: int) -> NodeState:
-    return NodeState(narrow(packed, 0, hidden), narrow(packed, hidden, hidden))
-
-
 def leaf_affine(word_vectors: list[Tensor], params: LeafAffineParams) -> list[NodeState]:
-    hidden = params.bias.shape[0] // 2
-    states = []
-    for x in word_vectors:
-        packed = add(matmul(params.weight, x), params.bias)
-        states.append(_split_state(packed, hidden))
-    return states
+    return [NodeState(*split(add(matmul(params.weight, x), params.bias), 2))
+            for x in word_vectors]
 
 
 def _gru_weights(params: GruParams) -> list[Tensor]:
@@ -140,36 +132,32 @@ def _gru_weights(params: GruParams) -> list[Tensor]:
 
 
 def leaf_rnn(word_vectors: list[Tensor], params: LeafRnnParams) -> list[NodeState]:
-    hidden = params.proj_bias.shape[0] // 2
     fwd = gru_sequence(_gru_weights(params.fwd), word_vectors)
     bwd = gru_sequence(_gru_weights(params.bwd), word_vectors, reverse=True)
     states = []
     for i in range(len(word_vectors)):
         both = concat([take_row(fwd, i), take_row(bwd, i)])
         packed = add(matmul(params.proj_weight, both), params.proj_bias)
-        states.append(_split_state(packed, hidden))
+        states.append(NodeState(*split(packed, 2)))
     return states
 
 
-def compose(left: NodeState, right: NodeState, params: CompositionParams) -> NodeState:
-    """Binary Tree-LSTM cell merging two child states into a parent."""
-    packed = tree_lstm_cell(params.weight, params.bias, left.h, right.h, left.c, right.c)
-    return _split_state(packed, params.hidden)
+def compose(pairs: list[tuple[NodeState, NodeState]], query: Tensor,
+            params: CompositionParams) -> tuple[list[NodeState], list[Tensor]]:
+    """Merge each (left, right) pair of child states into a parent with the
+    binary Tree-LSTM cell, in one tape record; returns the parents and
+    their validity logits (dot products with ``query``)."""
+    outs = tree_lstm_cell(params.weight, params.bias, query,
+                          [left.h for left, _ in pairs], [right.h for _, right in pairs],
+                          [left.c for left, _ in pairs], [right.c for _, right in pairs])
+    return ([NodeState(outs[i], outs[i + 1]) for i in range(0, len(outs), 3)],
+            list(outs[2::3]))
 
 
-def validity_scores(candidates: list[NodeState], query: Tensor,
-                    logits: list[Tensor | None]) -> Tensor:
-    """Softmax over query-vs-candidate dot products; sums to one.
-
-    ``logits`` is a cache kept in step with ``candidates``: entries that
-    are ``None`` are filled in place with fresh dot products, the others
-    are reused as they are.
-    """
-    if not candidates:
+def validity_scores(logits: list[Tensor]) -> Tensor:
+    """Softmax over the candidates' validity logits; sums to one."""
+    if not logits:
         raise ShapeError("validity_scores: no candidates")
-    for i, cand in enumerate(candidates):
-        if logits[i] is None:
-            logits[i] = dot(query, cand.h)
     return softmax(concat(logits))
 
 
@@ -218,10 +206,11 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     selected; the new node enters the graph as the selection-weighted sum
     over all candidates (a ``select`` of one candidate when the weights are
     one-hot), so in train mode it equals the chosen candidate exactly while
-    gradients still reach the scores.  Each candidate's validity logit is
-    computed once, when the candidate is composed.  Returns the induced
-    tree and all 2n - 1 node states (leaves first, then composed nodes in
-    creation order).
+    gradients still reach the scores.  Each candidate and its validity
+    logit are computed once: the first layer's n - 1 in one ``compose``
+    call, then the at most two pairs that touch each new node in one call
+    per merge.  Returns the induced tree and all 2n - 1 node states (leaves
+    first, then composed nodes in creation order).
     """
     n = len(leaves)
     if n == 0:
@@ -233,12 +222,13 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     if config.mode != "infer" and not config.noise_per_layer and n > 1:
         presampled = gumbel_noise(n - 1, rng)
     # candidates[i] composes nodes[i] with nodes[i+1]; after a merge only
-    # the pairs touching the new node change, the rest (and their cached
-    # logits) are reused as-is
-    candidates = [compose(nodes[i], nodes[i + 1], params) for i in range(n - 1)]
-    logits: list[Tensor | None] = [None] * len(candidates)
+    # the pairs touching the new node change, the rest (and their logits)
+    # are reused as-is
+    candidates, logits = [], []
+    if n > 1:
+        candidates, logits = compose(list(zip(nodes, nodes[1:])), query, params)
     while len(nodes) > 1:
-        scores = validity_scores(candidates, query, logits)
+        scores = validity_scores(logits)
         noise = presampled[: len(candidates)] if presampled is not None else None
         index, weights = st_gumbel_select(scores, config, rng, noise=noise)
         hs, cs = [cand.h for cand in candidates], [cand.c for cand in candidates]
@@ -250,14 +240,13 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
         nodes[index:index + 2] = [merged]
         all_nodes.append(merged)
         if len(nodes) > 1:
-            fresh = []
+            pairs = []
             if index > 0:
-                fresh.append(compose(nodes[index - 1], merged, params))
+                pairs.append((nodes[index - 1], merged))
             if index < len(nodes) - 1:
-                fresh.append(compose(merged, nodes[index + 1], params))
+                pairs.append((merged, nodes[index + 1]))
             window = slice(max(index - 1, 0), index + 2)
-            candidates[window] = fresh
-            logits[window] = [None] * len(fresh)
+            candidates[window], logits[window] = compose(pairs, query, params)
     return BinaryTree(n, tuple(merges), tokens), all_nodes
 
 

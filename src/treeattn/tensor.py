@@ -4,17 +4,22 @@ Every differentiable operation appends one record to the innermost active
 ``Tape``; ``backward`` replays those records in reverse order, accumulating
 gradients additively into the ``grad`` slot of every tensor that requires
 them.  Without an active tape, operations run forward-only (inference).
+A record may have several outputs: ``split`` cuts a vector into pieces,
+and the Tree-LSTM cell returns the state and validity logit of every
+parent it composes.  Its backward function then receives one gradient per
+output, ``None`` for an output that nothing used.
 
 Weight gradients of matrix-vector products are summed once per weight per
-backward pass: each such record hands back its rank-1 gradient as a pair
-of vectors, and ``backward`` adds all of one tensor's pairs with a single
-matrix product, just before that tensor's own record is replayed or at the
-end of the pass.  An embedding lookup's gradient goes into its one row.
+backward pass: each such record hands back its gradient as a pair of
+factors whose product is a sum of outer products, and ``backward`` adds
+all of one tensor's pairs with a single matrix product, just before that
+tensor's own record is replayed or at the end of the pass.  An embedding
+lookup's gradient goes into its one row.
 
 Deliberately small: no broadcasting beyond matrix-vector products, no
 higher-order derivatives, and two fused operations with hand-written
-backward passes: the binary Tree-LSTM cell, which replaces the 20
-elementary records a composition would otherwise cost, and one GRU
+backward passes: the binary Tree-LSTM cell over a batch of child pairs,
+which also scores each parent against the query vector, and one GRU
 direction over a whole sentence, which replaces 20 records per word.
 All arithmetic is 64-bit so that finite-difference checks are decisive.
 """
@@ -72,19 +77,22 @@ class Tensor:
 
 
 class _Record:
-    __slots__ = ("name", "inputs", "output", "grad_fn")
+    __slots__ = ("name", "inputs", "outputs", "grad_fn")
 
-    def __init__(self, name, inputs, output, grad_fn):
+    def __init__(self, name, inputs, outputs, grad_fn):
         self.name = name
         self.inputs = inputs
-        self.output = output
-        # grad_fn(output_grad) -> one gradient (array, marker or None) per input
+        self.outputs = outputs  # a tuple, of one tensor for most ops
+        # grad_fn(output_grad) -> one gradient (array, marker or None) per
+        # input; a record with several outputs gets a tuple of their
+        # gradients, None for an output that nothing used
         self.grad_fn = grad_fn
 
 
 class _Outer:
-    """The gradient ``outer(left, right)``, left unformed until ``backward``
-    sums it with the other rank-1 gradients of its tensor."""
+    """The gradient ``left @ right``, a sum of outer products of the columns
+    of ``left`` (m, r) with the rows of ``right`` (r, n), left unformed
+    until ``backward`` sums it with the other such gradients of its tensor."""
 
     __slots__ = ("left", "right")
 
@@ -117,8 +125,10 @@ def _stack() -> list:
 class Tape:
     """Ordered record of executed operations; a single-threaded context.
 
-    Inputs of an operation always precede it on the tape, so walking the
-    records backwards is a valid reverse topological order.
+    Each record holds one operation's inputs, its outputs (one or more
+    tensors) and its backward function.  Every consumer of an output is
+    recorded after the operation that made it, so walking the records
+    backwards is a valid reverse topological order.
     """
 
     def __init__(self):
@@ -136,19 +146,34 @@ class Tape:
         return len(self._records)
 
 
-def _emit(name: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-          grad_fn: Callable) -> Tensor:
-    if not np.isfinite(out_data).all():
-        raise NonFiniteError(f"{name}: produced non-finite values")
+def _emit(name: str, inputs: Sequence[Tensor], out_data, grad_fn: Callable,
+          views_of: Sequence[np.ndarray] | None = None):
+    """Wrap an operation's result in tensors and record it on the innermost
+    tape when some input requires a gradient.
+
+    ``out_data`` is one array, which gives one tensor, or a tuple of arrays,
+    which gives a tuple of tensors from a single record.  The outputs are
+    checked for non-finite values; when they are all views into the arrays
+    ``views_of``, those are checked instead, once each.
+    """
+    multi = type(out_data) is tuple
+    arrays = out_data if multi else (out_data,)
+    for arr in arrays if views_of is None else views_of:
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{name}: produced non-finite values")
     stack = _stack()
     track = bool(stack) and any(t.requires_grad for t in inputs)
-    out = Tensor.__new__(Tensor)
-    out.data = out_data
-    out.requires_grad = track
-    out.grad = None
+    outs = []
+    for arr in arrays:
+        out = Tensor.__new__(Tensor)
+        out.data = arr
+        out.requires_grad = track
+        out.grad = None
+        outs.append(out)
+    outs = tuple(outs)
     if track:
-        stack[-1]._records.append(_Record(name, tuple(inputs), out, grad_fn))
-    return out
+        stack[-1]._records.append(_Record(name, tuple(inputs), outs, grad_fn))
+    return outs if multi else outs[0]
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -159,19 +184,26 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
-    if not any(rec.output is loss for rec in tape._records):
+    if not any(out is loss for rec in tape._records for out in rec.outputs):
         raise ValueError("backward: loss was not produced on this tape")
     loss.grad = (loss.grad if loss.grad is not None else np.zeros(())) + 1.0
     # id(tensor) -> (tensor, lefts, rights) of its not yet summed _Outer gradients
     pending: dict[int, tuple[Tensor, list, list]] = {}
     for rec in reversed(tape._records):
-        out = rec.output
-        entry = pending.pop(id(out), None)
-        if entry is not None:  # out was made on the tape and used in a matvec
-            _flush_outers(*entry)
-        if out.grad is None:
-            continue
-        grads = rec.grad_fn(out.grad)
+        outs = rec.outputs
+        for out in outs:
+            entry = pending.pop(id(out), None)
+            if entry is not None:  # out was made on the tape and used in a matvec
+                _flush_outers(*entry)
+        if len(outs) == 1:
+            out_grad = outs[0].grad
+            if out_grad is None:
+                continue
+        else:
+            out_grad = tuple(out.grad for out in outs)
+            if all(g is None for g in out_grad):
+                continue
+        grads = rec.grad_fn(out_grad)
         for tensor, g in zip(rec.inputs, grads):
             if g is None or not tensor.requires_grad:
                 continue
@@ -197,8 +229,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def _flush_outers(tensor: Tensor, lefts: list, rights: list) -> None:
-    """Add the sum of ``outer(left, right)`` over the pairs to ``tensor.grad``."""
-    total = np.stack(lefts, axis=1) @ np.stack(rights)
+    """Add the sum of ``left @ right`` over the pairs to ``tensor.grad``."""
+    total = np.concatenate(lefts, axis=1) @ np.concatenate(rights)
     if tensor.grad is None:
         tensor.grad = total
     else:
@@ -255,7 +287,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
         return _emit("matmul", (a, b), a.data @ b.data, lambda g: (
-            _Outer(g, b.data) if a.requires_grad else None,
+            _Outer(g[:, None], b.data[None]) if a.requires_grad else None,
             a.data.T @ g if b.requires_grad else None))
     if b.data.ndim == 2:
         if a.shape[1] != b.shape[0]:
@@ -381,51 +413,98 @@ def select(vectors: Sequence[Tensor], weights: Tensor, index: int) -> Tensor:
     return _emit("select", (*vectors, weights), out, grad_fn)
 
 
-def tree_lstm_cell(weight: Tensor, bias: Tensor, h_left: Tensor, h_right: Tensor,
-                   c_left: Tensor, c_right: Tensor) -> Tensor:
-    """Binary Tree-LSTM cell (Tai et al. 2015) as one record; returns the
-    packed ``[h; c]`` of the parent.
+def tree_lstm_cell(weight: Tensor, bias: Tensor, query: Tensor,
+                   h_left: Sequence[Tensor], h_right: Sequence[Tensor],
+                   c_left: Sequence[Tensor], c_right: Sequence[Tensor]) -> tuple[Tensor, ...]:
+    """Binary Tree-LSTM cell (Tai et al. 2015) over k child pairs as one
+    record, scoring every parent against ``query``.
 
-    ``weight`` is (5H, 2H) and ``bias`` (5H,), with gate blocks
-    [candidate; input; forget-left; forget-right; output] applied to
-    ``[h_left; h_right]``.  The forward arithmetic is the one the
-    elementary ops give, in the same order; the pre-activation is checked
-    for non-finite values too, because the saturating gates would
-    otherwise hide an overflow.
+    Pair j composes the children ``(h_left[j], c_left[j])`` and
+    ``(h_right[j], c_right[j])``, all vectors of size H.  ``weight`` is
+    (5H, 2H) and ``bias`` (5H,), with gate blocks [candidate; input;
+    forget-left; forget-right; output] applied to ``[h_left; h_right]``.
+    Returns 3k tensors, for each pair in order the parent's ``h``, its
+    ``c`` and its validity logit ``query . h``.
+
+    The forward arithmetic is the one the elementary ops give for each
+    pair on its own, whatever k is: one matrix-vector product per pair on
+    a contiguous ``[h_left; h_right]``, every elementwise function on
+    contiguous gate blocks, and one dot product per logit.  The
+    pre-activation is checked for non-finite values too, because the
+    saturating gates would otherwise hide an overflow.  The backward pass
+    hands back the weight gradient as one deferred matrix product (an
+    ``_Outer``) and takes one matrix product for the children's gradients;
+    a child that appears in two pairs gets the sum of both.
     """
-    for t in (h_left, h_right, c_left, c_right, bias):
-        _check_vector("tree_lstm_cell", t)
-    hidden = h_left.shape[0]
-    for t in (h_right, c_left, c_right):
-        _check_same_shape("tree_lstm_cell", h_left, t)
+    k = len(h_left)
+    if k == 0 or not len(h_right) == len(c_left) == len(c_right) == k:
+        raise ShapeError(f"tree_lstm_cell: child lists of lengths {len(h_left)}, "
+                         f"{len(h_right)}, {len(c_left)} and {len(c_right)}")
+    children = (*h_left, *h_right, *c_left, *c_right)
+    _check_same_vectors("tree_lstm_cell", (query, *children))
+    hidden = query.shape[0]
     if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
         raise ShapeError(f"tree_lstm_cell: weight {weight.shape} and bias {bias.shape} "
                          f"do not fit children of size {hidden}")
-    children = np.concatenate([h_left.data, h_right.data])
-    pre = weight.data @ children + bias.data
+    w, b, q = weight.data, bias.data, query.data
+    pairs = np.empty((k, 2 * hidden))  # row j: [h_left[j]; h_right[j]]
+    mem_l, mem_r = np.empty((2, k, hidden))  # the children's c
+    pre = np.empty((k, 5 * hidden))
+    for j in range(k):
+        x = pairs[j]
+        x[:hidden] = h_left[j].data
+        x[hidden:] = h_right[j].data
+        mem_l[j] = c_left[j].data
+        mem_r[j] = c_right[j].data
+        np.matmul(w, x, out=pre[j])
+    pre += b
     if not np.isfinite(pre).all():
         raise NonFiniteError("tree_lstm_cell: pre-activation has non-finite values")
-    candidate = np.tanh(pre[:hidden])
-    gates = _logistic(pre[hidden:])
-    gate_in, forget_l, forget_r, gate_out = (
-        gates[k * hidden:(k + 1) * hidden] for k in range(4))
-    c = candidate * gate_in + (c_left.data * forget_l + c_right.data * forget_r)
+    blocks = pre.reshape(k, 5, hidden).transpose(1, 0, 2).copy()  # (5, k, H)
+    candidate = np.tanh(blocks[0])
+    gates = _logistic(blocks[1:])
+    gate_in, forget_l, forget_r, gate_out = gates
+    state = np.empty((2, k, hidden))  # the parents' h and c
+    h, c = state
+    np.add(candidate * gate_in, mem_l * forget_l + mem_r * forget_r, out=c)
     tanh_c = np.tanh(c)
-    h = tanh_c * gate_out
+    np.multiply(tanh_c, gate_out, out=h)
+    logits = np.empty(k)
+    for j in range(k):
+        logits[j] = np.dot(q, h[j])
 
-    def grad_fn(g):
-        g_h = g[:hidden]
-        g_c = g[hidden:] + g_h * gate_out * (1.0 - tanh_c * tanh_c)
-        g_gates = np.concatenate([g_c * candidate, g_c * c_left.data,
-                                  g_c * c_right.data, g_h * tanh_c])
-        g_pre = np.concatenate([g_c * gate_in * (1.0 - candidate * candidate),
-                                g_gates * gates * (1.0 - gates)])
-        g_children = weight.data.T @ g_pre
-        return (_Outer(g_pre, children), g_pre, g_children[:hidden],
-                g_children[hidden:], g_c * forget_l, g_c * forget_r)
+    def grad_fn(grads):
+        g_h, g_c, g_logit = np.zeros((k, hidden)), np.zeros((k, hidden)), np.zeros(k)
+        for j in range(k):
+            gh, gc, gl = grads[3 * j:3 * j + 3]
+            if gh is not None:
+                g_h[j] = gh
+            if gc is not None:
+                g_c[j] = gc
+            if gl is not None:
+                g_logit[j] = gl
+        g_h += g_logit[:, None] * q
+        g_c += g_h * gate_out * (1.0 - tanh_c * tanh_c)
+        g_pre = np.empty((5, k, hidden))
+        g_pre[0] = g_c * gate_in * (1.0 - candidate * candidate)
+        g_pre[1:] = g_c * candidate, g_c * mem_l, g_c * mem_r, g_h * tanh_c
+        g_pre[1:] *= gates * (1.0 - gates)
+        g_pre = g_pre.transpose(1, 0, 2).reshape(k, 5 * hidden)
+        out = [_Outer(g_pre.T, pairs), g_pre.sum(axis=0),
+               g_logit @ h if query.requires_grad else None]
+        if any(t.requires_grad for t in children):
+            g_pairs = g_pre @ w
+            out += [*g_pairs[:, :hidden], *g_pairs[:, hidden:],
+                    *(g_c * forget_l), *(g_c * forget_r)]
+        else:
+            out += [None] * len(children)
+        return tuple(out)
 
-    return _emit("tree_lstm_cell", (weight, bias, h_left, h_right, c_left, c_right),
-                 np.concatenate([h, c]), grad_fn)
+    outputs = []
+    for j in range(k):
+        outputs += [h[j], c[j], logits[j, ...]]
+    return _emit("tree_lstm_cell", (weight, bias, query, *children), tuple(outputs),
+                 grad_fn, views_of=(state, logits))
 
 
 def gru_sequence(weights: Sequence[Tensor], inputs: Sequence[Tensor],
@@ -539,19 +618,19 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     return _emit("cross_entropy", (logits,), out, grad_fn)
 
 
-def narrow(x: Tensor, start: int, length: int) -> Tensor:
-    """Contiguous slice of a vector (used to split packed gate blocks)."""
-    _check_vector("narrow", x)
-    if start < 0 or length < 1 or start + length > x.shape[0]:
-        raise ShapeError(f"narrow: [{start}:{start + length}] outside shape {x.shape}")
-    out = x.data[start:start + length].copy()
+def split(x: Tensor, sections: int) -> tuple[Tensor, ...]:
+    """A vector cut into ``sections`` contiguous pieces of equal size, as one
+    record with one output per piece."""
+    _check_vector("split", x)
+    if sections < 1 or x.shape[0] % sections:
+        raise ShapeError(f"split: shape {x.shape} does not cut into {sections} equal pieces")
+    size = x.shape[0] // sections
+    pieces = tuple(x.data[i * size:(i + 1) * size] for i in range(sections))
 
-    def grad_fn(g):
-        full = np.zeros_like(x.data)
-        full[start:start + length] = g
-        return (full,)
+    def grad_fn(grads):
+        return (np.concatenate([np.zeros(size) if g is None else g for g in grads]),)
 
-    return _emit("narrow", (x,), out, grad_fn)
+    return _emit("split", (x,), pieces, grad_fn)
 
 
 def take_row(matrix: Tensor, index: int) -> Tensor:

@@ -67,7 +67,7 @@ def tiny_pair_model(seed: int = 42, hidden: int = 8, d_attn: int = 6,
                        embedding=embedding, leaf_kind=leaf_kind)
 
 
-TREE_LSTM_CELL_INPUTS = ("weight", "bias", "h_left", "h_right", "c_left", "c_right")
+TREE_LSTM_CELL_INPUTS = ("weight", "bias", "query", "h_left", "h_right", "c_left", "c_right")
 # the nine weights of one GRU direction, in gru_sequence's argument order
 GRU_WEIGHTS = tuple(f.name for f in fields(GruParams))
 
@@ -194,24 +194,50 @@ def op_gradient_cases(seed: int = 0):
 
         return via_dot(rng, 4, merge), Tensor([0.0, 1.0, 0.0])
 
-    def tree_lstm_cell_case(probe):
+    # probe name -> (node, 0 for h or 1 for c); node 1 is the right child
+    # of the only pair when k = 1, and the shared node m when k = 3
+    child_slots = {"h_left": (0, 0), "c_left": (0, 1), "h_right": (1, 0),
+                   "c_right": (1, 1), "h_shared": (1, 0), "c_shared": (1, 1)}
+
+    def tree_lstm_cell_case(probe, k):
+        # k = 1: one pair, every output read.  k = 3: the pairs (a, m),
+        # (m, b), (d, e) share m, as the two fresh pairs after a merge do,
+        # and the loss leaves the middle parent's c unused
+        pairs = [(0, 1)] if k == 1 else [(0, 1), (1, 2), (3, 4)]
+        unused = set() if k == 1 else {4}  # output index: pair 1's c
+
         def build(rng):
             hidden = 3
-            values = {"weight": rng.normal(scale=0.5, size=(5 * hidden, 2 * hidden)),
-                      "bias": rng.normal(size=5 * hidden)}
-            for name in TREE_LSTM_CELL_INPUTS[2:]:
-                values[name] = rng.normal(size=hidden)
-            fixed = {name: Tensor(v) for name, v in values.items()}
+            params = {"weight": rng.normal(scale=0.5, size=(5 * hidden, 2 * hidden)),
+                      "bias": rng.normal(size=5 * hidden),
+                      "query": rng.normal(size=hidden)}
+            nodes = [[rng.normal(size=hidden), rng.normal(size=hidden)]
+                     for _ in range(pairs[-1][1] + 1)]
 
             def cell(x):
-                args = dict(fixed, **{probe: x})
-                return T.tree_lstm_cell(*(args[name] for name in TREE_LSTM_CELL_INPUTS))
+                args = [x if name == probe else Tensor(v) for name, v in params.items()]
+                states = [[Tensor(h), Tensor(c)] for h, c in nodes]
+                if probe in child_slots:
+                    node, part = child_slots[probe]
+                    states[node][part] = x
+                outs = T.tree_lstm_cell(*args, [states[l][0] for l, _ in pairs],
+                                        [states[r][0] for _, r in pairs],
+                                        [states[l][1] for l, _ in pairs],
+                                        [states[r][1] for _, r in pairs])
+                return T.concat([out for i, out in enumerate(outs) if i not in unused])
 
-            return via_dot(rng, 2 * hidden, cell), Tensor(values[probe])
+            if probe in child_slots:
+                node, part = child_slots[probe]
+                value = nodes[node][part]
+            else:
+                value = params[probe]
+            return via_dot(rng, k * (2 * hidden + 1) - len(unused) * hidden, cell), Tensor(value)
         return build
 
     for probe in TREE_LSTM_CELL_INPUTS:
-        case(f"tree_lstm_cell_{probe}")(tree_lstm_cell_case(probe))
+        case(f"tree_lstm_cell_{probe}")(tree_lstm_cell_case(probe, k=1))
+    for probe in ("weight", "bias", "query", "h_shared", "c_shared"):
+        case(f"tree_lstm_cell_k3_{probe}")(tree_lstm_cell_case(probe, k=3))
 
     def gru_sequence_case(probe, reverse):
         # probe is a weight name or "word", the middle one of three inputs,
@@ -246,9 +272,18 @@ def op_gradient_cases(seed: int = 0):
     def _(rng):
         return lambda x: T.cross_entropy(x, 1), Tensor(rng.normal(size=5))
 
-    @case("narrow")
+    @case("split")
     def _(rng):
-        return via_dot(rng, 3, lambda x: T.narrow(x, 2, 3)), Tensor(rng.normal(size=8))
+        # both pieces read, through a product
+        def f(x):
+            first, second = T.split(x, 2)
+            return T.dot(first, T.mul(second, second))
+        return f, Tensor(rng.normal(size=8))
+
+    @case("split_unused_piece")
+    def _(rng):
+        return (via_dot(rng, 6, lambda x: T.concat([T.split(x, 3)[i] for i in (0, 2)])),
+                Tensor(rng.normal(size=9)))
 
     @case("take_row")
     def _(rng):

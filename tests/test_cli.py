@@ -387,3 +387,83 @@ class TestSimilarity:
         assert main(["similarity", "--checkpoint", str(workspace / "model.ckpt"),
                      "--pairs", str(pairs)]) == 2
         assert ":1:" in capsys.readouterr().err
+
+
+def _with_bad_byte(source, target):
+    """Copy a text file with one byte that is not UTF-8 inserted into line 2."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
+    target.write_bytes(b"".join(lines))
+    return target
+
+
+TREES = "( ( a b ) c )\n( a ( b c ) )\n"
+
+
+class TestInputAndOutputErrors:
+    @pytest.mark.parametrize("reader", ["embeddings", "train", "corpus", "pred", "ref",
+                                        "input", "pairs"])
+    def test_non_utf8_input_exits_2_naming_file_and_line(self, workspace, tmp_path,
+                                                        capsys, reader):
+        (tmp_path / "trees.txt").write_text(TREES)
+        sources = {"embeddings": workspace / "emb.txt", "train": workspace / "train.jsonl",
+                   "corpus": workspace / "val.jsonl", "pred": tmp_path / "trees.txt",
+                   "ref": tmp_path / "trees.txt", "input": workspace / "sents.txt",
+                   "pairs": workspace / "pairs.tsv"}
+        bad = str(_with_bad_byte(sources[reader], tmp_path / f"bad_{reader}"))
+        files = {name: str(path) for name, path in sources.items()}
+        files[reader] = bad
+        checkpoint = str(workspace / "model.ckpt")
+        argv = {
+            "embeddings": ["train", "--task", "pair", "--train", files["train"],
+                           "--val", files["corpus"], "--embeddings", files["embeddings"],
+                           "--labels", "mixed,subset", "--out", str(tmp_path / "x.ckpt")],
+            "corpus": ["eval", "--checkpoint", checkpoint, "--corpus", files["corpus"]],
+            "pred": ["treescore", "--pred", files["pred"], "--ref", files["ref"]],
+            "input": ["parse", "--checkpoint", checkpoint, "--input", files["input"]],
+            "pairs": ["similarity", "--checkpoint", checkpoint, "--pairs", files["pairs"]],
+        }
+        argv["train"], argv["ref"] = argv["embeddings"], argv["pred"]
+        assert main(argv[reader]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:2: not valid UTF-8\n"
+
+    def test_directory_as_treescore_out_exits_2(self, tmp_path, capsys):
+        (tmp_path / "trees.txt").write_text(TREES)
+        (tmp_path / "report").mkdir()
+        assert main(["treescore", "--pred", str(tmp_path / "trees.txt"),
+                     "--baselines-only", "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "Traceback" not in err
+
+    def test_directory_as_eval_predictions_exits_2(self, workspace, tmp_path, capsys):
+        (tmp_path / "preds").mkdir()
+        assert main(["eval", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--corpus", str(workspace / "val.jsonl"),
+                     "--predictions", str(tmp_path / "preds")]) == 2
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "Traceback" not in err
+
+    def test_directory_as_manifest_exits_2(self, tmp_path, capsys):
+        (tmp_path / "trees.txt").write_text(TREES)
+        (tmp_path / "manifest").mkdir()
+        assert main(["treescore", "--pred", str(tmp_path / "trees.txt"),
+                     "--baselines-only", "--out", str(tmp_path / "report.txt"),
+                     "--manifest", str(tmp_path / "manifest")]) == 2
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "Traceback" not in err
+
+    def test_directory_as_train_out_exits_2_before_loading(self, workspace, tmp_path,
+                                                          capsys):
+        # the embedding file is broken too: only a check made before any
+        # loading reports the directory instead
+        emb = _with_bad_byte(workspace / "emb.txt", tmp_path / "emb.txt")
+        (tmp_path / "ckpt").mkdir()
+        code = main(["train", "--task", "pair",
+                     "--train", str(workspace / "train.jsonl"),
+                     "--val", str(workspace / "val.jsonl"),
+                     "--embeddings", str(emb), "--labels", "mixed,subset",
+                     "--out", str(tmp_path / "ckpt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: output path is a directory: {tmp_path / 'ckpt'}\n")

@@ -11,7 +11,7 @@ from treeattn.parser import (CompositionParams, GumbelConfig, LeafAffineParams,
                              init_composition_params, init_leaf_affine,
                              init_leaf_rnn, init_query, leaf_transform,
                              st_gumbel_select, validity_scores)
-from treeattn.tensor import Tape, Tensor, backward, dot, softmax
+from treeattn.tensor import Tape, Tensor, add, backward, dot, softmax
 from treeattn.trees import export_bracketed, parse_bracketed
 
 
@@ -40,14 +40,30 @@ class FixedUniform:
 
 class TestCompose:
     def test_all_zero_parameters_and_memories(self):
-        out = compose(state([0.0], [0.0]), state([0.0], [0.0]), zero_composition(1))
-        assert out.c.data[0] == 0.0 and out.h.data[0] == 0.0
+        [out], [logit] = compose([(state([0.0], [0.0]), state([0.0], [0.0]))],
+                                 Tensor([1.0]), zero_composition(1))
+        assert out.c.data[0] == 0.0 and out.h.data[0] == 0.0 and logit.item() == 0.0
 
     def test_zero_weights_unit_memories(self):
         # gates sit at 0.5, so c = 0.5 + 0.5 and h = tanh(1)/2
-        out = compose(state([0.0], [1.0]), state([0.0], [1.0]), zero_composition(1))
+        [out], [logit] = compose([(state([0.0], [1.0]), state([0.0], [1.0]))],
+                                 Tensor([2.0]), zero_composition(1))
         assert out.c.data[0] == pytest.approx(1.0, abs=1e-15)
         assert out.h.data[0] == pytest.approx(0.3807970779778824, abs=1e-12)
+        assert logit.item() == 2.0 * out.h.data[0]
+
+    def test_pairs_sharing_a_node_in_one_record(self):
+        rng = np.random.default_rng(4)
+        params = init_composition_params(rng, 3)
+        query = init_query(rng, 3)
+        left, merged, right = random_states(rng, 3, 3)
+        with Tape() as tape:
+            nodes, logits = compose([(left, merged), (merged, right)], query, params)
+        assert [rec.name for rec in tape._records] == ["tree_lstm_cell"]
+        for pair, node, logit in zip([(left, merged), (merged, right)], nodes, logits):
+            [alone], [alone_logit] = compose([pair], query, params)
+            assert (node.h.data == alone.h.data).all() and (node.c.data == alone.c.data).all()
+            assert logit.item() == alone_logit.item() == np.dot(query.data, node.h.data)
 
     def test_gradients_match_finite_differences(self):
         from treeattn.tensor import finite_difference_check
@@ -66,10 +82,13 @@ class TestCompose:
             "c_right": Tensor(cr, requires_grad=True),
         }
 
+        probes["query"] = init_query(rng, hidden)
+
         def loss(_x):
             left = NodeState(probes["h_left"], probes["c_left"])
             right = NodeState(probes["h_right"], probes["c_right"])
-            return dot(compose(left, right, params).h, r)
+            [out], [logit] = compose([(left, right)], probes["query"], params)
+            return add(dot(out.h, r), logit)
 
         for name, tensor in probes.items():
             err = finite_difference_check(loss, tensor, 1e-5)
@@ -103,19 +122,33 @@ class TestLeafTransforms:
 
     @pytest.mark.parametrize("n", [1, 2, 9])
     def test_rnn_tape_cost_is_two_plus_seven_per_token(self, n):
+        # the pinned cost is now 2 + 6n (the name predates the split op):
         # one record per GRU direction, then per position two row reads,
-        # concat, the projection matmul and add, and two narrows
+        # concat, the projection matmul and add, and one split into (h, c)
         params = init_leaf_rnn(np.random.default_rng(1), 4, 3)
         words = [Tensor(np.random.default_rng(i).normal(size=4)) for i in range(n)]
         with Tape() as tape:
             states = leaf_transform(words, params, "rnn")
             records = len(tape)
             backward(tape, dot(states[0].h, states[-1].c))
-        assert records == 2 + 7 * n
+        assert records == 2 + 6 * n
         names = [rec.name for rec in tape._records[:records]]
         assert names.count("gru_sequence") == 2 and names.count("take_row") == 2 * n
+        assert names.count("split") == n
         for direction in (params.fwd, params.bwd):
             assert all(getattr(direction, f.name).grad is not None for f in fields(direction))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_affine_tape_cost_is_three_per_token(self, n):
+        # per position the matmul, the bias add and one split into (h, c)
+        params = init_leaf_affine(np.random.default_rng(2), 4, 3)
+        words = [Tensor(np.random.default_rng(i).normal(size=4)) for i in range(n)]
+        with Tape() as tape:
+            states = leaf_transform(words, params, "affine")
+            backward(tape, dot(states[0].h, states[-1].c))
+        assert [rec.name for rec in tape._records[:3 * n]] == ["matmul", "add", "split"] * n
+        assert len(tape) == 3 * n + 1  # and the loss
+        assert params.weight.grad is not None and params.bias.grad is not None
 
     def test_unknown_kind_and_empty_sentence(self):
         params = init_leaf_affine(np.random.default_rng(0), 4, 3)
@@ -127,36 +160,47 @@ class TestLeafTransforms:
 
 class TestValidityScores:
     def test_identical_candidates_uniform(self):
-        cands = [state([1.0, 2.0], [0.0, 0.0])] * 4
-        scores = validity_scores(cands, Tensor([0.3, -0.2]), [None] * 4)
+        scores = validity_scores([Tensor(0.7)] * 4)
         np.testing.assert_allclose(scores.data, np.full(4, 0.25), atol=1e-15)
 
     def test_single_candidate(self):
-        scores = validity_scores([state([5.0], [0.0])], Tensor([1.0]), [None])
+        scores = validity_scores([Tensor(5.0)])
         assert scores.data.tolist() == [1.0]
 
     def test_log_ratio_hand_value(self):
-        cands = [state([math.log(2.0)], [0.0]), state([0.0], [0.0])]
-        scores = validity_scores(cands, Tensor([1.0]), [None] * 2)
+        scores = validity_scores([Tensor(math.log(2.0)), Tensor(0.0)])
         np.testing.assert_allclose(scores.data, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             k = int(rng.integers(1, 9))
-            scores = validity_scores(random_states(rng, k, 4), Tensor(rng.normal(size=4)),
-                                     [None] * k)
+            scores = validity_scores([Tensor(x) for x in rng.normal(scale=3.0, size=k)])
             assert abs(scores.data.sum() - 1.0) <= 1e-12
             assert (scores.data >= 0).all()
 
     def test_cached_logits_are_reused_and_fresh_ones_filled(self):
-        cands = [state([1.0], [0.0]), state([2.0], [0.0]), state([3.0], [0.0])]
-        cached = Tensor(math.log(2.0))  # deliberately not dot(query, cands[1].h)
-        logits = [None, cached, None]
-        scores = validity_scores(cands, Tensor([0.0]), logits)
-        assert logits[1] is cached
-        assert [float(t.data) for t in logits] == [0.0, math.log(2.0), 0.0]
-        np.testing.assert_allclose(scores.data, [0.25, 0.5, 0.25], atol=1e-15)
+        # every layer scores the previous layer's logit tensors for the pairs
+        # the merge left alone, and the fresh pairs' logits from the newest cell
+        rng = np.random.default_rng(6)
+        params = init_composition_params(rng, 4)
+        query = init_query(rng, 4)
+        with Tape() as tape:
+            tree, _ = induce_tree(random_states(rng, 7, 4), params, query,
+                                  GumbelConfig(), np.random.default_rng(1))
+        layers, cell = [], None
+        for rec in tape._records:
+            if rec.name == "tree_lstm_cell":
+                cell = rec
+            elif rec.name == "concat":
+                layers.append((list(rec.inputs), cell.outputs[2::3]))
+        assert len(layers) == 6
+        previous, _ = layers[0]
+        for index, (logits, fresh) in zip(tree.merges, layers[1:]):
+            expected = [*previous[:max(index - 1, 0)], *fresh, *previous[index + 2:]]
+            assert len(logits) == len(expected) == len(previous) - 1
+            assert all(a is b for a, b in zip(logits, expected))
+            previous = logits
 
 
 class TestGumbelNoise:
@@ -291,13 +335,14 @@ class TestInduceTree:
         leaves = random_states(rng, 2, 3)
         _, nodes = induce_tree(leaves, params, query, GumbelConfig(),
                                np.random.default_rng(0))
-        direct = compose(leaves[0], leaves[1], params)
+        [direct], _ = compose([(leaves[0], leaves[1])], query, params)
         assert (nodes[-1].h.data == direct.h.data).all()
         assert (nodes[-1].c.data == direct.c.data).all()
 
     def test_one_validity_logit_per_composed_candidate(self):
-        # recomputing every candidate's logit at every layer would take
-        # (n - 1) + (n - 2) + ... + 1 = 36 dot products here
+        # one cell record for the first layer's 8 pairs, then one per merge
+        # but the last for the at most 2 fresh pairs; recomputing every
+        # candidate at every layer would compose 8 + 7 + ... + 1 = 36
         rng = np.random.default_rng(5)
         params = init_composition_params(rng, 4)
         query = init_query(rng, 4)
@@ -305,7 +350,12 @@ class TestInduceTree:
             induce_tree(random_states(rng, 9, 4), params, query, GumbelConfig(),
                         np.random.default_rng(0))
         names = [rec.name for rec in tape._records]
-        assert names.count("dot") == names.count("tree_lstm_cell") < 36
+        assert names.count("tree_lstm_cell") == 8
+        assert "dot" not in names and "narrow" not in names
+        cells = [rec for rec in tape._records if rec.name == "tree_lstm_cell"]
+        assert len(cells[0].outputs) == 3 * 8
+        assert all(len(rec.outputs) in (3, 6) for rec in cells[1:])
+        assert sum(len(rec.outputs) for rec in cells) // 3 < 36
 
     def test_structural_validity_over_seeds_and_lengths(self):
         rng = np.random.default_rng(7)
