@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, concat, glorot, matmul, relu, softmax, weighted_sum
+from .tensor import Tensor, ShapeError, attention_pool, glorot
 
 
 @dataclass
@@ -39,15 +39,11 @@ def attend(nodes: list[Tensor], params: AttentionParams) -> AttentionOutput:
 
     The score exponentials are normalized through a max-subtracted
     softmax, which is mathematically identical but immune to overflow
-    from unbounded logits.
+    from unbounded logits.  The whole pooling is one tape record.
     """
     if not nodes:
         raise ShapeError("attend: no nodes to pool")
-    embeddings = [relu(matmul(params.embed_weight, h)) for h in nodes]
-    logits = concat([matmul(params.score_weight, e) for e in embeddings])
-    weights = softmax(logits)
-    sentence = weighted_sum(nodes, weights)
-    return AttentionOutput(sentence, weights)
+    return AttentionOutput(*attention_pool(params.embed_weight, params.score_weight, nodes))
 
 
 def init_attention_params(rng: np.random.Generator, d_attn: int, hidden: int) -> AttentionParams:

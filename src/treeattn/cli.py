@@ -153,7 +153,7 @@ def cmd_train(args) -> int:
         dropout_keep=1.0 - args.dropout, max_epochs=args.epochs,
         patience=args.patience, seed=seed, temperature=args.temperature,
         leaf_kind=args.leaf, finetune_embeddings=args.finetune_embeddings,
-        max_len=args.max_len, threads=args.threads,
+        max_len=args.max_len,
         perturb_probs=args.perturb_probs,
         noise_per_layer=not args.noise_per_sentence)
     vocab, embedding = load_embeddings(args.embeddings, vocab_limit=args.vocab_limit,
@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
         examples = load_sentence_corpus(args.corpus, model.vocab, cfg.labels, cfg.max_len)
     if not examples:
         raise CliError("no usable examples after loading")
-    result = evaluate(examples, model, threads=args.threads)
+    result = evaluate(examples, model)
     print(f"accuracy\t{result.accuracy:.4f}")
     print(f"macro_f1\t{result.macro_f1:.4f}")
     if args.predictions:
@@ -242,7 +242,7 @@ def cmd_treescore(args) -> int:
         pred = load_tree_corpus(pred_path)
         try:
             reports.append(score_corpus(pred, ref, exclude_root=args.exclude_root,
-                                        micro=args.micro, threads=args.threads))
+                                        micro=args.micro))
         except ValueError as err:
             raise CliError(f"{pred_path}: {err}") from None
     if len(reports) == 1:
@@ -334,7 +334,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--finetune-embeddings", action="store_true")
     p.add_argument("--vocab-limit", type=_positive_int)
     p.add_argument("--max-len", type=_positive_int, default=120)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--perturb-probs", action="store_true",
                    help="add selection noise to probabilities instead of log-probabilities")
     p.add_argument("--noise-per-sentence", action="store_true",
@@ -346,7 +345,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--predictions", help="write per-example predictions TSV here")
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_eval)
 
@@ -370,7 +368,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="drop the full-sentence span before scoring")
     p.add_argument("--per-sentence", help="write per-sentence scores TSV here")
     p.add_argument("--out", help="report output (default: stdout)")
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_treescore)
 

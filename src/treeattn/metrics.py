@@ -10,7 +10,6 @@ one binary shape exists.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +110,7 @@ def _micro_f1(pairs: list[tuple[SpanSet, SpanSet]]) -> float:
 
 
 def score_corpus(pred_trees, ref_trees=None, *, exclude_root: bool = False,
-                 micro: bool = False, threads: int = 1) -> TreeScoreReport:
+                 micro: bool = False) -> TreeScoreReport:
     """Score predicted trees against branching baselines and, when given,
     aligned reference trees.
 
@@ -150,12 +149,7 @@ def score_corpus(pred_trees, ref_trees=None, *, exclude_root: bool = False,
             float(np.mean(tree.leaf_depths())))
         return score, (pred, left_s, right_s, ref_s)
 
-    indices = range(len(pred_trees))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(score_one, indices))
-    else:
-        scored = [score_one(i) for i in indices]
+    scored = [score_one(i) for i in range(len(pred_trees))]
     sentences = [s for s, _ in scored]
     views = [v for _, v in scored]
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, add, concat, glorot, gru_sequence, log,
-                     matmul, mul, select, softmax, split, st_onehot, take_row,
+from .tensor import (Tensor, ShapeError, add, concat, glorot, gru_sequence,
+                     gumbel_softmax, matmul, scalar_softmax, select, split, take_row,
                      tree_lstm_cell, weighted_sum)
 from .trees import BinaryTree
 
@@ -155,10 +155,11 @@ def compose(pairs: list[tuple[NodeState, NodeState]], query: Tensor,
 
 
 def validity_scores(logits: list[Tensor]) -> Tensor:
-    """Softmax over the candidates' validity logits; sums to one."""
+    """Softmax over the candidates' scalar validity logits, in one record;
+    sums to one."""
     if not logits:
         raise ShapeError("validity_scores: no candidates")
-    return softmax(concat(logits))
+    return scalar_softmax(logits)
 
 
 def gumbel_noise(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -175,7 +176,8 @@ def st_gumbel_select(scores: Tensor, config: GumbelConfig,
     Returns the chosen index and the selection-weight tensor: a hard
     one-hot with straight-through gradients in ``train`` mode, the noisy
     softmax relaxation in ``soft`` mode, and a constant one-hot in
-    ``infer`` mode.  Argmax ties resolve to the lowest index.
+    ``infer`` mode.  Argmax ties resolve to the lowest index.  ``train`` and
+    ``soft`` record one ``gumbel_softmax`` op; ``infer`` records nothing.
     """
     k = scores.shape[0]
     if abs(float(np.sum(scores.data)) - 1.0) > 1e-6 or np.any(scores.data < 0):
@@ -187,14 +189,8 @@ def st_gumbel_select(scores: Tensor, config: GumbelConfig,
         return index, Tensor(hard)
     if noise is None:
         noise = gumbel_noise(k, rng)
-    base = scores if config.perturb_probs else log(scores)
-    perturbed = add(base, Tensor(noise))
-    logits = mul(perturbed, Tensor(np.full(k, 1.0 / config.temperature)))
-    index = int(np.argmax(logits.data))
-    relaxed = softmax(logits)
-    if config.mode == "soft":
-        return index, relaxed
-    return index, st_onehot(relaxed, index)
+    return gumbel_softmax(scores, noise, config.temperature, hard=config.mode == "train",
+                          perturb_probs=config.perturb_probs)
 
 
 def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tensor,

@@ -17,16 +17,19 @@ tensor's own record is replayed or at the end of the pass.  An embedding
 lookup's gradient goes into its one row.
 
 Deliberately small: no broadcasting beyond matrix-vector products, no
-higher-order derivatives, and two fused operations with hand-written
+higher-order derivatives, and five fused operations with hand-written
 backward passes: the binary Tree-LSTM cell over a batch of child pairs,
-which also scores each parent against the query vector, and one GRU
-direction over a whole sentence, which replaces 20 records per word.
-All arithmetic is 64-bit so that finite-difference checks are decisive.
+which also scores each parent against the query vector; one GRU
+direction over a whole sentence, which replaces 20 records per word; a
+softmax over a list of scalar logits; the straight-through Gumbel-softmax
+selection; and attention pooling over all nodes of a tree.  Each fused
+forward does the elementary ops' arithmetic in their order, so its values
+are bit-identical to theirs.  All arithmetic is 64-bit so that
+finite-difference checks are decisive.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,15 +114,8 @@ class _Row:
         self.row = row
 
 
-_STATE = threading.local()
-
-
-def _stack() -> list:
-    stack = getattr(_STATE, "tapes", None)
-    if stack is None:
-        stack = []
-        _STATE.tapes = stack
-    return stack
+# the open tapes, innermost last
+_TAPES: list["Tape"] = []
 
 
 class Tape:
@@ -135,11 +131,11 @@ class Tape:
         self._records: list[_Record] = []
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _stack().pop()
+        popped = _TAPES.pop()
         assert popped is self, "tapes closed out of order"
 
     def __len__(self) -> int:
@@ -161,8 +157,7 @@ def _emit(name: str, inputs: Sequence[Tensor], out_data, grad_fn: Callable,
     for arr in arrays if views_of is None else views_of:
         if not np.isfinite(arr).all():
             raise NonFiniteError(f"{name}: produced non-finite values")
-    stack = _stack()
-    track = bool(stack) and any(t.requires_grad for t in inputs)
+    track = bool(_TAPES) and any(t.requires_grad for t in inputs)
     outs = []
     for arr in arrays:
         out = Tensor.__new__(Tensor)
@@ -172,7 +167,7 @@ def _emit(name: str, inputs: Sequence[Tensor], out_data, grad_fn: Callable,
         outs.append(out)
     outs = tuple(outs)
     if track:
-        stack[-1]._records.append(_Record(name, tuple(inputs), outs, grad_fn))
+        _TAPES[-1]._records.append(_Record(name, tuple(inputs), outs, grad_fn))
     return outs if multi else outs[0]
 
 
@@ -342,6 +337,68 @@ def softmax(x: Tensor) -> Tensor:
         return (out * (g - np.dot(g, out)),)
 
     return _emit("softmax", (x,), out, grad_fn)
+
+
+def scalar_softmax(logits: Sequence[Tensor]) -> Tensor:
+    """``softmax(concat(logits))`` over a list of scalar tensors as one
+    record, which hands back one gradient per scalar."""
+    if not logits:
+        raise ShapeError("scalar_softmax: empty input list")
+    logits = tuple(logits)  # the caller may reuse its list after this returns
+    if any(t.data.ndim for t in logits):
+        raise ShapeError(f"scalar_softmax: expected scalars, got shapes "
+                         f"{[t.shape for t in logits]}")
+    x = np.fromiter([t.data for t in logits], np.float64, len(logits))
+    shifted = np.exp(x - np.max(x))
+    out = shifted / np.sum(shifted)
+
+    def grad_fn(g):
+        return tuple(out * (g - np.dot(g, out)))
+
+    return _emit("scalar_softmax", logits, out, grad_fn)
+
+
+def gumbel_softmax(probs: Tensor, noise: np.ndarray, temperature: float,
+                   hard: bool, perturb_probs: bool = False) -> tuple[int, Tensor]:
+    """Gumbel-softmax selection from a vector of probabilities as one
+    record; returns the argmax index and the selection weights.
+
+    The perturbed logits are ``(log(probs) + noise) * (1 / temperature)``,
+    with ``probs`` itself in place of its log under ``perturb_probs``; the
+    index is their argmax, ties to the lowest index.  The weights are their
+    max-shifted softmax, or under ``hard`` the exact one-hot at the index.
+    The backward pass is the softmax's gradient in both cases, so hard
+    weights pass the relaxed gradient straight through (Jang et al. 2017).
+    The arithmetic is the elementary ops' (``log``, ``add``, ``mul``,
+    ``softmax``) in their order, and a non-finite logit raises where one
+    of them would, for example for a probability of exactly 0.
+    """
+    _check_vector("gumbel_softmax", probs)
+    k = probs.shape[0]
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != (k,):
+        raise ShapeError(f"gumbel_softmax: noise of shape {noise.shape} for "
+                         f"probabilities of shape {probs.shape}")
+    p = probs.data
+    scale = np.full(k, 1.0 / temperature)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logits = ((p if perturb_probs else np.log(p)) + noise) * scale
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("gumbel_softmax: perturbed logits have non-finite values")
+    index = int(np.argmax(logits))
+    shifted = np.exp(logits - np.max(logits))
+    relaxed = shifted / np.sum(shifted)
+    if hard:
+        out = np.zeros(k)
+        out[index] = 1.0
+    else:
+        out = relaxed
+
+    def grad_fn(g):
+        g_logits = relaxed * (g - np.dot(g, relaxed)) * scale
+        return (g_logits if perturb_probs else g_logits / p,)
+
+    return index, _emit("gumbel_softmax", (probs,), out, grad_fn)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -587,6 +644,71 @@ def gru_sequence(weights: Sequence[Tensor], inputs: Sequence[Tensor],
     return _emit("gru_sequence", (*weights, *inputs), states, grad_fn)
 
 
+def attention_pool(embed_weight: Tensor, score_weight: Tensor,
+                   nodes: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
+    """Attention pooling over node vectors as one record; returns the pooled
+    vector and the attention weights.
+
+    Node ``h_i`` (size H) is embedded as ``e_i = relu(embed_weight @ h_i)``
+    with ``embed_weight`` (D, H) and scored ``score_weight @ e_i`` with
+    ``score_weight`` (1, D).  The weights are the max-shifted softmax of the
+    scores and the pooled vector is ``sum_i w_i h_i``.  The forward
+    arithmetic is the one the elementary ops give: one matrix-vector
+    product per node and one per score, in node order, on contiguous rows.
+    The pre-activations are checked for non-finite values, because the
+    ReLU would otherwise hide an overflow.  The backward pass hands back
+    the embedding weight's gradient as one deferred matrix product (an
+    ``_Outer``) and takes one matrix product for the nodes' gradients.
+    """
+    if not nodes:
+        raise ShapeError("attention_pool: no nodes to pool")
+    nodes = tuple(nodes)
+    _check_same_vectors("attention_pool", nodes)
+    w_embed, w_score = embed_weight.data, score_weight.data
+    m, hidden = len(nodes), nodes[0].shape[0]
+    if (w_embed.ndim != 2 or w_embed.shape[1] != hidden
+            or w_score.shape != (1, w_embed.shape[0])):
+        raise ShapeError(f"attention_pool: weights {embed_weight.shape} and "
+                         f"{score_weight.shape} do not fit nodes of size {hidden}")
+    stacked = np.empty((m, hidden))
+    pre = np.empty((m, w_embed.shape[0]))
+    for i, h in enumerate(nodes):
+        stacked[i] = h.data
+        np.matmul(w_embed, stacked[i], out=pre[i])
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("attention_pool: pre-activation has non-finite values")
+    embedded = np.maximum(pre, 0.0)
+    logits = np.empty(m)
+    for i in range(m):
+        np.matmul(w_score, embedded[i], out=logits[i:i + 1])
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("attention_pool: scores have non-finite values")
+    shifted = np.exp(logits - np.max(logits))
+    weights = shifted / np.sum(shifted)
+    sentence = weights @ stacked
+
+    def grad_fn(grads):
+        g_sentence, g_weights = grads
+        g_w = np.zeros(m) if g_sentence is None else stacked @ g_sentence
+        if g_weights is not None:
+            g_w += g_weights
+        g_logits = weights * (g_w - np.dot(g_w, weights))
+        g_pre = g_logits[:, None] * w_score
+        g_pre *= pre > 0
+        out = [_Outer(g_pre.T, stacked), g_logits[None] @ embedded]
+        if any(h.requires_grad for h in nodes):
+            g_nodes = g_pre @ w_embed
+            if g_sentence is not None:
+                g_nodes += weights[:, None] * g_sentence
+            out += list(g_nodes)
+        else:
+            out += [None] * m
+        return tuple(out)
+
+    return _emit("attention_pool", (embed_weight, score_weight, *nodes),
+                 (sentence, weights), grad_fn)
+
+
 def dot(a: Tensor, b: Tensor) -> Tensor:
     _check_vector("dot", a)
     _check_same_shape("dot", a, b)
@@ -642,21 +764,6 @@ def take_row(matrix: Tensor, index: int) -> Tensor:
     out = matrix.data[index].copy()
 
     return _emit("take_row", (matrix,), out, lambda g: (_Row(index, g),))
-
-
-def st_onehot(probs: Tensor, index: int) -> Tensor:
-    """Straight-through one-hot: exact one-hot forward, identity backward.
-
-    The forward value is built directly from zeros and a single one, so it
-    is exactly one-hot; the backward pass behaves as if the output had been
-    ``probs`` itself.
-    """
-    _check_vector("st_onehot", probs)
-    if not 0 <= index < probs.shape[0]:
-        raise ShapeError(f"st_onehot: index {index} outside shape {probs.shape}")
-    out = np.zeros_like(probs.data)
-    out[index] = 1.0
-    return _emit("st_onehot", (probs,), out, lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------

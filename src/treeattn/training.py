@@ -3,7 +3,7 @@
 Everything is derived from one master seed.  Parameter init, per-epoch
 shuffles, and per-example noise/dropout streams are separate seed-sequence
 children keyed by (purpose, epoch, example index), so results never depend
-on batch composition order or thread scheduling.
+on batch composition order.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, asdict
 
 import numpy as np
@@ -57,7 +56,7 @@ class TrainConfig:
     finetune_embeddings: bool = False
     clip_norm: float = 5.0
     max_len: int = 120
-    threads: int = 1
+    threads: int = 1  # ignored; kept so that saved checkpoints load and re-save unchanged
     perturb_probs: bool = False
     noise_per_layer: bool = True
 
@@ -208,12 +207,12 @@ def _softmax_np(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e)
 
 
-def evaluate(examples, model, threads: int = 1) -> EvalResult:
+def evaluate(examples, model) -> EvalResult:
     """Accuracy and macro-F1 with deterministic inference-mode trees.
 
     ``model`` may be a built :class:`Model` or a :class:`Checkpoint`.
     Inference runs per example (no padding, no batching), so results are
-    identical for any batch size; ``threads`` only parallelizes the loop.
+    identical for any batch size.
     """
     if not examples:
         raise ValueError("evaluate: empty corpus")
@@ -225,18 +224,11 @@ def evaluate(examples, model, threads: int = 1) -> EvalResult:
             raise ValueError(f"example {i}: label {ex.label} outside the "
                              f"model's {num_classes} classes")
 
-    def predict(item):
-        i, ex = item
+    predictions = []
+    for i, ex in enumerate(examples):
         logits = model.logits(ex, mode="infer")
         probs = _softmax_np(logits.data)
-        return Prediction(i, ex.label, int(np.argmax(logits.data)), probs)
-
-    items = list(enumerate(examples))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            predictions = list(pool.map(predict, items))
-    else:
-        predictions = [predict(item) for item in items]
+        predictions.append(Prediction(i, ex.label, int(np.argmax(logits.data)), probs))
     gold = [p.gold for p in predictions]
     pred = [p.predicted for p in predictions]
     accuracy = sum(1 for g, p in zip(gold, pred) if g == p) / len(predictions)
@@ -469,7 +461,7 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
                 embedding.vectors.data[0] = 0.0  # PAD row stays zero
         train_loss = float(np.mean(losses))
         train_acc = correct / len(train_examples)
-        val = evaluate(val_examples, model, threads=config.threads)
+        val = evaluate(val_examples, model)
         seconds = clock() - started
         metrics = EpochMetrics(epoch, train_loss, train_acc, val.accuracy, seconds)
         result.history.append(metrics)

@@ -155,6 +155,61 @@ def op_gradient_cases(seed: int = 0):
     def _(rng):
         return via_dot(rng, 6, T.softmax), Tensor(rng.normal(size=6))
 
+    @case("scalar_softmax")
+    def _(rng):
+        # x's entries enter as scalars among two constants, the first twice
+        others = [Tensor(v) for v in rng.normal(size=2)]
+        picks = [Tensor(e) for e in np.eye(3)]
+
+        def f(x):
+            a, b, c = (T.dot(x, e) for e in picks)
+            return T.scalar_softmax([a, others[0], b, c, others[1], a])
+        return via_dot(rng, 6, f), Tensor(rng.normal(size=3))
+
+    def gumbel_softmax_case(hard, perturb_probs):
+        # the hard weights' backward pass is the soft weights' gradient, so
+        # this is the soft op everywhere and the hard op runs at the probe point
+        def build(rng):
+            probs = rng.uniform(0.2, 1.0, 4)
+            noise = rng.normal(size=4)
+
+            def draw(x):
+                at_probe = hard and np.array_equal(x.data, probs)
+                return T.gumbel_softmax(x, noise, 0.7, hard=at_probe,
+                                        perturb_probs=perturb_probs)[1]
+            return via_dot(rng, 4, draw), Tensor(probs.copy())
+        return build
+
+    for mode in ("hard", "soft"):
+        case(f"gumbel_softmax_{mode}")(gumbel_softmax_case(mode == "hard", False))
+        case(f"gumbel_softmax_{mode}_perturb_probs")(gumbel_softmax_case(mode == "hard", True))
+
+    def attention_pool_case(probe, read_weights):
+        # four nodes, the probed one (the third) among them; the loss reads
+        # the pooled vector and, if read_weights, the attention weights
+        def build(rng):
+            hidden, d_attn = 3, 5
+            values = {"embed_weight": rng.normal(size=(d_attn, hidden)),
+                      "score_weight": rng.normal(size=(1, d_attn)),
+                      "node": rng.normal(size=hidden)}
+            others = [Tensor(rng.normal(size=hidden)) for _ in range(3)]
+            r_sentence, r_weights = Tensor(rng.normal(size=hidden)), Tensor(rng.normal(size=4))
+
+            def pool(x):
+                embed, score = (x if probe == name else Tensor(values[name])
+                                for name in ("embed_weight", "score_weight"))
+                node = x if probe == "node" else Tensor(values["node"])
+                sentence, weights = T.attention_pool(embed, score, [*others[:2], node, others[2]])
+                loss = T.dot(sentence, r_sentence)
+                return T.add(loss, T.dot(weights, r_weights)) if read_weights else loss
+
+            return pool, Tensor(values[probe])
+        return build
+
+    for probe in ("embed_weight", "score_weight", "node"):
+        case(f"attention_pool_{probe}")(attention_pool_case(probe, read_weights=True))
+    case("attention_pool_unused_weights_node")(attention_pool_case("node", read_weights=False))
+
     @case("concat")
     def _(rng):
         b = Tensor(rng.normal(size=3))

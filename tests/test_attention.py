@@ -104,6 +104,14 @@ class TestGradients:
             err = finite_difference_check(loss, tensor, 1e-5)
             assert err < 1e-6, f"{name}: {err}"
 
+    def test_one_tape_record_per_sentence(self):
+        rng = np.random.default_rng(8)
+        params = init_attention_params(rng, 4, 3)
+        for count in (1, 2, 9):
+            with Tape() as tape:
+                attend(random_nodes(rng, count, 3, requires_grad=True), params)
+            assert [rec.name for rec in tape._records] == ["attention_pool"]
+
     def test_every_leaf_receives_gradient(self):
         rng = np.random.default_rng(7)
         for trial in range(20):

@@ -149,6 +149,17 @@ class TestTrain:
             main(["train", "--frobnicate"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--task", "pair", "--train", "t", "--val", "v", "--embeddings", "e",
+         "--labels", "a,b", "--out", "o"],
+        ["eval", "--checkpoint", "c", "--corpus", "t"],
+        ["treescore", "--pred", "p", "--baselines-only"]], ids=lambda argv: argv[0])
+    def test_removed_threads_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--threads", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
     def test_divergent_training_exits_3(self, workspace, tmp_path, capsys):
         emb = tmp_path / "huge.txt"
         lines = []

@@ -160,14 +160,6 @@ class TestScoreCorpus:
         without = score_corpus(pred, ref, exclude_root=True)
         assert without.f1_reference < with_root.f1_reference
 
-    def test_threads_produce_identical_reports(self):
-        rng = np.random.default_rng(4)
-        pred = [random_tree(rng, int(rng.integers(2, 10))) for _ in range(30)]
-        ref = [random_tree(rng, t.n) for t in pred]
-        a = score_corpus(pred, ref)
-        b = score_corpus(pred, ref, threads=4)
-        assert a.f1_left == b.f1_left and a.f1_reference == b.f1_reference
-
     def test_render_contains_columns(self):
         report = score_corpus([tree_of("( a ( b c ) )")])
         text = report.render()

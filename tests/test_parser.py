@@ -1,6 +1,7 @@
 """Tree induction: composition cell, validity scores, Gumbel selection."""
 
 import math
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +12,7 @@ from treeattn.parser import (CompositionParams, GumbelConfig, LeafAffineParams,
                              init_composition_params, init_leaf_affine,
                              init_leaf_rnn, init_query, leaf_transform,
                              st_gumbel_select, validity_scores)
-from treeattn.tensor import Tape, Tensor, add, backward, dot, softmax
+from treeattn.tensor import NonFiniteError, Tape, Tensor, add, backward, dot, softmax
 from treeattn.trees import export_bracketed, parse_bracketed
 
 
@@ -192,7 +193,7 @@ class TestValidityScores:
         for rec in tape._records:
             if rec.name == "tree_lstm_cell":
                 cell = rec
-            elif rec.name == "concat":
+            elif rec.name == "scalar_softmax":
                 layers.append((list(rec.inputs), cell.outputs[2::3]))
         assert len(layers) == 6
         previous, _ = layers[0]
@@ -265,6 +266,22 @@ class TestStGumbelSelect:
         idx_lit, _ = st_gumbel_select(scores, GumbelConfig(perturb_probs=True),
                                       noise=noise)
         assert idx_log == 0 and idx_lit == 1
+
+    def test_one_record_in_train_and_soft_none_in_infer(self):
+        scores = Tensor([0.5, 0.3, 0.2], requires_grad=True)
+        for mode, records in (("train", 1), ("soft", 1), ("infer", 0)):
+            with Tape() as tape:
+                st_gumbel_select(scores, GumbelConfig(mode=mode), noise=np.zeros(3))
+            assert [rec.name for rec in tape._records] == ["gumbel_softmax"] * records
+
+    def test_zero_score_raises_when_noisy_not_in_infer(self):
+        # a softmax can underflow to an exact 0, whose log is -inf
+        scores = Tensor([0.0, 0.6, 0.4])
+        for mode in ("train", "soft"):
+            with pytest.raises(NonFiniteError):
+                st_gumbel_select(scores, GumbelConfig(mode=mode), noise=np.zeros(3))
+        index, _ = st_gumbel_select(scores, GumbelConfig(mode="infer"))
+        assert index == 1
 
     def test_straight_through_gradient_matches_relaxation(self):
         rng = np.random.default_rng(8)
@@ -356,6 +373,20 @@ class TestInduceTree:
         assert len(cells[0].outputs) == 3 * 8
         assert all(len(rec.outputs) in (3, 6) for rec in cells[1:])
         assert sum(len(rec.outputs) for rec in cells) // 3 < 36
+
+    def test_train_mode_tape_cost_per_layer(self):
+        # n - 1 layers, each one cell record, one validity softmax, one
+        # Gumbel draw and the two select merges (h and c)
+        rng = np.random.default_rng(15)
+        params = init_composition_params(rng, 4)
+        query = init_query(rng, 4)
+        for n in (2, 3, 9):
+            with Tape() as tape:
+                induce_tree(random_states(rng, n, 4), params, query, GumbelConfig(),
+                            np.random.default_rng(n))
+            assert Counter(rec.name for rec in tape._records) == {
+                "tree_lstm_cell": n - 1, "scalar_softmax": n - 1,
+                "gumbel_softmax": n - 1, "select": 2 * (n - 1)}
 
     def test_structural_validity_over_seeds_and_lengths(self):
         rng = np.random.default_rng(7)

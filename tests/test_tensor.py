@@ -8,11 +8,11 @@ import inspect
 
 from treeattn import tensor
 from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, absolute,
-                             add, backward, concat, cross_entropy, dot,
-                             finite_difference_check, gru_sequence, log, matmul,
-                             mean, mul, relu, select, sigmoid, softmax, split,
-                             st_onehot, sub, take_row, tanh, tree_lstm_cell,
-                             weighted_sum, exp)
+                             add, attention_pool, backward, concat, cross_entropy,
+                             dot, finite_difference_check, gru_sequence,
+                             gumbel_softmax, log, matmul, mean, mul, relu,
+                             scalar_softmax, select, sigmoid, softmax, split, sub,
+                             take_row, tanh, tree_lstm_cell, weighted_sum, exp)
 
 from conftest import (GRU_WEIGHTS, TREE_LSTM_CELL_INPUTS, gru_values,
                       max_op_gradient_error, op_gradient_cases)
@@ -287,15 +287,6 @@ class TestFiniteDifference:
         errors = max_op_gradient_error(seed=3)
         for name, err in errors.items():
             assert err < 1e-6, f"{name}: {err}"
-
-    def test_st_onehot_forward_exact_backward_identity(self):
-        p = Tensor([0.2, 0.5, 0.3], requires_grad=True)
-        with Tape() as tape:
-            out = st_onehot(p, 1)
-            loss = dot(out, Tensor([1.0, 2.0, 3.0]))
-            backward(tape, loss)
-        assert out.data.tolist() == [0.0, 1.0, 0.0]
-        np.testing.assert_array_equal(p.grad, [1.0, 2.0, 3.0])
 
 
 class TestMultiOutputRecords:
@@ -582,9 +573,181 @@ class TestSelect:
             select([Tensor([1.0]), Tensor([1.0, 2.0])], Tensor([1.0, 0.0]), 0)
 
 
-# straight-through ops: the backward pass is by design not the derivative of
-# the forward value, so finite differences cannot check it
-NOT_FINITE_DIFFERENCE_CHECKED = {"st_onehot": "acceptance criterion 2 checks it"}
+def gradients_of(leaves, run):
+    """``run()``'s outputs and each leaf's gradient of a loss that reads
+    every output through a fixed random probe."""
+    rng = np.random.default_rng(99)
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        outs = run()
+        loss = None
+        for out in outs:
+            term = dot(concat([out]), Tensor(rng.normal(size=out.data.size)))
+            loss = term if loss is None else add(loss, term)
+        backward(tape, loss)
+    return [out.data for out in outs], [t.grad for t in leaves]
+
+
+class TestScalarSoftmax:
+    def logits(self, seed, k):
+        rng = np.random.default_rng(seed)
+        return [Tensor(v, requires_grad=True) for v in rng.normal(scale=3.0, size=k)]
+
+    def test_matches_softmax_of_concat(self):
+        for seed, k in enumerate([1, 2, 7]):
+            logits = self.logits(seed, k)
+            fused, fused_grads = gradients_of(logits, lambda: [scalar_softmax(logits)])
+            oracle, oracle_grads = gradients_of(logits, lambda: [softmax(concat(logits))])
+            np.testing.assert_array_equal(fused[0], oracle[0])
+            for got, want in zip(fused_grads, oracle_grads):
+                assert got.shape == () and got == want
+
+    def test_one_record_and_a_repeated_scalar_gets_both_gradients(self):
+        a, b = self.logits(3, 2)
+        with Tape() as tape:
+            out = scalar_softmax([a, b, a])
+            backward(tape, dot(out, Tensor([1.0, 0.0, 0.0])))
+        assert [rec.name for rec in tape._records[:1]] == ["scalar_softmax"]
+        p = out.data
+        g = p * (np.array([1.0, 0.0, 0.0]) - p[0])
+        assert a.grad == pytest.approx(g[0] + g[2], abs=1e-15)
+
+    def test_shape_errors_name_op(self):
+        with pytest.raises(ShapeError, match="scalar_softmax"):
+            scalar_softmax([])
+        with pytest.raises(ShapeError, match="scalar_softmax"):
+            scalar_softmax([Tensor(1.0), Tensor([2.0])])
+
+
+def unfused_gumbel_softmax(probs, noise, temperature, perturb_probs):
+    """The relaxed selection written with elementary ops: the index and the
+    soft weights."""
+    base = probs if perturb_probs else log(probs)
+    logits = mul(add(base, Tensor(noise)), Tensor(np.full(noise.size, 1.0 / temperature)))
+    return int(np.argmax(logits.data)), softmax(logits)
+
+
+class TestGumbelSoftmax:
+    def inputs(self, seed, k=5):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(k))
+        return Tensor(probs, requires_grad=True), rng.gumbel(size=k), float(
+            rng.choice([0.5, 1.0, 2.0]))
+
+    def test_soft_matches_unfused_oracle(self):
+        for seed in range(6):
+            probs, noise, tau = self.inputs(seed)
+            for perturb in (False, True):
+                index, oracle = unfused_gumbel_softmax(probs, noise, tau, perturb)
+                fused, fused_grads = gradients_of([probs], lambda: [gumbel_softmax(
+                    probs, noise, tau, hard=False, perturb_probs=perturb)[1]])
+                _, oracle_grads = gradients_of([probs], lambda: [unfused_gumbel_softmax(
+                    probs, noise, tau, perturb)[1]])
+                assert gumbel_softmax(probs, noise, tau, False, perturb)[0] == index
+                np.testing.assert_array_equal(fused[0], oracle.data)
+                np.testing.assert_array_equal(fused_grads[0], oracle_grads[0])
+
+    def test_hard_forward_exact_backward_relaxed(self):
+        for seed in range(6):
+            probs, noise, tau = self.inputs(10 + seed)
+            for perturb in (False, True):
+                index, _ = unfused_gumbel_softmax(probs, noise, tau, perturb)
+                hard, hard_grads = gradients_of([probs], lambda: [gumbel_softmax(
+                    probs, noise, tau, hard=True, perturb_probs=perturb)[1]])
+                _, soft_grads = gradients_of([probs], lambda: [gumbel_softmax(
+                    probs, noise, tau, hard=False, perturb_probs=perturb)[1]])
+                np.testing.assert_array_equal(hard[0], np.eye(probs.shape[0])[index])
+                np.testing.assert_array_equal(hard_grads[0], soft_grads[0])
+
+    def test_ties_go_to_the_lowest_index(self):
+        index, out = gumbel_softmax(Tensor(np.full(4, 0.25)), np.zeros(4), 1.0, hard=True)
+        assert index == 0 and out.data.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_one_tape_record(self):
+        probs, noise, tau = self.inputs(0)
+        for hard in (True, False):
+            with Tape() as tape:
+                gumbel_softmax(probs, noise, tau, hard)
+            assert [rec.name for rec in tape._records] == ["gumbel_softmax"]
+
+    def test_non_finite_logits_raise_where_the_elementary_ops_do(self):
+        zero = Tensor([0.0, 0.6, 0.4])
+        with pytest.raises(NonFiniteError, match="log"):
+            unfused_gumbel_softmax(zero, np.zeros(3), 1.0, False)
+        with pytest.raises(NonFiniteError, match="gumbel_softmax"):
+            gumbel_softmax(zero, np.zeros(3), 1.0, hard=True)
+        assert gumbel_softmax(zero, np.zeros(3), 1.0, True, perturb_probs=True)[0] == 1
+        # a tiny temperature overflows the scaled logits
+        half = Tensor([0.5, 0.5])
+        with pytest.raises(NonFiniteError, match="mul"), np.errstate(over="ignore"):
+            unfused_gumbel_softmax(half, np.array([3.0, 1.0]), 1e-308, False)
+        with pytest.raises(NonFiniteError, match="gumbel_softmax"):
+            gumbel_softmax(half, np.array([3.0, 1.0]), 1e-308, hard=False)
+
+    def test_shape_errors_name_op(self):
+        with pytest.raises(ShapeError, match="gumbel_softmax"):
+            gumbel_softmax(Tensor([0.5, 0.5]), np.zeros(3), 1.0, hard=True)
+        with pytest.raises(ShapeError, match="gumbel_softmax"):
+            gumbel_softmax(Tensor([[1.0]]), np.zeros(1), 1.0, hard=True)
+
+
+def unfused_attention_pool(embed_weight, score_weight, nodes):
+    """Attention pooling written with elementary ops, one node at a time."""
+    logits = concat([matmul(score_weight, relu(matmul(embed_weight, h))) for h in nodes])
+    weights = softmax(logits)
+    return weighted_sum(nodes, weights), weights
+
+
+class TestAttentionPool:
+    def inputs(self, seed, m, hidden=4, d_attn=6, scale=1.0):
+        rng = np.random.default_rng(seed)
+        weights = [Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
+                   for shape in [(d_attn, hidden), (1, d_attn)]]
+        nodes = [Tensor(rng.normal(scale=scale, size=hidden), requires_grad=True)
+                 for _ in range(m)]
+        return weights, nodes
+
+    def test_matches_unfused_oracle(self):
+        for seed, m in enumerate([1, 2, 5, 9]):
+            (embed, score), nodes = self.inputs(seed, m, scale=1.5)
+            leaves = [embed, score, *nodes]
+            for pick in (slice(None), slice(0, 1)):  # both outputs read, or the vector only
+                fused, fused_grads = gradients_of(
+                    leaves, lambda: attention_pool(embed, score, nodes)[pick])
+                oracle, oracle_grads = gradients_of(
+                    leaves, lambda: unfused_attention_pool(embed, score, nodes)[pick])
+                for got, want in zip(fused, oracle):
+                    np.testing.assert_array_equal(got, want)
+                for i, (got, want) in enumerate(zip(fused_grads, oracle_grads)):
+                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14,
+                                               err_msg=f"seed {seed}, input {i}")
+
+    def test_one_record_with_two_outputs(self):
+        (embed, score), nodes = self.inputs(0, 5)
+        with Tape() as tape:
+            outs = attention_pool(embed, score, nodes)
+        [record] = tape._records
+        assert record.name == "attention_pool" and record.outputs == outs
+        assert [out.shape for out in outs] == [(4,), (5,)]
+
+    def test_pre_activation_overflow_raises(self):
+        # relu would turn an overflow to -inf into an exact 0
+        (embed, score), nodes = self.inputs(1, 3, hidden=2)
+        embed.data[:] = -1e308
+        nodes[1].data[:] = 10.0
+        with pytest.raises(NonFiniteError, match="attention_pool"), \
+                np.errstate(over="ignore"):
+            attention_pool(embed, score, nodes)
+
+    def test_shape_errors_name_op(self):
+        (embed, score), nodes = self.inputs(2, 3)
+        for args in [(embed, score, []), (embed, score, [*nodes, Tensor(np.zeros(3))]),
+                     (Tensor(np.zeros((6, 3))), score, nodes),
+                     (embed, Tensor(np.zeros((1, 5))), nodes),
+                     (embed, Tensor(np.zeros(6)), nodes)]:
+            with pytest.raises(ShapeError, match="attention_pool"):
+                attention_pool(*args)
 
 
 def test_every_emitted_op_has_a_gradient_case():
@@ -597,8 +760,9 @@ def test_every_emitted_op_has_a_gradient_case():
             assert isinstance(first, ast.Constant) and isinstance(first.value, str), (
                 f"line {node.lineno}: _emit needs a literal op name")
             emitted.add(first.value)
-    assert {"add", "tree_lstm_cell", "select", "gru_sequence", "split"} <= emitted
+    assert {"add", "tree_lstm_cell", "select", "gru_sequence", "split", "scalar_softmax",
+            "gumbel_softmax", "attention_pool"} <= emitted
     cases = [name for name, _ in op_gradient_cases()]
-    missing = sorted(op for op in emitted - set(NOT_FINITE_DIFFERENCE_CHECKED)
+    missing = sorted(op for op in emitted
                      if not any(c == op or c.startswith(op + "_") for c in cases))
     assert not missing, f"ops without an op_gradient_cases entry: {missing}"

@@ -121,14 +121,6 @@ class TestEvaluate:
         result = evaluate([PairExample([2, 3], [4], gold)], model)
         assert result.accuracy == 1.0 and result.macro_f1 == 1.0
 
-    def test_threading_preserves_results(self):
-        model = tiny_pair_model()
-        examples = [PairExample([2, 3, 4], [5, 6], i % 3) for i in range(9)]
-        serial = evaluate(examples, model, threads=1)
-        threaded = evaluate(examples, model, threads=4)
-        assert [p.predicted for p in serial.predictions] == \
-               [p.predicted for p in threaded.predictions]
-
     def test_accepts_checkpoint_directly(self):
         model = tiny_pair_model(num_classes=2)
         cfg = TrainConfig(task="pair", labels=("no", "yes"), hidden=8, d_attn=6,
