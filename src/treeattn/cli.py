@@ -116,12 +116,18 @@ def _write_output(path, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_checkpoint(path) -> Checkpoint:
+def _load_checkpoint(path) -> tuple:
+    """A checkpoint and the model it describes; a malformed one is an
+    input error."""
     _require_files(path)
     try:
-        return Checkpoint.load(path)
+        checkpoint = Checkpoint.load(path)
     except ValueError as err:
         raise CliError(str(err)) from None
+    try:
+        return checkpoint, checkpoint.build_model()
+    except ValueError as err:
+        raise CliError(f"{path}: {err}") from None
 
 
 def _read_sentences(path):
@@ -181,8 +187,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_files(args.corpus)
-    checkpoint = _load_checkpoint(args.checkpoint)
-    model = checkpoint.build_model()
+    checkpoint, model = _load_checkpoint(args.checkpoint)
     cfg = checkpoint.config
     if cfg.task == "pair":
         examples = load_pair_corpus(args.corpus, model.vocab, cfg.labels, cfg.max_len)
@@ -207,8 +212,7 @@ def cmd_eval(args) -> int:
 
 def cmd_parse(args) -> int:
     _require_files(args.input)
-    checkpoint = _load_checkpoint(args.checkpoint)
-    model = checkpoint.build_model()
+    checkpoint, model = _load_checkpoint(args.checkpoint)
     sentences = _read_sentences(args.input)
     tree_lines = []
     weight_rows = []
@@ -276,8 +280,7 @@ def cmd_treescore(args) -> int:
 
 def cmd_similarity(args) -> int:
     _require_files(args.pairs)
-    checkpoint = _load_checkpoint(args.checkpoint)
-    model = checkpoint.build_model()
+    checkpoint, model = _load_checkpoint(args.checkpoint)
     scores = []
     for lineno, line in read_lines(args.pairs):
         if not line.strip():

@@ -112,16 +112,21 @@ class Model:
         return arrays
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Take every parameter's values from ``arrays``; a missing, unknown
+        or misshapen parameter raises ``ValueError`` naming it."""
         targets = self.parameters()
         targets.setdefault("embedding", self.embedding.vectors)
         for name, tensor in targets.items():
             if name not in arrays:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
+                raise ValueError(f"checkpoint is missing parameter {name!r}")
             value = np.asarray(arrays[name], dtype=np.float64)
             if value.shape != tensor.shape:
                 raise ValueError(
                     f"parameter {name!r}: checkpoint shape {value.shape} != {tensor.shape}")
             tensor.data = value
+        unknown = [name for name in arrays if name not in targets]
+        if unknown:
+            raise ValueError(f"checkpoint has unknown parameter {unknown[0]!r}")
 
     def gumbel_config(self, mode: str) -> parser.GumbelConfig:
         return parser.GumbelConfig(temperature=self.temperature, mode=mode,

@@ -16,9 +16,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, add, concat, glorot, gru_sequence,
-                     gumbel_softmax, matmul, scalar_softmax, select, split, take_row,
-                     tree_lstm_cell, weighted_sum)
+from .tensor import (Tensor, ShapeError, TreeInduction, TreeLstmCells, add, concat, glorot,
+                     gru_sequence, gumbel_relaxation, gumbel_softmax, matmul, split,
+                     stable_softmax, take_row)
 from .trees import BinaryTree
 
 MODES = ("train", "infer", "soft")
@@ -142,24 +142,21 @@ def leaf_rnn(word_vectors: list[Tensor], params: LeafRnnParams) -> list[NodeStat
     return states
 
 
-def compose(pairs: list[tuple[NodeState, NodeState]], query: Tensor,
-            params: CompositionParams) -> tuple[list[NodeState], list[Tensor]]:
-    """Merge each (left, right) pair of child states into a parent with the
-    binary Tree-LSTM cell, in one tape record; returns the parents and
-    their validity logits (dot products with ``query``)."""
-    outs = tree_lstm_cell(params.weight, params.bias, query,
-                          [left.h for left, _ in pairs], [right.h for _, right in pairs],
-                          [left.c for left, _ in pairs], [right.c for _, right in pairs])
-    return ([NodeState(outs[i], outs[i + 1]) for i in range(0, len(outs), 3)],
-            list(outs[2::3]))
+def compose(h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,
+            c_right: np.ndarray, query: Tensor, params: CompositionParams) -> TreeLstmCells:
+    """Merge each (left, right) pair of child states, row j of the (k, H)
+    arrays, into a parent with the binary Tree-LSTM cell; returns the
+    parents' ``h``, ``c`` and validity logits (dot products with
+    ``query``), which ``TreeInduction`` records."""
+    return TreeLstmCells(params.weight.data, params.bias.data, query.data,
+                         h_left, h_right, c_left, c_right)
 
 
-def validity_scores(logits: list[Tensor]) -> Tensor:
-    """Softmax over the candidates' scalar validity logits, in one record;
-    sums to one."""
-    if not logits:
+def validity_scores(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the candidates' validity logits; sums to one."""
+    if not len(logits):
         raise ShapeError("validity_scores: no candidates")
-    return scalar_softmax(logits)
+    return stable_softmax(logits)
 
 
 def gumbel_noise(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -168,27 +165,36 @@ def gumbel_noise(count: int, rng: np.random.Generator) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def st_gumbel_select(scores: Tensor, config: GumbelConfig,
+def st_gumbel_select(scores, config: GumbelConfig,
                      rng: np.random.Generator | None = None,
-                     noise: np.ndarray | None = None) -> tuple[int, Tensor]:
-    """Pick one candidate from a probability vector.
+                     noise: np.ndarray | None = None) -> tuple[int, Tensor | np.ndarray | None]:
+    """Pick one candidate from a probability vector, a tensor or (inside
+    ``induce_tree``) an array.
 
-    Returns the chosen index and the selection-weight tensor: a hard
-    one-hot with straight-through gradients in ``train`` mode, the noisy
-    softmax relaxation in ``soft`` mode, and a constant one-hot in
-    ``infer`` mode.  Argmax ties resolve to the lowest index.  ``train`` and
-    ``soft`` record one ``gumbel_softmax`` op; ``infer`` records nothing.
+    Returns the chosen index and the selection weights.  Argmax ties
+    resolve to the lowest index.  For a tensor the weights are a tensor: a
+    hard one-hot with straight-through gradients in ``train`` mode, the
+    noisy softmax relaxation in ``soft`` mode, and a constant one-hot in
+    ``infer`` mode; ``train`` and ``soft`` record one ``gumbel_softmax`` op.
+    For an array nothing is recorded, and the weights are the relaxation as
+    an array in ``train`` and ``soft`` mode (``TreeInduction`` needs it for
+    the gradient in both) and ``None`` in ``infer`` mode.
     """
-    k = scores.shape[0]
-    if abs(float(np.sum(scores.data)) - 1.0) > 1e-6 or np.any(scores.data < 0):
+    probs = scores.data if isinstance(scores, Tensor) else scores
+    k = len(probs)
+    if abs(float(probs.sum()) - 1.0) > 1e-6 or (probs < 0).any():
         raise ValueError("st_gumbel_select: scores are not a probability vector")
     if config.mode == "infer":
-        index = int(np.argmax(scores.data))
+        index = int(probs.argmax())
+        if not isinstance(scores, Tensor):
+            return index, None
         hard = np.zeros(k)
         hard[index] = 1.0
         return index, Tensor(hard)
     if noise is None:
         noise = gumbel_noise(k, rng)
+    if not isinstance(scores, Tensor):
+        return gumbel_relaxation(probs, noise, config.temperature, config.perturb_probs)
     return gumbel_softmax(scores, noise, config.temperature, hard=config.mode == "train",
                           perturb_probs=config.perturb_probs)
 
@@ -196,54 +202,46 @@ def st_gumbel_select(scores: Tensor, config: GumbelConfig,
 def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tensor,
                 config: GumbelConfig, rng: np.random.Generator | None = None,
                 tokens=None) -> tuple[BinaryTree, list[NodeState]]:
-    """Reduce a sentence to a single node, recording the merge at each layer.
+    """Reduce a sentence to a single node, one merge per layer.
 
-    At every layer all adjacent pairs are composed, scored, and one is
-    selected; the new node enters the graph as the selection-weighted sum
-    over all candidates (a ``select`` of one candidate when the weights are
-    one-hot), so in train mode it equals the chosen candidate exactly while
-    gradients still reach the scores.  Each candidate and its validity
-    logit are computed once: the first layer's n - 1 in one ``compose``
-    call, then the at most two pairs that touch each new node in one call
-    per merge.  Returns the induced tree and all 2n - 1 node states (leaves
-    first, then composed nodes in creation order).
+    At every layer all adjacent pairs are candidates: each is composed,
+    scored, and one is selected to replace its pair.  In ``train`` and
+    ``infer`` mode the new node is the chosen candidate; in ``soft`` mode
+    it is the weighted sum of all candidates under the relaxed selection
+    weights.  Each candidate and its validity logit are computed once: the
+    first layer's n - 1 in one ``compose`` call, then the at most two pairs
+    that touch each new node in one call per merge.  The state lives in the
+    arrays of a ``TreeInduction``, so a merge costs O(1) Python work plus
+    the arithmetic of its new pairs, and in ``train`` and ``soft`` mode the
+    whole induction is one tape record whose backward pass passes the
+    relaxed selection gradient straight through to the scores in ``train``
+    mode.  ``infer`` records nothing.  Returns the induced tree and all
+    2n - 1 node states (leaves first, then composed nodes in creation
+    order).
     """
     n = len(leaves)
     if n == 0:
         raise ShapeError("induce_tree: empty sentence")
-    nodes = list(leaves)
-    all_nodes = list(leaves)
-    merges: list[int] = []
+    if n == 1:
+        return BinaryTree(1, (), tokens), list(leaves)
     presampled = None
-    if config.mode != "infer" and not config.noise_per_layer and n > 1:
+    if config.mode != "infer" and not config.noise_per_layer:
         presampled = gumbel_noise(n - 1, rng)
-    # candidates[i] composes nodes[i] with nodes[i+1]; after a merge only
-    # the pairs touching the new node change, the rest (and their logits)
-    # are reused as-is
-    candidates, logits = [], []
-    if n > 1:
-        candidates, logits = compose(list(zip(nodes, nodes[1:])), query, params)
-    while len(nodes) > 1:
+    run = TreeInduction(params.weight, params.bias, query, [leaf.h for leaf in leaves],
+                        [leaf.c for leaf in leaves], config.mode, config.temperature,
+                        config.perturb_probs)
+    merges: list[int] = []
+    for _ in range(n - 1):
+        run.add(compose(*run.pairs(), query, params))
+        logits = run.logits()
         scores = validity_scores(logits)
-        noise = presampled[: len(candidates)] if presampled is not None else None
-        index, weights = st_gumbel_select(scores, config, rng, noise=noise)
-        hs, cs = [cand.h for cand in candidates], [cand.c for cand in candidates]
-        if config.mode == "soft":
-            merged = NodeState(weighted_sum(hs, weights), weighted_sum(cs, weights))
-        else:  # exactly one-hot weights
-            merged = NodeState(select(hs, weights, index), select(cs, weights, index))
+        noise = presampled[:len(logits)] if presampled is not None else None
+        index, relaxed = st_gumbel_select(scores, config, rng, noise=noise)
+        run.merge(index, scores, relaxed)
         merges.append(index)
-        nodes[index:index + 2] = [merged]
-        all_nodes.append(merged)
-        if len(nodes) > 1:
-            pairs = []
-            if index > 0:
-                pairs.append((nodes[index - 1], merged))
-            if index < len(nodes) - 1:
-                pairs.append((merged, nodes[index + 1]))
-            window = slice(max(index - 1, 0), index + 2)
-            candidates[window], logits[window] = compose(pairs, query, params)
-    return BinaryTree(n, tuple(merges), tokens), all_nodes
+    hs, cs = run.finish()
+    return (BinaryTree(n, tuple(merges), tokens),
+            [*leaves, *(NodeState(h, c) for h, c in zip(hs, cs))])
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,15 @@ Deliberately small: no broadcasting beyond matrix-vector products, no
 higher-order derivatives, and five fused operations with hand-written
 backward passes: the binary Tree-LSTM cell over a batch of child pairs,
 which also scores each parent against the query vector; one GRU
-direction over a whole sentence, which replaces 20 records per word; a
-softmax over a list of scalar logits; the straight-through Gumbel-softmax
-selection; and attention pooling over all nodes of a tree.  Each fused
-forward does the elementary ops' arithmetic in their order, so its values
-are bit-identical to theirs.  All arithmetic is 64-bit so that
-finite-difference checks are decisive.
+direction over a whole sentence, which replaces 20 records per word; the
+straight-through Gumbel-softmax selection; attention pooling over all
+nodes of a tree; and a whole bottom-up tree induction (``TreeInduction``),
+whose one record replaces the cell, softmax, Gumbel and merge records of
+every layer.  Each fused forward does the elementary ops' arithmetic in
+their order, so its values are bit-identical to theirs; the fused ops
+share that arithmetic through the array kernels ``stable_softmax``,
+``gumbel_relaxation`` and ``TreeLstmCells``.  All arithmetic is 64-bit so
+that finite-difference checks are decisive.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ def _emit(name: str, inputs: Sequence[Tensor], out_data, grad_fn: Callable,
     ``out_data`` is one array, which gives one tensor, or a tuple of arrays,
     which gives a tuple of tensors from a single record.  The outputs are
     checked for non-finite values; when they are all views into the arrays
-    ``views_of``, those are checked instead, once each.
+    ``views_of``, those are checked instead, once each (none, for an op
+    that checked its values itself).
     """
     multi = type(out_data) is tuple
     arrays = out_data if multi else (out_data,)
@@ -327,35 +331,49 @@ def log(x: Tensor) -> Tensor:
     return _emit("log", (x,), out, lambda g: (g / x.data,))
 
 
+def stable_softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of a vector of finite values, computed with max-subtraction."""
+    shifted = np.exp(x - x.max())
+    return shifted / shifted.sum()
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the input of a softmax whose output is ``out``."""
+    return out * (g - np.dot(g, out))
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax over a vector, computed with max-subtraction."""
     _check_vector("softmax", x)
-    shifted = np.exp(x.data - np.max(x.data))
-    out = shifted / np.sum(shifted)
-
-    def grad_fn(g):
-        return (out * (g - np.dot(g, out)),)
-
-    return _emit("softmax", (x,), out, grad_fn)
+    out = stable_softmax(x.data)
+    return _emit("softmax", (x,), out, lambda g: (_softmax_grad(out, g),))
 
 
-def scalar_softmax(logits: Sequence[Tensor]) -> Tensor:
-    """``softmax(concat(logits))`` over a list of scalar tensors as one
-    record, which hands back one gradient per scalar."""
-    if not logits:
-        raise ShapeError("scalar_softmax: empty input list")
-    logits = tuple(logits)  # the caller may reuse its list after this returns
-    if any(t.data.ndim for t in logits):
-        raise ShapeError(f"scalar_softmax: expected scalars, got shapes "
-                         f"{[t.shape for t in logits]}")
-    x = np.fromiter([t.data for t in logits], np.float64, len(logits))
-    shifted = np.exp(x - np.max(x))
-    out = shifted / np.sum(shifted)
+def gumbel_relaxation(probs: np.ndarray, noise: np.ndarray, temperature: float,
+                      perturb_probs: bool = False) -> tuple[int, np.ndarray]:
+    """The index and relaxed weights of a Gumbel-softmax draw from a vector
+    of probabilities.
 
-    def grad_fn(g):
-        return tuple(out * (g - np.dot(g, out)))
+    The perturbed logits are ``(log(probs) + noise) * (1 / temperature)``,
+    with ``probs`` itself in place of its log under ``perturb_probs``; the
+    index is their argmax, ties to the lowest index, and the relaxed weights
+    are their max-shifted softmax.  The arithmetic is the elementary ops'
+    (``log``, ``add``, ``mul``, ``softmax``) in their order, and a
+    non-finite logit raises where one of them would, for example for a
+    probability of exactly 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logits = ((probs if perturb_probs else np.log(probs)) + noise) * (1.0 / temperature)
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("gumbel_softmax: perturbed logits have non-finite values")
+    return int(logits.argmax()), stable_softmax(logits)
 
-    return _emit("scalar_softmax", logits, out, grad_fn)
+
+def _gumbel_relaxation_grad(g: np.ndarray, relaxed: np.ndarray, probs: np.ndarray,
+                            temperature: float, perturb_probs: bool) -> np.ndarray:
+    """Gradient at ``probs`` of the relaxed weights of ``gumbel_relaxation``."""
+    g_logits = _softmax_grad(relaxed, g) * (1.0 / temperature)
+    return g_logits if perturb_probs else g_logits / probs
 
 
 def gumbel_softmax(probs: Tensor, noise: np.ndarray, temperature: float,
@@ -363,15 +381,11 @@ def gumbel_softmax(probs: Tensor, noise: np.ndarray, temperature: float,
     """Gumbel-softmax selection from a vector of probabilities as one
     record; returns the argmax index and the selection weights.
 
-    The perturbed logits are ``(log(probs) + noise) * (1 / temperature)``,
-    with ``probs`` itself in place of its log under ``perturb_probs``; the
-    index is their argmax, ties to the lowest index.  The weights are their
-    max-shifted softmax, or under ``hard`` the exact one-hot at the index.
-    The backward pass is the softmax's gradient in both cases, so hard
-    weights pass the relaxed gradient straight through (Jang et al. 2017).
-    The arithmetic is the elementary ops' (``log``, ``add``, ``mul``,
-    ``softmax``) in their order, and a non-finite logit raises where one
-    of them would, for example for a probability of exactly 0.
+    The index and the relaxed weights are ``gumbel_relaxation``'s.  The
+    weights are the relaxed ones, or under ``hard`` the exact one-hot at the
+    index.  The backward pass is the relaxation's gradient in both cases, so
+    hard weights pass the relaxed gradient straight through (Jang et al.
+    2017).
     """
     _check_vector("gumbel_softmax", probs)
     k = probs.shape[0]
@@ -380,14 +394,7 @@ def gumbel_softmax(probs: Tensor, noise: np.ndarray, temperature: float,
         raise ShapeError(f"gumbel_softmax: noise of shape {noise.shape} for "
                          f"probabilities of shape {probs.shape}")
     p = probs.data
-    scale = np.full(k, 1.0 / temperature)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logits = ((p if perturb_probs else np.log(p)) + noise) * scale
-    if not np.isfinite(logits).all():
-        raise NonFiniteError("gumbel_softmax: perturbed logits have non-finite values")
-    index = int(np.argmax(logits))
-    shifted = np.exp(logits - np.max(logits))
-    relaxed = shifted / np.sum(shifted)
+    index, relaxed = gumbel_relaxation(p, noise, temperature, perturb_probs)
     if hard:
         out = np.zeros(k)
         out[index] = 1.0
@@ -395,8 +402,7 @@ def gumbel_softmax(probs: Tensor, noise: np.ndarray, temperature: float,
         out = relaxed
 
     def grad_fn(g):
-        g_logits = relaxed * (g - np.dot(g, relaxed)) * scale
-        return (g_logits if perturb_probs else g_logits / p,)
+        return (_gumbel_relaxation_grad(g, relaxed, p, temperature, perturb_probs),)
 
     return index, _emit("gumbel_softmax", (probs,), out, grad_fn)
 
@@ -442,56 +448,91 @@ def weighted_sum(vectors: Sequence[Tensor], weights: Tensor) -> Tensor:
     return _emit("weighted_sum", (*vectors, weights), out, grad_fn)
 
 
-def select(vectors: Sequence[Tensor], weights: Tensor, index: int) -> Tensor:
-    """``weighted_sum(vectors, weights)`` for weights that are exactly one-hot
-    at ``index``, in O(H) forward work.
+class TreeLstmCells:
+    """The binary Tree-LSTM cell (Tai et al. 2015) over k child pairs, on
+    arrays: the parents' ``h``, ``c`` and validity logits ``query . h``,
+    and what ``backward`` needs.
 
-    The forward value is a copy of ``vectors[index]``.  The backward pass
-    is the gradient ``weighted_sum`` has at those weights: ``g`` to the
-    chosen vector, nothing to the others, and each vector's dot product
-    with ``g`` to the weights, so straight-through weights keep their
-    signal.
+    Row j of ``h_left``, ``h_right``, ``c_left`` and ``c_right`` (each
+    (k, H)) holds the children of pair j.  ``weight`` is (5H, 2H) and
+    ``bias`` (5H,), with gate blocks [candidate; input; forget-left;
+    forget-right; output] applied to ``[h_left; h_right]``.  The arithmetic
+    is the one the elementary ops give for each pair on its own, whatever k
+    is: one matrix-vector product per pair on a contiguous ``[h_left;
+    h_right]``, every elementwise function on contiguous gate blocks, and
+    one dot product per logit.  The pre-activation is checked for
+    non-finite values, because the saturating gates would otherwise hide an
+    overflow, and so are the results.
     """
-    _check_vector("select", weights)
-    if len(vectors) != weights.shape[0]:
-        raise ShapeError(f"select: {len(vectors)} vectors but {weights.shape[0]} weights")
-    if not 0 <= index < len(vectors):
-        raise ShapeError(f"select: index {index} outside {len(vectors)} vectors")
-    _check_same_vectors("select", vectors)
-    vectors = tuple(vectors)
-    out = vectors[index].data.copy()
 
-    def grad_fn(g):
-        grads: list = [None] * len(vectors)
-        grads[index] = g
-        grads.append(np.stack([v.data for v in vectors]) @ g)
-        return tuple(grads)
+    __slots__ = ("query", "pairs", "mem_l", "mem_r", "candidate", "gates", "tanh_c",
+                 "h", "c", "logits")
 
-    return _emit("select", (*vectors, weights), out, grad_fn)
+    def __init__(self, weight: np.ndarray, bias: np.ndarray, query: np.ndarray,
+                 h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,
+                 c_right: np.ndarray):
+        k, hidden = h_left.shape
+        self.query, self.mem_l, self.mem_r = query, c_left, c_right
+        self.pairs = pairs = np.empty((k, 2 * hidden))  # row j: [h_left[j]; h_right[j]]
+        pairs[:, :hidden] = h_left
+        pairs[:, hidden:] = h_right
+        pre = np.empty((k, 5 * hidden))
+        for j in range(k):
+            np.matmul(weight, pairs[j], out=pre[j])
+        pre += bias
+        if not np.isfinite(pre).all():
+            raise NonFiniteError("tree_lstm_cell: pre-activation has non-finite values")
+        blocks = pre.reshape(k, 5, hidden).transpose(1, 0, 2).copy()  # (5, k, H)
+        self.candidate = np.tanh(blocks[0])
+        self.gates = _logistic(blocks[1:])
+        gate_in, forget_l, forget_r, gate_out = self.gates
+        self.c = np.add(self.candidate * gate_in, c_left * forget_l + c_right * forget_r)
+        self.tanh_c = np.tanh(self.c)
+        self.h = self.tanh_c * gate_out
+        self.logits = np.empty(k)
+        for j in range(k):
+            self.logits[j] = np.dot(query, self.h[j])
+        if not (np.isfinite(self.c).all() and np.isfinite(self.logits).all()):
+            raise NonFiniteError("tree_lstm_cell: produced non-finite values")
+
+    def backward(self, g_h: np.ndarray, g_c: np.ndarray,
+                 g_logit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (k, 5H) pre-activation gradient and the gradients of
+        ``c_left`` and ``c_right``, from the gradients of the parents' h, c
+        and logits; ``g_h`` and ``g_c`` are updated in place.  The weight's
+        gradient is ``g_pre.T @ pairs``, the bias's ``g_pre.sum(0)``, the
+        query's ``g_logit @ h`` and that of ``[h_left; h_right]``
+        ``g_pre @ weight``."""
+        gate_in, forget_l, forget_r, gate_out = self.gates
+        candidate, tanh_c = self.candidate, self.tanh_c
+        k, hidden = g_h.shape
+        g_h += g_logit[:, None] * self.query
+        g_c += g_h * gate_out * (1.0 - tanh_c * tanh_c)
+        g_pre = np.empty((5, k, hidden))
+        g_pre[0] = g_c * gate_in * (1.0 - candidate * candidate)
+        g_pre[1:] = g_c * candidate, g_c * self.mem_l, g_c * self.mem_r, g_h * tanh_c
+        g_pre[1:] *= self.gates * (1.0 - self.gates)
+        return g_pre.transpose(1, 0, 2).reshape(k, 5 * hidden), g_c * forget_l, g_c * forget_r
+
+
+def _check_cell_weights(name: str, weight: Tensor, bias: Tensor, hidden: int) -> None:
+    if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
+        raise ShapeError(f"{name}: weight {weight.shape} and bias {bias.shape} "
+                         f"do not fit children of size {hidden}")
 
 
 def tree_lstm_cell(weight: Tensor, bias: Tensor, query: Tensor,
                    h_left: Sequence[Tensor], h_right: Sequence[Tensor],
                    c_left: Sequence[Tensor], c_right: Sequence[Tensor]) -> tuple[Tensor, ...]:
-    """Binary Tree-LSTM cell (Tai et al. 2015) over k child pairs as one
-    record, scoring every parent against ``query``.
+    """``TreeLstmCells`` over k child pairs of tensors as one record.
 
     Pair j composes the children ``(h_left[j], c_left[j])`` and
-    ``(h_right[j], c_right[j])``, all vectors of size H.  ``weight`` is
-    (5H, 2H) and ``bias`` (5H,), with gate blocks [candidate; input;
-    forget-left; forget-right; output] applied to ``[h_left; h_right]``.
-    Returns 3k tensors, for each pair in order the parent's ``h``, its
-    ``c`` and its validity logit ``query . h``.
-
-    The forward arithmetic is the one the elementary ops give for each
-    pair on its own, whatever k is: one matrix-vector product per pair on
-    a contiguous ``[h_left; h_right]``, every elementwise function on
-    contiguous gate blocks, and one dot product per logit.  The
-    pre-activation is checked for non-finite values too, because the
-    saturating gates would otherwise hide an overflow.  The backward pass
-    hands back the weight gradient as one deferred matrix product (an
-    ``_Outer``) and takes one matrix product for the children's gradients;
-    a child that appears in two pairs gets the sum of both.
+    ``(h_right[j], c_right[j])``, all vectors of size H.  Returns 3k
+    tensors, for each pair in order the parent's ``h``, its ``c`` and its
+    validity logit.  The backward pass hands back the weight gradient as
+    one deferred matrix product (an ``_Outer``) and takes one matrix
+    product for the children's gradients; a child that appears in two
+    pairs gets the sum of both.
     """
     k = len(h_left)
     if k == 0 or not len(h_right) == len(c_left) == len(c_right) == k:
@@ -500,35 +541,10 @@ def tree_lstm_cell(weight: Tensor, bias: Tensor, query: Tensor,
     children = (*h_left, *h_right, *c_left, *c_right)
     _check_same_vectors("tree_lstm_cell", (query, *children))
     hidden = query.shape[0]
-    if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
-        raise ShapeError(f"tree_lstm_cell: weight {weight.shape} and bias {bias.shape} "
-                         f"do not fit children of size {hidden}")
-    w, b, q = weight.data, bias.data, query.data
-    pairs = np.empty((k, 2 * hidden))  # row j: [h_left[j]; h_right[j]]
-    mem_l, mem_r = np.empty((2, k, hidden))  # the children's c
-    pre = np.empty((k, 5 * hidden))
-    for j in range(k):
-        x = pairs[j]
-        x[:hidden] = h_left[j].data
-        x[hidden:] = h_right[j].data
-        mem_l[j] = c_left[j].data
-        mem_r[j] = c_right[j].data
-        np.matmul(w, x, out=pre[j])
-    pre += b
-    if not np.isfinite(pre).all():
-        raise NonFiniteError("tree_lstm_cell: pre-activation has non-finite values")
-    blocks = pre.reshape(k, 5, hidden).transpose(1, 0, 2).copy()  # (5, k, H)
-    candidate = np.tanh(blocks[0])
-    gates = _logistic(blocks[1:])
-    gate_in, forget_l, forget_r, gate_out = gates
-    state = np.empty((2, k, hidden))  # the parents' h and c
-    h, c = state
-    np.add(candidate * gate_in, mem_l * forget_l + mem_r * forget_r, out=c)
-    tanh_c = np.tanh(c)
-    np.multiply(tanh_c, gate_out, out=h)
-    logits = np.empty(k)
-    for j in range(k):
-        logits[j] = np.dot(q, h[j])
+    _check_cell_weights("tree_lstm_cell", weight, bias, hidden)
+    cells = TreeLstmCells(weight.data, bias.data, query.data,
+                          *(np.array([t.data for t in side])
+                            for side in (h_left, h_right, c_left, c_right)))
 
     def grad_fn(grads):
         g_h, g_c, g_logit = np.zeros((k, hidden)), np.zeros((k, hidden)), np.zeros(k)
@@ -540,28 +556,171 @@ def tree_lstm_cell(weight: Tensor, bias: Tensor, query: Tensor,
                 g_c[j] = gc
             if gl is not None:
                 g_logit[j] = gl
-        g_h += g_logit[:, None] * q
-        g_c += g_h * gate_out * (1.0 - tanh_c * tanh_c)
-        g_pre = np.empty((5, k, hidden))
-        g_pre[0] = g_c * gate_in * (1.0 - candidate * candidate)
-        g_pre[1:] = g_c * candidate, g_c * mem_l, g_c * mem_r, g_h * tanh_c
-        g_pre[1:] *= gates * (1.0 - gates)
-        g_pre = g_pre.transpose(1, 0, 2).reshape(k, 5 * hidden)
-        out = [_Outer(g_pre.T, pairs), g_pre.sum(axis=0),
-               g_logit @ h if query.requires_grad else None]
+        g_pre, g_mem_l, g_mem_r = cells.backward(g_h, g_c, g_logit)
+        out = [_Outer(g_pre.T, cells.pairs), g_pre.sum(axis=0),
+               g_logit @ cells.h if query.requires_grad else None]
         if any(t.requires_grad for t in children):
-            g_pairs = g_pre @ w
-            out += [*g_pairs[:, :hidden], *g_pairs[:, hidden:],
-                    *(g_c * forget_l), *(g_c * forget_r)]
+            g_pairs = g_pre @ weight.data
+            out += [*g_pairs[:, :hidden], *g_pairs[:, hidden:], *g_mem_l, *g_mem_r]
         else:
             out += [None] * len(children)
         return tuple(out)
 
     outputs = []
     for j in range(k):
-        outputs += [h[j], c[j], logits[j, ...]]
+        outputs += [cells.h[j], cells.c[j], cells.logits[j, ...]]
+    # TreeLstmCells has checked every value
     return _emit("tree_lstm_cell", (weight, bias, query, *children), tuple(outputs),
-                 grad_fn, views_of=(state, logits))
+                 grad_fn, views_of=())
+
+
+class TreeInduction:
+    """One sentence's bottom-up tree induction over arrays, recorded as a
+    single ``tree_induction`` tape record.
+
+    ``parser.induce_tree`` drives it.  Leaf i is node i and the node made
+    by merge t is node n + t; their ``h`` and ``c`` are rows of two
+    (2n - 1, H) arrays.  Every candidate pair ever composed has a row in the
+    candidate arrays (``h``, ``c`` and validity logit), and ``live`` holds
+    the rows of the current candidates in sentence order.  One round
+    composes the pairs that ``pairs()`` names into a ``TreeLstmCells`` and
+    hands it to ``add``, scores and selects from ``logits()``, and calls
+    ``merge``.  After a merge only the at most two pairs that touch the new
+    node are composed, so a merge costs O(1) Python work plus their
+    arithmetic.
+
+    The merged node is a copy of the chosen candidate in ``train`` and
+    ``infer`` mode, and the weighted sum of all candidates under the relaxed
+    weights in ``soft`` mode.  ``finish`` returns the merged nodes' tensors.
+    In ``train`` and ``soft`` mode they are the outputs of one record whose
+    backward pass replays the merges in reverse: for each merge the cell
+    backward of the pairs composed after it, then the gradient of the merge
+    (under ``train`` the weighted sum's gradient at the one-hot weights,
+    which passes the relaxed gradient straight through), of the Gumbel
+    relaxation and of the validity softmax; the first layer's cells come
+    last, as one batch.  The weight gradient is one deferred matrix product
+    over all candidates.  ``infer`` records nothing.
+    """
+
+    def __init__(self, weight: Tensor, bias: Tensor, query: Tensor,
+                 leaf_h: Sequence[Tensor], leaf_c: Sequence[Tensor], mode: str,
+                 temperature: float = 1.0, perturb_probs: bool = False):
+        n = len(leaf_h)
+        if n < 2 or len(leaf_c) != n:
+            raise ShapeError(f"tree_induction: {n} leaf h and {len(leaf_c)} leaf c vectors")
+        _check_same_vectors("tree_induction", (query, *leaf_h, *leaf_c))
+        hidden = query.shape[0]
+        _check_cell_weights("tree_induction", weight, bias, hidden)
+        self.inputs = (weight, bias, query, *leaf_h, *leaf_c)
+        self.mode, self.temperature, self.perturb_probs = mode, temperature, perturb_probs
+        self.n = n
+        self.node_h, self.node_c = np.empty((2, 2 * n - 1, hidden))
+        self.node_h[:n] = [t.data for t in leaf_h]
+        self.node_c[:n] = [t.data for t in leaf_c]
+        # n - 1 pairs of leaves, then at most two per merge but the last
+        self.cand_h, self.cand_c = np.empty((2, 3 * n, hidden))
+        self.cand_logit = np.empty(3 * n)
+        self.count = 0  # candidate rows filled
+        self.cells: list = []  # per add: (first row, TreeLstmCells, lefts, rights)
+        self.merges: list = []  # per merge: (live rows, index, probs, relaxed)
+        self.nodes = list(range(n))  # the current nodes, in sentence order
+        self.live: list[int] = []
+        self.slot = 0  # where the next candidates enter live
+        # nodes whose adjacent pairs are composed next: all leaves at first,
+        # then the newest node with its neighbours
+        self.window = self.nodes[:]
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``h_left``, ``h_right``, ``c_left`` and ``c_right`` of the pairs to
+        compose next."""
+        h, c, lefts, rights = self.node_h, self.node_c, self.window[:-1], self.window[1:]
+        return h.take(lefts, 0), h.take(rights, 0), c.take(lefts, 0), c.take(rights, 0)
+
+    def add(self, cells: TreeLstmCells) -> None:
+        """Make the composed pairs candidates, in place of those their
+        children belonged to."""
+        first, k = self.count, len(cells.logits)
+        rows = slice(first, first + k)
+        self.cand_h[rows], self.cand_c[rows], self.cand_logit[rows] = (
+            cells.h, cells.c, cells.logits)
+        self.live[self.slot:self.slot] = range(first, first + k)
+        self.cells.append((first, cells, self.window[:-1], self.window[1:]))
+        self.count += k
+
+    def logits(self) -> np.ndarray:
+        """The current candidates' validity logits, in sentence order."""
+        return self.cand_logit.take(self.live)
+
+    def merge(self, index: int, probs: np.ndarray, relaxed: np.ndarray | None) -> None:
+        """Replace the pair of candidate ``index`` by a new node; ``probs``
+        are the validity scores it was selected from and ``relaxed`` the
+        relaxed selection weights (``None`` in ``infer`` mode)."""
+        live, nodes = self.live, self.nodes
+        node = 2 * self.n - len(nodes)
+        if self.mode == "soft":
+            self.node_h[node] = relaxed @ self.cand_h[live]
+            self.node_c[node] = relaxed @ self.cand_c[live]
+        else:
+            self.node_h[node] = self.cand_h[live[index]]
+            self.node_c[node] = self.cand_c[live[index]]
+        if self.mode != "infer":
+            self.merges.append((live[:], index, probs, relaxed))
+        nodes[index:index + 2] = [node]
+        self.slot = max(index - 1, 0)
+        del live[self.slot:index + 2]
+        self.window = nodes[self.slot:index + 2]
+
+    def finish(self) -> tuple[tuple[Tensor, ...], tuple[Tensor, ...]]:
+        """The merged nodes' ``h`` and ``c`` tensors, in merge order."""
+        n = self.n
+        hs, cs = self.node_h[n:], self.node_c[n:]
+        inputs = () if self.mode == "infer" else self.inputs  # infer: constants
+        outs = _emit("tree_induction", inputs, (*hs, *cs), self._grad_fn, views_of=(hs, cs))
+        return outs[:n - 1], outs[n - 1:]
+
+    def _grad_fn(self, grads):
+        n, weight = self.n, self.inputs[0].data
+        hidden = self.node_h.shape[1]
+        g_node_h, g_node_c = np.zeros((2, 2 * n - 1, hidden))
+        for i, g in enumerate(grads):
+            if g is not None:
+                (g_node_h if i < n - 1 else g_node_c)[n + i % (n - 1)] = g
+        used = self.count
+        g_cand_h, g_cand_c = np.zeros((2, used, hidden))
+        g_cand_logit = np.zeros(used)
+
+        def cell_backward(first, cells, lefts, rights):
+            rows = slice(first, first + len(cells.logits))
+            g_pre, g_mem_l, g_mem_r = cells.backward(g_cand_h[rows], g_cand_c[rows],
+                                                     g_cand_logit[rows])
+            g_pairs = g_pre @ weight
+            g_node_h[lefts] += g_pairs[:, :hidden]
+            g_node_h[rights] += g_pairs[:, hidden:]
+            g_node_c[lefts] += g_mem_l
+            g_node_c[rights] += g_mem_r
+            return g_pre
+
+        g_pres = [None] * len(self.cells)
+        for t in reversed(range(n - 1)):
+            if t + 1 < len(self.cells):
+                g_pres[t + 1] = cell_backward(*self.cells[t + 1])
+            live, index, probs, relaxed = self.merges[t]
+            g_h, g_c = g_node_h[n + t], g_node_c[n + t]
+            if self.mode == "soft":
+                g_cand_h[live] += relaxed[:, None] * g_h
+                g_cand_c[live] += relaxed[:, None] * g_c
+            else:
+                g_cand_h[live[index]] += g_h
+                g_cand_c[live[index]] += g_c
+            g_weights = self.cand_h[live] @ g_h + self.cand_c[live] @ g_c
+            g_probs = _gumbel_relaxation_grad(g_weights, relaxed, probs, self.temperature,
+                                              self.perturb_probs)
+            g_cand_logit[live] += _softmax_grad(probs, g_probs)
+        g_pres[0] = cell_backward(*self.cells[0])
+        g_pre = np.concatenate(g_pres)
+        pairs = np.concatenate([cells.pairs for _, cells, _, _ in self.cells])
+        return (_Outer(g_pre.T, pairs), g_pre.sum(axis=0),
+                g_cand_logit @ self.cand_h[:used], *g_node_h[:n], *g_node_c[:n])
 
 
 def gru_sequence(weights: Sequence[Tensor], inputs: Sequence[Tensor],
@@ -683,8 +842,7 @@ def attention_pool(embed_weight: Tensor, score_weight: Tensor,
         np.matmul(w_score, embedded[i], out=logits[i:i + 1])
     if not np.isfinite(logits).all():
         raise NonFiniteError("attention_pool: scores have non-finite values")
-    shifted = np.exp(logits - np.max(logits))
-    weights = shifted / np.sum(shifted)
+    weights = stable_softmax(logits)
     sentence = weights @ stacked
 
     def grad_fn(grads):
@@ -692,7 +850,7 @@ def attention_pool(embed_weight: Tensor, score_weight: Tensor,
         g_w = np.zeros(m) if g_sentence is None else stacked @ g_sentence
         if g_weights is not None:
             g_w += g_weights
-        g_logits = weights * (g_w - np.dot(g_w, weights))
+        g_logits = _softmax_grad(weights, g_w)
         g_pre = g_logits[:, None] * w_score
         g_pre *= pre > 0
         out = [_Outer(g_pre.T, stacked), g_logits[None] @ embedded]

@@ -295,12 +295,21 @@ class Checkpoint:
                    meta["epoch"], meta["best_val_acc"])
 
     def build_model(self) -> Model:
+        """The model the config describes, holding the stored parameters;
+        a parameter that is missing, unknown or of the wrong shape, or a
+        vocabulary that does not match the embedding rows, raises
+        ``ValueError`` naming it."""
         cfg = self.config
+        vectors = self.params.get("embedding")
+        if vectors is None:
+            raise ValueError("checkpoint is missing parameter 'embedding'")
+        if vectors.ndim != 2 or vectors.shape[0] != len(self.vocab_words):
+            raise ValueError(f"vocabulary has {len(self.vocab_words)} words but parameter "
+                             f"'embedding' has shape {vectors.shape}")
         vocab = Vocabulary(list(self.vocab_words),
                            {w: i for i, w in enumerate(self.vocab_words)})
         embedding = EmbeddingMatrix(
-            Tensor(np.asarray(self.params["embedding"], dtype=np.float64),
-                   requires_grad=cfg.finetune_embeddings),
+            Tensor(np.asarray(vectors, dtype=np.float64), requires_grad=cfg.finetune_embeddings),
             trainable=cfg.finetune_embeddings)
         model = _build_model(cfg, np.random.default_rng(0), vocab, embedding)
         model.load_state_arrays(self.params)
@@ -348,6 +357,8 @@ def _read_header(header: bytes):
     if missing:
         raise ValueError(f"metadata is missing key {', '.join(map(repr, missing))}")
     vocab_words = json_line("vocabulary", list)
+    if not all(isinstance(word, str) for word in vocab_words):
+        raise ValueError("bad vocabulary line: not a list of strings")
     head, count = numbered_line("parameter count")
     if head != "params" or len(count) != 1:
         raise ValueError("bad parameter count line: expected 'params <n>'")

@@ -9,7 +9,8 @@ import numpy as np
 
 from treeattn.data import EmbeddingMatrix, Vocabulary
 from treeattn.model import Model
-from treeattn.parser import GruParams
+from treeattn.parser import (CompositionParams, GruParams, GumbelConfig, NodeState,
+                             gumbel_noise, induce_tree)
 from treeattn.tensor import Tensor, dot, finite_difference_check
 from treeattn.trees import BinaryTree
 from treeattn import tensor as T
@@ -79,6 +80,67 @@ def gru_values(rng: np.random.Generator, hidden: int, d_in: int, n: int,
     weights = {name: rng.normal(scale=scale, size=shapes[name.split("_")[1]])
                for name in GRU_WEIGHTS}
     return weights, [rng.normal(size=d_in) for _ in range(n)]
+
+
+def unfused_induce_tree(leaves, params, query, config, rng, anchor=None):
+    """``induce_tree`` written with the standalone ops: per layer one
+    ``tree_lstm_cell`` over the new pairs, ``softmax(concat(logits))``,
+    ``gumbel_softmax`` and a ``weighted_sum`` merge (exact at one-hot
+    weights).  Returns the merge indices, all 2n - 1 node states and, per
+    merge, the index and the relaxed weights (``None`` in ``infer``).
+
+    With ``anchor``, the layers of a ``train`` run at another input, each
+    merge keeps the anchor's index and weighs the candidates by the
+    relaxation plus the anchor's (one-hot - relaxation): a smooth function
+    of the input whose derivative at the anchor's input is the
+    straight-through gradient of the ``train`` run there.
+    """
+    def cell(pairs):
+        outs = T.tree_lstm_cell(params.weight, params.bias, query,
+                                *([getattr(pair[side], part) for pair in pairs]
+                                  for part, side in (("h", 0), ("h", 1), ("c", 0), ("c", 1))))
+        return ([NodeState(outs[i], outs[i + 1]) for i in range(0, len(outs), 3)],
+                list(outs[2::3]))
+
+    n = len(leaves)
+    nodes, all_nodes, layers = list(leaves), list(leaves), []
+    presampled = None
+    if config.mode != "infer" and not config.noise_per_layer and n > 1:
+        presampled = gumbel_noise(n - 1, rng)
+    candidates, logits = cell(list(zip(nodes, nodes[1:]))) if n > 1 else ([], [])
+    while len(nodes) > 1:
+        scores = T.softmax(T.concat(logits))
+        k = len(candidates)
+        if config.mode == "infer":
+            index, relaxed = int(np.argmax(scores.data)), None
+            weights = Tensor(np.eye(k)[index])
+        else:
+            noise = presampled[:k] if presampled is not None else gumbel_noise(k, rng)
+            index, soft = T.gumbel_softmax(scores, noise, config.temperature, hard=False,
+                                           perturb_probs=config.perturb_probs)
+            relaxed = soft.data
+            if anchor is not None:
+                index, anchor_relaxed = anchor[len(layers)]
+                weights = T.add(soft, Tensor(np.eye(k)[index] - anchor_relaxed))
+            elif config.mode == "train":
+                weights = T.gumbel_softmax(scores, noise, config.temperature, hard=True,
+                                           perturb_probs=config.perturb_probs)[1]
+            else:
+                weights = soft
+        layers.append((index, relaxed))
+        merged = NodeState(T.weighted_sum([cand.h for cand in candidates], weights),
+                           T.weighted_sum([cand.c for cand in candidates], weights))
+        nodes[index:index + 2] = [merged]
+        all_nodes.append(merged)
+        if len(nodes) > 1:
+            pairs = []
+            if index > 0:
+                pairs.append((nodes[index - 1], merged))
+            if index < len(nodes) - 1:
+                pairs.append((merged, nodes[index + 1]))
+            window = slice(max(index - 1, 0), index + 2)
+            candidates[window], logits[window] = cell(pairs)
+    return [index for index, _ in layers], all_nodes, layers
 
 
 def op_gradient_cases(seed: int = 0):
@@ -155,17 +217,6 @@ def op_gradient_cases(seed: int = 0):
     def _(rng):
         return via_dot(rng, 6, T.softmax), Tensor(rng.normal(size=6))
 
-    @case("scalar_softmax")
-    def _(rng):
-        # x's entries enter as scalars among two constants, the first twice
-        others = [Tensor(v) for v in rng.normal(size=2)]
-        picks = [Tensor(e) for e in np.eye(3)]
-
-        def f(x):
-            a, b, c = (T.dot(x, e) for e in picks)
-            return T.scalar_softmax([a, others[0], b, c, others[1], a])
-        return via_dot(rng, 6, f), Tensor(rng.normal(size=3))
-
     def gumbel_softmax_case(hard, perturb_probs):
         # the hard weights' backward pass is the soft weights' gradient, so
         # this is the soft op everywhere and the hard op runs at the probe point
@@ -228,27 +279,6 @@ def op_gradient_cases(seed: int = 0):
         return (via_dot(rng, 4, lambda x: T.weighted_sum(vs, x)),
                 Tensor(rng.normal(size=3)))
 
-    @case("select_vectors")
-    def _(rng):
-        w = Tensor([0.0, 1.0, 0.0])
-        vs = [Tensor(rng.normal(size=4)) for _ in range(2)]
-        return (via_dot(rng, 4, lambda x: T.select([vs[0], x, vs[1]], w, 1)),
-                Tensor(rng.normal(size=4)))
-
-    @case("select_weights")
-    def _(rng):
-        # select equals weighted_sum at one-hot weights, so this is
-        # weighted_sum everywhere and select runs at the one-hot probe point
-        vs = [Tensor(rng.normal(size=4)) for _ in range(3)]
-
-        def merge(x):
-            index = int(np.argmax(x.data))
-            if np.array_equal(x.data, np.eye(3)[index]):
-                return T.select(vs, x, index)
-            return T.weighted_sum(vs, x)
-
-        return via_dot(rng, 4, merge), Tensor([0.0, 1.0, 0.0])
-
     # probe name -> (node, 0 for h or 1 for c); node 1 is the right child
     # of the only pair when k = 1, and the shared node m when k = 3
     child_slots = {"h_left": (0, 0), "c_left": (0, 1), "h_right": (1, 0),
@@ -293,6 +323,68 @@ def op_gradient_cases(seed: int = 0):
         case(f"tree_lstm_cell_{probe}")(tree_lstm_cell_case(probe, k=1))
     for probe in ("weight", "bias", "query", "h_shared", "c_shared"):
         case(f"tree_lstm_cell_k3_{probe}")(tree_lstm_cell_case(probe, k=3))
+
+    def tree_induction_case(mode, probe, n, perturb_probs=False, noise_per_layer=True):
+        # probe is a composition parameter, "query", or "leaf_h" / "leaf_c" of
+        # the middle leaf.  The loss reads the h of every node and the c of
+        # every other composed node.  In train mode the fused op runs at the
+        # probe point and the straight-through surrogate of
+        # unfused_induce_tree elsewhere, as the hard gumbel_softmax cases do
+        config = GumbelConfig(temperature=0.8, mode=mode, perturb_probs=perturb_probs,
+                              noise_per_layer=noise_per_layer)
+
+        def build(rng):
+            hidden = 3
+            values = {"weight": rng.normal(scale=0.5, size=(5 * hidden, 2 * hidden)),
+                      "bias": rng.normal(size=5 * hidden), "query": rng.normal(size=hidden),
+                      "leaf_h": rng.normal(size=(n, hidden)),
+                      "leaf_c": rng.normal(size=(n, hidden))}
+            draws = int(rng.integers(1 << 30))
+            r = Tensor(rng.normal(size=(2 * n - 1 + n // 2) * hidden))
+            middle = n // 2
+
+            def inputs(x):
+                def value(name):
+                    return x if probe == name else Tensor(values[name])
+                hs, cs = ([Tensor(row) for row in values[name]] for name in ("leaf_h", "leaf_c"))
+                if probe.startswith("leaf_"):
+                    (hs if probe == "leaf_h" else cs)[middle] = x
+                params = CompositionParams(value("weight"), value("bias"))
+                return [NodeState(h, c) for h, c in zip(hs, cs)], params, value("query")
+
+            def loss(nodes):
+                return T.dot(T.concat([*(node.h for node in nodes),
+                                       *(node.c for node in nodes[n::2])]), r)
+
+            probe_value = values[probe][middle] if probe.startswith("leaf_") else values[probe]
+            anchor = None
+            if mode == "train":
+                anchor = unfused_induce_tree(*inputs(Tensor(probe_value)), config,
+                                             np.random.default_rng(draws))[2]
+
+            def f(x):
+                leaves, params, query = inputs(x)
+                rng_draws = np.random.default_rng(draws)
+                if anchor is None or np.array_equal(x.data, probe_value):
+                    return loss(induce_tree(leaves, params, query, config, rng_draws)[1])
+                return loss(unfused_induce_tree(leaves, params, query, config, rng_draws,
+                                                anchor)[1])
+
+            return f, Tensor(probe_value.copy())
+        return build
+
+    for mode in ("train", "soft"):
+        for probe in ("weight", "bias", "query", "leaf_h", "leaf_c"):
+            case(f"tree_induction_{mode}_{probe}")(tree_induction_case(mode, probe, n=7))
+        for probe in ("query", "leaf_h"):
+            case(f"tree_induction_{mode}_perturb_probs_{probe}")(
+                tree_induction_case(mode, probe, n=6, perturb_probs=True))
+        case(f"tree_induction_{mode}_noise_per_sentence_leaf_h")(
+            tree_induction_case(mode, "leaf_h", n=6, noise_per_layer=False))
+        case(f"tree_induction_{mode}_n1_leaf_h")(tree_induction_case(mode, "leaf_h", n=1))
+        for n in (2, 3):
+            for probe in ("query", "leaf_h", "leaf_c"):
+                case(f"tree_induction_{mode}_n{n}_{probe}")(tree_induction_case(mode, probe, n))
 
     def gru_sequence_case(probe, reverse):
         # probe is a weight name or "word", the middle one of three inputs,

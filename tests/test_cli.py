@@ -259,6 +259,44 @@ class TestEval:
         assert err == f"error: {bad}: bad config: missing config key 'task'\n"
 
 
+def _drop(params, name):
+    del params[name]
+
+
+def _rename(params, old, new):
+    params[new] = params.pop(old)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda c: _drop(c.params, "leaf.bias"), "checkpoint is missing parameter 'leaf.bias'"),
+    (lambda c: _drop(c.params, "embedding"), "checkpoint is missing parameter 'embedding'"),
+    (lambda c: _rename(c.params, "leaf.weight", "leaf.wait"),
+     "checkpoint is missing parameter 'leaf.weight'"),
+    (lambda c: c.params.update(extra=np.zeros(2, np.float32)),
+     "checkpoint has unknown parameter 'extra'"),
+    (lambda c: c.params.update({"leaf.weight": c.params["leaf.weight"].T.copy()}),
+     "parameter 'leaf.weight': checkpoint shape (6, 16) != (16, 6)"),
+    (lambda c: c.vocab_words.pop(),
+     "vocabulary has 21 words but parameter 'embedding' has shape (22, 6)"),
+    (lambda c: c.vocab_words.append("extra"),
+     "vocabulary has 23 words but parameter 'embedding' has shape (22, 6)"),
+    (lambda c: c.vocab_words.__setitem__(slice(None), [1, 2, 3]),
+     "bad vocabulary line: not a list of strings"),
+], ids=["missing", "missing-embedding", "renamed", "unknown", "wrong-shape",
+        "vocab-short", "vocab-long", "vocab-not-strings"])
+@pytest.mark.parametrize("command", ["parse", "eval"])
+def test_checkpoint_that_does_not_match_its_config_exits_2(workspace, tmp_path, capsys,
+                                                           mutate, message, command):
+    checkpoint = Checkpoint.load(workspace / "model.ckpt")
+    mutate(checkpoint)
+    bad = tmp_path / "bad.ckpt"
+    checkpoint.save(bad)
+    inputs = (["--input", str(workspace / "sents.txt")] if command == "parse"
+              else ["--corpus", str(workspace / "val.jsonl")])
+    assert main([command, "--checkpoint", str(bad), *inputs]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 class TestParse:
     def test_trees_and_attention_report(self, workspace, tmp_path):
         trees_out = tmp_path / "trees.txt"

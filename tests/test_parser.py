@@ -1,13 +1,13 @@
 """Tree induction: composition cell, validity scores, Gumbel selection."""
 
 import math
-from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from treeattn.parser import (CompositionParams, GumbelConfig, LeafAffineParams,
+from treeattn import parser
+from treeattn.parser import (MODES, CompositionParams, GumbelConfig, LeafAffineParams,
                              NodeState, compose, gumbel_noise, induce_tree,
                              init_composition_params, init_leaf_affine,
                              init_leaf_rnn, init_query, leaf_transform,
@@ -39,58 +39,62 @@ class FixedUniform:
         return self.values[:size]
 
 
+def children(*pairs):
+    """The (k, H) arrays h_left, h_right, c_left and c_right of k pairs of
+    NodeStates."""
+    return [np.array([getattr(pair[side], part).data for pair in pairs])
+            for part, side in (("h", 0), ("h", 1), ("c", 0), ("c", 1))]
+
+
 class TestCompose:
     def test_all_zero_parameters_and_memories(self):
-        [out], [logit] = compose([(state([0.0], [0.0]), state([0.0], [0.0]))],
-                                 Tensor([1.0]), zero_composition(1))
-        assert out.c.data[0] == 0.0 and out.h.data[0] == 0.0 and logit.item() == 0.0
+        cells = compose(*children((state([0.0], [0.0]), state([0.0], [0.0]))),
+                        Tensor([1.0]), zero_composition(1))
+        assert cells.c[0, 0] == 0.0 and cells.h[0, 0] == 0.0 and cells.logits[0] == 0.0
 
     def test_zero_weights_unit_memories(self):
         # gates sit at 0.5, so c = 0.5 + 0.5 and h = tanh(1)/2
-        [out], [logit] = compose([(state([0.0], [1.0]), state([0.0], [1.0]))],
-                                 Tensor([2.0]), zero_composition(1))
-        assert out.c.data[0] == pytest.approx(1.0, abs=1e-15)
-        assert out.h.data[0] == pytest.approx(0.3807970779778824, abs=1e-12)
-        assert logit.item() == 2.0 * out.h.data[0]
+        cells = compose(*children((state([0.0], [1.0]), state([0.0], [1.0]))),
+                        Tensor([2.0]), zero_composition(1))
+        assert cells.c[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert cells.h[0, 0] == pytest.approx(0.3807970779778824, abs=1e-12)
+        assert cells.logits[0] == 2.0 * cells.h[0, 0]
 
     def test_pairs_sharing_a_node_in_one_record(self):
+        # one call composes both pairs a merge leaves, records nothing itself,
+        # and gives each parent the values it has when composed alone
         rng = np.random.default_rng(4)
         params = init_composition_params(rng, 3)
         query = init_query(rng, 3)
         left, merged, right = random_states(rng, 3, 3)
         with Tape() as tape:
-            nodes, logits = compose([(left, merged), (merged, right)], query, params)
-        assert [rec.name for rec in tape._records] == ["tree_lstm_cell"]
-        for pair, node, logit in zip([(left, merged), (merged, right)], nodes, logits):
-            [alone], [alone_logit] = compose([pair], query, params)
-            assert (node.h.data == alone.h.data).all() and (node.c.data == alone.c.data).all()
-            assert logit.item() == alone_logit.item() == np.dot(query.data, node.h.data)
+            cells = compose(*children((left, merged), (merged, right)), query, params)
+        assert len(tape) == 0
+        for j, pair in enumerate([(left, merged), (merged, right)]):
+            alone = compose(*children(pair), query, params)
+            assert (cells.h[j] == alone.h[0]).all() and (cells.c[j] == alone.c[0]).all()
+            assert cells.logits[j] == alone.logits[0] == np.dot(query.data, cells.h[j])
 
     def test_gradients_match_finite_differences(self):
+        # the composition's gradients as the induction records them: two
+        # leaves make one candidate, which the only merge copies
         from treeattn.tensor import finite_difference_check
         rng = np.random.default_rng(5)
         hidden = 3
         params = init_composition_params(rng, hidden)
-        hl, hr = rng.normal(size=hidden), rng.normal(size=hidden)
-        cl, cr = rng.normal(size=hidden), rng.normal(size=hidden)
-        r = Tensor(rng.normal(size=hidden))
-
-        probes = {
-            "weight": params.weight, "bias": params.bias,
-            "h_left": Tensor(hl, requires_grad=True),
-            "h_right": Tensor(hr, requires_grad=True),
-            "c_left": Tensor(cl, requires_grad=True),
-            "c_right": Tensor(cr, requires_grad=True),
-        }
-
-        probes["query"] = init_query(rng, hidden)
+        left, right = random_states(rng, 2, hidden)
+        for t in (left.h, left.c, right.h, right.c):
+            t.requires_grad = True
+        r_h, r_c = Tensor(rng.normal(size=hidden)), Tensor(rng.normal(size=hidden))
+        query = init_query(rng, hidden)
 
         def loss(_x):
-            left = NodeState(probes["h_left"], probes["c_left"])
-            right = NodeState(probes["h_right"], probes["c_right"])
-            [out], [logit] = compose([(left, right)], probes["query"], params)
-            return add(dot(out.h, r), logit)
+            _, nodes = induce_tree([left, right], params, query, GumbelConfig(),
+                                   np.random.default_rng(0))
+            return add(dot(nodes[2].h, r_h), dot(nodes[2].c, r_c))
 
+        probes = {"weight": params.weight, "bias": params.bias, "h_left": left.h,
+                  "h_right": right.h, "c_left": left.c, "c_right": right.c}
         for name, tensor in probes.items():
             err = finite_difference_check(loss, tensor, 1e-5)
             assert err < 1e-6, f"{name}: {err}"
@@ -122,8 +126,7 @@ class TestLeafTransforms:
             assert (sa.h.data == sb.h.data).all()
 
     @pytest.mark.parametrize("n", [1, 2, 9])
-    def test_rnn_tape_cost_is_two_plus_seven_per_token(self, n):
-        # the pinned cost is now 2 + 6n (the name predates the split op):
+    def test_rnn_tape_cost_is_two_plus_six_per_token(self, n):
         # one record per GRU direction, then per position two row reads,
         # concat, the projection matmul and add, and one split into (h, c)
         params = init_leaf_rnn(np.random.default_rng(1), 4, 3)
@@ -161,47 +164,47 @@ class TestLeafTransforms:
 
 class TestValidityScores:
     def test_identical_candidates_uniform(self):
-        scores = validity_scores([Tensor(0.7)] * 4)
-        np.testing.assert_allclose(scores.data, np.full(4, 0.25), atol=1e-15)
+        scores = validity_scores(np.full(4, 0.7))
+        np.testing.assert_allclose(scores, np.full(4, 0.25), atol=1e-15)
 
     def test_single_candidate(self):
-        scores = validity_scores([Tensor(5.0)])
-        assert scores.data.tolist() == [1.0]
+        assert validity_scores(np.array([5.0])).tolist() == [1.0]
 
     def test_log_ratio_hand_value(self):
-        scores = validity_scores([Tensor(math.log(2.0)), Tensor(0.0)])
-        np.testing.assert_allclose(scores.data, [2 / 3, 1 / 3], atol=1e-15)
+        scores = validity_scores(np.array([math.log(2.0), 0.0]))
+        np.testing.assert_allclose(scores, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             k = int(rng.integers(1, 9))
-            scores = validity_scores([Tensor(x) for x in rng.normal(scale=3.0, size=k)])
-            assert abs(scores.data.sum() - 1.0) <= 1e-12
-            assert (scores.data >= 0).all()
+            scores = validity_scores(rng.normal(scale=3.0, size=k))
+            assert abs(scores.sum() - 1.0) <= 1e-12
+            assert (scores >= 0).all()
 
-    def test_cached_logits_are_reused_and_fresh_ones_filled(self):
-        # every layer scores the previous layer's logit tensors for the pairs
-        # the merge left alone, and the fresh pairs' logits from the newest cell
+    def test_cached_logits_are_reused_and_fresh_ones_filled(self, monkeypatch):
+        # every layer scores the previous layer's logits for the pairs the
+        # merge left alone, and the fresh pairs' logits from the newest compose
         rng = np.random.default_rng(6)
         params = init_composition_params(rng, 4)
         query = init_query(rng, 4)
-        with Tape() as tape:
-            tree, _ = induce_tree(random_states(rng, 7, 4), params, query,
-                                  GumbelConfig(), np.random.default_rng(1))
-        layers, cell = [], None
-        for rec in tape._records:
-            if rec.name == "tree_lstm_cell":
-                cell = rec
-            elif rec.name == "scalar_softmax":
-                layers.append((list(rec.inputs), cell.outputs[2::3]))
-        assert len(layers) == 6
-        previous, _ = layers[0]
-        for index, (logits, fresh) in zip(tree.merges, layers[1:]):
-            expected = [*previous[:max(index - 1, 0)], *fresh, *previous[index + 2:]]
+        calls = []
+        for name in ("compose", "validity_scores"):
+            def spy(*args, real=getattr(parser, name), name=name):
+                out = real(*args)
+                calls.append((name, out.logits.copy() if name == "compose" else args[0].copy()))
+                return out
+            monkeypatch.setattr(parser, name, spy)
+        tree, _ = induce_tree(random_states(rng, 7, 4), params, query, GumbelConfig(),
+                              np.random.default_rng(1))
+        assert [name for name, _ in calls] == ["compose", "validity_scores"] * 6
+        fresh = [values for name, values in calls if name == "compose"]
+        layers = [values for name, values in calls if name == "validity_scores"]
+        np.testing.assert_array_equal(layers[0], fresh[0])
+        for index, previous, logits, new in zip(tree.merges, layers, layers[1:], fresh[1:]):
+            expected = [*previous[:max(index - 1, 0)], *new, *previous[index + 2:]]
             assert len(logits) == len(expected) == len(previous) - 1
-            assert all(a is b for a, b in zip(logits, expected))
-            previous = logits
+            np.testing.assert_array_equal(logits, expected)
 
 
 class TestGumbelNoise:
@@ -352,41 +355,64 @@ class TestInduceTree:
         leaves = random_states(rng, 2, 3)
         _, nodes = induce_tree(leaves, params, query, GumbelConfig(),
                                np.random.default_rng(0))
-        [direct], _ = compose([(leaves[0], leaves[1])], query, params)
-        assert (nodes[-1].h.data == direct.h.data).all()
-        assert (nodes[-1].c.data == direct.c.data).all()
+        direct = compose(*children(leaves), query, params)
+        assert (nodes[-1].h.data == direct.h[0]).all()
+        assert (nodes[-1].c.data == direct.c[0]).all()
 
-    def test_one_validity_logit_per_composed_candidate(self):
-        # one cell record for the first layer's 8 pairs, then one per merge
+    def test_one_validity_logit_per_composed_candidate(self, monkeypatch):
+        # one compose call for the first layer's 8 pairs, then one per merge
         # but the last for the at most 2 fresh pairs; recomputing every
         # candidate at every layer would compose 8 + 7 + ... + 1 = 36
         rng = np.random.default_rng(5)
         params = init_composition_params(rng, 4)
         query = init_query(rng, 4)
+        sizes = []
+
+        def spy(*args, real=parser.compose):
+            sizes.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(parser, "compose", spy)
         with Tape() as tape:
             induce_tree(random_states(rng, 9, 4), params, query, GumbelConfig(),
                         np.random.default_rng(0))
-        names = [rec.name for rec in tape._records]
-        assert names.count("tree_lstm_cell") == 8
-        assert "dot" not in names and "narrow" not in names
-        cells = [rec for rec in tape._records if rec.name == "tree_lstm_cell"]
-        assert len(cells[0].outputs) == 3 * 8
-        assert all(len(rec.outputs) in (3, 6) for rec in cells[1:])
-        assert sum(len(rec.outputs) for rec in cells) // 3 < 36
+        assert [rec.name for rec in tape._records] == ["tree_induction"]
+        assert sizes[0] == 8 and len(sizes) == 8
+        assert all(size in (1, 2) for size in sizes[1:])
+        assert sum(sizes) < 36
 
     def test_train_mode_tape_cost_per_layer(self):
-        # n - 1 layers, each one cell record, one validity softmax, one
-        # Gumbel draw and the two select merges (h and c)
+        # the whole induction is one record in train and soft mode, so a
+        # layer adds none; one leaf and infer mode record nothing
         rng = np.random.default_rng(15)
         params = init_composition_params(rng, 4)
         query = init_query(rng, 4)
-        for n in (2, 3, 9):
-            with Tape() as tape:
-                induce_tree(random_states(rng, n, 4), params, query, GumbelConfig(),
-                            np.random.default_rng(n))
-            assert Counter(rec.name for rec in tape._records) == {
-                "tree_lstm_cell": n - 1, "scalar_softmax": n - 1,
-                "gumbel_softmax": n - 1, "select": 2 * (n - 1)}
+        for n in (1, 2, 3, 9):
+            leaves = random_states(rng, n, 4)
+            for leaf in leaves:
+                leaf.h.requires_grad = True
+            for mode, records in (("train", 1), ("soft", 1), ("infer", 0)):
+                with Tape() as tape:
+                    _, nodes = induce_tree(leaves, params, query, GumbelConfig(mode=mode),
+                                           np.random.default_rng(n))
+                names = [rec.name for rec in tape._records]
+                assert names == ["tree_induction"] * (records if n > 1 else 0), (n, mode)
+                if names:
+                    assert tape._records[0].outputs == (*(node.h for node in nodes[n:]),
+                                                        *(node.c for node in nodes[n:]))
+
+    def test_non_finite_pre_activation_raises_in_every_mode(self):
+        # tanh and sigmoid saturate, so only the pre-activation shows the overflow
+        rng = np.random.default_rng(17)
+        params = init_composition_params(rng, 2)
+        params.weight.data[:] = 1e308
+        leaves = random_states(rng, 4, 2)
+        leaves[2].h.data[:] = 10.0
+        for mode in MODES:
+            with pytest.raises(NonFiniteError, match="tree_lstm_cell"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                induce_tree(leaves, params, init_query(rng, 2), GumbelConfig(mode=mode),
+                            np.random.default_rng(0))
 
     def test_structural_validity_over_seeds_and_lengths(self):
         rng = np.random.default_rng(7)

@@ -11,11 +11,13 @@ from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, absolute,
                              add, attention_pool, backward, concat, cross_entropy,
                              dot, finite_difference_check, gru_sequence,
                              gumbel_softmax, log, matmul, mean, mul, relu,
-                             scalar_softmax, select, sigmoid, softmax, split, sub,
-                             take_row, tanh, tree_lstm_cell, weighted_sum, exp)
+                             sigmoid, softmax, split, sub, take_row, tanh,
+                             tree_lstm_cell, weighted_sum, exp)
+from treeattn.parser import (CompositionParams, GumbelConfig, NodeState, compose,
+                             induce_tree)
 
 from conftest import (GRU_WEIGHTS, TREE_LSTM_CELL_INPUTS, gru_values,
-                      max_op_gradient_error, op_gradient_cases)
+                      max_op_gradient_error, op_gradient_cases, unfused_induce_tree)
 
 
 class TestForward:
@@ -537,42 +539,6 @@ class TestGruSequence:
             gru_sequence(swapped, xs)
 
 
-class TestSelect:
-    def test_forward_copies_chosen_vector(self):
-        vs = [Tensor([1.0, 2.0]), Tensor([3.0, 4.0]), Tensor([5.0, 6.0])]
-        out = select(vs, Tensor([0.0, 0.0, 1.0]), 2)
-        np.testing.assert_array_equal(out.data, [5.0, 6.0])
-        assert out.data is not vs[2].data
-
-    def test_gradient_equals_weighted_sum_at_one_hot(self):
-        rng = np.random.default_rng(4)
-        probe = Tensor(rng.normal(size=3))
-        values = rng.normal(size=(3, 3))
-        results = []
-        for merge in (lambda vs, w: select(vs, w, 1), weighted_sum):
-            vs = [Tensor(v, requires_grad=True) for v in values]
-            w = Tensor([0.0, 1.0, 0.0], requires_grad=True)
-            with Tape() as tape:
-                out = merge(vs, w)
-                backward(tape, dot(out, probe))
-            results.append((out.data, w.grad, [v.grad for v in vs]))
-        (out_s, w_s, v_s), (out_w, w_w, v_w) = results
-        np.testing.assert_array_equal(out_s, out_w)
-        np.testing.assert_array_equal(w_s, w_w)
-        np.testing.assert_array_equal(v_s[1], v_w[1])
-        assert v_s[0] is None and v_s[2] is None
-        assert not v_w[0].any() and not v_w[2].any()
-
-    def test_errors(self):
-        vs = [Tensor([1.0]), Tensor([2.0])]
-        with pytest.raises(ShapeError, match="select"):
-            select(vs, Tensor([1.0, 0.0]), 2)
-        with pytest.raises(ShapeError, match="select"):
-            select(vs, Tensor([1.0, 0.0, 0.0]), 0)
-        with pytest.raises(ShapeError, match="select"):
-            select([Tensor([1.0]), Tensor([1.0, 2.0])], Tensor([1.0, 0.0]), 0)
-
-
 def gradients_of(leaves, run):
     """``run()``'s outputs and each leaf's gradient of a loss that reads
     every output through a fixed random probe."""
@@ -587,37 +553,6 @@ def gradients_of(leaves, run):
             loss = term if loss is None else add(loss, term)
         backward(tape, loss)
     return [out.data for out in outs], [t.grad for t in leaves]
-
-
-class TestScalarSoftmax:
-    def logits(self, seed, k):
-        rng = np.random.default_rng(seed)
-        return [Tensor(v, requires_grad=True) for v in rng.normal(scale=3.0, size=k)]
-
-    def test_matches_softmax_of_concat(self):
-        for seed, k in enumerate([1, 2, 7]):
-            logits = self.logits(seed, k)
-            fused, fused_grads = gradients_of(logits, lambda: [scalar_softmax(logits)])
-            oracle, oracle_grads = gradients_of(logits, lambda: [softmax(concat(logits))])
-            np.testing.assert_array_equal(fused[0], oracle[0])
-            for got, want in zip(fused_grads, oracle_grads):
-                assert got.shape == () and got == want
-
-    def test_one_record_and_a_repeated_scalar_gets_both_gradients(self):
-        a, b = self.logits(3, 2)
-        with Tape() as tape:
-            out = scalar_softmax([a, b, a])
-            backward(tape, dot(out, Tensor([1.0, 0.0, 0.0])))
-        assert [rec.name for rec in tape._records[:1]] == ["scalar_softmax"]
-        p = out.data
-        g = p * (np.array([1.0, 0.0, 0.0]) - p[0])
-        assert a.grad == pytest.approx(g[0] + g[2], abs=1e-15)
-
-    def test_shape_errors_name_op(self):
-        with pytest.raises(ShapeError, match="scalar_softmax"):
-            scalar_softmax([])
-        with pytest.raises(ShapeError, match="scalar_softmax"):
-            scalar_softmax([Tensor(1.0), Tensor([2.0])])
 
 
 def unfused_gumbel_softmax(probs, noise, temperature, perturb_probs):
@@ -750,6 +685,83 @@ class TestAttentionPool:
                 attention_pool(*args)
 
 
+def fused_induce_tree(leaves, params, query, config, rng):
+    tree, nodes = induce_tree(leaves, params, query, config, rng)
+    return list(tree.merges), nodes
+
+
+class TestTreeInduction:
+    """The fused induction against ``unfused_induce_tree``, the same
+    induction written with the standalone ops."""
+
+    def inputs(self, seed, n, hidden=4, scale=1.0):
+        rng = np.random.default_rng(seed)
+        params = CompositionParams(
+            Tensor(rng.normal(scale=0.5 * scale, size=(5 * hidden, 2 * hidden)),
+                   requires_grad=True),
+            Tensor(rng.normal(scale=scale, size=5 * hidden), requires_grad=True))
+        query = Tensor(rng.normal(scale=scale, size=hidden), requires_grad=True)
+        leaves = [NodeState(Tensor(rng.normal(scale=scale, size=hidden), requires_grad=True),
+                            Tensor(rng.normal(scale=scale, size=hidden), requires_grad=True))
+                  for _ in range(n)]
+        return leaves, params, query
+
+    def run(self, induce, leaves, params, query, config, seed):
+        # the loss reads every node's h, and the c of the leaves and of every
+        # other composed node
+        n = len(leaves)
+        tensors = [params.weight, params.bias, query,
+                   *(t for leaf in leaves for t in (leaf.h, leaf.c))]
+        for t in tensors:
+            t.grad = None
+        with Tape() as tape:
+            merges, nodes = induce(leaves, params, query, config, np.random.default_rng(seed))
+            parts = [*(node.h for node in nodes), *(node.c for node in nodes[:n]),
+                     *(node.c for node in nodes[n::2])]
+            probe = np.random.default_rng(seed + 1).normal(size=sum(p.shape[0] for p in parts))
+            backward(tape, dot(concat(parts), Tensor(probe)))
+        grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
+        return merges, [(node.h.data, node.c.data) for node in nodes], grads
+
+    @pytest.mark.parametrize("mode", ["train", "soft", "infer"])
+    def test_matches_unfused_oracle(self, mode):
+        for seed, n in enumerate([2, 3, 6, 9]):
+            for perturb_probs, noise_per_layer in ((False, True), (True, True), (False, False)):
+                config = GumbelConfig(temperature=0.7, mode=mode, perturb_probs=perturb_probs,
+                                      noise_per_layer=noise_per_layer)
+                inputs = self.inputs(seed, n, scale=1.5)
+                fused = self.run(fused_induce_tree, *inputs, config, 40 + seed)
+                oracle = self.run(lambda *args: unfused_induce_tree(*args)[:2],
+                                  *inputs, config, 40 + seed)
+                assert fused[0] == oracle[0]
+                for (fused_h, fused_c), (oracle_h, oracle_c) in zip(fused[1], oracle[1]):
+                    np.testing.assert_array_equal(fused_h, oracle_h)
+                    np.testing.assert_array_equal(fused_c, oracle_c)
+                if mode == "infer":
+                    continue  # the fused op leaves the composed nodes constant
+                for i, (got, want) in enumerate(zip(fused[2], oracle[2])):
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13,
+                                               err_msg=f"n {n}, input {i}, {config}")
+
+    def test_train_node_is_a_copy_of_the_chosen_candidate(self):
+        leaves, params, query = self.inputs(5, 2)
+        _, nodes = induce_tree(leaves, params, query, GumbelConfig(), np.random.default_rng(0))
+        pair = [np.array([leaf.h.data]) for leaf in leaves] + [
+            np.array([leaf.c.data]) for leaf in leaves]
+        cells = compose(*pair, query, params)
+        np.testing.assert_array_equal(nodes[2].h.data, cells.h[0])
+        np.testing.assert_array_equal(nodes[2].c.data, cells.c[0])
+
+    def test_shape_errors_name_op(self):
+        leaves, params, query = self.inputs(2, 3)
+        bad_leaf = NodeState(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+        for args in [([*leaves, bad_leaf], params, query),
+                     (leaves, CompositionParams(Tensor(np.zeros((20, 6))), params.bias), query),
+                     (leaves, params, Tensor(np.zeros(3)))]:
+            with pytest.raises(ShapeError, match="tree_induction"):
+                induce_tree(*args, GumbelConfig(mode="infer"))
+
+
 def test_every_emitted_op_has_a_gradient_case():
     tree = ast.parse(inspect.getsource(tensor))
     emitted = set()
@@ -760,7 +772,7 @@ def test_every_emitted_op_has_a_gradient_case():
             assert isinstance(first, ast.Constant) and isinstance(first.value, str), (
                 f"line {node.lineno}: _emit needs a literal op name")
             emitted.add(first.value)
-    assert {"add", "tree_lstm_cell", "select", "gru_sequence", "split", "scalar_softmax",
+    assert {"add", "tree_lstm_cell", "tree_induction", "gru_sequence", "split",
             "gumbel_softmax", "attention_pool"} <= emitted
     cases = [name for name, _ in op_gradient_cases()]
     missing = sorted(op for op in emitted
