@@ -14,7 +14,7 @@ import numpy as np
 
 from . import attention, classifier, parser
 from .data import EmbeddingMatrix, PairExample, SentenceExample, Vocabulary
-from .tensor import Tensor, cross_entropy, take_row
+from .tensor import Tensor, cross_entropy, take_rows
 from .trees import BinaryTree
 
 
@@ -139,8 +139,8 @@ class Model:
         """Run the encoder over one sentence of vocabulary indices."""
         if mode != "infer" and rng is None:
             raise ValueError(f"mode {mode!r} draws Gumbel noise and needs an rng")
-        vectors = [take_row(self.embedding.vectors, i) for i in token_ids]
-        leaves = parser.leaf_transform(vectors, self.leaf_params, self.leaf_kind)
+        words = take_rows(self.embedding.vectors, token_ids)
+        leaves = parser.leaf_transform(words, self.leaf_params, self.leaf_kind)
         tree, nodes = parser.induce_tree(leaves, self.composition, self.query,
                                          self.gumbel_config(mode), rng, tokens=tokens)
         pooled = attention.attend([state.h for state in nodes], self.attn)

@@ -16,9 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, TreeInduction, TreeLstmCells, add, concat, glorot,
-                     gru_sequence, gumbel_relaxation, gumbel_softmax, matmul, split,
-                     stable_softmax, take_row)
+from .tensor import (Tensor, ShapeError, TreeInduction, TreeLstmCells, glorot, gru_sequence,
+                     gumbel_relaxation, gumbel_softmax, leaf_states, stable_softmax)
 from .trees import BinaryTree
 
 MODES = ("train", "infer", "soft")
@@ -110,20 +109,29 @@ class GumbelConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def leaf_transform(word_vectors: list[Tensor], params, kind: str) -> list[NodeState]:
-    """Turn word vectors into initial node states ("affine" or "rnn")."""
-    if not word_vectors:
+def leaf_transform(words: Tensor, params, kind: str) -> list[NodeState]:
+    """Turn a sentence's (n, D) word vectors into initial node states
+    ("affine" or "rnn").  Either transform ends in one ``leaf_states``
+    record, so the affine leaf records one op per sentence and the RNN leaf
+    three."""
+    if words.data.ndim != 2:
+        raise ShapeError(f"leaf_transform: expected an (n, D) matrix, got shape {words.shape}")
+    if not words.shape[0]:
         raise ShapeError("leaf_transform: empty sentence")
     if kind == "affine":
-        return leaf_affine(word_vectors, params)
+        return leaf_affine(words, params)
     if kind == "rnn":
-        return leaf_rnn(word_vectors, params)
+        return leaf_rnn(words, params)
     raise ValueError(f"unknown leaf transform {kind!r}")
 
 
-def leaf_affine(word_vectors: list[Tensor], params: LeafAffineParams) -> list[NodeState]:
-    return [NodeState(*split(add(matmul(params.weight, x), params.bias), 2))
-            for x in word_vectors]
+def _node_states(weight: Tensor, bias: Tensor, parts: list[Tensor]) -> list[NodeState]:
+    hs, cs = leaf_states(weight, bias, parts)
+    return [NodeState(h, c) for h, c in zip(hs, cs)]
+
+
+def leaf_affine(words: Tensor, params: LeafAffineParams) -> list[NodeState]:
+    return _node_states(params.weight, params.bias, [words])
 
 
 def _gru_weights(params: GruParams) -> list[Tensor]:
@@ -131,15 +139,10 @@ def _gru_weights(params: GruParams) -> list[Tensor]:
     return [getattr(params, f.name) for f in fields(params)]
 
 
-def leaf_rnn(word_vectors: list[Tensor], params: LeafRnnParams) -> list[NodeState]:
-    fwd = gru_sequence(_gru_weights(params.fwd), word_vectors)
-    bwd = gru_sequence(_gru_weights(params.bwd), word_vectors, reverse=True)
-    states = []
-    for i in range(len(word_vectors)):
-        both = concat([take_row(fwd, i), take_row(bwd, i)])
-        packed = add(matmul(params.proj_weight, both), params.proj_bias)
-        states.append(NodeState(*split(packed, 2)))
-    return states
+def leaf_rnn(words: Tensor, params: LeafRnnParams) -> list[NodeState]:
+    fwd = gru_sequence(_gru_weights(params.fwd), words)
+    bwd = gru_sequence(_gru_weights(params.bwd), words, reverse=True)
+    return _node_states(params.proj_weight, params.proj_bias, [fwd, bwd])
 
 
 def compose(h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,

@@ -9,26 +9,42 @@ and the Tree-LSTM cell returns the state and validity logit of every
 parent it composes.  Its backward function then receives one gradient per
 output, ``None`` for an output that nothing used.
 
-Weight gradients of matrix-vector products are summed once per weight per
-backward pass: each such record hands back its gradient as a pair of
-factors whose product is a sum of outer products, and ``backward`` adds
-all of one tensor's pairs with a single matrix product, just before that
-tensor's own record is replayed or at the end of the pass.  An embedding
-lookup's gradient goes into its one row.
+Weight gradients are summed with one matrix product per weight: every
+record that multiplies a weight matrix by vectors (``matmul`` on a vector
+and the fused ops below) hands back the weight's gradient as a pair of
+factors whose product is a sum of outer products.  On a plain ``Tape``,
+``backward`` adds all of one tensor's pairs just before that tensor's own
+record is replayed or at the end of the pass.  On a ``Tape(batch)`` the
+pairs of the tensors that no record on the tape made (the parameters) are
+handed to the ``GradientBatch`` instead, which holds them across the
+examples of a batch until ``flush`` sums each parameter's pairs with one
+matrix product.  An embedding lookup's gradient goes into its rows only.
 
-Deliberately small: no broadcasting beyond matrix-vector products, no
-higher-order derivatives, and five fused operations with hand-written
-backward passes: the binary Tree-LSTM cell over a batch of child pairs,
-which also scores each parent against the query vector; one GRU
-direction over a whole sentence, which replaces 20 records per word; the
-straight-through Gumbel-softmax selection; attention pooling over all
-nodes of a tree; and a whole bottom-up tree induction (``TreeInduction``),
-whose one record replaces the cell, softmax, Gumbel and merge records of
-every layer.  Each fused forward does the elementary ops' arithmetic in
-their order, so its values are bit-identical to theirs; the fused ops
-share that arithmetic through the array kernels ``stable_softmax``,
-``gumbel_relaxation`` and ``TreeLstmCells``.  All arithmetic is 64-bit so
-that finite-difference checks are decisive.
+Deliberately small: no broadcasting beyond matrix-vector products and no
+higher-order derivatives.  The catalogue is a few elementary ops (``add``,
+``matmul``, ``tanh``, ``softmax``, ``concat``, ``split``, ``take_row`` and
+the like) and seven fused ones with hand-written backward passes:
+
+- ``take_rows``, a sentence's embedding rows as one (n, D) matrix;
+- ``gru_sequence``, one GRU direction over a whole sentence;
+- ``leaf_states``, the affine map that ends both leaf transforms, which
+  cuts every position's ``weight @ x + bias`` into its ``h`` and ``c``;
+- ``tree_lstm_cell``, the binary Tree-LSTM cell over a batch of child
+  pairs, which also scores each parent against the query vector;
+- ``gumbel_softmax``, the straight-through Gumbel-softmax selection;
+- ``attention_pool``, attention pooling over all nodes of a tree;
+- ``tree_induction`` (``TreeInduction``), a whole bottom-up induction,
+  whose one record replaces the cell, softmax, Gumbel and merge records of
+  every layer.
+
+So in training a sentence records three ops for the RNN leaf (two GRU
+directions and ``leaf_states``) or one for the affine leaf, one more for
+the lookup when the embeddings are fine-tuned, one for its induction and
+one for its attention.  Each fused forward does the elementary ops'
+arithmetic in their order, so its values are bit-identical to theirs; the
+fused ops share that arithmetic through the array kernels
+``stable_softmax``, ``gumbel_relaxation`` and ``TreeLstmCells``.  All
+arithmetic is 64-bit so that finite-difference checks are decisive.
 """
 
 from __future__ import annotations
@@ -107,14 +123,16 @@ class _Outer:
         self.right = right
 
 
-class _Row:
-    """A matrix gradient that is ``row`` at row ``index`` and zero elsewhere."""
+class _Rows:
+    """A matrix gradient that is zero outside the rows ``index``: row
+    ``index[j]`` gets ``rows[j]``, summed over a repeated index.  An int
+    ``index`` with a vector ``rows`` names one row."""
 
-    __slots__ = ("index", "row")
+    __slots__ = ("index", "rows")
 
-    def __init__(self, index: int, row: np.ndarray):
+    def __init__(self, index, rows: np.ndarray):
         self.index = index
-        self.row = row
+        self.rows = rows
 
 
 # the open tapes, innermost last
@@ -127,11 +145,14 @@ class Tape:
     Each record holds one operation's inputs, its outputs (one or more
     tensors) and its backward function.  Every consumer of an output is
     recorded after the operation that made it, so walking the records
-    backwards is a valid reverse topological order.
+    backwards is a valid reverse topological order.  With a ``batch``,
+    ``backward`` leaves the parameters' deferred weight gradients in it, to
+    be summed by ``batch.flush()``.
     """
 
-    def __init__(self):
+    def __init__(self, batch: GradientBatch | None = None):
         self._records: list[_Record] = []
+        self.batch = batch
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -179,7 +200,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Populate ``grad`` for every tensor reachable from ``loss``.
 
     Gradients accumulate additively, both across multiple uses of one
-    tensor inside the tape and across repeated backward calls.
+    tensor inside the tape and across repeated backward calls.  If the tape
+    has a ``GradientBatch``, the deferred weight gradients of tensors that
+    no record on the tape made stay in it until its ``flush``.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -214,17 +237,22 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 else:
                     entry[1].append(g.left)
                     entry[2].append(g.right)
-            elif kind is _Row:
+            elif kind is _Rows:
                 if tensor.grad is None:
                     tensor.grad = np.zeros_like(tensor.data)
-                tensor.grad[g.index] += g.row
+                np.add.at(tensor.grad, g.index, g.rows)
             elif tensor.grad is None:
                 # copy: grad_fn may hand back a shared or reused array
                 tensor.grad = np.array(g, dtype=np.float64)
             else:
                 tensor.grad += g
-    for entry in pending.values():
-        _flush_outers(*entry)
+    # what is left belongs to tensors made before the tape: the parameters
+    if tape.batch is None:
+        for entry in pending.values():
+            _flush_outers(*entry)
+    else:
+        for entry in pending.values():
+            tape.batch.hold(*entry)
 
 
 def _flush_outers(tensor: Tensor, lefts: list, rights: list) -> None:
@@ -234,6 +262,34 @@ def _flush_outers(tensor: Tensor, lefts: list, rights: list) -> None:
         tensor.grad = total
     else:
         tensor.grad += total
+
+
+class GradientBatch:
+    """The deferred weight gradients of several backward passes, held until
+    ``flush`` sums each tensor's with one matrix product.
+
+    Pass one to every ``Tape`` of a batch, then call ``flush`` before the
+    gradients are read.  A tensor's gradient is then the same sum as with
+    one flush per backward pass, in another order.
+    """
+
+    def __init__(self):
+        # id(tensor) -> (tensor, lefts, rights), as backward's pending
+        self._held: dict[int, tuple[Tensor, list, list]] = {}
+
+    def hold(self, tensor: Tensor, lefts: list, rights: list) -> None:
+        entry = self._held.get(id(tensor))
+        if entry is None:
+            self._held[id(tensor)] = (tensor, lefts, rights)
+        else:
+            entry[1].extend(lefts)
+            entry[2].extend(rights)
+
+    def flush(self) -> None:
+        """Add every held sum to its tensor's ``grad`` and forget it."""
+        for entry in self._held.values():
+            _flush_outers(*entry)
+        self._held.clear()
 
 
 def _check_same_shape(name: str, a: Tensor, b: Tensor) -> None:
@@ -723,36 +779,37 @@ class TreeInduction:
                 g_cand_logit @ self.cand_h[:used], *g_node_h[:n], *g_node_c[:n])
 
 
-def gru_sequence(weights: Sequence[Tensor], inputs: Sequence[Tensor],
-                 reverse: bool = False) -> Tensor:
+def gru_sequence(weights: Sequence[Tensor], inputs: Tensor, reverse: bool = False) -> Tensor:
     """One GRU direction over a whole sentence as one record; returns the
     (n, H) states in input order.
 
     ``weights`` are the nine tensors [update_in, update_state, update_bias,
     reset_in, reset_state, reset_bias, cand_in, cand_state, cand_bias]: per
     gate an input map (H, D), a state map (H, H) and a bias (H,).  The
-    state starts at zero and runs over ``inputs`` (vectors of size D) from
-    the first to the last, or from the last to the first if ``reverse``.
-    The forward arithmetic is the one the elementary ops give, one
-    matrix-vector product per gate and step in the same order; every
+    state starts at zero and runs over the rows of the (n, D) ``inputs``
+    from the first to the last, or from the last to the first if
+    ``reverse``.  The forward arithmetic is the one the elementary ops give,
+    one matrix-vector product per gate and step in the same order; every
     pre-activation is checked for non-finite values, because the saturating
     gates would otherwise hide an overflow.  The backward pass is
-    backpropagation through time with one matrix product per weight.
+    backpropagation through time; it hands back each weight matrix's
+    gradient as one deferred matrix product (an ``_Outer``).
     """
     if len(weights) != 9:
         raise ShapeError(f"gru_sequence: expected 9 weight tensors, got {len(weights)}")
-    if not inputs:
-        raise ShapeError("gru_sequence: empty input sequence")
-    weights, inputs = tuple(weights), tuple(inputs)
-    _check_same_vectors("gru_sequence", inputs)
+    if inputs.data.ndim != 2 or not inputs.shape[0]:
+        raise ShapeError(f"gru_sequence: expected a nonempty (n, D) matrix of inputs, "
+                         f"got shape {inputs.shape}")
+    weights = tuple(weights)
     u_in, u_state, u_bias, r_in, r_state, r_bias, c_in, c_state, c_bias = (
         w.data for w in weights)
-    hidden, d_in = u_bias.shape[0], inputs[0].shape[0]
+    x_all = np.ascontiguousarray(inputs.data)  # each step reads a contiguous row
+    n, d_in = x_all.shape
+    hidden = u_bias.shape[0]
     if any(w.shape != shape for w, shape in zip(
             weights, [(hidden, d_in), (hidden, hidden), (hidden,)] * 3)):
         raise ShapeError(f"gru_sequence: weights {[w.shape for w in weights]} do not "
                          f"fit inputs of size {d_in}")
-    n = len(inputs)
     order = range(n - 1, -1, -1) if reverse else range(n)
     # per position, in input order: the state the step reads, the three
     # pre-activations, the gates and candidate, and the state it writes
@@ -760,7 +817,7 @@ def gru_sequence(weights: Sequence[Tensor], inputs: Sequence[Tensor],
     pre, gates = np.empty((n, 3, hidden)), np.empty((n, 2, hidden))
     state = np.zeros(hidden)
     for t in order:
-        x = inputs[t].data
+        x = x_all[t]
         pre_u, pre_r, pre_c = pre[t]
         np.add(u_in @ x + u_state @ state, u_bias, out=pre_u)
         np.add(r_in @ x + r_state @ state, r_bias, out=pre_r)
@@ -790,17 +847,65 @@ def gru_sequence(weights: Sequence[Tensor], inputs: Sequence[Tensor],
             g_r[t] = g_reset_state * d_r[t]
             carry = (g_s * update[t] + g_reset_state * reset[t]
                      + u_state.T @ g_u[t] + r_state.T @ g_r[t])
-        x_all = np.stack([x.data for x in inputs])
         grads = []
         for g_pre, state_in in ((g_u, prev), (g_r, prev), (g_c, reset * prev)):
-            grads += [g_pre.T @ x_all, g_pre.T @ state_in, g_pre.sum(0)]
-        if any(x.requires_grad for x in inputs):
-            grads += list(g_u @ u_in + g_r @ r_in + g_c @ c_in)
-        else:
-            grads += [None] * n
+            grads += [_Outer(g_pre.T, x_all), _Outer(g_pre.T, state_in), g_pre.sum(0)]
+        grads.append(g_u @ u_in + g_r @ r_in + g_c @ c_in if inputs.requires_grad else None)
         return tuple(grads)
 
-    return _emit("gru_sequence", (*weights, *inputs), states, grad_fn)
+    return _emit("gru_sequence", (*weights, inputs), states, grad_fn)
+
+
+def leaf_states(weight: Tensor, bias: Tensor,
+                parts: Sequence[Tensor]) -> tuple[tuple[Tensor, ...], tuple[Tensor, ...]]:
+    """The affine map that ends a leaf transform, as one record; returns
+    the n leaves' ``h`` and their ``c``.
+
+    ``parts`` are (n, D_k) matrices; row i of the (n, 2H) result is
+    ``weight @ [row i of every part] + bias`` with ``weight`` (2H, sum D_k)
+    and ``bias`` (2H,), and its halves are leaf i's ``h`` and ``c``.  The
+    forward arithmetic is the one ``concat``, ``matmul``, ``add`` and
+    ``split`` give: one matrix-vector product per row, in row order, on a
+    contiguous row.  The backward pass hands back the weight's gradient as
+    one deferred matrix product (an ``_Outer``) and takes one matrix
+    product for the parts' gradients.
+    """
+    parts = tuple(parts)
+    if (not parts or any(p.data.ndim != 2 for p in parts)
+            or len({p.shape[0] for p in parts}) != 1 or not parts[0].shape[0]):
+        raise ShapeError(f"leaf_states: expected nonempty (n, D) matrices with one n, got "
+                         f"shapes {[p.shape for p in parts]}")
+    n, widths = parts[0].shape[0], [p.shape[1] for p in parts]
+    if (weight.data.ndim != 2 or weight.shape[0] % 2 or weight.shape[1] != sum(widths)
+            or bias.shape != weight.shape[:1]):
+        raise ShapeError(f"leaf_states: weight {weight.shape} and bias {bias.shape} do not "
+                         f"fit parts of widths {widths}")
+    hidden = weight.shape[0] // 2
+    rows = np.concatenate([p.data for p in parts], axis=1)  # row i: [part rows i]
+    packed = np.empty((n, 2 * hidden))
+    for i in range(n):
+        np.matmul(weight.data, rows[i], out=packed[i])
+    packed += bias.data
+
+    def grad_fn(grads):
+        g = np.zeros((n, 2 * hidden))
+        for i in range(n):
+            g_h, g_c = grads[i], grads[n + i]
+            if g_h is not None:
+                g[i, :hidden] = g_h
+            if g_c is not None:
+                g[i, hidden:] = g_c
+        out = [_Outer(g.T, rows), g.sum(axis=0)]
+        if any(p.requires_grad for p in parts):
+            g_rows = g @ weight.data
+            out += np.split(g_rows, np.cumsum(widths)[:-1], axis=1)
+        else:
+            out += [None] * len(parts)
+        return tuple(out)
+
+    outs = _emit("leaf_states", (weight, bias, *parts),
+                 (*packed[:, :hidden], *packed[:, hidden:]), grad_fn, views_of=(packed,))
+    return outs[:n], outs[n:]
 
 
 def attention_pool(embed_weight: Tensor, score_weight: Tensor,
@@ -914,14 +1019,27 @@ def split(x: Tensor, sections: int) -> tuple[Tensor, ...]:
 
 
 def take_row(matrix: Tensor, index: int) -> Tensor:
-    """Row gather from a matrix (embedding lookup)."""
+    """Row gather from a matrix."""
     if matrix.data.ndim != 2:
         raise ShapeError(f"take_row: expected a matrix, got shape {matrix.shape}")
     if not 0 <= index < matrix.shape[0]:
         raise ShapeError(f"take_row: row {index} outside shape {matrix.shape}")
     out = matrix.data[index].copy()
 
-    return _emit("take_row", (matrix,), out, lambda g: (_Row(index, g),))
+    return _emit("take_row", (matrix,), out, lambda g: (_Rows(index, g),))
+
+
+def take_rows(matrix: Tensor, indices: Sequence[int]) -> Tensor:
+    """The rows ``indices`` of a matrix as one (n, D) matrix, a sentence's
+    embedding lookup; a repeated index gets the sum of its rows' gradients."""
+    if matrix.data.ndim != 2:
+        raise ShapeError(f"take_rows: expected a matrix, got shape {matrix.shape}")
+    index = np.asarray(indices, dtype=np.intp).reshape(-1)
+    if len(index) and not (0 <= index.min() and index.max() < matrix.shape[0]):
+        raise ShapeError(f"take_rows: rows {list(indices)} outside shape {matrix.shape}")
+    out = matrix.data[index]  # a copy
+
+    return _emit("take_rows", (matrix,), out, lambda g: (_Rows(index, g),))
 
 
 # ---------------------------------------------------------------------------

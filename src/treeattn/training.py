@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import EmbeddingMatrix, Vocabulary
 from .model import Model
-from .tensor import NonFiniteError, Tape, Tensor, backward
+from .tensor import GradientBatch, NonFiniteError, Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = "treeattn-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -297,8 +297,8 @@ class Checkpoint:
     def build_model(self) -> Model:
         """The model the config describes, holding the stored parameters;
         a parameter that is missing, unknown or of the wrong shape, or a
-        vocabulary that does not match the embedding rows, raises
-        ``ValueError`` naming it."""
+        vocabulary that does not match the embedding rows or repeats a
+        word, raises ``ValueError`` naming it."""
         cfg = self.config
         vectors = self.params.get("embedding")
         if vectors is None:
@@ -308,6 +308,10 @@ class Checkpoint:
                              f"'embedding' has shape {vectors.shape}")
         vocab = Vocabulary(list(self.vocab_words),
                            {w: i for i, w in enumerate(self.vocab_words)})
+        if len(vocab.word_to_index) != len(vocab.index_to_word):
+            repeated = next(w for i, w in enumerate(self.vocab_words)
+                            if vocab.word_to_index[w] != i)
+            raise ValueError(f"vocabulary repeats the word {repeated!r}")
         embedding = EmbeddingMatrix(
             Tensor(np.asarray(vectors, dtype=np.float64), requires_grad=cfg.finetune_embeddings),
             trainable=cfg.finetune_embeddings)
@@ -448,11 +452,12 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
         for batch_index in range(0, len(order), config.batch_size):
             batch = order[batch_index:batch_index + config.batch_size]
             optimizer.zero_grad()
+            weight_grads = GradientBatch()  # one matrix product per weight per batch
             try:
                 for orig_index in batch:
                     example = train_examples[int(orig_index)]
                     rng = _seeded(config.seed, 2, epoch, int(orig_index))
-                    with Tape() as tape:
+                    with Tape(weight_grads) as tape:
                         loss, logits = model.example_loss(
                             example, "train", rng, config.dropout_keep)
                         backward(tape, loss)
@@ -462,6 +467,7 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
             except NonFiniteError as err:
                 raise TrainingDiverged(epoch, batch_index // config.batch_size,
                                        [int(i) for i in batch], str(err)) from err
+            weight_grads.flush()
             inv = 1.0 / len(batch)
             for p in params.values():
                 if p.grad is not None:

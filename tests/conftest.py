@@ -387,24 +387,51 @@ def op_gradient_cases(seed: int = 0):
                 case(f"tree_induction_{mode}_n{n}_{probe}")(tree_induction_case(mode, probe, n))
 
     def gru_sequence_case(probe, reverse):
-        # probe is a weight name or "word", the middle one of three inputs,
-        # which both directions reach with and without a carried state
+        # probe is a weight name or "inputs", the (3, 4) matrix of the three
+        # input vectors, which both directions read with and without a
+        # carried state
         def build(rng):
             weights, words = gru_values(rng, hidden=3, d_in=4, n=3)
             r = Tensor(rng.normal(size=(3, 3)))
 
             def run(x):
                 ws = [x if name == probe else Tensor(v) for name, v in weights.items()]
-                xs = [x if probe == "word" and i == 1 else Tensor(w)
-                      for i, w in enumerate(words)]
-                return T.mean(T.mul(T.gru_sequence(ws, xs, reverse), r))
+                inputs = x if probe == "inputs" else Tensor(np.array(words))
+                return T.mean(T.mul(T.gru_sequence(ws, inputs, reverse), r))
 
-            return run, Tensor(words[1] if probe == "word" else weights[probe])
+            return run, Tensor(np.array(words) if probe == "inputs" else weights[probe])
         return build
 
-    for probe in (*GRU_WEIGHTS, "word"):
+    for probe in (*GRU_WEIGHTS, "inputs"):
         case(f"gru_sequence_{probe}")(gru_sequence_case(probe, reverse=False))
         case(f"gru_sequence_reverse_{probe}")(gru_sequence_case(probe, reverse=True))
+
+    def leaf_states_case(probe, widths, n):
+        # probe is "weight", "bias" or "part<k>"; the loss reads every
+        # output but the middle leaf's c when there are two leaves or more
+        unused = {n + n // 2} if n > 1 else set()
+
+        def build(rng):
+            hidden = 2
+            values = {"weight": rng.normal(size=(2 * hidden, sum(widths))),
+                      "bias": rng.normal(size=2 * hidden),
+                      **{f"part{k}": rng.normal(size=(n, w)) for k, w in enumerate(widths)}}
+
+            def states(x):
+                weight, bias, *parts = (x if name == probe else Tensor(v)
+                                        for name, v in values.items())
+                hs, cs = T.leaf_states(weight, bias, parts)
+                return T.concat([out for i, out in enumerate((*hs, *cs)) if i not in unused])
+
+            return (via_dot(rng, (2 * n - len(unused)) * hidden, states),
+                    Tensor(values[probe]))
+        return build
+
+    for widths in ((3,), (2, 3)):
+        for n in (1, 2, 7):
+            for probe in ("weight", "bias", *(f"part{k}" for k in range(len(widths)))):
+                case(f"leaf_states_{len(widths)}parts_n{n}_{probe}")(
+                    leaf_states_case(probe, widths, n))
 
     @case("dot")
     def _(rng):
@@ -435,6 +462,13 @@ def op_gradient_cases(seed: int = 0):
     @case("take_row")
     def _(rng):
         return via_dot(rng, 4, lambda x: T.take_row(x, 1)), Tensor(rng.normal(size=(3, 4)))
+
+    @case("take_rows_repeated_index")
+    def _(rng):
+        # a fine-tuned table: row 2 is read twice and row 3 not at all
+        r = Tensor(rng.normal(size=(4, 3)))
+        return (lambda x: T.mean(T.mul(T.take_rows(x, [2, 0, 2, 1]), r)),
+                Tensor(rng.normal(size=(4, 3))))
 
     return cases
 

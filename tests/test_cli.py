@@ -282,8 +282,10 @@ def _rename(params, old, new):
      "vocabulary has 23 words but parameter 'embedding' has shape (22, 6)"),
     (lambda c: c.vocab_words.__setitem__(slice(None), [1, 2, 3]),
      "bad vocabulary line: not a list of strings"),
+    (lambda c: c.vocab_words.__setitem__(-1, c.vocab_words[2]),
+     "vocabulary repeats the word 'tok00'"),
 ], ids=["missing", "missing-embedding", "renamed", "unknown", "wrong-shape",
-        "vocab-short", "vocab-long", "vocab-not-strings"])
+        "vocab-short", "vocab-long", "vocab-not-strings", "vocab-repeated"])
 @pytest.mark.parametrize("command", ["parse", "eval"])
 def test_checkpoint_that_does_not_match_its_config_exits_2(workspace, tmp_path, capsys,
                                                            mutate, message, command):

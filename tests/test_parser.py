@@ -12,7 +12,8 @@ from treeattn.parser import (MODES, CompositionParams, GumbelConfig, LeafAffineP
                              init_composition_params, init_leaf_affine,
                              init_leaf_rnn, init_query, leaf_transform,
                              st_gumbel_select, validity_scores)
-from treeattn.tensor import NonFiniteError, Tape, Tensor, add, backward, dot, softmax
+from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add, backward, dot,
+                             softmax)
 from treeattn.trees import export_bracketed, parse_bracketed
 
 
@@ -104,20 +105,20 @@ class TestLeafTransforms:
     def test_affine_zero_map(self):
         params = LeafAffineParams(Tensor(np.zeros((2, 3)), requires_grad=True),
                                   Tensor(np.zeros(2), requires_grad=True))
-        states = leaf_transform([Tensor([1.0, 2.0, 3.0])], params, "affine")
+        states = leaf_transform(Tensor([[1.0, 2.0, 3.0]]), params, "affine")
         assert len(states) == 1
         assert states[0].h.data.tolist() == [0.0] and states[0].c.data.tolist() == [0.0]
 
     def test_affine_hand_value(self):
         # identity-like rows map x=[1] to (h, c) = ([1], [1])
         params = LeafAffineParams(Tensor([[1.0], [1.0]]), Tensor([0.0, 0.0]))
-        [s] = leaf_transform([Tensor([1.0])], params, "affine")
+        [s] = leaf_transform(Tensor([[1.0]]), params, "affine")
         assert s.h.data.tolist() == [1.0] and s.c.data.tolist() == [1.0]
 
     def test_rnn_shapes_and_determinism(self):
         rng = np.random.default_rng(0)
         params = init_leaf_rnn(rng, 4, 3)
-        words = [Tensor(np.random.default_rng(i).normal(size=4)) for i in range(5)]
+        words = Tensor([np.random.default_rng(i).normal(size=4) for i in range(5)])
         a = leaf_transform(words, params, "rnn")
         b = leaf_transform(words, params, "rnn")
         assert len(a) == 5
@@ -126,40 +127,41 @@ class TestLeafTransforms:
             assert (sa.h.data == sb.h.data).all()
 
     @pytest.mark.parametrize("n", [1, 2, 9])
-    def test_rnn_tape_cost_is_two_plus_six_per_token(self, n):
-        # one record per GRU direction, then per position two row reads,
-        # concat, the projection matmul and add, and one split into (h, c)
+    def test_rnn_tape_cost_is_three_per_sentence(self, n):
+        # one record per GRU direction, then one leaf_states record for the
+        # projection of every position and its cut into (h, c)
         params = init_leaf_rnn(np.random.default_rng(1), 4, 3)
-        words = [Tensor(np.random.default_rng(i).normal(size=4)) for i in range(n)]
+        words = Tensor([np.random.default_rng(i).normal(size=4) for i in range(n)])
         with Tape() as tape:
             states = leaf_transform(words, params, "rnn")
             records = len(tape)
             backward(tape, dot(states[0].h, states[-1].c))
-        assert records == 2 + 6 * n
         names = [rec.name for rec in tape._records[:records]]
-        assert names.count("gru_sequence") == 2 and names.count("take_row") == 2 * n
-        assert names.count("split") == n
+        assert names == ["gru_sequence", "gru_sequence", "leaf_states"]
+        assert tape._records[2].outputs == (*(s.h for s in states), *(s.c for s in states))
         for direction in (params.fwd, params.bwd):
             assert all(getattr(direction, f.name).grad is not None for f in fields(direction))
+        assert params.proj_weight.grad is not None and params.proj_bias.grad is not None
 
     @pytest.mark.parametrize("n", [1, 5])
-    def test_affine_tape_cost_is_three_per_token(self, n):
-        # per position the matmul, the bias add and one split into (h, c)
+    def test_affine_tape_cost_is_one_per_sentence(self, n):
+        # one leaf_states record maps every position and cuts it into (h, c)
         params = init_leaf_affine(np.random.default_rng(2), 4, 3)
-        words = [Tensor(np.random.default_rng(i).normal(size=4)) for i in range(n)]
+        words = Tensor([np.random.default_rng(i).normal(size=4) for i in range(n)])
         with Tape() as tape:
             states = leaf_transform(words, params, "affine")
             backward(tape, dot(states[0].h, states[-1].c))
-        assert [rec.name for rec in tape._records[:3 * n]] == ["matmul", "add", "split"] * n
-        assert len(tape) == 3 * n + 1  # and the loss
+        assert [rec.name for rec in tape._records] == ["leaf_states", "dot"]  # and the loss
         assert params.weight.grad is not None and params.bias.grad is not None
 
     def test_unknown_kind_and_empty_sentence(self):
         params = init_leaf_affine(np.random.default_rng(0), 4, 3)
         with pytest.raises(ValueError, match="leaf transform"):
-            leaf_transform([Tensor(np.zeros(4))], params, "cnn")
-        with pytest.raises(Exception):
-            leaf_transform([], params, "affine")
+            leaf_transform(Tensor(np.zeros((1, 4))), params, "cnn")
+        with pytest.raises(ShapeError, match="empty sentence"):
+            leaf_transform(Tensor(np.zeros((0, 4))), params, "affine")
+        with pytest.raises(ShapeError, match="leaf_transform"):
+            leaf_transform(Tensor(np.zeros(4)), params, "affine")
 
 
 class TestValidityScores:

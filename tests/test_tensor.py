@@ -11,7 +11,8 @@ from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, absolute,
                              add, attention_pool, backward, concat, cross_entropy,
                              dot, finite_difference_check, gru_sequence,
                              gumbel_softmax, log, matmul, mean, mul, relu,
-                             sigmoid, softmax, split, sub, take_row, tanh,
+                             leaf_states, sigmoid, softmax, split, sub, take_row, take_rows,
+                             tanh,
                              tree_lstm_cell, weighted_sum, exp)
 from treeattn.parser import (CompositionParams, GumbelConfig, NodeState, compose,
                              induce_tree)
@@ -467,11 +468,11 @@ class TestGruSequence:
         for t in (*weights, table):
             t.grad = None
         with Tape() as tape:
-            xs = [take_row(table, i) for i in tokens]
             if fused:
-                out = gru_sequence(weights, xs, reverse)
+                out = gru_sequence(weights, take_rows(table, tokens), reverse)
                 rows = [take_row(out, t) for t in range(len(tokens))]
             else:
+                xs = [take_row(table, i) for i in tokens]
                 rows = unfused_gru_sequence(weights, xs, reverse)
             loss = dot(rows[0], Tensor(probe[0]))
             for row, r in zip(rows[1:], probe[1:]):
@@ -495,7 +496,7 @@ class TestGruSequence:
 
     def test_one_tape_record_per_direction(self):
         weights, table, tokens, _ = self.make_case(0, 5)
-        xs = [Tensor(table.data[i]) for i in tokens]
+        xs = Tensor(table.data[tokens])
         with Tape() as tape:
             gru_sequence(weights, xs)
             gru_sequence(weights, xs, reverse=True)
@@ -503,20 +504,20 @@ class TestGruSequence:
 
     def test_no_input_gradients_for_frozen_inputs(self):
         weights, table, tokens, _ = self.make_case(1, 4)
-        xs = [Tensor(table.data[i]) for i in tokens]
+        xs = Tensor(table.data[tokens])
         with Tape() as tape:
             gru_sequence(weights, xs)
         grads = tape._records[0].grad_fn(np.ones((4, 4)))
-        assert len(grads) == 9 + 4
+        assert len(grads) == 9 + 1
         assert all(g is not None for g in grads[:9])
-        assert all(g is None for g in grads[9:])
+        assert grads[9] is None
 
     def test_pre_activation_overflow_raises(self):
         # the gates saturate, so only the pre-activation shows the overflow;
         # the first step is finite, the second overflows
         weights, _, _, _ = self.make_case(2, 2, hidden=2, d_in=3)
         weights[GRU_WEIGHTS.index("cand_in")].data[:] = 1e308
-        xs = [Tensor(np.zeros(3)), Tensor(np.full(3, 10.0))]
+        xs = Tensor([np.zeros(3), np.full(3, 10.0)])
         for reverse in (False, True):
             with pytest.raises(NonFiniteError, match="gru_sequence"), \
                     np.errstate(over="ignore", invalid="ignore"):
@@ -524,15 +525,15 @@ class TestGruSequence:
 
     def test_shape_errors_name_op(self):
         weights, table, tokens, _ = self.make_case(3, 3)
-        xs = [Tensor(table.data[i]) for i in tokens]
+        xs = Tensor(table.data[tokens])
         with pytest.raises(ShapeError, match="gru_sequence"):
             gru_sequence(weights[:8], xs)
         with pytest.raises(ShapeError, match="gru_sequence"):
-            gru_sequence(weights, [])
+            gru_sequence(weights, Tensor(np.zeros((0, 5))))
         with pytest.raises(ShapeError, match="gru_sequence"):
-            gru_sequence(weights, [*xs, Tensor(np.zeros(4))])
+            gru_sequence(weights, Tensor(xs.data[0]))
         with pytest.raises(ShapeError, match="gru_sequence"):
-            gru_sequence(weights, [Tensor(np.zeros(4))] * 3)
+            gru_sequence(weights, Tensor(np.zeros((3, 4))))
         swapped = list(weights)
         swapped[0], swapped[1] = swapped[1], swapped[0]
         with pytest.raises(ShapeError, match="gru_sequence"):
@@ -683,6 +684,110 @@ class TestAttentionPool:
                      (embed, Tensor(np.zeros(6)), nodes)]:
             with pytest.raises(ShapeError, match="attention_pool"):
                 attention_pool(*args)
+
+
+def unfused_leaf_states(weight, bias, table, tokens, others):
+    """``leaf_states`` on ``[take_rows(table, tokens), *others]`` written
+    with elementary ops: per position the rows, their concat, the matmul,
+    the bias add and a split into (h, c).  Returns every h, then every c."""
+    hs, cs = [], []
+    for i, token in enumerate(tokens):
+        row = concat([take_row(table, token), *(take_row(part, i) for part in others)])
+        h, c = split(add(matmul(weight, row), bias), 2)
+        hs.append(h)
+        cs.append(c)
+    return (*hs, *cs)
+
+
+class TestLeafStates:
+    """The fused leaf record against the elementary op chain it replaces,
+    with one part (the affine leaf, on a fine-tuned embedding lookup with a
+    repeated word) and with two (the RNN leaf's two directions)."""
+
+    def inputs(self, seed, n, widths, hidden=3):
+        rng = np.random.default_rng(seed)
+        weight = Tensor(rng.normal(size=(2 * hidden, sum(widths))), requires_grad=True)
+        bias = Tensor(rng.normal(size=2 * hidden), requires_grad=True)
+        table = Tensor(rng.normal(size=(5, widths[0])), requires_grad=True)
+        tokens = [int(i) for i in rng.integers(0, 5, size=n)]
+        if n > 2:
+            tokens[-1] = tokens[0]
+        others = [Tensor(rng.normal(size=(n, w)), requires_grad=True) for w in widths[1:]]
+        return weight, bias, table, tokens, others
+
+    @pytest.mark.parametrize("widths", [(4,), (4, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_unfused_oracle(self, n, widths):
+        for seed in range(3):
+            weight, bias, table, tokens, others = self.inputs(seed, n, widths)
+            leaves = [weight, bias, table, *others]
+
+            def fused():
+                hs, cs = leaf_states(weight, bias, [take_rows(table, tokens), *others])
+                return (*hs, *cs)
+
+            values, grads = gradients_of(leaves, fused)
+            oracle_values, oracle_grads = gradients_of(
+                leaves, lambda: unfused_leaf_states(weight, bias, table, tokens, others))
+            for got, want in zip(values, oracle_values):
+                np.testing.assert_array_equal(got, want)
+            for i, (got, want) in enumerate(zip(grads, oracle_grads)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12,
+                                           err_msg=f"seed {seed}, input {i}")
+
+    def test_one_record_of_views_into_one_array(self):
+        weight, bias, table, tokens, others = self.inputs(1, 4, (4, 3))
+        with Tape() as tape:
+            hs, cs = leaf_states(weight, bias, [Tensor(table.data[tokens]), *others])
+        [record] = tape._records
+        assert record.name == "leaf_states" and record.outputs == (*hs, *cs)
+        assert all(t.shape == (3,) for t in (*hs, *cs))
+        packed = hs[0].data.base
+        assert packed.shape == (4, 6) and all(t.data.base is packed for t in (*hs, *cs))
+
+    def test_overflow_raises(self):
+        weight, bias, *_ = self.inputs(2, 3, (4,))
+        weight.data[:] = 1e308
+        with pytest.raises(NonFiniteError, match="leaf_states"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            leaf_states(weight, bias, [Tensor(np.full((3, 4), 10.0))])
+
+    def test_shape_errors_name_op(self):
+        weight, bias, _, _, (part,) = self.inputs(3, 4, (4, 3))
+        words = Tensor(np.zeros((4, 4)))
+        for args in [(weight, bias, []), (weight, bias, [words]),
+                     (weight, bias, [words, Tensor(np.zeros((3, 3)))]),
+                     (weight, bias, [Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 3)))]),
+                     (weight, bias, [words, Tensor(np.zeros(3))]),
+                     (weight, Tensor(np.zeros(5)), [words, part]),
+                     (Tensor(np.zeros((5, 7))), Tensor(np.zeros(5)), [words, part])]:
+            with pytest.raises(ShapeError, match="leaf_states"):
+                leaf_states(*args)
+
+
+class TestTakeRows:
+    def test_rows_and_repeated_row_gradient(self):
+        rng = np.random.default_rng(7)
+        table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        probe = rng.normal(size=(4, 3))
+        with Tape() as tape:
+            rows = take_rows(table, [4, 1, 4, 2])
+            backward(tape, mean(mul(rows, Tensor(probe))))
+        np.testing.assert_array_equal(rows.data, table.data[[4, 1, 4, 2]])
+        g_rows = probe * (1.0 / probe.size)  # what mean and mul hand back
+        np.testing.assert_array_equal(table.grad[4], g_rows[0] + g_rows[2])
+        np.testing.assert_array_equal(table.grad[[1, 2]], g_rows[[1, 3]])
+        assert not table.grad[[0, 3, 5]].any()
+
+    def test_frozen_table_records_nothing(self):
+        with Tape() as tape:
+            rows = take_rows(Tensor(np.ones((3, 2))), [0, 2])
+        assert len(tape) == 0 and not rows.requires_grad
+
+    def test_index_outside_the_table_raises(self):
+        for ids in ([3], [-1]):
+            with pytest.raises(ShapeError, match="take_rows"):
+                take_rows(Tensor(np.ones((3, 2))), ids)
 
 
 def fused_induce_tree(leaves, params, query, config, rng):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from treeattn.data import EmbeddingMatrix, PairExample, load_embeddings, load_pair_corpus
-from treeattn.tensor import Tensor
+from treeattn.tensor import (GradientBatch, Tape, Tensor, backward, cross_entropy,
+                             finite_difference_check)
 from treeattn.training import (Adam, Checkpoint, TrainConfig, TrainingDiverged,
                                adam_step, clip_gradients, evaluate, macro_f1,
                                snapshot, train)
@@ -188,6 +189,51 @@ class TestTrainLoop:
         cfg = small_config(max_epochs=2, finetune_embeddings=True)
         train(tr, va, cfg, vocab, embedding, clock=lambda: 0.0)
         assert not embedding.vectors.data[0].any()
+
+
+class TestGradientBatch:
+    def test_batch_sums_equal_per_example_sums_and_plain_tapes_still_check(self):
+        # a fine-tuned RNN-leaf model, so that every kind of gradient occurs
+        model = tiny_pair_model(leaf_kind="rnn")
+        model.embedding.vectors.requires_grad = model.embedding.trainable = True
+        params = model.parameters()
+        examples = [PairExample([2, 3, 4, 2], [5, 6], 0), PairExample([7, 3, 8], [9, 2, 2], 1),
+                    PairExample([4], [3, 5, 6, 11], 2)]
+
+        def gradients(batch):
+            for p in params.values():
+                p.grad = None
+            for i, example in enumerate(examples):
+                with Tape(batch) as tape:
+                    loss, _ = model.example_loss(example, "train", np.random.default_rng(i))
+                    backward(tape, loss)
+            return params
+
+        batch = GradientBatch()
+        gradients(batch)
+        # the weight matrices wait for the flush, biases and embedding rows do not
+        for name in ("head.out_weight", "composition.weight", "leaf.fwd.update_in"):
+            assert params[name].grad is None, name
+        for name in ("head.out_bias", "leaf.fwd.update_bias", "embedding"):
+            assert params[name].grad is not None, name
+        batch.flush()
+        held = {name: p.grad.copy() for name, p in params.items()}
+        batch.flush()  # a second flush adds nothing
+        assert all((p.grad == held[name]).all() for name, p in params.items())
+        flushed = {name: p.grad.copy() for name, p in gradients(None).items()}
+        assert held.keys() == flushed.keys()
+        for name, want in flushed.items():
+            assert np.abs(held[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+
+        # finite_difference_check opens a plain Tape, which forms every gradient itself
+        example = examples[0]
+
+        def loss(_x):
+            logits = model.logits(example, mode="soft", rng=np.random.default_rng(7))
+            return cross_entropy(logits, example.label)
+
+        for name in ("head.out_weight", "leaf.proj_weight", "embedding"):
+            assert finite_difference_check(loss, params[name], 1e-5) < 1e-6, name
 
 
 class TestCheckpoint:
