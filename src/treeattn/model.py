@@ -113,7 +113,9 @@ class Model:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Take every parameter's values from ``arrays``; a missing, unknown
-        or misshapen parameter raises ``ValueError`` naming it."""
+        or misshapen parameter, or one holding NaN or Inf, raises
+        ``ValueError`` naming it.  An array the tensor already holds is
+        taken as it is: the tensor checked it when it was made."""
         targets = self.parameters()
         targets.setdefault("embedding", self.embedding.vectors)
         for name, tensor in targets.items():
@@ -123,6 +125,8 @@ class Model:
             if value.shape != tensor.shape:
                 raise ValueError(
                     f"parameter {name!r}: checkpoint shape {value.shape} != {tensor.shape}")
+            if value is not tensor.data and not np.isfinite(value).all():
+                raise ValueError(f"parameter {name!r} has non-finite values")
             tensor.data = value
         unknown = [name for name in arrays if name not in targets]
         if unknown:

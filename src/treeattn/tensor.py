@@ -41,10 +41,13 @@ So in training a sentence records three ops for the RNN leaf (two GRU
 directions and ``leaf_states``) or one for the affine leaf, one more for
 the lookup when the embeddings are fine-tuned, one for its induction and
 one for its attention.  Each fused forward does the elementary ops'
-arithmetic in their order, so its values are bit-identical to theirs; the
-fused ops share that arithmetic through the array kernels
-``stable_softmax``, ``gumbel_relaxation`` and ``TreeLstmCells``.  All
-arithmetic is 64-bit so that finite-difference checks are decisive.
+arithmetic, but where they take one matrix-vector product per row (per
+pair, word, node or step) it takes one matrix product per call, so its
+values match theirs to the last bits, not bit for bit; the same call on
+the same shapes always gives the same bits.  The fused ops share their
+arithmetic through the array kernels ``stable_softmax``,
+``gumbel_relaxation`` and ``TreeLstmCells``.  All arithmetic is 64-bit so
+that finite-difference checks are decisive.
 """
 
 from __future__ import annotations
@@ -512,11 +515,10 @@ class TreeLstmCells:
     Row j of ``h_left``, ``h_right``, ``c_left`` and ``c_right`` (each
     (k, H)) holds the children of pair j.  ``weight`` is (5H, 2H) and
     ``bias`` (5H,), with gate blocks [candidate; input; forget-left;
-    forget-right; output] applied to ``[h_left; h_right]``.  The arithmetic
-    is the one the elementary ops give for each pair on its own, whatever k
-    is: one matrix-vector product per pair on a contiguous ``[h_left;
-    h_right]``, every elementwise function on contiguous gate blocks, and
-    one dot product per logit.  The pre-activation is checked for
+    forget-right; output] applied to ``[h_left; h_right]``.  One matrix
+    product takes all k pre-activations and one more all k logits, so a
+    pair's values match those of the elementary ops to the last bits, and
+    those bits may depend on k.  The pre-activation is checked for
     non-finite values, because the saturating gates would otherwise hide an
     overflow, and so are the results.
     """
@@ -532,10 +534,7 @@ class TreeLstmCells:
         self.pairs = pairs = np.empty((k, 2 * hidden))  # row j: [h_left[j]; h_right[j]]
         pairs[:, :hidden] = h_left
         pairs[:, hidden:] = h_right
-        pre = np.empty((k, 5 * hidden))
-        for j in range(k):
-            np.matmul(weight, pairs[j], out=pre[j])
-        pre += bias
+        pre = pairs @ weight.T + bias
         if not np.isfinite(pre).all():
             raise NonFiniteError("tree_lstm_cell: pre-activation has non-finite values")
         blocks = pre.reshape(k, 5, hidden).transpose(1, 0, 2).copy()  # (5, k, H)
@@ -545,9 +544,7 @@ class TreeLstmCells:
         self.c = np.add(self.candidate * gate_in, c_left * forget_l + c_right * forget_r)
         self.tanh_c = np.tanh(self.c)
         self.h = self.tanh_c * gate_out
-        self.logits = np.empty(k)
-        for j in range(k):
-            self.logits[j] = np.dot(query, self.h[j])
+        self.logits = self.h @ query
         if not (np.isfinite(self.c).all() and np.isfinite(self.logits).all()):
             raise NonFiniteError("tree_lstm_cell: produced non-finite values")
 
@@ -788,8 +785,10 @@ def gru_sequence(weights: Sequence[Tensor], inputs: Tensor, reverse: bool = Fals
     gate an input map (H, D), a state map (H, H) and a bias (H,).  The
     state starts at zero and runs over the rows of the (n, D) ``inputs``
     from the first to the last, or from the last to the first if
-    ``reverse``.  The forward arithmetic is the one the elementary ops give,
-    one matrix-vector product per gate and step in the same order; every
+    ``reverse``.  The input half of the pre-activations does not depend on
+    the state, so it is one matrix product per gate over all steps; only
+    the state's matrix-vector products stay in the step loop.  The values
+    match those of the elementary ops to the last bits.  Every
     pre-activation is checked for non-finite values, because the saturating
     gates would otherwise hide an overflow.  The backward pass is
     backpropagation through time; it hands back each weight matrix's
@@ -803,7 +802,7 @@ def gru_sequence(weights: Sequence[Tensor], inputs: Tensor, reverse: bool = Fals
     weights = tuple(weights)
     u_in, u_state, u_bias, r_in, r_state, r_bias, c_in, c_state, c_bias = (
         w.data for w in weights)
-    x_all = np.ascontiguousarray(inputs.data)  # each step reads a contiguous row
+    x_all = inputs.data
     n, d_in = x_all.shape
     hidden = u_bias.shape[0]
     if any(w.shape != shape for w, shape in zip(
@@ -815,15 +814,17 @@ def gru_sequence(weights: Sequence[Tensor], inputs: Tensor, reverse: bool = Fals
     # pre-activations, the gates and candidate, and the state it writes
     prev, fresh, states = (np.empty((n, hidden)) for _ in range(3))
     pre, gates = np.empty((n, 3, hidden)), np.empty((n, 2, hidden))
+    # the input half of every pre-activation: one product per gate
+    in_u, in_r, in_c = (x_all @ w.T + b for w, b in ((u_in, u_bias), (r_in, r_bias),
+                                                      (c_in, c_bias)))
     state = np.zeros(hidden)
     for t in order:
-        x = x_all[t]
         pre_u, pre_r, pre_c = pre[t]
-        np.add(u_in @ x + u_state @ state, u_bias, out=pre_u)
-        np.add(r_in @ x + r_state @ state, r_bias, out=pre_r)
+        np.add(in_u[t], u_state @ state, out=pre_u)
+        np.add(in_r[t], r_state @ state, out=pre_r)
         gates[t] = _logistic(pre[t, :2])
         u, r = gates[t]
-        np.add(c_in @ x + c_state @ (r * state), c_bias, out=pre_c)
+        np.add(in_c[t], c_state @ (r * state), out=pre_c)
         f = np.tanh(pre_c)
         prev[t], fresh[t] = state, f
         state = (1.0 - u) * f + u * state
@@ -863,10 +864,9 @@ def leaf_states(weight: Tensor, bias: Tensor,
 
     ``parts`` are (n, D_k) matrices; row i of the (n, 2H) result is
     ``weight @ [row i of every part] + bias`` with ``weight`` (2H, sum D_k)
-    and ``bias`` (2H,), and its halves are leaf i's ``h`` and ``c``.  The
-    forward arithmetic is the one ``concat``, ``matmul``, ``add`` and
-    ``split`` give: one matrix-vector product per row, in row order, on a
-    contiguous row.  The backward pass hands back the weight's gradient as
+    and ``bias`` (2H,), and its halves are leaf i's ``h`` and ``c``.  One
+    matrix product maps all n rows, so the values match those of ``concat``,
+    ``matmul``, ``add`` and ``split`` to the last bits.  The backward pass hands back the weight's gradient as
     one deferred matrix product (an ``_Outer``) and takes one matrix
     product for the parts' gradients.
     """
@@ -882,10 +882,7 @@ def leaf_states(weight: Tensor, bias: Tensor,
                          f"fit parts of widths {widths}")
     hidden = weight.shape[0] // 2
     rows = np.concatenate([p.data for p in parts], axis=1)  # row i: [part rows i]
-    packed = np.empty((n, 2 * hidden))
-    for i in range(n):
-        np.matmul(weight.data, rows[i], out=packed[i])
-    packed += bias.data
+    packed = rows @ weight.data.T + bias.data
 
     def grad_fn(grads):
         g = np.zeros((n, 2 * hidden))
@@ -916,10 +913,9 @@ def attention_pool(embed_weight: Tensor, score_weight: Tensor,
     Node ``h_i`` (size H) is embedded as ``e_i = relu(embed_weight @ h_i)``
     with ``embed_weight`` (D, H) and scored ``score_weight @ e_i`` with
     ``score_weight`` (1, D).  The weights are the max-shifted softmax of the
-    scores and the pooled vector is ``sum_i w_i h_i``.  The forward
-    arithmetic is the one the elementary ops give: one matrix-vector
-    product per node and one per score, in node order, on contiguous rows.
-    The pre-activations are checked for non-finite values, because the
+    scores and the pooled vector is ``sum_i w_i h_i``.  One matrix product
+    embeds all nodes and one more scores them, so the values match those of
+    the elementary ops to the last bits.  The pre-activations are checked for non-finite values, because the
     ReLU would otherwise hide an overflow.  The backward pass hands back
     the embedding weight's gradient as one deferred matrix product (an
     ``_Outer``) and takes one matrix product for the nodes' gradients.
@@ -934,17 +930,12 @@ def attention_pool(embed_weight: Tensor, score_weight: Tensor,
             or w_score.shape != (1, w_embed.shape[0])):
         raise ShapeError(f"attention_pool: weights {embed_weight.shape} and "
                          f"{score_weight.shape} do not fit nodes of size {hidden}")
-    stacked = np.empty((m, hidden))
-    pre = np.empty((m, w_embed.shape[0]))
-    for i, h in enumerate(nodes):
-        stacked[i] = h.data
-        np.matmul(w_embed, stacked[i], out=pre[i])
+    stacked = np.array([h.data for h in nodes])
+    pre = stacked @ w_embed.T
     if not np.isfinite(pre).all():
         raise NonFiniteError("attention_pool: pre-activation has non-finite values")
     embedded = np.maximum(pre, 0.0)
-    logits = np.empty(m)
-    for i in range(m):
-        np.matmul(w_score, embedded[i], out=logits[i:i + 1])
+    logits = embedded @ w_score[0]
     if not np.isfinite(logits).all():
         raise NonFiniteError("attention_pool: scores have non-finite values")
     weights = stable_softmax(logits)

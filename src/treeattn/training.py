@@ -296,9 +296,9 @@ class Checkpoint:
 
     def build_model(self) -> Model:
         """The model the config describes, holding the stored parameters;
-        a parameter that is missing, unknown or of the wrong shape, or a
-        vocabulary that does not match the embedding rows or repeats a
-        word, raises ``ValueError`` naming it."""
+        a parameter that is missing, unknown, of the wrong shape or not
+        finite, or a vocabulary that does not match the embedding rows or
+        repeats a word, raises ``ValueError`` naming it."""
         cfg = self.config
         vectors = self.params.get("embedding")
         if vectors is None:
@@ -312,11 +312,15 @@ class Checkpoint:
             repeated = next(w for i, w in enumerate(self.vocab_words)
                             if vocab.word_to_index[w] != i)
             raise ValueError(f"vocabulary repeats the word {repeated!r}")
-        embedding = EmbeddingMatrix(
-            Tensor(np.asarray(vectors, dtype=np.float64), requires_grad=cfg.finetune_embeddings),
-            trainable=cfg.finetune_embeddings)
+        try:
+            vectors = Tensor(np.asarray(vectors, dtype=np.float64),
+                             requires_grad=cfg.finetune_embeddings)
+        except NonFiniteError:
+            raise ValueError("parameter 'embedding' has non-finite values") from None
+        embedding = EmbeddingMatrix(vectors, trainable=cfg.finetune_embeddings)
         model = _build_model(cfg, np.random.default_rng(0), vocab, embedding)
-        model.load_state_arrays(self.params)
+        # the embedding as converted and checked above, not converted again
+        model.load_state_arrays({**self.params, "embedding": vectors.data})
         return model
 
 

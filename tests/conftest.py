@@ -68,6 +68,20 @@ def tiny_pair_model(seed: int = 42, hidden: int = 8, d_attn: int = 6,
                        embedding=embedding, leaf_kind=leaf_kind)
 
 
+# How far a fused kernel's forward value may sit from the elementary ops',
+# as a share of the array's largest entry: the kernels take one matrix
+# product per call where the elementary ops take one matrix-vector product
+# per row, so the two agree to the last bits, not bit for bit.
+LAST_BITS = 1e-13
+
+
+def assert_last_bits(got, want, err_msg: str = "") -> None:
+    """``got`` is ``want`` up to ``LAST_BITS`` of ``want``'s largest entry."""
+    want = np.asarray(want)
+    bound = LAST_BITS * np.abs(want).max(initial=0.0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=bound, err_msg=err_msg)
+
+
 TREE_LSTM_CELL_INPUTS = ("weight", "bias", "query", "h_left", "h_right", "c_left", "c_right")
 # the nine weights of one GRU direction, in gru_sequence's argument order
 GRU_WEIGHTS = tuple(f.name for f in fields(GruParams))

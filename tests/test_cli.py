@@ -284,8 +284,15 @@ def _rename(params, old, new):
      "bad vocabulary line: not a list of strings"),
     (lambda c: c.vocab_words.__setitem__(-1, c.vocab_words[2]),
      "vocabulary repeats the word 'tok00'"),
+    (lambda c: c.params["head.out_bias"].__setitem__(1, np.nan),
+     "parameter 'head.out_bias' has non-finite values"),
+    (lambda c: c.params["embedding"].__setitem__((3, 2), np.nan),
+     "parameter 'embedding' has non-finite values"),
+    (lambda c: c.params["query"].__setitem__(0, np.inf),
+     "parameter 'query' has non-finite values"),
 ], ids=["missing", "missing-embedding", "renamed", "unknown", "wrong-shape",
-        "vocab-short", "vocab-long", "vocab-not-strings", "vocab-repeated"])
+        "vocab-short", "vocab-long", "vocab-not-strings", "vocab-repeated",
+        "nan-head-bias", "nan-embedding", "inf-query"])
 @pytest.mark.parametrize("command", ["parse", "eval"])
 def test_checkpoint_that_does_not_match_its_config_exits_2(workspace, tmp_path, capsys,
                                                            mutate, message, command):

@@ -141,6 +141,32 @@ class TestEvaluate:
             logits = model.logits(ex, mode="infer")
             assert pred.predicted == int(np.argmax(logits.data))
 
+    @pytest.mark.parametrize("leaf_kind", ["affine", "rnn"])
+    def test_an_example_is_bit_identical_alone_and_between_others(self, leaf_kind):
+        # the kernels batch rows of one sentence, never of several examples,
+        # so the examples around one cannot move a bit of its results
+        model = tiny_pair_model(leaf_kind=leaf_kind)
+        example = PairExample([2, 5, 3, 7, 4, 9], [4, 2, 6], 1)
+        before = PairExample([8, 3, 3, 2], [9, 5, 6, 7, 2], 0)
+        after = PairExample([6, 4, 2, 7, 5, 3, 8, 9], [3], 2)
+        alone = evaluate([example], model).predictions[0].probs
+        between = evaluate([before, example, after], model).predictions[1].probs
+        np.testing.assert_array_equal(between, alone)
+
+        def train_step(ex, mode, seed):
+            with Tape(GradientBatch()) as tape:
+                loss, logits = model.example_loss(ex, mode, np.random.default_rng(seed), 0.9)
+                backward(tape, loss)
+            return loss.data, logits.data
+
+        for mode in ("train", "soft"):
+            alone = train_step(example, mode, 7)
+            train_step(before, mode, 8)
+            between = train_step(example, mode, 7)
+            train_step(after, mode, 9)
+            for got, want in zip(between, alone):
+                np.testing.assert_array_equal(got, want)
+
 
 class TestTrainLoop:
     def test_epoch_one_loss_is_reproducible_to_all_digits(self, tmp_path):
