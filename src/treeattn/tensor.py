@@ -4,10 +4,9 @@ Every differentiable operation appends one record to the innermost active
 ``Tape``; ``backward`` replays those records in reverse order, accumulating
 gradients additively into the ``grad`` slot of every tensor that requires
 them.  Without an active tape, operations run forward-only (inference).
-A record may have several outputs: ``split`` cuts a vector into pieces,
-and the Tree-LSTM cell returns the state and validity logit of every
-parent it composes.  Its backward function then receives one gradient per
-output, ``None`` for an output that nothing used.
+A record may have several outputs: a tree induction returns the ``h`` and
+``c`` of every node it merges.  Its backward function then receives one
+gradient per output, ``None`` for an output that nothing used.
 
 Weight gradients are summed with one matrix product per weight: every
 record that multiplies a weight matrix by vectors (``matmul`` on a vector
@@ -21,33 +20,35 @@ examples of a batch until ``flush`` sums each parameter's pairs with one
 matrix product.  An embedding lookup's gradient goes into its rows only.
 
 Deliberately small: no broadcasting beyond matrix-vector products and no
-higher-order derivatives.  The catalogue is a few elementary ops (``add``,
-``matmul``, ``tanh``, ``softmax``, ``concat``, ``split``, ``take_row`` and
-the like) and seven fused ones with hand-written backward passes:
+higher-order derivatives.  The catalogue is the elementary ops that the
+classifier head and the losses use (``add``, ``sub``, ``mul``,
+``absolute``, ``matmul``, ``relu``, ``concat``, ``dot``, ``softmax`` and
+``cross_entropy``) and six fused ones with hand-written backward passes:
 
 - ``take_rows``, a sentence's embedding rows as one (n, D) matrix;
 - ``gru_sequence``, one GRU direction over a whole sentence;
 - ``leaf_states``, the affine map that ends both leaf transforms, which
   cuts every position's ``weight @ x + bias`` into its ``h`` and ``c``;
-- ``tree_lstm_cell``, the binary Tree-LSTM cell over a batch of child
-  pairs, which also scores each parent against the query vector;
 - ``gumbel_softmax``, the straight-through Gumbel-softmax selection;
 - ``attention_pool``, attention pooling over all nodes of a tree;
 - ``tree_induction`` (``TreeInduction``), a whole bottom-up induction,
-  whose one record replaces the cell, softmax, Gumbel and merge records of
-  every layer.
+  whose one record replaces the Tree-LSTM cell, softmax, Gumbel and merge
+  records of every layer.
 
 So in training a sentence records three ops for the RNN leaf (two GRU
 directions and ``leaf_states``) or one for the affine leaf, one more for
 the lookup when the embeddings are fine-tuned, one for its induction and
-one for its attention.  Each fused forward does the elementary ops'
-arithmetic, but where they take one matrix-vector product per row (per
-pair, word, node or step) it takes one matrix product per call, so its
-values match theirs to the last bits, not bit for bit; the same call on
+one for its attention.  Each fused forward does the arithmetic of the
+chain of elementary ops it replaces, which the tests keep as its oracle,
+but where that chain takes one matrix-vector product per row (per pair,
+word, node or step) it takes one matrix product per call, so its values
+match the chain's to the last bits, not bit for bit; the same call on
 the same shapes always gives the same bits.  The fused ops share their
-arithmetic through the array kernels ``stable_softmax``,
-``gumbel_relaxation`` and ``TreeLstmCells``.  All arithmetic is 64-bit so
-that finite-difference checks are decisive.
+arithmetic with ``softmax`` and ``gumbel_softmax`` through the array
+kernels ``stable_softmax`` and ``gumbel_relaxation``; ``TreeLstmCells``,
+the Tree-LSTM cell over a batch of child pairs, runs only inside a tree
+induction.  All arithmetic is 64-bit so that finite-difference checks are
+decisive.
 """
 
 from __future__ import annotations
@@ -362,32 +363,10 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, inv, 1.0 - inv)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = _logistic(x.data)
-    return _emit("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _emit("tanh", (x,), out, lambda g: (g * (1.0 - out * out),))
-
-
 def relu(x: Tensor) -> Tensor:
     # subgradient 0 at exactly 0
     return _emit("relu", (x,), np.maximum(x.data, 0.0),
                  lambda g: (g * (x.data > 0),))
-
-
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(x.data)
-    return _emit("exp", (x,), out, lambda g: (g * out,))
-
-
-def log(x: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.data)
-    return _emit("log", (x,), out, lambda g: (g / x.data,))
 
 
 def stable_softmax(x: np.ndarray) -> np.ndarray:
@@ -489,24 +468,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _emit("concat", parts, out, grad_fn)
 
 
-def weighted_sum(vectors: Sequence[Tensor], weights: Tensor) -> Tensor:
-    """Sum of same-length vectors, each scaled by one entry of ``weights``."""
-    _check_vector("weighted_sum", weights)
-    if len(vectors) != weights.shape[0]:
-        raise ShapeError(
-            f"weighted_sum: {len(vectors)} vectors but {weights.shape[0]} weights")
-    _check_same_vectors("weighted_sum", vectors)
-    stacked = np.stack([v.data for v in vectors])
-    out = weights.data @ stacked
-
-    def grad_fn(g):
-        grads = [w * g for w in weights.data]
-        grads.append(stacked @ g)
-        return tuple(grads)
-
-    return _emit("weighted_sum", (*vectors, weights), out, grad_fn)
-
-
 class TreeLstmCells:
     """The binary Tree-LSTM cell (Tai et al. 2015) over k child pairs, on
     arrays: the parents' ``h``, ``c`` and validity logits ``query . h``,
@@ -568,65 +529,6 @@ class TreeLstmCells:
         return g_pre.transpose(1, 0, 2).reshape(k, 5 * hidden), g_c * forget_l, g_c * forget_r
 
 
-def _check_cell_weights(name: str, weight: Tensor, bias: Tensor, hidden: int) -> None:
-    if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
-        raise ShapeError(f"{name}: weight {weight.shape} and bias {bias.shape} "
-                         f"do not fit children of size {hidden}")
-
-
-def tree_lstm_cell(weight: Tensor, bias: Tensor, query: Tensor,
-                   h_left: Sequence[Tensor], h_right: Sequence[Tensor],
-                   c_left: Sequence[Tensor], c_right: Sequence[Tensor]) -> tuple[Tensor, ...]:
-    """``TreeLstmCells`` over k child pairs of tensors as one record.
-
-    Pair j composes the children ``(h_left[j], c_left[j])`` and
-    ``(h_right[j], c_right[j])``, all vectors of size H.  Returns 3k
-    tensors, for each pair in order the parent's ``h``, its ``c`` and its
-    validity logit.  The backward pass hands back the weight gradient as
-    one deferred matrix product (an ``_Outer``) and takes one matrix
-    product for the children's gradients; a child that appears in two
-    pairs gets the sum of both.
-    """
-    k = len(h_left)
-    if k == 0 or not len(h_right) == len(c_left) == len(c_right) == k:
-        raise ShapeError(f"tree_lstm_cell: child lists of lengths {len(h_left)}, "
-                         f"{len(h_right)}, {len(c_left)} and {len(c_right)}")
-    children = (*h_left, *h_right, *c_left, *c_right)
-    _check_same_vectors("tree_lstm_cell", (query, *children))
-    hidden = query.shape[0]
-    _check_cell_weights("tree_lstm_cell", weight, bias, hidden)
-    cells = TreeLstmCells(weight.data, bias.data, query.data,
-                          *(np.array([t.data for t in side])
-                            for side in (h_left, h_right, c_left, c_right)))
-
-    def grad_fn(grads):
-        g_h, g_c, g_logit = np.zeros((k, hidden)), np.zeros((k, hidden)), np.zeros(k)
-        for j in range(k):
-            gh, gc, gl = grads[3 * j:3 * j + 3]
-            if gh is not None:
-                g_h[j] = gh
-            if gc is not None:
-                g_c[j] = gc
-            if gl is not None:
-                g_logit[j] = gl
-        g_pre, g_mem_l, g_mem_r = cells.backward(g_h, g_c, g_logit)
-        out = [_Outer(g_pre.T, cells.pairs), g_pre.sum(axis=0),
-               g_logit @ cells.h if query.requires_grad else None]
-        if any(t.requires_grad for t in children):
-            g_pairs = g_pre @ weight.data
-            out += [*g_pairs[:, :hidden], *g_pairs[:, hidden:], *g_mem_l, *g_mem_r]
-        else:
-            out += [None] * len(children)
-        return tuple(out)
-
-    outputs = []
-    for j in range(k):
-        outputs += [cells.h[j], cells.c[j], cells.logits[j, ...]]
-    # TreeLstmCells has checked every value
-    return _emit("tree_lstm_cell", (weight, bias, query, *children), tuple(outputs),
-                 grad_fn, views_of=())
-
-
 class TreeInduction:
     """One sentence's bottom-up tree induction over arrays, recorded as a
     single ``tree_induction`` tape record.
@@ -663,7 +565,9 @@ class TreeInduction:
             raise ShapeError(f"tree_induction: {n} leaf h and {len(leaf_c)} leaf c vectors")
         _check_same_vectors("tree_induction", (query, *leaf_h, *leaf_c))
         hidden = query.shape[0]
-        _check_cell_weights("tree_induction", weight, bias, hidden)
+        if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
+            raise ShapeError(f"tree_induction: weight {weight.shape} and bias {bias.shape} "
+                             f"do not fit children of size {hidden}")
         self.inputs = (weight, bias, query, *leaf_h, *leaf_c)
         self.mode, self.temperature, self.perturb_probs = mode, temperature, perturb_probs
         self.n = n
@@ -970,12 +874,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g * b.data, g * a.data))
 
 
-def mean(x: Tensor) -> Tensor:
-    n = x.data.size
-    return _emit("mean", (x,), np.array(np.mean(x.data)),
-                 lambda g: (np.full_like(x.data, g / n),))
-
-
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
     """Softmax cross-entropy of a logit vector against an integer label."""
     _check_vector("cross_entropy", logits)
@@ -992,32 +890,6 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
         return (g * p,)
 
     return _emit("cross_entropy", (logits,), out, grad_fn)
-
-
-def split(x: Tensor, sections: int) -> tuple[Tensor, ...]:
-    """A vector cut into ``sections`` contiguous pieces of equal size, as one
-    record with one output per piece."""
-    _check_vector("split", x)
-    if sections < 1 or x.shape[0] % sections:
-        raise ShapeError(f"split: shape {x.shape} does not cut into {sections} equal pieces")
-    size = x.shape[0] // sections
-    pieces = tuple(x.data[i * size:(i + 1) * size] for i in range(sections))
-
-    def grad_fn(grads):
-        return (np.concatenate([np.zeros(size) if g is None else g for g in grads]),)
-
-    return _emit("split", (x,), pieces, grad_fn)
-
-
-def take_row(matrix: Tensor, index: int) -> Tensor:
-    """Row gather from a matrix."""
-    if matrix.data.ndim != 2:
-        raise ShapeError(f"take_row: expected a matrix, got shape {matrix.shape}")
-    if not 0 <= index < matrix.shape[0]:
-        raise ShapeError(f"take_row: row {index} outside shape {matrix.shape}")
-    out = matrix.data[index].copy()
-
-    return _emit("take_row", (matrix,), out, lambda g: (_Rows(index, g),))
 
 
 def take_rows(matrix: Tensor, indices: Sequence[int]) -> Tensor:

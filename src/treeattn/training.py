@@ -15,9 +15,9 @@ from dataclasses import MISSING, dataclass, field, fields, asdict
 
 import numpy as np
 
-from .data import EmbeddingMatrix, Vocabulary
+from .data import PAD_INDEX, EmbeddingMatrix, Vocabulary
 from .model import Model
-from .tensor import GradientBatch, NonFiniteError, Tape, Tensor, backward
+from .tensor import GradientBatch, NonFiniteError, Tape, Tensor, backward, stable_softmax
 
 CHECKPOINT_MAGIC = "treeattn-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -202,11 +202,6 @@ def macro_f1(gold: list[int], predicted: list[int], num_classes: int) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
-def _softmax_np(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x))
-    return e / np.sum(e)
-
-
 def evaluate(examples, model) -> EvalResult:
     """Accuracy and macro-F1 with deterministic inference-mode trees.
 
@@ -227,7 +222,7 @@ def evaluate(examples, model) -> EvalResult:
     predictions = []
     for i, ex in enumerate(examples):
         logits = model.logits(ex, mode="infer")
-        probs = _softmax_np(logits.data)
+        probs = stable_softmax(logits.data)
         predictions.append(Prediction(i, ex.label, int(np.argmax(logits.data)), probs))
     gold = [p.gold for p in predictions]
     pred = [p.predicted for p in predictions]
@@ -479,7 +474,7 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
             clip_gradients(params, config.clip_norm)
             optimizer.step()
             if config.finetune_embeddings:
-                embedding.vectors.data[0] = 0.0  # PAD row stays zero
+                embedding.vectors.data[PAD_INDEX] = 0.0  # PAD row stays zero
         train_loss = float(np.mean(losses))
         train_acc = correct / len(train_examples)
         val = evaluate(val_examples, model)

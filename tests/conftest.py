@@ -15,6 +15,8 @@ from treeattn.tensor import Tensor, dot, finite_difference_check
 from treeattn.trees import BinaryTree
 from treeattn import tensor as T
 
+import elementary as E
+
 
 def random_tree(rng: np.random.Generator, n: int, tokens=None) -> BinaryTree:
     """Uniformly random merge sequence over n leaves."""
@@ -82,7 +84,6 @@ def assert_last_bits(got, want, err_msg: str = "") -> None:
     np.testing.assert_allclose(got, want, rtol=0, atol=bound, err_msg=err_msg)
 
 
-TREE_LSTM_CELL_INPUTS = ("weight", "bias", "query", "h_left", "h_right", "c_left", "c_right")
 # the nine weights of one GRU direction, in gru_sequence's argument order
 GRU_WEIGHTS = tuple(f.name for f in fields(GruParams))
 
@@ -96,12 +97,34 @@ def gru_values(rng: np.random.Generator, hidden: int, d_in: int, n: int,
     return weights, [rng.normal(size=d_in) for _ in range(n)]
 
 
+def unfused_tree_lstm_cell(params, query, pairs):
+    """The binary Tree-LSTM cell written with elementary ops, one
+    (left, right) pair of node states at a time, gate blocks [candidate;
+    input; forget-left; forget-right; output].  Returns the parents' states
+    and their validity logits ``query . h``."""
+    parents, logits = [], []
+    for left, right in pairs:
+        pre = T.add(T.matmul(params.weight, T.concat([left.h, right.h])), params.bias)
+        cand_pre, *gate_pres = E.split(pre, 5)
+        candidate = E.tanh(cand_pre)
+        gate_in, forget_l, forget_r, gate_out = (E.sigmoid(p) for p in gate_pres)
+        c = T.add(T.mul(candidate, gate_in),
+                  T.add(T.mul(left.c, forget_l), T.mul(right.c, forget_r)))
+        h = T.mul(E.tanh(c), gate_out)
+        parents.append(NodeState(h, c))
+        logits.append(dot(query, h))
+    return parents, logits
+
+
 def unfused_induce_tree(leaves, params, query, config, rng, anchor=None):
-    """``induce_tree`` written with the standalone ops: per layer one
-    ``tree_lstm_cell`` over the new pairs, ``softmax(concat(logits))``,
+    """``induce_tree`` written with the standalone ops: per layer
+    ``unfused_tree_lstm_cell`` over the new pairs, ``softmax(concat(logits))``,
     ``gumbel_softmax`` and a ``weighted_sum`` merge (exact at one-hot
-    weights).  Returns the merge indices, all 2n - 1 node states and, per
-    merge, the index and the relaxed weights (``None`` in ``infer``).
+    weights).  Its cell shares no kernel with ``TreeLstmCells`` and takes
+    one matrix-vector product per pair, so its values match the fused
+    induction's to the last bits.  Returns the merge indices, all 2n - 1
+    node states and, per merge, the index and the relaxed weights (``None``
+    in ``infer``).
 
     With ``anchor``, the layers of a ``train`` run at another input, each
     merge keeps the anchor's index and weighs the candidates by the
@@ -109,19 +132,13 @@ def unfused_induce_tree(leaves, params, query, config, rng, anchor=None):
     of the input whose derivative at the anchor's input is the
     straight-through gradient of the ``train`` run there.
     """
-    def cell(pairs):
-        outs = T.tree_lstm_cell(params.weight, params.bias, query,
-                                *([getattr(pair[side], part) for pair in pairs]
-                                  for part, side in (("h", 0), ("h", 1), ("c", 0), ("c", 1))))
-        return ([NodeState(outs[i], outs[i + 1]) for i in range(0, len(outs), 3)],
-                list(outs[2::3]))
-
     n = len(leaves)
     nodes, all_nodes, layers = list(leaves), list(leaves), []
     presampled = None
     if config.mode != "infer" and not config.noise_per_layer and n > 1:
         presampled = gumbel_noise(n - 1, rng)
-    candidates, logits = cell(list(zip(nodes, nodes[1:]))) if n > 1 else ([], [])
+    candidates, logits = ([], []) if n < 2 else unfused_tree_lstm_cell(
+        params, query, zip(nodes, nodes[1:]))
     while len(nodes) > 1:
         scores = T.softmax(T.concat(logits))
         k = len(candidates)
@@ -142,8 +159,8 @@ def unfused_induce_tree(leaves, params, query, config, rng, anchor=None):
             else:
                 weights = soft
         layers.append((index, relaxed))
-        merged = NodeState(T.weighted_sum([cand.h for cand in candidates], weights),
-                           T.weighted_sum([cand.c for cand in candidates], weights))
+        merged = NodeState(E.weighted_sum([cand.h for cand in candidates], weights),
+                           E.weighted_sum([cand.c for cand in candidates], weights))
         nodes[index:index + 2] = [merged]
         all_nodes.append(merged)
         if len(nodes) > 1:
@@ -153,7 +170,7 @@ def unfused_induce_tree(leaves, params, query, config, rng, anchor=None):
             if index < len(nodes) - 1:
                 pairs.append((merged, nodes[index + 1]))
             window = slice(max(index - 1, 0), index + 2)
-            candidates[window], logits[window] = cell(pairs)
+            candidates[window], logits[window] = unfused_tree_lstm_cell(params, query, pairs)
     return [index for index, _ in layers], all_nodes, layers
 
 
@@ -204,28 +221,12 @@ def op_gradient_cases(seed: int = 0):
     def _(rng):
         b = Tensor(rng.normal(size=(5, 3)))
         r = Tensor(rng.normal(size=3))
-        return (lambda x: T.mean(T.matmul(T.matmul(x, b), r)),
+        return (lambda x: E.mean(T.matmul(T.matmul(x, b), r)),
                 Tensor(rng.normal(size=(4, 5))))
-
-    @case("sigmoid")
-    def _(rng):
-        return via_dot(rng, 6, T.sigmoid), Tensor(rng.normal(size=6))
-
-    @case("tanh")
-    def _(rng):
-        return via_dot(rng, 6, T.tanh), Tensor(rng.normal(size=6))
 
     @case("relu")
     def _(rng):
         return via_dot(rng, 6, T.relu), Tensor(away_from_zero(rng, 6))
-
-    @case("exp")
-    def _(rng):
-        return via_dot(rng, 6, T.exp), Tensor(rng.normal(size=6))
-
-    @case("log")
-    def _(rng):
-        return via_dot(rng, 6, T.log), Tensor(rng.uniform(0.2, 3.0, 6))
 
     @case("softmax")
     def _(rng):
@@ -279,64 +280,6 @@ def op_gradient_cases(seed: int = 0):
     def _(rng):
         b = Tensor(rng.normal(size=3))
         return via_dot(rng, 9, lambda x: T.concat([x, b])), Tensor(rng.normal(size=6))
-
-    @case("weighted_sum_vectors")
-    def _(rng):
-        w = Tensor(rng.normal(size=3))
-        vs = [Tensor(rng.normal(size=4)) for _ in range(2)]
-        return (via_dot(rng, 4, lambda x: T.weighted_sum([x, *vs], w)),
-                Tensor(rng.normal(size=4)))
-
-    @case("weighted_sum_weights")
-    def _(rng):
-        vs = [Tensor(rng.normal(size=4)) for _ in range(3)]
-        return (via_dot(rng, 4, lambda x: T.weighted_sum(vs, x)),
-                Tensor(rng.normal(size=3)))
-
-    # probe name -> (node, 0 for h or 1 for c); node 1 is the right child
-    # of the only pair when k = 1, and the shared node m when k = 3
-    child_slots = {"h_left": (0, 0), "c_left": (0, 1), "h_right": (1, 0),
-                   "c_right": (1, 1), "h_shared": (1, 0), "c_shared": (1, 1)}
-
-    def tree_lstm_cell_case(probe, k):
-        # k = 1: one pair, every output read.  k = 3: the pairs (a, m),
-        # (m, b), (d, e) share m, as the two fresh pairs after a merge do,
-        # and the loss leaves the middle parent's c unused
-        pairs = [(0, 1)] if k == 1 else [(0, 1), (1, 2), (3, 4)]
-        unused = set() if k == 1 else {4}  # output index: pair 1's c
-
-        def build(rng):
-            hidden = 3
-            params = {"weight": rng.normal(scale=0.5, size=(5 * hidden, 2 * hidden)),
-                      "bias": rng.normal(size=5 * hidden),
-                      "query": rng.normal(size=hidden)}
-            nodes = [[rng.normal(size=hidden), rng.normal(size=hidden)]
-                     for _ in range(pairs[-1][1] + 1)]
-
-            def cell(x):
-                args = [x if name == probe else Tensor(v) for name, v in params.items()]
-                states = [[Tensor(h), Tensor(c)] for h, c in nodes]
-                if probe in child_slots:
-                    node, part = child_slots[probe]
-                    states[node][part] = x
-                outs = T.tree_lstm_cell(*args, [states[l][0] for l, _ in pairs],
-                                        [states[r][0] for _, r in pairs],
-                                        [states[l][1] for l, _ in pairs],
-                                        [states[r][1] for _, r in pairs])
-                return T.concat([out for i, out in enumerate(outs) if i not in unused])
-
-            if probe in child_slots:
-                node, part = child_slots[probe]
-                value = nodes[node][part]
-            else:
-                value = params[probe]
-            return via_dot(rng, k * (2 * hidden + 1) - len(unused) * hidden, cell), Tensor(value)
-        return build
-
-    for probe in TREE_LSTM_CELL_INPUTS:
-        case(f"tree_lstm_cell_{probe}")(tree_lstm_cell_case(probe, k=1))
-    for probe in ("weight", "bias", "query", "h_shared", "c_shared"):
-        case(f"tree_lstm_cell_k3_{probe}")(tree_lstm_cell_case(probe, k=3))
 
     def tree_induction_case(mode, probe, n, perturb_probs=False, noise_per_layer=True):
         # probe is a composition parameter, "query", or "leaf_h" / "leaf_c" of
@@ -411,7 +354,7 @@ def op_gradient_cases(seed: int = 0):
             def run(x):
                 ws = [x if name == probe else Tensor(v) for name, v in weights.items()]
                 inputs = x if probe == "inputs" else Tensor(np.array(words))
-                return T.mean(T.mul(T.gru_sequence(ws, inputs, reverse), r))
+                return E.mean(T.mul(T.gru_sequence(ws, inputs, reverse), r))
 
             return run, Tensor(np.array(words) if probe == "inputs" else weights[probe])
         return build
@@ -452,37 +395,67 @@ def op_gradient_cases(seed: int = 0):
         b = Tensor(rng.normal(size=6))
         return lambda x: T.dot(x, b), Tensor(rng.normal(size=6))
 
-    @case("mean")
-    def _(rng):
-        return T.mean, Tensor(rng.normal(size=(3, 4)))
-
     @case("cross_entropy")
     def _(rng):
         return lambda x: T.cross_entropy(x, 1), Tensor(rng.normal(size=5))
-
-    @case("split")
-    def _(rng):
-        # both pieces read, through a product
-        def f(x):
-            first, second = T.split(x, 2)
-            return T.dot(first, T.mul(second, second))
-        return f, Tensor(rng.normal(size=8))
-
-    @case("split_unused_piece")
-    def _(rng):
-        return (via_dot(rng, 6, lambda x: T.concat([T.split(x, 3)[i] for i in (0, 2)])),
-                Tensor(rng.normal(size=9)))
-
-    @case("take_row")
-    def _(rng):
-        return via_dot(rng, 4, lambda x: T.take_row(x, 1)), Tensor(rng.normal(size=(3, 4)))
 
     @case("take_rows_repeated_index")
     def _(rng):
         # a fine-tuned table: row 2 is read twice and row 3 not at all
         r = Tensor(rng.normal(size=(4, 3)))
-        return (lambda x: T.mean(T.mul(T.take_rows(x, [2, 0, 2, 1]), r)),
+        return (lambda x: E.mean(T.mul(T.take_rows(x, [2, 0, 2, 1]), r)),
                 Tensor(rng.normal(size=(4, 3))))
+
+    # the tests-side ops of elementary.py
+    @case("sigmoid")
+    def _(rng):
+        return via_dot(rng, 6, E.sigmoid), Tensor(rng.normal(size=6))
+
+    @case("tanh")
+    def _(rng):
+        return via_dot(rng, 6, E.tanh), Tensor(rng.normal(size=6))
+
+    @case("exp")
+    def _(rng):
+        return via_dot(rng, 6, E.exp), Tensor(rng.normal(size=6))
+
+    @case("log")
+    def _(rng):
+        return via_dot(rng, 6, E.log), Tensor(rng.uniform(0.2, 3.0, 6))
+
+    @case("weighted_sum_vectors")
+    def _(rng):
+        w = Tensor(rng.normal(size=3))
+        vs = [Tensor(rng.normal(size=4)) for _ in range(2)]
+        return (via_dot(rng, 4, lambda x: E.weighted_sum([x, *vs], w)),
+                Tensor(rng.normal(size=4)))
+
+    @case("weighted_sum_weights")
+    def _(rng):
+        vs = [Tensor(rng.normal(size=4)) for _ in range(3)]
+        return (via_dot(rng, 4, lambda x: E.weighted_sum(vs, x)),
+                Tensor(rng.normal(size=3)))
+
+    @case("mean")
+    def _(rng):
+        return E.mean, Tensor(rng.normal(size=(3, 4)))
+
+    @case("split")
+    def _(rng):
+        # both pieces read, through a product
+        def f(x):
+            first, second = E.split(x, 2)
+            return T.dot(first, T.mul(second, second))
+        return f, Tensor(rng.normal(size=8))
+
+    @case("split_unused_piece")
+    def _(rng):
+        return (via_dot(rng, 6, lambda x: T.concat([E.split(x, 3)[i] for i in (0, 2)])),
+                Tensor(rng.normal(size=9)))
+
+    @case("take_row")
+    def _(rng):
+        return via_dot(rng, 4, lambda x: E.take_row(x, 1)), Tensor(rng.normal(size=(3, 4)))
 
     return cases
 

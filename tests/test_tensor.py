@@ -5,19 +5,20 @@ import pytest
 
 import ast
 import inspect
+from pathlib import Path
 
 from treeattn import tensor
 from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, absolute,
                              add, attention_pool, backward, concat, cross_entropy,
                              dot, finite_difference_check, gru_sequence,
-                             gumbel_softmax, log, matmul, mean, mul, relu,
-                             leaf_states, sigmoid, softmax, split, sub, take_row, take_rows,
-                             tanh,
-                             tree_lstm_cell, weighted_sum, exp)
+                             gumbel_softmax, matmul, mul, relu,
+                             leaf_states, softmax, sub, take_rows)
 from treeattn.parser import (CompositionParams, GumbelConfig, NodeState, compose,
                              induce_tree)
 
-from conftest import (GRU_WEIGHTS, TREE_LSTM_CELL_INPUTS, assert_last_bits, gru_values,
+import elementary
+from elementary import exp, log, mean, sigmoid, split, take_row, tanh, weighted_sum
+from conftest import (GRU_WEIGHTS, assert_last_bits, gru_values,
                       max_op_gradient_error, op_gradient_cases, unfused_induce_tree)
 
 
@@ -338,107 +339,29 @@ class TestMultiOutputRecords:
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
 
-def unfused_tree_lstm_cell(weight, bias, query, h_left, h_right, c_left, c_right):
-    """The cell written with elementary ops, one pair at a time, gate blocks
-    [candidate; input; forget-left; forget-right; output]."""
-    outs = []
-    for hl, hr, cl, cr in zip(h_left, h_right, c_left, c_right):
-        pre = add(matmul(weight, concat([hl, hr])), bias)
-        cand_pre, *gate_pres = split(pre, 5)
-        candidate = tanh(cand_pre)
-        gate_in, forget_l, forget_r, gate_out = (sigmoid(p) for p in gate_pres)
-        c = add(mul(candidate, gate_in), add(mul(cl, forget_l), mul(cr, forget_r)))
-        h = mul(tanh(c), gate_out)
-        outs += [h, c, dot(query, h)]
-    return tuple(outs)
-
-
 class TestTreeLstmCell:
-    def inputs(self, seed, k, hidden=5, scale=1.0):
-        """Weight, bias and query, then the four child lists of k pairs over
-        a row of k + 1 nodes, so that every inner node is the right child
-        of one pair and the left child of the next."""
-        rng = np.random.default_rng(seed)
-        params = [Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
-                  for shape in [(5 * hidden, 2 * hidden), (5 * hidden,), (hidden,)]]
-        hs, cs = ([Tensor(rng.normal(scale=scale, size=hidden), requires_grad=True)
-                   for _ in range(k + 1)] for _ in range(2))
-        return params + [hs[:-1], hs[1:], cs[:-1], cs[1:]]
-
-    def gradients(self, cell, inputs, rng):
-        leaves = inputs[:3] + [inputs[3][0], *inputs[4], inputs[5][0], *inputs[6]]
-        for t in leaves:
-            t.grad = None
-        with Tape() as tape:
-            outs = cell(*inputs)
-            terms = [dot(concat([out]), Tensor(rng.normal(size=out.data.size)))
-                     for out in outs]
-            loss = terms[0]
-            for term in terms[1:]:
-                loss = add(loss, term)
-            backward(tape, loss)
-        return [out.data for out in outs], [t.grad.copy() for t in leaves]
-
-    def test_matches_unfused_oracle(self):
-        # forward values to the last bits, bit-identical on a repeated call
-        for seed, k in enumerate([1, 2, 4, 1, 3]):
-            inputs = self.inputs(seed, k, scale=1.5)
-            fused, fused_grads = self.gradients(tree_lstm_cell, inputs,
-                                                np.random.default_rng(100 + seed))
-            again, again_grads = self.gradients(tree_lstm_cell, inputs,
-                                                np.random.default_rng(100 + seed))
-            oracle, oracle_grads = self.gradients(unfused_tree_lstm_cell, inputs,
-                                                  np.random.default_rng(100 + seed))
-            for got, repeat, want in zip(fused, again, oracle):
-                np.testing.assert_array_equal(repeat, got)
-                assert_last_bits(got, want)
-            for i, (got, repeat, want) in enumerate(zip(fused_grads, again_grads,
-                                                        oracle_grads)):
-                np.testing.assert_array_equal(repeat, got)
-                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14,
-                                           err_msg=f"input {i}")
+    """``TreeLstmCells`` through ``parser.compose``; the induction oracle
+    tests check its values and gradients."""
 
     def test_forward_does_not_depend_on_the_batch(self):
         # only in the last bits: one matrix product composes the whole batch,
         # so a pair's bits may depend on how many pairs share it; two calls
         # on the same batch agree bit for bit
-        weight, bias, query, *children = self.inputs(6, k=7, hidden=8)
-        together = tree_lstm_cell(weight, bias, query, *children)
-        again = tree_lstm_cell(weight, bias, query, *children)
-        for got, repeat in zip(together, again):
-            np.testing.assert_array_equal(repeat.data, got.data)
-        for j in range(7):
-            alone = tree_lstm_cell(weight, bias, query, *([side[j]] for side in children))
-            for got, want in zip(together[3 * j:3 * j + 3], alone):
-                assert_last_bits(got.data, want.data)
-
-    def test_one_tape_record(self):
-        inputs = self.inputs(0, k=3)
-        with Tape() as tape:
-            outs = tree_lstm_cell(*inputs)
-        [record] = tape._records
-        assert record.name == "tree_lstm_cell" and record.outputs == outs
-        assert [out.shape for out in outs] == [(5,), (5,), ()] * 3
-
-    def test_pre_activation_overflow_raises(self):
-        # tanh and sigmoid saturate, so only the pre-activation shows the overflow
-        weight, bias, query, *children = self.inputs(1, k=2, hidden=2)
-        weight.data[:] = 1e308
-        children[1][1].data[:] = 10.0
-        with pytest.raises(NonFiniteError, match="tree_lstm_cell"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            tree_lstm_cell(weight, bias, query, *children)
-
-    def test_shape_mismatch_names_op(self):
-        weight, bias, query, hl, hr, cl, cr = self.inputs(2, k=2, hidden=3)
-        for args in [(hl, hr, cl, [cr[0], Tensor(np.zeros(4))]),
-                     (hl, hr, cl, cr[:1]), ([], [], [], [])]:
-            with pytest.raises(ShapeError, match="tree_lstm_cell"):
-                tree_lstm_cell(weight, bias, query, *args)
-        with pytest.raises(ShapeError, match="tree_lstm_cell"):
-            tree_lstm_cell(Tensor(np.zeros((15, 5))), bias, query, hl, hr, cl, cr)
-        with pytest.raises(ShapeError, match="tree_lstm_cell"):
-            tree_lstm_cell(weight, bias, Tensor(np.zeros(4)), hl, hr, cl, cr)
+        rng = np.random.default_rng(6)
+        hidden, k = 8, 7
+        params = CompositionParams(Tensor(rng.normal(size=(5 * hidden, 2 * hidden))),
+                                   Tensor(rng.normal(size=5 * hidden)))
+        query = Tensor(rng.normal(size=hidden))
+        h, c = rng.normal(size=(2, k + 1, hidden))
+        children = (h[:-1], h[1:], c[:-1], c[1:])  # k pairs over a row of k + 1 nodes
+        together = compose(*children, query, params)
+        again = compose(*children, query, params)
+        for name in ("h", "c", "logits"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(together, name))
+        for j in range(k):
+            alone = compose(*(side[j:j + 1] for side in children), query, params)
+            for name in ("h", "c", "logits"):
+                assert_last_bits(getattr(together, name)[j], getattr(alone, name)[0])
 
 
 def unfused_gru_step(x, state, weights):
@@ -860,15 +783,18 @@ class TestTreeInduction:
                                       noise_per_layer=noise_per_layer)
                 inputs = self.inputs(seed, n, scale=1.5)
                 fused = self.run(fused_induce_tree, *inputs, config, 40 + seed)
+                again = self.run(fused_induce_tree, *inputs, config, 40 + seed)
                 oracle = self.run(lambda *args: unfused_induce_tree(*args)[:2],
                                   *inputs, config, 40 + seed)
-                assert fused[0] == oracle[0]
-                for (fused_h, fused_c), (oracle_h, oracle_c) in zip(fused[1], oracle[1]):
-                    np.testing.assert_array_equal(fused_h, oracle_h)
-                    np.testing.assert_array_equal(fused_c, oracle_c)
+                assert fused[0] == again[0] == oracle[0]
+                for got, repeat, want in zip(fused[1], again[1], oracle[1]):
+                    for part in range(2):  # h, then c
+                        np.testing.assert_array_equal(repeat[part], got[part])
+                        assert_last_bits(got[part], want[part], err_msg=f"n {n}, {config}")
                 if mode == "infer":
                     continue  # the fused op leaves the composed nodes constant
-                for i, (got, want) in enumerate(zip(fused[2], oracle[2])):
+                for i, (got, repeat, want) in enumerate(zip(fused[2], again[2], oracle[2])):
+                    np.testing.assert_array_equal(repeat, got)
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13,
                                                err_msg=f"n {n}, input {i}, {config}")
 
@@ -892,18 +818,34 @@ class TestTreeInduction:
 
 
 def test_every_emitted_op_has_a_gradient_case():
-    tree = ast.parse(inspect.getsource(tensor))
     emitted = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "_emit"):
-            first = node.args[0]
-            assert isinstance(first, ast.Constant) and isinstance(first.value, str), (
-                f"line {node.lineno}: _emit needs a literal op name")
-            emitted.add(first.value)
-    assert {"add", "tree_lstm_cell", "tree_induction", "gru_sequence", "split",
-            "gumbel_softmax", "attention_pool"} <= emitted
+    for module in (tensor, elementary):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_emit"):
+                first = node.args[0]
+                assert isinstance(first, ast.Constant) and isinstance(first.value, str), (
+                    f"{module.__name__} line {node.lineno}: _emit needs a literal op name")
+                emitted.add(first.value)
+    assert {"add", "tree_induction", "gru_sequence", "split", "gumbel_softmax",
+            "attention_pool"} <= emitted
     cases = [name for name, _ in op_gradient_cases()]
     missing = sorted(op for op in emitted
                      if not any(c == op or c.startswith(op + "_") for c in cases))
     assert not missing, f"ops without an op_gradient_cases entry: {missing}"
+
+
+def test_tensor_defines_no_test_only_public_name():
+    # an op that only the tests call belongs in elementary.py; the library
+    # and the acceptance suite name what they use in a from-import
+    defined = {node.name for node in ast.parse(inspect.getsource(tensor)).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    library = Path(tensor.__file__).parent
+    sources = [p for p in library.glob("*.py") if p.name != "tensor.py"]
+    used = set()
+    for path in [*sources, Path(__file__).with_name("test_acceptance.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "treeattn.tensor"):
+                used.update(alias.name for alias in node.names)
+    assert not defined - used, f"used only by the tests: {sorted(defined - used)}"
