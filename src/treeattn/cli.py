@@ -47,8 +47,8 @@ def _nonnegative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -153,15 +153,18 @@ def cmd_train(args) -> int:
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 31))
     labels = tuple(args.labels.split(","))
-    config = TrainConfig(
-        task=args.task, labels=labels, hidden=args.hidden, d_attn=args.d_attn,
-        d_clf=args.d_clf, batch_size=args.batch, learning_rate=args.lr,
-        dropout_keep=1.0 - args.dropout, max_epochs=args.epochs,
-        patience=args.patience, seed=seed, temperature=args.temperature,
-        leaf_kind=args.leaf, finetune_embeddings=args.finetune_embeddings,
-        max_len=args.max_len,
-        perturb_probs=args.perturb_probs,
-        noise_per_layer=not args.noise_per_sentence)
+    try:
+        config = TrainConfig(
+            task=args.task, labels=labels, hidden=args.hidden, d_attn=args.d_attn,
+            d_clf=args.d_clf, batch_size=args.batch, learning_rate=args.lr,
+            dropout_keep=1.0 - args.dropout, max_epochs=args.epochs,
+            patience=args.patience, seed=seed, temperature=args.temperature,
+            leaf_kind=args.leaf, finetune_embeddings=args.finetune_embeddings,
+            max_len=args.max_len,
+            perturb_probs=args.perturb_probs,
+            noise_per_layer=not args.noise_per_sentence)
+    except ValueError as err:
+        raise CliError(f"bad training setting: {err}") from None
     vocab, embedding = load_embeddings(args.embeddings, vocab_limit=args.vocab_limit,
                                        seed=seed, trainable=args.finetune_embeddings)
     if args.task == "pair":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,20 +29,31 @@ class CorpusError(ValueError):
     """Malformed corpus or embedding input; message names the line."""
 
 
+class RepeatedWordError(CorpusError):
+    """A vocabulary lists a word a second time, at ``index``."""
+
+    def __init__(self, word: str, index: int):
+        super().__init__(f"vocabulary repeats the word {word!r}")
+        self.index = index
+
+
 @dataclass
 class Vocabulary:
-    """Dense word <-> index mapping with reserved PAD(0) and UNK(1)."""
+    """Dense word <-> index mapping with reserved PAD(0) and UNK(1); a
+    repeated word raises ``RepeatedWordError``."""
 
     index_to_word: list[str]
-    word_to_index: dict[str, int]
+    word_to_index: dict[str, int] = field(init=False)
+
+    def __post_init__(self):
+        self.word_to_index = {}
+        for i, word in enumerate(self.index_to_word):
+            if self.word_to_index.setdefault(word, i) != i:
+                raise RepeatedWordError(word, i)
 
     @classmethod
     def from_words(cls, words) -> "Vocabulary":
-        index_to_word = [PAD_TOKEN, UNK_TOKEN, *words]
-        word_to_index = {w: i for i, w in enumerate(index_to_word)}
-        if len(word_to_index) != len(index_to_word):
-            raise CorpusError("duplicate words in vocabulary")
-        return cls(index_to_word, word_to_index)
+        return cls([PAD_TOKEN, UNK_TOKEN, *words])
 
     def __len__(self) -> int:
         return len(self.index_to_word)
@@ -154,7 +165,11 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
         row = int(np.argmin(np.isfinite(matrix).all(axis=1))) - 2
         raise CorpusError(
             f"{path}:{linenos[row]}: non-finite vector component") from None
-    return Vocabulary.from_words(words), EmbeddingMatrix(vectors, trainable)
+    try:
+        vocab = Vocabulary.from_words(words)
+    except RepeatedWordError as err:
+        raise CorpusError(f"{path}:{linenos[err.index - 2]}: {err}") from None
+    return vocab, EmbeddingMatrix(vectors, trainable)
 
 
 def _iter_json_records(path):

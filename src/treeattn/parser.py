@@ -16,7 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, TreeInduction, TreeLstmCells, glorot, gru_sequence,
+from .tensor import (Tensor, ShapeError, TreeLstmCells, _Outer, _check_same_vectors, _emit,
+                     _gumbel_relaxation_grad, _softmax_grad, glorot, gru_sequence,
                      gumbel_relaxation, gumbel_softmax, leaf_states, stable_softmax)
 from .trees import BinaryTree
 
@@ -150,7 +151,7 @@ def compose(h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,
     """Merge each (left, right) pair of child states, row j of the (k, H)
     arrays, into a parent with the binary Tree-LSTM cell; returns the
     parents' ``h``, ``c`` and validity logits (dot products with
-    ``query``), which ``TreeInduction`` records."""
+    ``query``), which ``induce_tree`` records."""
     return TreeLstmCells(params.weight.data, params.bias.data, query.data,
                          h_left, h_right, c_left, c_right)
 
@@ -180,8 +181,8 @@ def st_gumbel_select(scores, config: GumbelConfig,
     noisy softmax relaxation in ``soft`` mode, and a constant one-hot in
     ``infer`` mode; ``train`` and ``soft`` record one ``gumbel_softmax`` op.
     For an array nothing is recorded, and the weights are the relaxation as
-    an array in ``train`` and ``soft`` mode (``TreeInduction`` needs it for
-    the gradient in both) and ``None`` in ``infer`` mode.
+    an array in ``train`` and ``soft`` mode (``induce_tree``'s backward pass
+    needs it in both) and ``None`` in ``infer`` mode.
     """
     probs = scores.data if isinstance(scores, Tensor) else scores
     k = len(probs)
@@ -211,40 +212,130 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     scored, and one is selected to replace its pair.  In ``train`` and
     ``infer`` mode the new node is the chosen candidate; in ``soft`` mode
     it is the weighted sum of all candidates under the relaxed selection
-    weights.  Each candidate and its validity logit are computed once: the
-    first layer's n - 1 in one ``compose`` call, then the at most two pairs
-    that touch each new node in one call per merge.  The state lives in the
-    arrays of a ``TreeInduction``, so a merge costs O(1) Python work plus
-    the arithmetic of its new pairs, and in ``train`` and ``soft`` mode the
-    whole induction is one tape record whose backward pass passes the
-    relaxed selection gradient straight through to the scores in ``train``
-    mode.  ``infer`` records nothing.  Returns the induced tree and all
-    2n - 1 node states (leaves first, then composed nodes in creation
-    order).
+    weights.  Returns the induced tree and all 2n - 1 node states (leaves
+    first, then composed nodes in creation order).
+
+    The state lives in arrays.  Leaf i is node i and the node made by merge
+    t is node n + t; their ``h`` and ``c`` are rows of two (2n - 1, H)
+    arrays.  Every candidate ever composed has a row in the candidate arrays
+    (``h``, ``c`` and validity logit), and ``live`` holds the rows of the
+    current candidates in sentence order.  The first layer's n - 1 pairs
+    are composed in one ``compose`` call, then only the at most two pairs
+    that touch each new node (the ``window`` of nodes, entering ``live`` at
+    ``slot``), so a merge costs O(1) Python work plus their arithmetic.
+
+    In ``train`` and ``soft`` mode the composed nodes are the outputs of one
+    ``tree_induction`` record; ``infer`` records nothing.  Its backward pass
+    replays the merges in reverse: for each merge the cell backward of the
+    pairs composed after it, then the gradient of the merge (under ``train``
+    the weighted sum's gradient at the one-hot weights, which passes the
+    relaxed gradient straight through), of the Gumbel relaxation and of the
+    validity softmax; the first layer's cells come last, as one batch.  The
+    weight gradient is one deferred matrix product over all candidates.
     """
     n = len(leaves)
     if n == 0:
         raise ShapeError("induce_tree: empty sentence")
     if n == 1:
         return BinaryTree(1, (), tokens), list(leaves)
+    leaf_h, leaf_c = [leaf.h for leaf in leaves], [leaf.c for leaf in leaves]
+    _check_same_vectors("tree_induction", (query, *leaf_h, *leaf_c))
+    hidden = query.shape[0]
+    weight, bias = params.weight, params.bias
+    if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
+        raise ShapeError(f"tree_induction: weight {weight.shape} and bias {bias.shape} "
+                         f"do not fit children of size {hidden}")
+    mode = config.mode
     presampled = None
-    if config.mode != "infer" and not config.noise_per_layer:
+    if mode != "infer" and not config.noise_per_layer:
         presampled = gumbel_noise(n - 1, rng)
-    run = TreeInduction(params.weight, params.bias, query, [leaf.h for leaf in leaves],
-                        [leaf.c for leaf in leaves], config.mode, config.temperature,
-                        config.perturb_probs)
+    node_h, node_c = np.empty((2, 2 * n - 1, hidden))
+    node_h[:n] = [t.data for t in leaf_h]
+    node_c[:n] = [t.data for t in leaf_c]
+    # n - 1 pairs of leaves, then at most two per merge but the last
+    cand_h, cand_c = np.empty((2, 3 * n, hidden))
+    cand_logit = np.empty(3 * n)
+    count = 0  # candidate rows filled
+    cells: list = []  # per compose call: (candidate rows, TreeLstmCells, lefts, rights)
+    steps: list = []  # per merge: (live rows, index, probs, relaxed)
+    nodes = list(range(n))  # the current nodes, in sentence order
+    live: list[int] = []
+    slot = 0
+    window = nodes[:]
     merges: list[int] = []
-    for _ in range(n - 1):
-        run.add(compose(*run.pairs(), query, params))
-        logits = run.logits()
+    for t in range(n - 1):
+        lefts, rights = window[:-1], window[1:]
+        made = compose(node_h.take(lefts, 0), node_h.take(rights, 0), node_c.take(lefts, 0),
+                       node_c.take(rights, 0), query, params)
+        rows = slice(count, count + len(made.logits))
+        cand_h[rows], cand_c[rows], cand_logit[rows] = made.h, made.c, made.logits
+        live[slot:slot] = range(rows.start, rows.stop)
+        cells.append((rows, made, lefts, rights))
+        count = rows.stop
+        logits = cand_logit.take(live)
         scores = validity_scores(logits)
         noise = presampled[:len(logits)] if presampled is not None else None
         index, relaxed = st_gumbel_select(scores, config, rng, noise=noise)
-        run.merge(index, scores, relaxed)
+        if mode == "soft":
+            node_h[n + t] = relaxed @ cand_h[live]
+            node_c[n + t] = relaxed @ cand_c[live]
+        else:
+            node_h[n + t] = cand_h[live[index]]
+            node_c[n + t] = cand_c[live[index]]
+        if mode != "infer":
+            steps.append((live[:], index, scores, relaxed))
         merges.append(index)
-    hs, cs = run.finish()
+        nodes[index:index + 2] = [n + t]
+        slot = max(index - 1, 0)
+        del live[slot:index + 2]
+        window = nodes[slot:index + 2]
+
+    def grad_fn(grads):
+        g_node_h, g_node_c = np.zeros((2, 2 * n - 1, hidden))
+        for i, g in enumerate(grads):
+            if g is not None:
+                (g_node_h if i < n - 1 else g_node_c)[n + i % (n - 1)] = g
+        g_cand_h, g_cand_c = np.zeros((2, count, hidden))
+        g_cand_logit = np.zeros(count)
+
+        def cell_backward(rows, made, lefts, rights):
+            g_pre, g_mem_l, g_mem_r = made.backward(g_cand_h[rows], g_cand_c[rows],
+                                                    g_cand_logit[rows])
+            g_pairs = g_pre @ weight.data
+            g_node_h[lefts] += g_pairs[:, :hidden]
+            g_node_h[rights] += g_pairs[:, hidden:]
+            g_node_c[lefts] += g_mem_l
+            g_node_c[rights] += g_mem_r
+            return g_pre
+
+        g_pres = [None] * len(cells)
+        for t in reversed(range(n - 1)):
+            if t + 1 < len(cells):
+                g_pres[t + 1] = cell_backward(*cells[t + 1])
+            live_rows, index, probs, relaxed = steps[t]
+            g_h, g_c = g_node_h[n + t], g_node_c[n + t]
+            if mode == "soft":
+                g_cand_h[live_rows] += relaxed[:, None] * g_h
+                g_cand_c[live_rows] += relaxed[:, None] * g_c
+            else:
+                g_cand_h[live_rows[index]] += g_h
+                g_cand_c[live_rows[index]] += g_c
+            g_weights = cand_h[live_rows] @ g_h + cand_c[live_rows] @ g_c
+            g_probs = _gumbel_relaxation_grad(g_weights, relaxed, probs, config.temperature,
+                                              config.perturb_probs)
+            g_cand_logit[live_rows] += _softmax_grad(probs, g_probs)
+        g_pres[0] = cell_backward(*cells[0])
+        g_pre = np.concatenate(g_pres)
+        pairs = np.concatenate([made.pairs for _, made, _, _ in cells])
+        return (_Outer(g_pre.T, pairs), g_pre.sum(axis=0),
+                g_cand_logit @ cand_h[:count], *g_node_h[:n], *g_node_c[:n])
+
+    hs, cs = node_h[n:], node_c[n:]
+    # infer: the composed nodes are constants
+    inputs = () if mode == "infer" else (weight, bias, query, *leaf_h, *leaf_c)
+    outs = _emit("tree_induction", inputs, (*hs, *cs), grad_fn, views_of=(hs, cs))
     return (BinaryTree(n, tuple(merges), tokens),
-            [*leaves, *(NodeState(h, c) for h, c in zip(hs, cs))])
+            [*leaves, *(NodeState(h, c) for h, c in zip(outs[:n - 1], outs[n - 1:]))])
 
 
 # ---------------------------------------------------------------------------

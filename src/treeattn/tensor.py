@@ -31,9 +31,9 @@ classifier head and the losses use (``add``, ``sub``, ``mul``,
   cuts every position's ``weight @ x + bias`` into its ``h`` and ``c``;
 - ``gumbel_softmax``, the straight-through Gumbel-softmax selection;
 - ``attention_pool``, attention pooling over all nodes of a tree;
-- ``tree_induction`` (``TreeInduction``), a whole bottom-up induction,
-  whose one record replaces the Tree-LSTM cell, softmax, Gumbel and merge
-  records of every layer.
+- ``tree_induction`` (emitted by ``parser.induce_tree``), a whole
+  bottom-up induction, whose one record replaces the Tree-LSTM cell,
+  softmax, Gumbel and merge records of every layer.
 
 So in training a sentence records three ops for the RNN leaf (two GRU
 directions and ``leaf_states``) or one for the affine leaf, one more for
@@ -497,7 +497,7 @@ class TreeLstmCells:
         pairs[:, hidden:] = h_right
         pre = pairs @ weight.T + bias
         if not np.isfinite(pre).all():
-            raise NonFiniteError("tree_lstm_cell: pre-activation has non-finite values")
+            raise NonFiniteError("tree_induction: pre-activation has non-finite values")
         blocks = pre.reshape(k, 5, hidden).transpose(1, 0, 2).copy()  # (5, k, H)
         self.candidate = np.tanh(blocks[0])
         self.gates = _logistic(blocks[1:])
@@ -507,7 +507,7 @@ class TreeLstmCells:
         self.h = self.tanh_c * gate_out
         self.logits = self.h @ query
         if not (np.isfinite(self.c).all() and np.isfinite(self.logits).all()):
-            raise NonFiniteError("tree_lstm_cell: produced non-finite values")
+            raise NonFiniteError("tree_induction: produced non-finite values")
 
     def backward(self, g_h: np.ndarray, g_c: np.ndarray,
                  g_logit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -527,157 +527,6 @@ class TreeLstmCells:
         g_pre[1:] = g_c * candidate, g_c * self.mem_l, g_c * self.mem_r, g_h * tanh_c
         g_pre[1:] *= self.gates * (1.0 - self.gates)
         return g_pre.transpose(1, 0, 2).reshape(k, 5 * hidden), g_c * forget_l, g_c * forget_r
-
-
-class TreeInduction:
-    """One sentence's bottom-up tree induction over arrays, recorded as a
-    single ``tree_induction`` tape record.
-
-    ``parser.induce_tree`` drives it.  Leaf i is node i and the node made
-    by merge t is node n + t; their ``h`` and ``c`` are rows of two
-    (2n - 1, H) arrays.  Every candidate pair ever composed has a row in the
-    candidate arrays (``h``, ``c`` and validity logit), and ``live`` holds
-    the rows of the current candidates in sentence order.  One round
-    composes the pairs that ``pairs()`` names into a ``TreeLstmCells`` and
-    hands it to ``add``, scores and selects from ``logits()``, and calls
-    ``merge``.  After a merge only the at most two pairs that touch the new
-    node are composed, so a merge costs O(1) Python work plus their
-    arithmetic.
-
-    The merged node is a copy of the chosen candidate in ``train`` and
-    ``infer`` mode, and the weighted sum of all candidates under the relaxed
-    weights in ``soft`` mode.  ``finish`` returns the merged nodes' tensors.
-    In ``train`` and ``soft`` mode they are the outputs of one record whose
-    backward pass replays the merges in reverse: for each merge the cell
-    backward of the pairs composed after it, then the gradient of the merge
-    (under ``train`` the weighted sum's gradient at the one-hot weights,
-    which passes the relaxed gradient straight through), of the Gumbel
-    relaxation and of the validity softmax; the first layer's cells come
-    last, as one batch.  The weight gradient is one deferred matrix product
-    over all candidates.  ``infer`` records nothing.
-    """
-
-    def __init__(self, weight: Tensor, bias: Tensor, query: Tensor,
-                 leaf_h: Sequence[Tensor], leaf_c: Sequence[Tensor], mode: str,
-                 temperature: float = 1.0, perturb_probs: bool = False):
-        n = len(leaf_h)
-        if n < 2 or len(leaf_c) != n:
-            raise ShapeError(f"tree_induction: {n} leaf h and {len(leaf_c)} leaf c vectors")
-        _check_same_vectors("tree_induction", (query, *leaf_h, *leaf_c))
-        hidden = query.shape[0]
-        if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
-            raise ShapeError(f"tree_induction: weight {weight.shape} and bias {bias.shape} "
-                             f"do not fit children of size {hidden}")
-        self.inputs = (weight, bias, query, *leaf_h, *leaf_c)
-        self.mode, self.temperature, self.perturb_probs = mode, temperature, perturb_probs
-        self.n = n
-        self.node_h, self.node_c = np.empty((2, 2 * n - 1, hidden))
-        self.node_h[:n] = [t.data for t in leaf_h]
-        self.node_c[:n] = [t.data for t in leaf_c]
-        # n - 1 pairs of leaves, then at most two per merge but the last
-        self.cand_h, self.cand_c = np.empty((2, 3 * n, hidden))
-        self.cand_logit = np.empty(3 * n)
-        self.count = 0  # candidate rows filled
-        self.cells: list = []  # per add: (first row, TreeLstmCells, lefts, rights)
-        self.merges: list = []  # per merge: (live rows, index, probs, relaxed)
-        self.nodes = list(range(n))  # the current nodes, in sentence order
-        self.live: list[int] = []
-        self.slot = 0  # where the next candidates enter live
-        # nodes whose adjacent pairs are composed next: all leaves at first,
-        # then the newest node with its neighbours
-        self.window = self.nodes[:]
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``h_left``, ``h_right``, ``c_left`` and ``c_right`` of the pairs to
-        compose next."""
-        h, c, lefts, rights = self.node_h, self.node_c, self.window[:-1], self.window[1:]
-        return h.take(lefts, 0), h.take(rights, 0), c.take(lefts, 0), c.take(rights, 0)
-
-    def add(self, cells: TreeLstmCells) -> None:
-        """Make the composed pairs candidates, in place of those their
-        children belonged to."""
-        first, k = self.count, len(cells.logits)
-        rows = slice(first, first + k)
-        self.cand_h[rows], self.cand_c[rows], self.cand_logit[rows] = (
-            cells.h, cells.c, cells.logits)
-        self.live[self.slot:self.slot] = range(first, first + k)
-        self.cells.append((first, cells, self.window[:-1], self.window[1:]))
-        self.count += k
-
-    def logits(self) -> np.ndarray:
-        """The current candidates' validity logits, in sentence order."""
-        return self.cand_logit.take(self.live)
-
-    def merge(self, index: int, probs: np.ndarray, relaxed: np.ndarray | None) -> None:
-        """Replace the pair of candidate ``index`` by a new node; ``probs``
-        are the validity scores it was selected from and ``relaxed`` the
-        relaxed selection weights (``None`` in ``infer`` mode)."""
-        live, nodes = self.live, self.nodes
-        node = 2 * self.n - len(nodes)
-        if self.mode == "soft":
-            self.node_h[node] = relaxed @ self.cand_h[live]
-            self.node_c[node] = relaxed @ self.cand_c[live]
-        else:
-            self.node_h[node] = self.cand_h[live[index]]
-            self.node_c[node] = self.cand_c[live[index]]
-        if self.mode != "infer":
-            self.merges.append((live[:], index, probs, relaxed))
-        nodes[index:index + 2] = [node]
-        self.slot = max(index - 1, 0)
-        del live[self.slot:index + 2]
-        self.window = nodes[self.slot:index + 2]
-
-    def finish(self) -> tuple[tuple[Tensor, ...], tuple[Tensor, ...]]:
-        """The merged nodes' ``h`` and ``c`` tensors, in merge order."""
-        n = self.n
-        hs, cs = self.node_h[n:], self.node_c[n:]
-        inputs = () if self.mode == "infer" else self.inputs  # infer: constants
-        outs = _emit("tree_induction", inputs, (*hs, *cs), self._grad_fn, views_of=(hs, cs))
-        return outs[:n - 1], outs[n - 1:]
-
-    def _grad_fn(self, grads):
-        n, weight = self.n, self.inputs[0].data
-        hidden = self.node_h.shape[1]
-        g_node_h, g_node_c = np.zeros((2, 2 * n - 1, hidden))
-        for i, g in enumerate(grads):
-            if g is not None:
-                (g_node_h if i < n - 1 else g_node_c)[n + i % (n - 1)] = g
-        used = self.count
-        g_cand_h, g_cand_c = np.zeros((2, used, hidden))
-        g_cand_logit = np.zeros(used)
-
-        def cell_backward(first, cells, lefts, rights):
-            rows = slice(first, first + len(cells.logits))
-            g_pre, g_mem_l, g_mem_r = cells.backward(g_cand_h[rows], g_cand_c[rows],
-                                                     g_cand_logit[rows])
-            g_pairs = g_pre @ weight
-            g_node_h[lefts] += g_pairs[:, :hidden]
-            g_node_h[rights] += g_pairs[:, hidden:]
-            g_node_c[lefts] += g_mem_l
-            g_node_c[rights] += g_mem_r
-            return g_pre
-
-        g_pres = [None] * len(self.cells)
-        for t in reversed(range(n - 1)):
-            if t + 1 < len(self.cells):
-                g_pres[t + 1] = cell_backward(*self.cells[t + 1])
-            live, index, probs, relaxed = self.merges[t]
-            g_h, g_c = g_node_h[n + t], g_node_c[n + t]
-            if self.mode == "soft":
-                g_cand_h[live] += relaxed[:, None] * g_h
-                g_cand_c[live] += relaxed[:, None] * g_c
-            else:
-                g_cand_h[live[index]] += g_h
-                g_cand_c[live[index]] += g_c
-            g_weights = self.cand_h[live] @ g_h + self.cand_c[live] @ g_c
-            g_probs = _gumbel_relaxation_grad(g_weights, relaxed, probs, self.temperature,
-                                              self.perturb_probs)
-            g_cand_logit[live] += _softmax_grad(probs, g_probs)
-        g_pres[0] = cell_backward(*self.cells[0])
-        g_pre = np.concatenate(g_pres)
-        pairs = np.concatenate([cells.pairs for _, cells, _, _ in self.cells])
-        return (_Outer(g_pre.T, pairs), g_pre.sum(axis=0),
-                g_cand_logit @ self.cand_h[:used], *g_node_h[:n], *g_node_c[:n])
 
 
 def gru_sequence(weights: Sequence[Tensor], inputs: Tensor, reverse: bool = False) -> Tensor:

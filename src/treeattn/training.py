@@ -66,19 +66,25 @@ class TrainConfig:
             raise ValueError(f"task must be 'pair' or 'sentence', got {self.task!r}")
         if len(self.labels) < 2:
             raise ValueError("need at least two labels")
+        for i, label in enumerate(self.labels):
+            if label in self.labels[:i]:
+                raise ValueError(f"label {label!r} is given twice")
         for name in ("hidden", "d_attn", "d_clf", "batch_size", "max_epochs",
                      "max_len", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("learning_rate", "temperature", "clip_norm", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
             raise ValueError("Adam betas must lie in (0, 1)")
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ValueError("dropout keep-probability must lie in (0, 1]")
         if self.patience < 0:
             raise ValueError("patience must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -301,12 +307,7 @@ class Checkpoint:
         if vectors.ndim != 2 or vectors.shape[0] != len(self.vocab_words):
             raise ValueError(f"vocabulary has {len(self.vocab_words)} words but parameter "
                              f"'embedding' has shape {vectors.shape}")
-        vocab = Vocabulary(list(self.vocab_words),
-                           {w: i for i, w in enumerate(self.vocab_words)})
-        if len(vocab.word_to_index) != len(vocab.index_to_word):
-            repeated = next(w for i, w in enumerate(self.vocab_words)
-                            if vocab.word_to_index[w] != i)
-            raise ValueError(f"vocabulary repeats the word {repeated!r}")
+        vocab = Vocabulary(list(self.vocab_words))
         try:
             vectors = Tensor(np.asarray(vectors, dtype=np.float64),
                              requires_grad=cfg.finetune_embeddings)

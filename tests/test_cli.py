@@ -144,6 +144,30 @@ class TestTrain:
         assert capsys.readouterr().err == (
             f"error: {emb}:3: non-finite vector component\n")
 
+    @pytest.mark.parametrize("setting, message", [
+        (["--labels", "mixed"], "bad training setting: need at least two labels"),
+        (["--seed", "-1"], "bad training setting: seed must be nonnegative"),
+        (["--labels", "mixed,mixed,subset"], "bad training setting: label 'mixed' is given"),
+        (["--temperature", "nan"], "--temperature: must be positive and finite"),
+        (["--lr", "inf"], "--lr: must be positive and finite"),
+    ], ids=["one-label", "negative-seed", "repeated-label", "nan-temperature", "inf-lr"])
+    def test_bad_setting_exits_2_before_writing(self, workspace, tmp_path, capsys,
+                                                setting, message):
+        out = tmp_path / "x.ckpt"
+        # the setting comes last, so a repeated option overrides the base one
+        argv = ["train", "--task", "pair", "--train", str(workspace / "train.jsonl"),
+                "--val", str(workspace / "val.jsonl"),
+                "--embeddings", str(workspace / "emb.txt"),
+                "--labels", "mixed,subset", "--out", str(out), *setting]
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # rejected by the argument parser
+            code = exit_.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["train", "--frobnicate"])

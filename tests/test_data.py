@@ -68,6 +68,16 @@ class TestEmbeddings:
         with pytest.raises(CorpusError, match=":1:"):
             load_embeddings(path)
 
+    def test_repeated_word_names_file_line_and_word(self, tmp_path):
+        # the blank line is skipped, so the repeat's line is not its row;
+        # a file word may also repeat a reserved token
+        for lines, lineno, word in ((["cat 1 2", "dog 3 4", "", "cat 5 6"], 4, "cat"),
+                                    (["dog 1 2", "<unk> 3 4"], 2, "<unk>")):
+            path = write(tmp_path / "emb.txt", lines)
+            with pytest.raises(CorpusError) as info:
+                load_embeddings(path)
+            assert str(info.value) == f"{path}:{lineno}: vocabulary repeats the word {word!r}"
+
 
 class TestTokenize:
     def test_lowercase_whitespace_split(self):

@@ -421,7 +421,7 @@ class TestInduceTree:
         leaves = random_states(rng, 4, 2)
         leaves[2].h.data[:] = 10.0
         for mode in MODES:
-            with pytest.raises(NonFiniteError, match="tree_lstm_cell"), \
+            with pytest.raises(NonFiniteError, match="tree_induction"), \
                     np.errstate(over="ignore", invalid="ignore"):
                 induce_tree(leaves, params, init_query(rng, 2), GumbelConfig(mode=mode),
                             np.random.default_rng(0))
