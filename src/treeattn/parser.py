@@ -8,6 +8,10 @@ value is a hard one-hot over candidates while the backward pass sees the
 gradient of the temperature-scaled softmax relaxation, so the scoring
 parameters keep receiving signal.  n leaves always produce exactly
 2n - 1 node states.
+
+The fused ops of the leaf transforms (``gru_sequence``, ``leaf_states``)
+and of the induction (``tree_induction``, ``gumbel_softmax``) live here
+with the Tree-LSTM cell and the Gumbel relaxation they are built from.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, TreeLstmCells, _Outer, _check_same_vectors, _emit,
-                     _gumbel_relaxation_grad, _softmax_grad, glorot, gru_sequence,
-                     gumbel_relaxation, gumbel_softmax, leaf_states, stable_softmax)
+from .tensor import (NonFiniteError, ShapeError, Tensor, _Outer, _check_same_vectors,
+                     _check_vector, _emit, _softmax_grad, glorot, stable_softmax)
 from .trees import BinaryTree
 
 MODES = ("train", "infer", "soft")
@@ -120,38 +123,216 @@ def leaf_transform(words: Tensor, params, kind: str) -> list[NodeState]:
     if not words.shape[0]:
         raise ShapeError("leaf_transform: empty sentence")
     if kind == "affine":
-        return leaf_affine(words, params)
+        return leaf_states(params.weight, params.bias, [words])
     if kind == "rnn":
-        return leaf_rnn(words, params)
+        return leaf_states(params.proj_weight, params.proj_bias,
+                           [gru_sequence(params.fwd, words),
+                            gru_sequence(params.bwd, words, reverse=True)])
     raise ValueError(f"unknown leaf transform {kind!r}")
 
 
-def _node_states(weight: Tensor, bias: Tensor, parts: list[Tensor]) -> list[NodeState]:
-    hs, cs = leaf_states(weight, bias, parts)
-    return [NodeState(h, c) for h, c in zip(hs, cs)]
+def _logistic(x: np.ndarray) -> np.ndarray:
+    # exp over -|x| never overflows; negative inputs use 1 - sigma(|x|)
+    inv = 1.0 / (1.0 + np.exp(-np.abs(x)))
+    return np.where(x >= 0, inv, 1.0 - inv)
 
 
-def leaf_affine(words: Tensor, params: LeafAffineParams) -> list[NodeState]:
-    return _node_states(params.weight, params.bias, [words])
+def gru_sequence(params: GruParams, inputs: Tensor, reverse: bool = False) -> Tensor:
+    """One GRU direction over a whole sentence as one record; returns the
+    (n, H) states in input order.
 
-
-def _gru_weights(params: GruParams) -> list[Tensor]:
+    ``params`` holds per gate an input map (H, D), a state map (H, H) and a
+    bias (H,); the record's inputs are its nine tensors in field order, then
+    ``inputs``.  The state starts at zero and runs over the rows of the
+    (n, D) ``inputs`` from the first to the last, or from the last to the
+    first if ``reverse``.  The input half of the pre-activations does not depend on
+    the state, so it is one matrix product per gate over all steps; only
+    the state's matrix-vector products stay in the step loop.  The values
+    match those of the elementary ops to the last bits.  Every
+    pre-activation is checked for non-finite values, because the saturating
+    gates would otherwise hide an overflow.  The backward pass is
+    backpropagation through time; it hands back each weight matrix's
+    gradient as one deferred matrix product (an ``_Outer``).
+    """
+    if inputs.data.ndim != 2 or not inputs.shape[0]:
+        raise ShapeError(f"gru_sequence: expected a nonempty (n, D) matrix of inputs, "
+                         f"got shape {inputs.shape}")
     # fields, not astuple: astuple deep-copies, so gradients would land on copies
-    return [getattr(params, f.name) for f in fields(params)]
+    weights = tuple(getattr(params, f.name) for f in fields(params))
+    u_in, u_state, u_bias, r_in, r_state, r_bias, c_in, c_state, c_bias = (
+        w.data for w in weights)
+    x_all = inputs.data
+    n, d_in = x_all.shape
+    hidden = u_bias.shape[0]
+    if any(w.shape != shape for w, shape in zip(
+            weights, [(hidden, d_in), (hidden, hidden), (hidden,)] * 3)):
+        raise ShapeError(f"gru_sequence: weights {[w.shape for w in weights]} do not "
+                         f"fit inputs of size {d_in}")
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    # per position, in input order: the state the step reads, the three
+    # pre-activations, the gates and candidate, and the state it writes
+    prev, fresh, states = (np.empty((n, hidden)) for _ in range(3))
+    pre, gates = np.empty((n, 3, hidden)), np.empty((n, 2, hidden))
+    # the input half of every pre-activation: one product per gate
+    in_u, in_r, in_c = (x_all @ w.T + b for w, b in ((u_in, u_bias), (r_in, r_bias),
+                                                      (c_in, c_bias)))
+    state = np.zeros(hidden)
+    for t in order:
+        pre_u, pre_r, pre_c = pre[t]
+        np.add(in_u[t], u_state @ state, out=pre_u)
+        np.add(in_r[t], r_state @ state, out=pre_r)
+        gates[t] = _logistic(pre[t, :2])
+        u, r = gates[t]
+        np.add(in_c[t], c_state @ (r * state), out=pre_c)
+        f = np.tanh(pre_c)
+        prev[t], fresh[t] = state, f
+        state = (1.0 - u) * f + u * state
+        states[t] = state
+    update, reset = gates[:, 0], gates[:, 1]
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("gru_sequence: pre-activation has non-finite values")
+
+    def grad_fn(g):
+        # the factors of the pre-activation gradients that need no carry
+        d_u = (prev - fresh) * update * (1.0 - update)
+        d_r = prev * reset * (1.0 - reset)
+        d_c = (1.0 - update) * (1.0 - fresh * fresh)
+        g_u, g_r, g_c = (np.empty((n, hidden)) for _ in range(3))
+        carry = np.zeros(hidden)
+        for t in reversed(order):
+            g_s = g[t] + carry
+            g_u[t] = g_s * d_u[t]
+            g_c[t] = g_s * d_c[t]
+            g_reset_state = c_state.T @ g_c[t]
+            g_r[t] = g_reset_state * d_r[t]
+            carry = (g_s * update[t] + g_reset_state * reset[t]
+                     + u_state.T @ g_u[t] + r_state.T @ g_r[t])
+        grads = []
+        for g_pre, state_in in ((g_u, prev), (g_r, prev), (g_c, reset * prev)):
+            grads += [_Outer(g_pre.T, x_all), _Outer(g_pre.T, state_in), g_pre.sum(0)]
+        grads.append(g_u @ u_in + g_r @ r_in + g_c @ c_in if inputs.requires_grad else None)
+        return tuple(grads)
+
+    return _emit("gru_sequence", (*weights, inputs), states, grad_fn)
 
 
-def leaf_rnn(words: Tensor, params: LeafRnnParams) -> list[NodeState]:
-    fwd = gru_sequence(_gru_weights(params.fwd), words)
-    bwd = gru_sequence(_gru_weights(params.bwd), words, reverse=True)
-    return _node_states(params.proj_weight, params.proj_bias, [fwd, bwd])
+def leaf_states(weight: Tensor, bias: Tensor, parts: list[Tensor]) -> list[NodeState]:
+    """The affine map that ends a leaf transform, as one record; returns
+    the n leaves' states.
+
+    ``parts`` are (n, D_k) matrices; row i of the (n, 2H) result is
+    ``weight @ [row i of every part] + bias`` with ``weight`` (2H, sum D_k)
+    and ``bias`` (2H,), and its halves are leaf i's ``h`` and ``c``.  The
+    record's outputs are every ``h``, then every ``c``.  One matrix product
+    maps all n rows, so the values match those of ``concat``, ``matmul``,
+    ``add`` and ``split`` to the last bits.  The backward pass hands back
+    the weight's gradient as one deferred matrix product (an ``_Outer``)
+    and takes one matrix product for the parts' gradients.
+    """
+    parts = tuple(parts)
+    if (not parts or any(p.data.ndim != 2 for p in parts)
+            or len({p.shape[0] for p in parts}) != 1 or not parts[0].shape[0]):
+        raise ShapeError(f"leaf_states: expected nonempty (n, D) matrices with one n, got "
+                         f"shapes {[p.shape for p in parts]}")
+    n, widths = parts[0].shape[0], [p.shape[1] for p in parts]
+    if (weight.data.ndim != 2 or weight.shape[0] % 2 or weight.shape[1] != sum(widths)
+            or bias.shape != weight.shape[:1]):
+        raise ShapeError(f"leaf_states: weight {weight.shape} and bias {bias.shape} do not "
+                         f"fit parts of widths {widths}")
+    hidden = weight.shape[0] // 2
+    rows = np.concatenate([p.data for p in parts], axis=1)  # row i: [part rows i]
+    packed = rows @ weight.data.T + bias.data
+
+    def grad_fn(grads):
+        g = np.zeros((n, 2 * hidden))
+        for i in range(n):
+            g_h, g_c = grads[i], grads[n + i]
+            if g_h is not None:
+                g[i, :hidden] = g_h
+            if g_c is not None:
+                g[i, hidden:] = g_c
+        out = [_Outer(g.T, rows), g.sum(axis=0)]
+        if any(p.requires_grad for p in parts):
+            g_rows = g @ weight.data
+            out += np.split(g_rows, np.cumsum(widths)[:-1], axis=1)
+        else:
+            out += [None] * len(parts)
+        return tuple(out)
+
+    outs = _emit("leaf_states", (weight, bias, *parts),
+                 (*packed[:, :hidden], *packed[:, hidden:]), grad_fn, views_of=(packed,))
+    return [NodeState(h, c) for h, c in zip(outs[:n], outs[n:])]
+
+
+class TreeLstmCells:
+    """The binary Tree-LSTM cell (Tai et al. 2015) over k child pairs, on
+    arrays: the parents' ``h``, ``c`` and validity logits ``query . h``,
+    and what ``backward`` needs.
+
+    Row j of ``h_left``, ``h_right``, ``c_left`` and ``c_right`` (each
+    (k, H)) holds the children of pair j.  ``weight`` is (5H, 2H) and
+    ``bias`` (5H,), with gate blocks [candidate; input; forget-left;
+    forget-right; output] applied to ``[h_left; h_right]``.  One matrix
+    product takes all k pre-activations and one more all k logits, so a
+    pair's values match those of the elementary ops to the last bits, and
+    those bits may depend on k.  The pre-activation is checked for
+    non-finite values, because the saturating gates would otherwise hide an
+    overflow, and so are the results.
+    """
+
+    __slots__ = ("query", "pairs", "mem_l", "mem_r", "candidate", "gates", "tanh_c",
+                 "h", "c", "logits")
+
+    def __init__(self, weight: np.ndarray, bias: np.ndarray, query: np.ndarray,
+                 h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,
+                 c_right: np.ndarray):
+        k, hidden = h_left.shape
+        self.query, self.mem_l, self.mem_r = query, c_left, c_right
+        self.pairs = pairs = np.empty((k, 2 * hidden))  # row j: [h_left[j]; h_right[j]]
+        pairs[:, :hidden] = h_left
+        pairs[:, hidden:] = h_right
+        pre = pairs @ weight.T + bias
+        if not np.isfinite(pre).all():
+            raise NonFiniteError("tree_induction: pre-activation has non-finite values")
+        blocks = pre.reshape(k, 5, hidden).transpose(1, 0, 2).copy()  # (5, k, H)
+        self.candidate = np.tanh(blocks[0])
+        self.gates = _logistic(blocks[1:])
+        gate_in, forget_l, forget_r, gate_out = self.gates
+        self.c = np.add(self.candidate * gate_in, c_left * forget_l + c_right * forget_r)
+        self.tanh_c = np.tanh(self.c)
+        self.h = self.tanh_c * gate_out
+        self.logits = self.h @ query
+        if not (np.isfinite(self.c).all() and np.isfinite(self.logits).all()):
+            raise NonFiniteError("tree_induction: produced non-finite values")
+
+    def backward(self, g_h: np.ndarray, g_c: np.ndarray,
+                 g_logit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (k, 5H) pre-activation gradient and the gradients of
+        ``c_left`` and ``c_right``, from the gradients of the parents' h, c
+        and logits; ``g_h`` and ``g_c`` are updated in place.  The weight's
+        gradient is ``g_pre.T @ pairs``, the bias's ``g_pre.sum(0)``, the
+        query's ``g_logit @ h`` and that of ``[h_left; h_right]``
+        ``g_pre @ weight``."""
+        gate_in, forget_l, forget_r, gate_out = self.gates
+        candidate, tanh_c = self.candidate, self.tanh_c
+        k, hidden = g_h.shape
+        g_h += g_logit[:, None] * self.query
+        g_c += g_h * gate_out * (1.0 - tanh_c * tanh_c)
+        g_pre = np.empty((5, k, hidden))
+        g_pre[0] = g_c * gate_in * (1.0 - candidate * candidate)
+        g_pre[1:] = g_c * candidate, g_c * self.mem_l, g_c * self.mem_r, g_h * tanh_c
+        g_pre[1:] *= self.gates * (1.0 - self.gates)
+        return g_pre.transpose(1, 0, 2).reshape(k, 5 * hidden), g_c * forget_l, g_c * forget_r
 
 
 def compose(h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,
             c_right: np.ndarray, query: Tensor, params: CompositionParams) -> TreeLstmCells:
     """Merge each (left, right) pair of child states, row j of the (k, H)
     arrays, into a parent with the binary Tree-LSTM cell; returns the
-    parents' ``h``, ``c`` and validity logits (dot products with
-    ``query``), which ``induce_tree`` records."""
+    ``TreeLstmCells`` holding the parents' ``h``, ``c`` and validity logits
+    (dot products with ``query``) and what its ``backward`` needs.
+    ``induce_tree`` calls it once for the first layer and once per merge,
+    and its ``tree_induction`` record replays those cells' backward."""
     return TreeLstmCells(params.weight.data, params.bias.data, query.data,
                          h_left, h_right, c_left, c_right)
 
@@ -167,6 +348,64 @@ def gumbel_noise(count: int, rng: np.random.Generator) -> np.ndarray:
     """Standard Gumbel draws -log(-log u), u clamped away from {0, 1}."""
     u = np.clip(rng.uniform(size=count), 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
+
+
+def gumbel_relaxation(probs: np.ndarray, noise: np.ndarray, temperature: float,
+                      perturb_probs: bool = False) -> tuple[int, np.ndarray]:
+    """The index and relaxed weights of a Gumbel-softmax draw from a vector
+    of probabilities.
+
+    The perturbed logits are ``(log(probs) + noise) * (1 / temperature)``,
+    with ``probs`` itself in place of its log under ``perturb_probs``; the
+    index is their argmax, ties to the lowest index, and the relaxed weights
+    are their max-shifted softmax.  The arithmetic is the elementary ops'
+    (``log``, ``add``, ``mul``, ``softmax``) in their order, and a
+    non-finite logit raises where one of them would, for example for a
+    probability of exactly 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logits = ((probs if perturb_probs else np.log(probs)) + noise) * (1.0 / temperature)
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("gumbel_softmax: perturbed logits have non-finite values")
+    return int(logits.argmax()), stable_softmax(logits)
+
+
+def _gumbel_relaxation_grad(g: np.ndarray, relaxed: np.ndarray, probs: np.ndarray,
+                            temperature: float, perturb_probs: bool) -> np.ndarray:
+    """Gradient at ``probs`` of the relaxed weights of ``gumbel_relaxation``."""
+    g_logits = _softmax_grad(relaxed, g) * (1.0 / temperature)
+    return g_logits if perturb_probs else g_logits / probs
+
+
+def gumbel_softmax(probs: Tensor, noise: np.ndarray, temperature: float,
+                   hard: bool, perturb_probs: bool = False) -> tuple[int, Tensor]:
+    """Gumbel-softmax selection from a vector of probabilities as one
+    record; returns the argmax index and the selection weights.
+
+    The index and the relaxed weights are ``gumbel_relaxation``'s.  The
+    weights are the relaxed ones, or under ``hard`` the exact one-hot at the
+    index.  The backward pass is the relaxation's gradient in both cases, so
+    hard weights pass the relaxed gradient straight through (Jang et al.
+    2017).
+    """
+    _check_vector("gumbel_softmax", probs)
+    k = probs.shape[0]
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != (k,):
+        raise ShapeError(f"gumbel_softmax: noise of shape {noise.shape} for "
+                         f"probabilities of shape {probs.shape}")
+    p = probs.data
+    index, relaxed = gumbel_relaxation(p, noise, temperature, perturb_probs)
+    if hard:
+        out = np.zeros(k)
+        out[index] = 1.0
+    else:
+        out = relaxed
+
+    def grad_fn(g):
+        return (_gumbel_relaxation_grad(g, relaxed, p, temperature, perturb_probs),)
+
+    return index, _emit("gumbel_softmax", (probs,), out, grad_fn)
 
 
 def st_gumbel_select(scores, config: GumbelConfig,
@@ -226,12 +465,13 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
 
     In ``train`` and ``soft`` mode the composed nodes are the outputs of one
     ``tree_induction`` record; ``infer`` records nothing.  Its backward pass
-    replays the merges in reverse: for each merge the cell backward of the
-    pairs composed after it, then the gradient of the merge (under ``train``
-    the weighted sum's gradient at the one-hot weights, which passes the
-    relaxed gradient straight through), of the Gumbel relaxation and of the
-    validity softmax; the first layer's cells come last, as one batch.  The
-    weight gradient is one deferred matrix product over all candidates.
+    replays the merges in reverse: for each merge ``TreeLstmCells.backward``
+    of the pairs composed after it, then the gradient of the merge (under
+    ``train`` the weighted sum's gradient at the one-hot weights, which
+    passes the relaxed gradient straight through), of the Gumbel relaxation
+    (``_gumbel_relaxation_grad``) and of the validity softmax; the first
+    layer's cells come last, as one batch.  The weight gradient is one
+    deferred matrix product over all candidates.
     """
     n = len(leaves)
     if n == 0:

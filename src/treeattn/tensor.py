@@ -10,7 +10,7 @@ gradient per output, ``None`` for an output that nothing used.
 
 Weight gradients are summed with one matrix product per weight: every
 record that multiplies a weight matrix by vectors (``matmul`` on a vector
-and the fused ops below) hands back the weight's gradient as a pair of
+and the model's fused ops) hands back the weight's gradient as a pair of
 factors whose product is a sum of outer products.  On a plain ``Tape``,
 ``backward`` adds all of one tensor's pairs just before that tensor's own
 record is replayed or at the end of the pass.  On a ``Tape(batch)`` the
@@ -20,35 +20,17 @@ examples of a batch until ``flush`` sums each parameter's pairs with one
 matrix product.  An embedding lookup's gradient goes into its rows only.
 
 Deliberately small: no broadcasting beyond matrix-vector products and no
-higher-order derivatives.  The catalogue is the elementary ops that the
-classifier head and the losses use (``add``, ``sub``, ``mul``,
+higher-order derivatives.  This module holds the engine, the elementary
+ops of the classifier head and the losses (``add``, ``sub``, ``mul``,
 ``absolute``, ``matmul``, ``relu``, ``concat``, ``dot``, ``softmax`` and
-``cross_entropy``) and six fused ones with hand-written backward passes:
-
-- ``take_rows``, a sentence's embedding rows as one (n, D) matrix;
-- ``gru_sequence``, one GRU direction over a whole sentence;
-- ``leaf_states``, the affine map that ends both leaf transforms, which
-  cuts every position's ``weight @ x + bias`` into its ``h`` and ``c``;
-- ``gumbel_softmax``, the straight-through Gumbel-softmax selection;
-- ``attention_pool``, attention pooling over all nodes of a tree;
-- ``tree_induction`` (emitted by ``parser.induce_tree``), a whole
-  bottom-up induction, whose one record replaces the Tree-LSTM cell,
-  softmax, Gumbel and merge records of every layer.
-
-So in training a sentence records three ops for the RNN leaf (two GRU
-directions and ``leaf_states``) or one for the affine leaf, one more for
-the lookup when the embeddings are fine-tuned, one for its induction and
-one for its attention.  Each fused forward does the arithmetic of the
-chain of elementary ops it replaces, which the tests keep as its oracle,
-but where that chain takes one matrix-vector product per row (per pair,
-word, node or step) it takes one matrix product per call, so its values
-match the chain's to the last bits, not bit for bit; the same call on
-the same shapes always gives the same bits.  The fused ops share their
-arithmetic with ``softmax`` and ``gumbel_softmax`` through the array
-kernels ``stable_softmax`` and ``gumbel_relaxation``; ``TreeLstmCells``,
-the Tree-LSTM cell over a batch of child pairs, runs only inside a tree
-induction.  All arithmetic is 64-bit so that finite-difference checks are
-decisive.
+``cross_entropy``), a sentence's embedding lookup ``take_rows``, the
+softmax kernels ``stable_softmax`` and ``_softmax_grad``, ``glorot`` and
+``finite_difference_check``.  Each of the model's fused ops, one record
+with a hand-written backward pass built on ``_emit``, lives in the module
+of its only caller: ``gru_sequence``, ``leaf_states``, ``gumbel_softmax``
+and ``tree_induction`` in ``parser``, ``attention_pool`` in
+``attention``.  All arithmetic is 64-bit so that finite-difference checks
+are decisive.
 """
 
 from __future__ import annotations
@@ -90,12 +72,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -357,12 +333,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"matmul: right operand must be a vector or matrix, got {b.shape}")
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    # exp over -|x| never overflows; negative inputs use 1 - sigma(|x|)
-    inv = 1.0 / (1.0 + np.exp(-np.abs(x)))
-    return np.where(x >= 0, inv, 1.0 - inv)
-
-
 def relu(x: Tensor) -> Tensor:
     # subgradient 0 at exactly 0
     return _emit("relu", (x,), np.maximum(x.data, 0.0),
@@ -387,64 +357,6 @@ def softmax(x: Tensor) -> Tensor:
     return _emit("softmax", (x,), out, lambda g: (_softmax_grad(out, g),))
 
 
-def gumbel_relaxation(probs: np.ndarray, noise: np.ndarray, temperature: float,
-                      perturb_probs: bool = False) -> tuple[int, np.ndarray]:
-    """The index and relaxed weights of a Gumbel-softmax draw from a vector
-    of probabilities.
-
-    The perturbed logits are ``(log(probs) + noise) * (1 / temperature)``,
-    with ``probs`` itself in place of its log under ``perturb_probs``; the
-    index is their argmax, ties to the lowest index, and the relaxed weights
-    are their max-shifted softmax.  The arithmetic is the elementary ops'
-    (``log``, ``add``, ``mul``, ``softmax``) in their order, and a
-    non-finite logit raises where one of them would, for example for a
-    probability of exactly 0.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logits = ((probs if perturb_probs else np.log(probs)) + noise) * (1.0 / temperature)
-    if not np.isfinite(logits).all():
-        raise NonFiniteError("gumbel_softmax: perturbed logits have non-finite values")
-    return int(logits.argmax()), stable_softmax(logits)
-
-
-def _gumbel_relaxation_grad(g: np.ndarray, relaxed: np.ndarray, probs: np.ndarray,
-                            temperature: float, perturb_probs: bool) -> np.ndarray:
-    """Gradient at ``probs`` of the relaxed weights of ``gumbel_relaxation``."""
-    g_logits = _softmax_grad(relaxed, g) * (1.0 / temperature)
-    return g_logits if perturb_probs else g_logits / probs
-
-
-def gumbel_softmax(probs: Tensor, noise: np.ndarray, temperature: float,
-                   hard: bool, perturb_probs: bool = False) -> tuple[int, Tensor]:
-    """Gumbel-softmax selection from a vector of probabilities as one
-    record; returns the argmax index and the selection weights.
-
-    The index and the relaxed weights are ``gumbel_relaxation``'s.  The
-    weights are the relaxed ones, or under ``hard`` the exact one-hot at the
-    index.  The backward pass is the relaxation's gradient in both cases, so
-    hard weights pass the relaxed gradient straight through (Jang et al.
-    2017).
-    """
-    _check_vector("gumbel_softmax", probs)
-    k = probs.shape[0]
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != (k,):
-        raise ShapeError(f"gumbel_softmax: noise of shape {noise.shape} for "
-                         f"probabilities of shape {probs.shape}")
-    p = probs.data
-    index, relaxed = gumbel_relaxation(p, noise, temperature, perturb_probs)
-    if hard:
-        out = np.zeros(k)
-        out[index] = 1.0
-    else:
-        out = relaxed
-
-    def grad_fn(g):
-        return (_gumbel_relaxation_grad(g, relaxed, p, temperature, perturb_probs),)
-
-    return index, _emit("gumbel_softmax", (probs,), out, grad_fn)
-
-
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate vectors; scalar tensors count as length-1 vectors."""
     if not parts:
@@ -466,254 +378,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
         return tuple(grads)
 
     return _emit("concat", parts, out, grad_fn)
-
-
-class TreeLstmCells:
-    """The binary Tree-LSTM cell (Tai et al. 2015) over k child pairs, on
-    arrays: the parents' ``h``, ``c`` and validity logits ``query . h``,
-    and what ``backward`` needs.
-
-    Row j of ``h_left``, ``h_right``, ``c_left`` and ``c_right`` (each
-    (k, H)) holds the children of pair j.  ``weight`` is (5H, 2H) and
-    ``bias`` (5H,), with gate blocks [candidate; input; forget-left;
-    forget-right; output] applied to ``[h_left; h_right]``.  One matrix
-    product takes all k pre-activations and one more all k logits, so a
-    pair's values match those of the elementary ops to the last bits, and
-    those bits may depend on k.  The pre-activation is checked for
-    non-finite values, because the saturating gates would otherwise hide an
-    overflow, and so are the results.
-    """
-
-    __slots__ = ("query", "pairs", "mem_l", "mem_r", "candidate", "gates", "tanh_c",
-                 "h", "c", "logits")
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, query: np.ndarray,
-                 h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,
-                 c_right: np.ndarray):
-        k, hidden = h_left.shape
-        self.query, self.mem_l, self.mem_r = query, c_left, c_right
-        self.pairs = pairs = np.empty((k, 2 * hidden))  # row j: [h_left[j]; h_right[j]]
-        pairs[:, :hidden] = h_left
-        pairs[:, hidden:] = h_right
-        pre = pairs @ weight.T + bias
-        if not np.isfinite(pre).all():
-            raise NonFiniteError("tree_induction: pre-activation has non-finite values")
-        blocks = pre.reshape(k, 5, hidden).transpose(1, 0, 2).copy()  # (5, k, H)
-        self.candidate = np.tanh(blocks[0])
-        self.gates = _logistic(blocks[1:])
-        gate_in, forget_l, forget_r, gate_out = self.gates
-        self.c = np.add(self.candidate * gate_in, c_left * forget_l + c_right * forget_r)
-        self.tanh_c = np.tanh(self.c)
-        self.h = self.tanh_c * gate_out
-        self.logits = self.h @ query
-        if not (np.isfinite(self.c).all() and np.isfinite(self.logits).all()):
-            raise NonFiniteError("tree_induction: produced non-finite values")
-
-    def backward(self, g_h: np.ndarray, g_c: np.ndarray,
-                 g_logit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (k, 5H) pre-activation gradient and the gradients of
-        ``c_left`` and ``c_right``, from the gradients of the parents' h, c
-        and logits; ``g_h`` and ``g_c`` are updated in place.  The weight's
-        gradient is ``g_pre.T @ pairs``, the bias's ``g_pre.sum(0)``, the
-        query's ``g_logit @ h`` and that of ``[h_left; h_right]``
-        ``g_pre @ weight``."""
-        gate_in, forget_l, forget_r, gate_out = self.gates
-        candidate, tanh_c = self.candidate, self.tanh_c
-        k, hidden = g_h.shape
-        g_h += g_logit[:, None] * self.query
-        g_c += g_h * gate_out * (1.0 - tanh_c * tanh_c)
-        g_pre = np.empty((5, k, hidden))
-        g_pre[0] = g_c * gate_in * (1.0 - candidate * candidate)
-        g_pre[1:] = g_c * candidate, g_c * self.mem_l, g_c * self.mem_r, g_h * tanh_c
-        g_pre[1:] *= self.gates * (1.0 - self.gates)
-        return g_pre.transpose(1, 0, 2).reshape(k, 5 * hidden), g_c * forget_l, g_c * forget_r
-
-
-def gru_sequence(weights: Sequence[Tensor], inputs: Tensor, reverse: bool = False) -> Tensor:
-    """One GRU direction over a whole sentence as one record; returns the
-    (n, H) states in input order.
-
-    ``weights`` are the nine tensors [update_in, update_state, update_bias,
-    reset_in, reset_state, reset_bias, cand_in, cand_state, cand_bias]: per
-    gate an input map (H, D), a state map (H, H) and a bias (H,).  The
-    state starts at zero and runs over the rows of the (n, D) ``inputs``
-    from the first to the last, or from the last to the first if
-    ``reverse``.  The input half of the pre-activations does not depend on
-    the state, so it is one matrix product per gate over all steps; only
-    the state's matrix-vector products stay in the step loop.  The values
-    match those of the elementary ops to the last bits.  Every
-    pre-activation is checked for non-finite values, because the saturating
-    gates would otherwise hide an overflow.  The backward pass is
-    backpropagation through time; it hands back each weight matrix's
-    gradient as one deferred matrix product (an ``_Outer``).
-    """
-    if len(weights) != 9:
-        raise ShapeError(f"gru_sequence: expected 9 weight tensors, got {len(weights)}")
-    if inputs.data.ndim != 2 or not inputs.shape[0]:
-        raise ShapeError(f"gru_sequence: expected a nonempty (n, D) matrix of inputs, "
-                         f"got shape {inputs.shape}")
-    weights = tuple(weights)
-    u_in, u_state, u_bias, r_in, r_state, r_bias, c_in, c_state, c_bias = (
-        w.data for w in weights)
-    x_all = inputs.data
-    n, d_in = x_all.shape
-    hidden = u_bias.shape[0]
-    if any(w.shape != shape for w, shape in zip(
-            weights, [(hidden, d_in), (hidden, hidden), (hidden,)] * 3)):
-        raise ShapeError(f"gru_sequence: weights {[w.shape for w in weights]} do not "
-                         f"fit inputs of size {d_in}")
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    # per position, in input order: the state the step reads, the three
-    # pre-activations, the gates and candidate, and the state it writes
-    prev, fresh, states = (np.empty((n, hidden)) for _ in range(3))
-    pre, gates = np.empty((n, 3, hidden)), np.empty((n, 2, hidden))
-    # the input half of every pre-activation: one product per gate
-    in_u, in_r, in_c = (x_all @ w.T + b for w, b in ((u_in, u_bias), (r_in, r_bias),
-                                                      (c_in, c_bias)))
-    state = np.zeros(hidden)
-    for t in order:
-        pre_u, pre_r, pre_c = pre[t]
-        np.add(in_u[t], u_state @ state, out=pre_u)
-        np.add(in_r[t], r_state @ state, out=pre_r)
-        gates[t] = _logistic(pre[t, :2])
-        u, r = gates[t]
-        np.add(in_c[t], c_state @ (r * state), out=pre_c)
-        f = np.tanh(pre_c)
-        prev[t], fresh[t] = state, f
-        state = (1.0 - u) * f + u * state
-        states[t] = state
-    update, reset = gates[:, 0], gates[:, 1]
-    if not np.isfinite(pre).all():
-        raise NonFiniteError("gru_sequence: pre-activation has non-finite values")
-
-    def grad_fn(g):
-        # the factors of the pre-activation gradients that need no carry
-        d_u = (prev - fresh) * update * (1.0 - update)
-        d_r = prev * reset * (1.0 - reset)
-        d_c = (1.0 - update) * (1.0 - fresh * fresh)
-        g_u, g_r, g_c = (np.empty((n, hidden)) for _ in range(3))
-        carry = np.zeros(hidden)
-        for t in reversed(order):
-            g_s = g[t] + carry
-            g_u[t] = g_s * d_u[t]
-            g_c[t] = g_s * d_c[t]
-            g_reset_state = c_state.T @ g_c[t]
-            g_r[t] = g_reset_state * d_r[t]
-            carry = (g_s * update[t] + g_reset_state * reset[t]
-                     + u_state.T @ g_u[t] + r_state.T @ g_r[t])
-        grads = []
-        for g_pre, state_in in ((g_u, prev), (g_r, prev), (g_c, reset * prev)):
-            grads += [_Outer(g_pre.T, x_all), _Outer(g_pre.T, state_in), g_pre.sum(0)]
-        grads.append(g_u @ u_in + g_r @ r_in + g_c @ c_in if inputs.requires_grad else None)
-        return tuple(grads)
-
-    return _emit("gru_sequence", (*weights, inputs), states, grad_fn)
-
-
-def leaf_states(weight: Tensor, bias: Tensor,
-                parts: Sequence[Tensor]) -> tuple[tuple[Tensor, ...], tuple[Tensor, ...]]:
-    """The affine map that ends a leaf transform, as one record; returns
-    the n leaves' ``h`` and their ``c``.
-
-    ``parts`` are (n, D_k) matrices; row i of the (n, 2H) result is
-    ``weight @ [row i of every part] + bias`` with ``weight`` (2H, sum D_k)
-    and ``bias`` (2H,), and its halves are leaf i's ``h`` and ``c``.  One
-    matrix product maps all n rows, so the values match those of ``concat``,
-    ``matmul``, ``add`` and ``split`` to the last bits.  The backward pass hands back the weight's gradient as
-    one deferred matrix product (an ``_Outer``) and takes one matrix
-    product for the parts' gradients.
-    """
-    parts = tuple(parts)
-    if (not parts or any(p.data.ndim != 2 for p in parts)
-            or len({p.shape[0] for p in parts}) != 1 or not parts[0].shape[0]):
-        raise ShapeError(f"leaf_states: expected nonempty (n, D) matrices with one n, got "
-                         f"shapes {[p.shape for p in parts]}")
-    n, widths = parts[0].shape[0], [p.shape[1] for p in parts]
-    if (weight.data.ndim != 2 or weight.shape[0] % 2 or weight.shape[1] != sum(widths)
-            or bias.shape != weight.shape[:1]):
-        raise ShapeError(f"leaf_states: weight {weight.shape} and bias {bias.shape} do not "
-                         f"fit parts of widths {widths}")
-    hidden = weight.shape[0] // 2
-    rows = np.concatenate([p.data for p in parts], axis=1)  # row i: [part rows i]
-    packed = rows @ weight.data.T + bias.data
-
-    def grad_fn(grads):
-        g = np.zeros((n, 2 * hidden))
-        for i in range(n):
-            g_h, g_c = grads[i], grads[n + i]
-            if g_h is not None:
-                g[i, :hidden] = g_h
-            if g_c is not None:
-                g[i, hidden:] = g_c
-        out = [_Outer(g.T, rows), g.sum(axis=0)]
-        if any(p.requires_grad for p in parts):
-            g_rows = g @ weight.data
-            out += np.split(g_rows, np.cumsum(widths)[:-1], axis=1)
-        else:
-            out += [None] * len(parts)
-        return tuple(out)
-
-    outs = _emit("leaf_states", (weight, bias, *parts),
-                 (*packed[:, :hidden], *packed[:, hidden:]), grad_fn, views_of=(packed,))
-    return outs[:n], outs[n:]
-
-
-def attention_pool(embed_weight: Tensor, score_weight: Tensor,
-                   nodes: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
-    """Attention pooling over node vectors as one record; returns the pooled
-    vector and the attention weights.
-
-    Node ``h_i`` (size H) is embedded as ``e_i = relu(embed_weight @ h_i)``
-    with ``embed_weight`` (D, H) and scored ``score_weight @ e_i`` with
-    ``score_weight`` (1, D).  The weights are the max-shifted softmax of the
-    scores and the pooled vector is ``sum_i w_i h_i``.  One matrix product
-    embeds all nodes and one more scores them, so the values match those of
-    the elementary ops to the last bits.  The pre-activations are checked for non-finite values, because the
-    ReLU would otherwise hide an overflow.  The backward pass hands back
-    the embedding weight's gradient as one deferred matrix product (an
-    ``_Outer``) and takes one matrix product for the nodes' gradients.
-    """
-    if not nodes:
-        raise ShapeError("attention_pool: no nodes to pool")
-    nodes = tuple(nodes)
-    _check_same_vectors("attention_pool", nodes)
-    w_embed, w_score = embed_weight.data, score_weight.data
-    m, hidden = len(nodes), nodes[0].shape[0]
-    if (w_embed.ndim != 2 or w_embed.shape[1] != hidden
-            or w_score.shape != (1, w_embed.shape[0])):
-        raise ShapeError(f"attention_pool: weights {embed_weight.shape} and "
-                         f"{score_weight.shape} do not fit nodes of size {hidden}")
-    stacked = np.array([h.data for h in nodes])
-    pre = stacked @ w_embed.T
-    if not np.isfinite(pre).all():
-        raise NonFiniteError("attention_pool: pre-activation has non-finite values")
-    embedded = np.maximum(pre, 0.0)
-    logits = embedded @ w_score[0]
-    if not np.isfinite(logits).all():
-        raise NonFiniteError("attention_pool: scores have non-finite values")
-    weights = stable_softmax(logits)
-    sentence = weights @ stacked
-
-    def grad_fn(grads):
-        g_sentence, g_weights = grads
-        g_w = np.zeros(m) if g_sentence is None else stacked @ g_sentence
-        if g_weights is not None:
-            g_w += g_weights
-        g_logits = _softmax_grad(weights, g_w)
-        g_pre = g_logits[:, None] * w_score
-        g_pre *= pre > 0
-        out = [_Outer(g_pre.T, stacked), g_logits[None] @ embedded]
-        if any(h.requires_grad for h in nodes):
-            g_nodes = g_pre @ w_embed
-            if g_sentence is not None:
-                g_nodes += weights[:, None] * g_sentence
-            out += list(g_nodes)
-        else:
-            out += [None] * m
-        return tuple(out)
-
-    return _emit("attention_pool", (embed_weight, score_weight, *nodes),
-                 (sentence, weights), grad_fn)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:

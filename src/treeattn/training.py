@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, asdict
 
@@ -33,6 +34,10 @@ class TrainingDiverged(ArithmeticError):
         self.epoch = epoch
         self.batch_index = batch_index
         self.example_ids = example_ids
+
+
+# the values a TrainConfig field of each declared type takes
+_FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 @dataclass
@@ -61,12 +66,28 @@ class TrainConfig:
     noise_per_layer: bool = True
 
     def __post_init__(self):
+        # one check per declared field type: a config read from JSON may hold
+        # any JSON value in any field
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "tuple[str, ...]":
+                expected = "a list of strings"
+                ok = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+            else:
+                # a bool is an int to Python, and a JSON 1 may fill a float field
+                expected = f"of type {f.type}"
+                ok = isinstance(value, _FIELD_TYPES[f.type]) and (
+                    f.type == "bool" or not isinstance(value, bool))
+            if not ok:
+                raise TypeError(f"{f.name} must be {expected}, got {value!r}")
         self.labels = tuple(self.labels)
         if self.task not in ("pair", "sentence"):
             raise ValueError(f"task must be 'pair' or 'sentence', got {self.task!r}")
         if len(self.labels) < 2:
             raise ValueError("need at least two labels")
         for i, label in enumerate(self.labels):
+            if not label:
+                raise ValueError("a label is empty")
             if label in self.labels[:i]:
                 raise ValueError(f"label {label!r} is given twice")
         for name in ("hidden", "d_attn", "d_clf", "batch_size", "max_epochs",

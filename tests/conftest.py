@@ -7,10 +7,12 @@ from dataclasses import fields
 
 import numpy as np
 
+from treeattn.attention import AttentionParams, attend
 from treeattn.data import EmbeddingMatrix, Vocabulary
 from treeattn.model import Model
 from treeattn.parser import (CompositionParams, GruParams, GumbelConfig, NodeState,
-                             gumbel_noise, induce_tree)
+                             gru_sequence, gumbel_noise, gumbel_softmax, induce_tree,
+                             leaf_states)
 from treeattn.tensor import Tensor, dot, finite_difference_check
 from treeattn.trees import BinaryTree
 from treeattn import tensor as T
@@ -84,7 +86,7 @@ def assert_last_bits(got, want, err_msg: str = "") -> None:
     np.testing.assert_allclose(got, want, rtol=0, atol=bound, err_msg=err_msg)
 
 
-# the nine weights of one GRU direction, in gru_sequence's argument order
+# the nine weights of one GRU direction, in GruParams field order
 GRU_WEIGHTS = tuple(f.name for f in fields(GruParams))
 
 
@@ -147,15 +149,15 @@ def unfused_induce_tree(leaves, params, query, config, rng, anchor=None):
             weights = Tensor(np.eye(k)[index])
         else:
             noise = presampled[:k] if presampled is not None else gumbel_noise(k, rng)
-            index, soft = T.gumbel_softmax(scores, noise, config.temperature, hard=False,
-                                           perturb_probs=config.perturb_probs)
+            index, soft = gumbel_softmax(scores, noise, config.temperature, hard=False,
+                                         perturb_probs=config.perturb_probs)
             relaxed = soft.data
             if anchor is not None:
                 index, anchor_relaxed = anchor[len(layers)]
                 weights = T.add(soft, Tensor(np.eye(k)[index] - anchor_relaxed))
             elif config.mode == "train":
-                weights = T.gumbel_softmax(scores, noise, config.temperature, hard=True,
-                                           perturb_probs=config.perturb_probs)[1]
+                weights = gumbel_softmax(scores, noise, config.temperature, hard=True,
+                                         perturb_probs=config.perturb_probs)[1]
             else:
                 weights = soft
         layers.append((index, relaxed))
@@ -241,8 +243,8 @@ def op_gradient_cases(seed: int = 0):
 
             def draw(x):
                 at_probe = hard and np.array_equal(x.data, probs)
-                return T.gumbel_softmax(x, noise, 0.7, hard=at_probe,
-                                        perturb_probs=perturb_probs)[1]
+                return gumbel_softmax(x, noise, 0.7, hard=at_probe,
+                                      perturb_probs=perturb_probs)[1]
             return via_dot(rng, 4, draw), Tensor(probs.copy())
         return build
 
@@ -265,9 +267,9 @@ def op_gradient_cases(seed: int = 0):
                 embed, score = (x if probe == name else Tensor(values[name])
                                 for name in ("embed_weight", "score_weight"))
                 node = x if probe == "node" else Tensor(values["node"])
-                sentence, weights = T.attention_pool(embed, score, [*others[:2], node, others[2]])
-                loss = T.dot(sentence, r_sentence)
-                return T.add(loss, T.dot(weights, r_weights)) if read_weights else loss
+                out = attend([*others[:2], node, others[2]], AttentionParams(embed, score))
+                loss = T.dot(out.sentence, r_sentence)
+                return T.add(loss, T.dot(out.weights, r_weights)) if read_weights else loss
 
             return pool, Tensor(values[probe])
         return build
@@ -352,9 +354,10 @@ def op_gradient_cases(seed: int = 0):
             r = Tensor(rng.normal(size=(3, 3)))
 
             def run(x):
-                ws = [x if name == probe else Tensor(v) for name, v in weights.items()]
+                params = GruParams(*(x if name == probe else Tensor(v)
+                                     for name, v in weights.items()))
                 inputs = x if probe == "inputs" else Tensor(np.array(words))
-                return E.mean(T.mul(T.gru_sequence(ws, inputs, reverse), r))
+                return E.mean(T.mul(gru_sequence(params, inputs, reverse), r))
 
             return run, Tensor(np.array(words) if probe == "inputs" else weights[probe])
         return build
@@ -377,8 +380,9 @@ def op_gradient_cases(seed: int = 0):
             def states(x):
                 weight, bias, *parts = (x if name == probe else Tensor(v)
                                         for name, v in values.items())
-                hs, cs = T.leaf_states(weight, bias, parts)
-                return T.concat([out for i, out in enumerate((*hs, *cs)) if i not in unused])
+                leaves = leaf_states(weight, bias, parts)
+                outs = (*(leaf.h for leaf in leaves), *(leaf.c for leaf in leaves))
+                return T.concat([out for i, out in enumerate(outs) if i not in unused])
 
             return (via_dot(rng, (2 * n - len(unused)) * hidden, states),
                     Tensor(values[probe]))

@@ -13,12 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from treeattn.tensor import (ShapeError, Tensor, _check_same_vectors, _check_vector, _emit,
-                             _logistic, _Rows)
+from treeattn.tensor import ShapeError, Tensor, _check_same_vectors, _check_vector, _emit, _Rows
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = _logistic(x.data)
+    # 1 / (1 + exp(-x)) as exp(-log(1 + exp(-x))): no overflow for any finite x,
+    # and no kernel shared with the library's logistic, which it is the oracle of
+    out = np.exp(-np.logaddexp(0.0, -x.data))
     return _emit("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
 
 

@@ -83,7 +83,7 @@ class TestAttend:
 
     def test_empty_node_list_rejected(self):
         params = init_attention_params(np.random.default_rng(0), 3, 2)
-        with pytest.raises(Exception, match="attend"):
+        with pytest.raises(Exception, match="attention_pool"):
             attend([], params)
 
 

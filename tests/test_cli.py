@@ -148,9 +148,11 @@ class TestTrain:
         (["--labels", "mixed"], "bad training setting: need at least two labels"),
         (["--seed", "-1"], "bad training setting: seed must be nonnegative"),
         (["--labels", "mixed,mixed,subset"], "bad training setting: label 'mixed' is given"),
+        (["--labels", "mixed,subset,"], "bad training setting: a label is empty"),
         (["--temperature", "nan"], "--temperature: must be positive and finite"),
         (["--lr", "inf"], "--lr: must be positive and finite"),
-    ], ids=["one-label", "negative-seed", "repeated-label", "nan-temperature", "inf-lr"])
+    ], ids=["one-label", "negative-seed", "repeated-label", "empty-label", "nan-temperature",
+            "inf-lr"])
     def test_bad_setting_exits_2_before_writing(self, workspace, tmp_path, capsys,
                                                 setting, message):
         out = tmp_path / "x.ckpt"
@@ -281,6 +283,30 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {bad}: bad config: missing config key 'task'\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("hidden", 1.5, "bad config value: hidden must be of type int, got 1.5"),
+        ("d_attn", 2.0, "bad config value: d_attn must be of type int, got 2.0"),
+        ("hidden", True, "bad config value: hidden must be of type int, got True"),
+        ("labels", "ab", "bad config value: labels must be a list of strings, got 'ab'"),
+        ("labels", ["no", ""], "a label is empty"),
+        ("labels", [1, 2], "bad config value: labels must be a list of strings, got [1, 2]"),
+        ("finetune_embeddings", "no",
+         "bad config value: finetune_embeddings must be of type bool, got 'no'"),
+    ], ids=["float-hidden", "float-d_attn", "bool-hidden", "string-labels", "empty-label",
+            "int-labels", "string-bool"])
+    def test_checkpoint_config_value_of_the_wrong_type_exits_2(self, workspace, tmp_path,
+                                                               capsys, key, value, message):
+        magic, config, rest = (workspace / "model.ckpt").read_bytes().split(b"\n", 2)
+        values = json.loads(config)
+        values[key] = value
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"\n".join([magic, json.dumps(values).encode(), rest]))
+        code = main(["parse", "--checkpoint", str(bad),
+                     "--input", str(workspace / "sents.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: bad config: {message}\n"
 
 
 def _drop(params, name):

@@ -1,4 +1,6 @@
-"""Engine tests: forward values, backward rules, error contracts."""
+"""Engine tests, and the fused ops of ``parser`` and ``attention`` against the
+elementary-op chains they replace: forward values, backward rules, error
+contracts."""
 
 import numpy as np
 import pytest
@@ -8,13 +10,13 @@ import inspect
 from pathlib import Path
 
 from treeattn import tensor
+from treeattn.attention import AttentionParams, attend
 from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, absolute,
-                             add, attention_pool, backward, concat, cross_entropy,
-                             dot, finite_difference_check, gru_sequence,
-                             gumbel_softmax, matmul, mul, relu,
-                             leaf_states, softmax, sub, take_rows)
-from treeattn.parser import (CompositionParams, GumbelConfig, NodeState, compose,
-                             induce_tree)
+                             add, backward, concat, cross_entropy,
+                             dot, finite_difference_check, matmul, mul, relu,
+                             softmax, sub, take_rows)
+from treeattn.parser import (CompositionParams, GruParams, GumbelConfig, NodeState, compose,
+                             gru_sequence, gumbel_softmax, induce_tree, leaf_states)
 
 import elementary
 from elementary import exp, log, mean, sigmoid, split, take_row, tanh, weighted_sum
@@ -404,7 +406,7 @@ class TestGruSequence:
             t.grad = None
         with Tape() as tape:
             if fused:
-                out = gru_sequence(weights, take_rows(table, tokens), reverse)
+                out = gru_sequence(GruParams(*weights), take_rows(table, tokens), reverse)
                 rows = [take_row(out, t) for t in range(len(tokens))]
             else:
                 xs = [take_row(table, i) for i in tokens]
@@ -437,15 +439,15 @@ class TestGruSequence:
         weights, table, tokens, _ = self.make_case(0, 5)
         xs = Tensor(table.data[tokens])
         with Tape() as tape:
-            gru_sequence(weights, xs)
-            gru_sequence(weights, xs, reverse=True)
+            gru_sequence(GruParams(*weights), xs)
+            gru_sequence(GruParams(*weights), xs, reverse=True)
         assert [rec.name for rec in tape._records] == ["gru_sequence"] * 2
 
     def test_no_input_gradients_for_frozen_inputs(self):
         weights, table, tokens, _ = self.make_case(1, 4)
         xs = Tensor(table.data[tokens])
         with Tape() as tape:
-            gru_sequence(weights, xs)
+            gru_sequence(GruParams(*weights), xs)
         grads = tape._records[0].grad_fn(np.ones((4, 4)))
         assert len(grads) == 9 + 1
         assert all(g is not None for g in grads[:9])
@@ -460,23 +462,22 @@ class TestGruSequence:
         for reverse in (False, True):
             with pytest.raises(NonFiniteError, match="gru_sequence"), \
                     np.errstate(over="ignore", invalid="ignore"):
-                gru_sequence(weights, xs, reverse)
+                gru_sequence(GruParams(*weights), xs, reverse)
 
     def test_shape_errors_name_op(self):
         weights, table, tokens, _ = self.make_case(3, 3)
         xs = Tensor(table.data[tokens])
+        params = GruParams(*weights)
         with pytest.raises(ShapeError, match="gru_sequence"):
-            gru_sequence(weights[:8], xs)
+            gru_sequence(params, Tensor(np.zeros((0, 5))))
         with pytest.raises(ShapeError, match="gru_sequence"):
-            gru_sequence(weights, Tensor(np.zeros((0, 5))))
+            gru_sequence(params, Tensor(xs.data[0]))
         with pytest.raises(ShapeError, match="gru_sequence"):
-            gru_sequence(weights, Tensor(xs.data[0]))
-        with pytest.raises(ShapeError, match="gru_sequence"):
-            gru_sequence(weights, Tensor(np.zeros((3, 4))))
+            gru_sequence(params, Tensor(np.zeros((3, 4))))
         swapped = list(weights)
         swapped[0], swapped[1] = swapped[1], swapped[0]
         with pytest.raises(ShapeError, match="gru_sequence"):
-            gru_sequence(swapped, xs)
+            gru_sequence(GruParams(*swapped), xs)
 
 
 def gradients_of(leaves, run):
@@ -574,6 +575,12 @@ def unfused_attention_pool(embed_weight, score_weight, nodes):
     return weighted_sum(nodes, weights), weights
 
 
+def attention_pool(embed_weight, score_weight, nodes):
+    """``attend``'s one record: the pooled vector and the attention weights."""
+    out = attend(nodes, AttentionParams(embed_weight, score_weight))
+    return out.sentence, out.weights
+
+
 class TestAttentionPool:
     def inputs(self, seed, m, hidden=4, d_attn=6, scale=1.0):
         rng = np.random.default_rng(seed)
@@ -667,8 +674,8 @@ class TestLeafStates:
             leaves = [weight, bias, table, *others]
 
             def fused():
-                hs, cs = leaf_states(weight, bias, [take_rows(table, tokens), *others])
-                return (*hs, *cs)
+                states = leaf_states(weight, bias, [take_rows(table, tokens), *others])
+                return (*(s.h for s in states), *(s.c for s in states))
 
             values, grads = gradients_of(leaves, fused)
             again, again_grads = gradients_of(leaves, fused)
@@ -685,12 +692,13 @@ class TestLeafStates:
     def test_one_record_of_views_into_one_array(self):
         weight, bias, table, tokens, others = self.inputs(1, 4, (4, 3))
         with Tape() as tape:
-            hs, cs = leaf_states(weight, bias, [Tensor(table.data[tokens]), *others])
+            states = leaf_states(weight, bias, [Tensor(table.data[tokens]), *others])
+        outs = (*(s.h for s in states), *(s.c for s in states))
         [record] = tape._records
-        assert record.name == "leaf_states" and record.outputs == (*hs, *cs)
-        assert all(t.shape == (3,) for t in (*hs, *cs))
-        packed = hs[0].data.base
-        assert packed.shape == (4, 6) and all(t.data.base is packed for t in (*hs, *cs))
+        assert record.name == "leaf_states" and record.outputs == outs
+        assert all(t.shape == (3,) for t in outs)
+        packed = outs[0].data.base
+        assert packed.shape == (4, 6) and all(t.data.base is packed for t in outs)
 
     def test_overflow_raises(self):
         weight, bias, *_ = self.inputs(2, 3, (4,))

@@ -365,6 +365,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="missing config key 'task'"):
             TrainConfig.from_json(json.dumps(values))
 
+    def test_int_fills_a_float_field_and_numpy_int_an_int_field(self):
+        values = json.loads(small_config().to_json())
+        values["learning_rate"] = 1
+        assert TrainConfig.from_json(json.dumps(values)).learning_rate == 1.0
+        assert small_config(hidden=np.int64(4)).hidden == 4
+
     def test_json_roundtrip(self):
         cfg = small_config(seed=99)
         assert TrainConfig.from_json(cfg.to_json()) == cfg
