@@ -67,10 +67,14 @@ class Vocabulary:
 
 @dataclass
 class EmbeddingMatrix:
-    """Word vectors as one (vocab, dim) tensor; row 0 (PAD) stays zero."""
+    """Word vectors as one (vocab, dim) tensor; row 0 (PAD) stays zero.
+    They train exactly when the tensor requires a gradient."""
 
     vectors: Tensor
-    trainable: bool = False
+
+    @property
+    def trainable(self) -> bool:
+        return self.vectors.requires_grad
 
     @property
     def dim(self) -> int:
@@ -169,7 +173,7 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
         vocab = Vocabulary.from_words(words)
     except RepeatedWordError as err:
         raise CorpusError(f"{path}:{linenos[err.index - 2]}: {err}") from None
-    return vocab, EmbeddingMatrix(vectors, trainable)
+    return vocab, EmbeddingMatrix(vectors)
 
 
 def _iter_json_records(path):

@@ -8,7 +8,7 @@ mapping for the optimizer and checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,34 +39,31 @@ def _collect_tensors(prefix: str, value, out: dict[str, Tensor]) -> None:
 
 
 class Model:
-    """Latent-tree encoder plus a task head ("pair" or "sentence")."""
+    """Latent-tree encoder plus a task head ("pair" or "sentence").  The type
+    of ``leaf_params`` is the leaf transform; ``selection``, the Gumbel settings."""
 
     def __init__(self, task: str, vocab: Vocabulary, embedding: EmbeddingMatrix,
-                 leaf_kind: str, leaf_params, composition: parser.CompositionParams,
-                 query: Tensor, attn: attention.AttentionParams,
-                 head: classifier.MlpParams, temperature: float = 1.0,
-                 perturb_probs: bool = False, noise_per_layer: bool = True):
+                 leaf_params: parser.LeafAffineParams | parser.LeafRnnParams,
+                 composition: parser.CompositionParams, query: Tensor,
+                 attn: attention.AttentionParams, head: classifier.MlpParams,
+                 selection: parser.GumbelConfig):
         if task not in ("pair", "sentence"):
             raise ValueError(f"task must be 'pair' or 'sentence', got {task!r}")
         self.task = task
         self.vocab = vocab
         self.embedding = embedding
-        self.leaf_kind = leaf_kind
         self.leaf_params = leaf_params
         self.composition = composition
         self.query = query
         self.attn = attn
         self.head = head
-        self.temperature = temperature
-        self.perturb_probs = perturb_probs
-        self.noise_per_layer = noise_per_layer
+        self.selection = selection
 
     @classmethod
     def build(cls, rng: np.random.Generator, *, task: str, num_classes: int,
               hidden: int, d_attn: int, d_clf: int, vocab: Vocabulary,
               embedding: EmbeddingMatrix, leaf_kind: str = "rnn",
-              temperature: float = 1.0, perturb_probs: bool = False,
-              noise_per_layer: bool = True) -> "Model":
+              selection: parser.GumbelConfig = parser.GumbelConfig()) -> "Model":
         d_word = embedding.dim
         if leaf_kind == "affine":
             leaf_params = parser.init_leaf_affine(rng, d_word, hidden)
@@ -75,13 +72,12 @@ class Model:
         else:
             raise ValueError(f"unknown leaf transform {leaf_kind!r}")
         feature_dim = 4 * hidden if task == "pair" else hidden
-        return cls(task, vocab, embedding, leaf_kind, leaf_params,
+        return cls(task, vocab, embedding, leaf_params,
                    parser.init_composition_params(rng, hidden),
                    parser.init_query(rng, hidden),
                    attention.init_attention_params(rng, d_attn, hidden),
                    classifier.init_mlp_params(rng, feature_dim, d_clf, num_classes),
-                   temperature=temperature, perturb_probs=perturb_probs,
-                   noise_per_layer=noise_per_layer)
+                   selection)
 
     @property
     def hidden(self) -> int:
@@ -132,11 +128,6 @@ class Model:
         if unknown:
             raise ValueError(f"checkpoint has unknown parameter {unknown[0]!r}")
 
-    def gumbel_config(self, mode: str) -> parser.GumbelConfig:
-        return parser.GumbelConfig(temperature=self.temperature, mode=mode,
-                                   perturb_probs=self.perturb_probs,
-                                   noise_per_layer=self.noise_per_layer)
-
     def encode(self, token_ids: list[int], mode: str = "infer",
                rng: np.random.Generator | None = None,
                tokens=None) -> EncodedSentence:
@@ -144,9 +135,9 @@ class Model:
         if mode != "infer" and rng is None:
             raise ValueError(f"mode {mode!r} draws Gumbel noise and needs an rng")
         words = take_rows(self.embedding.vectors, token_ids)
-        leaves = parser.leaf_transform(words, self.leaf_params, self.leaf_kind)
+        leaves = parser.leaf_transform(words, self.leaf_params)
         tree, nodes = parser.induce_tree(leaves, self.composition, self.query,
-                                         self.gumbel_config(mode), rng, tokens=tokens)
+                                         replace(self.selection, mode=mode), rng, tokens=tokens)
         pooled = attention.attend([state.h for state in nodes], self.attn)
         return EncodedSentence(tree, nodes, pooled.sentence, pooled.weights)
 

@@ -10,8 +10,9 @@ parameters keep receiving signal.  n leaves always produce exactly
 2n - 1 node states.
 
 The fused ops of the leaf transforms (``gru_sequence``, ``leaf_states``)
-and of the induction (``tree_induction``, ``gumbel_softmax``) live here
-with the Tree-LSTM cell and the Gumbel relaxation they are built from.
+and of the induction (``tree_induction``, and ``st_gumbel_select``'s
+``gumbel_softmax``) live here with the Tree-LSTM cell and the Gumbel
+relaxation they are built from, which all take one ``GumbelConfig``.
 """
 
 from __future__ import annotations
@@ -113,22 +114,22 @@ class GumbelConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def leaf_transform(words: Tensor, params, kind: str) -> list[NodeState]:
-    """Turn a sentence's (n, D) word vectors into initial node states
-    ("affine" or "rnn").  Either transform ends in one ``leaf_states``
-    record, so the affine leaf records one op per sentence and the RNN leaf
-    three."""
+def leaf_transform(words: Tensor, params: LeafAffineParams | LeafRnnParams) -> list[NodeState]:
+    """Turn a sentence's (n, D) word vectors into initial node states with
+    the transform the type of ``params`` names ("affine" or "rnn").  Either
+    ends in one ``leaf_states`` record, so the affine leaf records one op
+    per sentence and the RNN leaf three."""
     if words.data.ndim != 2:
         raise ShapeError(f"leaf_transform: expected an (n, D) matrix, got shape {words.shape}")
     if not words.shape[0]:
         raise ShapeError("leaf_transform: empty sentence")
-    if kind == "affine":
+    if isinstance(params, LeafAffineParams):
         return leaf_states(params.weight, params.bias, [words])
-    if kind == "rnn":
+    if isinstance(params, LeafRnnParams):
         return leaf_states(params.proj_weight, params.proj_bias,
                            [gru_sequence(params.fwd, words),
                             gru_sequence(params.bwd, words, reverse=True)])
-    raise ValueError(f"unknown leaf transform {kind!r}")
+    raise TypeError(f"leaf_transform: no leaf transform takes {type(params).__name__}")
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -350,8 +351,8 @@ def gumbel_noise(count: int, rng: np.random.Generator) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def gumbel_relaxation(probs: np.ndarray, noise: np.ndarray, temperature: float,
-                      perturb_probs: bool = False) -> tuple[int, np.ndarray]:
+def gumbel_relaxation(probs: np.ndarray, noise: np.ndarray,
+                      config: GumbelConfig) -> tuple[int, np.ndarray]:
     """The index and relaxed weights of a Gumbel-softmax draw from a vector
     of probabilities.
 
@@ -364,48 +365,18 @@ def gumbel_relaxation(probs: np.ndarray, noise: np.ndarray, temperature: float,
     probability of exactly 0.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logits = ((probs if perturb_probs else np.log(probs)) + noise) * (1.0 / temperature)
+        base = probs if config.perturb_probs else np.log(probs)
+        logits = (base + noise) * (1.0 / config.temperature)
     if not np.isfinite(logits).all():
         raise NonFiniteError("gumbel_softmax: perturbed logits have non-finite values")
     return int(logits.argmax()), stable_softmax(logits)
 
 
 def _gumbel_relaxation_grad(g: np.ndarray, relaxed: np.ndarray, probs: np.ndarray,
-                            temperature: float, perturb_probs: bool) -> np.ndarray:
+                            config: GumbelConfig) -> np.ndarray:
     """Gradient at ``probs`` of the relaxed weights of ``gumbel_relaxation``."""
-    g_logits = _softmax_grad(relaxed, g) * (1.0 / temperature)
-    return g_logits if perturb_probs else g_logits / probs
-
-
-def gumbel_softmax(probs: Tensor, noise: np.ndarray, temperature: float,
-                   hard: bool, perturb_probs: bool = False) -> tuple[int, Tensor]:
-    """Gumbel-softmax selection from a vector of probabilities as one
-    record; returns the argmax index and the selection weights.
-
-    The index and the relaxed weights are ``gumbel_relaxation``'s.  The
-    weights are the relaxed ones, or under ``hard`` the exact one-hot at the
-    index.  The backward pass is the relaxation's gradient in both cases, so
-    hard weights pass the relaxed gradient straight through (Jang et al.
-    2017).
-    """
-    _check_vector("gumbel_softmax", probs)
-    k = probs.shape[0]
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != (k,):
-        raise ShapeError(f"gumbel_softmax: noise of shape {noise.shape} for "
-                         f"probabilities of shape {probs.shape}")
-    p = probs.data
-    index, relaxed = gumbel_relaxation(p, noise, temperature, perturb_probs)
-    if hard:
-        out = np.zeros(k)
-        out[index] = 1.0
-    else:
-        out = relaxed
-
-    def grad_fn(g):
-        return (_gumbel_relaxation_grad(g, relaxed, p, temperature, perturb_probs),)
-
-    return index, _emit("gumbel_softmax", (probs,), out, grad_fn)
+    g_logits = _softmax_grad(relaxed, g) * (1.0 / config.temperature)
+    return g_logits if config.perturb_probs else g_logits / probs
 
 
 def st_gumbel_select(scores, config: GumbelConfig,
@@ -415,13 +386,15 @@ def st_gumbel_select(scores, config: GumbelConfig,
     ``induce_tree``) an array.
 
     Returns the chosen index and the selection weights.  Argmax ties
-    resolve to the lowest index.  For a tensor the weights are a tensor: a
-    hard one-hot with straight-through gradients in ``train`` mode, the
-    noisy softmax relaxation in ``soft`` mode, and a constant one-hot in
-    ``infer`` mode; ``train`` and ``soft`` record one ``gumbel_softmax`` op.
-    For an array nothing is recorded, and the weights are the relaxation as
-    an array in ``train`` and ``soft`` mode (``induce_tree``'s backward pass
-    needs it in both) and ``None`` in ``infer`` mode.
+    resolve to the lowest index.  For a tensor the weights are a tensor: in
+    ``train`` and ``soft`` mode one ``gumbel_softmax`` record whose value is
+    the exact one-hot at ``gumbel_relaxation``'s index or its relaxed
+    weights, and whose backward pass is the relaxation's gradient in both,
+    so hard weights pass it straight through (Jang et al. 2017); a constant
+    one-hot in ``infer`` mode.  For an array nothing is recorded, and the
+    weights are the relaxation as an array in ``train`` and ``soft`` mode
+    (``induce_tree``'s backward pass needs it in both) and ``None`` in
+    ``infer`` mode.
     """
     probs = scores.data if isinstance(scores, Tensor) else scores
     k = len(probs)
@@ -431,15 +404,23 @@ def st_gumbel_select(scores, config: GumbelConfig,
         index = int(probs.argmax())
         if not isinstance(scores, Tensor):
             return index, None
-        hard = np.zeros(k)
-        hard[index] = 1.0
-        return index, Tensor(hard)
+        return index, Tensor(np.eye(k)[index])
     if noise is None:
         noise = gumbel_noise(k, rng)
     if not isinstance(scores, Tensor):
-        return gumbel_relaxation(probs, noise, config.temperature, config.perturb_probs)
-    return gumbel_softmax(scores, noise, config.temperature, hard=config.mode == "train",
-                          perturb_probs=config.perturb_probs)
+        return gumbel_relaxation(probs, noise, config)
+    _check_vector("gumbel_softmax", scores)
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != (k,):
+        raise ShapeError(f"gumbel_softmax: noise of shape {noise.shape} for "
+                         f"probabilities of shape {scores.shape}")
+    index, relaxed = gumbel_relaxation(probs, noise, config)
+    out = np.eye(k)[index] if config.mode == "train" else relaxed
+
+    def grad_fn(g):
+        return (_gumbel_relaxation_grad(g, relaxed, probs, config),)
+
+    return index, _emit("gumbel_softmax", (scores,), out, grad_fn)
 
 
 def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tensor,
@@ -561,8 +542,7 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
                 g_cand_h[live_rows[index]] += g_h
                 g_cand_c[live_rows[index]] += g_c
             g_weights = cand_h[live_rows] @ g_h + cand_c[live_rows] @ g_c
-            g_probs = _gumbel_relaxation_grad(g_weights, relaxed, probs, config.temperature,
-                                              config.perturb_probs)
+            g_probs = _gumbel_relaxation_grad(g_weights, relaxed, probs, config)
             g_cand_logit[live_rows] += _softmax_grad(probs, g_probs)
         g_pres[0] = cell_backward(*cells[0])
         g_pre = np.concatenate(g_pres)

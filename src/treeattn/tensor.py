@@ -27,10 +27,10 @@ ops of the classifier head and the losses (``add``, ``sub``, ``mul``,
 softmax kernels ``stable_softmax`` and ``_softmax_grad``, ``glorot`` and
 ``finite_difference_check``.  Each of the model's fused ops, one record
 with a hand-written backward pass built on ``_emit``, lives in the module
-of its only caller: ``gru_sequence``, ``leaf_states``, ``gumbel_softmax``
-and ``tree_induction`` in ``parser``, ``attention_pool`` in
-``attention``.  All arithmetic is 64-bit so that finite-difference checks
-are decisive.
+of its only caller: ``gru_sequence``, ``leaf_states``, ``tree_induction``
+and ``st_gumbel_select``'s ``gumbel_softmax`` in ``parser``,
+``attention_pool`` in ``attention``.  All arithmetic is 64-bit so that
+finite-difference checks are decisive.
 """
 
 from __future__ import annotations

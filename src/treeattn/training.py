@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import PAD_INDEX, EmbeddingMatrix, Vocabulary
 from .model import Model
+from .parser import GumbelConfig
 from .tensor import GradientBatch, NonFiniteError, Tape, Tensor, backward, stable_softmax
 
 CHECKPOINT_MAGIC = "treeattn-checkpoint"
@@ -127,7 +128,7 @@ class TrainConfig:
         try:
             return cls(**values)
         except TypeError as err:  # a value of the wrong JSON type
-            raise ValueError(f"bad config value: {err}") from None
+            raise ValueError(str(err)) from None
 
 
 def _build_model(config: TrainConfig, rng: np.random.Generator, vocab: Vocabulary,
@@ -136,9 +137,9 @@ def _build_model(config: TrainConfig, rng: np.random.Generator, vocab: Vocabular
     return Model.build(rng, task=config.task, num_classes=len(config.labels),
                        hidden=config.hidden, d_attn=config.d_attn, d_clf=config.d_clf,
                        vocab=vocab, embedding=embedding, leaf_kind=config.leaf_kind,
-                       temperature=config.temperature,
-                       perturb_probs=config.perturb_probs,
-                       noise_per_layer=config.noise_per_layer)
+                       selection=GumbelConfig(temperature=config.temperature,
+                                              perturb_probs=config.perturb_probs,
+                                              noise_per_layer=config.noise_per_layer))
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +230,14 @@ def macro_f1(gold: list[int], predicted: list[int], num_classes: int) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
-def evaluate(examples, model) -> EvalResult:
+def evaluate(examples, model: Model) -> EvalResult:
     """Accuracy and macro-F1 with deterministic inference-mode trees.
 
-    ``model`` may be a built :class:`Model` or a :class:`Checkpoint`.
     Inference runs per example (no padding, no batching), so results are
     identical for any batch size.
     """
     if not examples:
         raise ValueError("evaluate: empty corpus")
-    if isinstance(model, Checkpoint):
-        model = model.build_model()
     num_classes = model.num_classes
     for i, ex in enumerate(examples):
         if not 0 <= ex.label < num_classes:
@@ -320,8 +318,19 @@ class Checkpoint:
         """The model the config describes, holding the stored parameters;
         a parameter that is missing, unknown, of the wrong shape or not
         finite, or a vocabulary that does not match the embedding rows or
-        repeats a word, raises ``ValueError`` naming it."""
+        repeats a word, raises ``ValueError`` naming it.  The config's sizes
+        are checked against the stored arrays before a model of those sizes
+        is allocated."""
         cfg = self.config
+        for name, shape in (("composition.weight", (5 * cfg.hidden, 2 * cfg.hidden)),
+                            ("attention.embed_weight", (cfg.d_attn, cfg.hidden)),
+                            ("head.hidden_bias", (cfg.d_clf,))):
+            stored = self.params.get(name)
+            if stored is None:
+                raise ValueError(f"checkpoint is missing parameter {name!r}")
+            if stored.shape != shape:
+                raise ValueError(
+                    f"parameter {name!r}: checkpoint shape {stored.shape} != {shape}")
         vectors = self.params.get("embedding")
         if vectors is None:
             raise ValueError("checkpoint is missing parameter 'embedding'")
@@ -334,8 +343,7 @@ class Checkpoint:
                              requires_grad=cfg.finetune_embeddings)
         except NonFiniteError:
             raise ValueError("parameter 'embedding' has non-finite values") from None
-        embedding = EmbeddingMatrix(vectors, trainable=cfg.finetune_embeddings)
-        model = _build_model(cfg, np.random.default_rng(0), vocab, embedding)
+        model = _build_model(cfg, np.random.default_rng(0), vocab, EmbeddingMatrix(vectors))
         # the embedding as converted and checked above, not converted again
         model.load_state_arrays({**self.params, "embedding": vectors.data})
         return model

@@ -11,8 +11,8 @@ from treeattn.attention import AttentionParams, attend
 from treeattn.data import EmbeddingMatrix, Vocabulary
 from treeattn.model import Model
 from treeattn.parser import (CompositionParams, GruParams, GumbelConfig, NodeState,
-                             gru_sequence, gumbel_noise, gumbel_softmax, induce_tree,
-                             leaf_states)
+                             gru_sequence, gumbel_noise, induce_tree, leaf_states,
+                             st_gumbel_select)
 from treeattn.tensor import Tensor, dot, finite_difference_check
 from treeattn.trees import BinaryTree
 from treeattn import tensor as T
@@ -66,7 +66,7 @@ def tiny_pair_model(seed: int = 42, hidden: int = 8, d_attn: int = 6,
     matrix = np.vstack([np.zeros(d_word),
                         rng.uniform(-0.05, 0.05, d_word),
                         rng.normal(0.0, 0.3, (vocab_size, d_word))])
-    embedding = EmbeddingMatrix(Tensor(matrix), trainable=False)
+    embedding = EmbeddingMatrix(Tensor(matrix))
     return Model.build(rng, task=task, num_classes=num_classes, hidden=hidden,
                        d_attn=d_attn, d_clf=d_clf, vocab=vocab,
                        embedding=embedding, leaf_kind=leaf_kind)
@@ -97,6 +97,14 @@ def gru_values(rng: np.random.Generator, hidden: int, d_in: int, n: int,
     weights = {name: rng.normal(scale=scale, size=shapes[name.split("_")[1]])
                for name in GRU_WEIGHTS}
     return weights, [rng.normal(size=d_in) for _ in range(n)]
+
+
+def gumbel_softmax(probs, noise, temperature, hard, perturb_probs=False):
+    """The one ``gumbel_softmax`` record of ``st_gumbel_select`` on a tensor
+    of probabilities: the index and the hard (``train`` mode) or relaxed
+    (``soft`` mode) weights."""
+    config = GumbelConfig(temperature, "train" if hard else "soft", perturb_probs)
+    return st_gumbel_select(probs, config, noise=noise)
 
 
 def unfused_tree_lstm_cell(params, query, pairs):
@@ -235,17 +243,19 @@ def op_gradient_cases(seed: int = 0):
         return via_dot(rng, 6, T.softmax), Tensor(rng.normal(size=6))
 
     def gumbel_softmax_case(hard, perturb_probs):
-        # the hard weights' backward pass is the soft weights' gradient, so
-        # this is the soft op everywhere and the hard op runs at the probe point
+        # the op reads a probability vector, so the probe is the logits of
+        # one.  The hard weights' backward pass is the soft weights'
+        # gradient, so this is the soft op everywhere and the hard op runs
+        # at the probe point
         def build(rng):
-            probs = rng.uniform(0.2, 1.0, 4)
+            logits = rng.normal(size=4)
             noise = rng.normal(size=4)
 
             def draw(x):
-                at_probe = hard and np.array_equal(x.data, probs)
-                return gumbel_softmax(x, noise, 0.7, hard=at_probe,
+                at_probe = hard and np.array_equal(x.data, logits)
+                return gumbel_softmax(T.softmax(x), noise, 0.7, hard=at_probe,
                                       perturb_probs=perturb_probs)[1]
-            return via_dot(rng, 4, draw), Tensor(probs.copy())
+            return via_dot(rng, 4, draw), Tensor(logits.copy())
         return build
 
     for mode in ("hard", "soft"):

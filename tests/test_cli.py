@@ -1,15 +1,19 @@
 """End-to-end command-line workflows on a generated toy task."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treeattn import toy
+from treeattn import toy, training
 from treeattn.cli import main
 from treeattn.data import load_pair_corpus
+from treeattn.parser import GumbelConfig
 from treeattn.training import Checkpoint, evaluate
 from treeattn.trees import parse_bracketed
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(autouse=True)
@@ -81,6 +85,30 @@ class TestTrain:
         assert code == 0
         manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
         assert isinstance(manifest["seed"], int)
+
+    def test_each_selection_flag_reaches_the_induction(self, workspace, tmp_path):
+        # each flag changes which merges are drawn or how their gradients
+        # scale, so each must change the trained parameters' bytes, not only
+        # the config line of the header
+        def trained(*flags):
+            out = tmp_path / f"model{''.join(flags)}.ckpt"
+            assert main(["train", "--task", "pair",
+                         "--train", str(workspace / "train.jsonl"),
+                         "--val", str(workspace / "val.jsonl"),
+                         "--embeddings", str(workspace / "emb.txt"),
+                         "--labels", "mixed,subset", "--out", str(out),
+                         "--hidden", "4", "--d-attn", "4", "--d-clf", "8",
+                         "--epochs", "1", "--seed", "3", "--leaf", "affine", *flags]) == 0
+            return out.read_bytes().split(b"\nblob\n", 1)[1], Checkpoint.load(out).build_model()
+
+        default_blob, default = trained()
+        assert default.selection == GumbelConfig()
+        for flags, selection in [(["--temperature", "0.5"], GumbelConfig(temperature=0.5)),
+                                 (["--perturb-probs"], GumbelConfig(perturb_probs=True)),
+                                 (["--noise-per-sentence"], GumbelConfig(noise_per_layer=False))]:
+            blob, model = trained(*flags)
+            assert model.selection == selection, flags
+            assert blob != default_blob, flags
 
     def test_missing_file_exits_2(self, workspace, capsys):
         code = main(["train", "--task", "pair",
@@ -245,9 +273,10 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ckpt),
                      "--corpus", str(tmp_path / "val.jsonl")]) == 0
         assert capsys.readouterr().out.splitlines()[0] == f"accuracy\t{logged_best}"
-        examples = load_pair_corpus(tmp_path / "val.jsonl", checkpoint.build_model().vocab,
+        model = checkpoint.build_model()
+        examples = load_pair_corpus(tmp_path / "val.jsonl", model.vocab,
                                     checkpoint.config.labels, checkpoint.config.max_len)
-        assert evaluate(examples, checkpoint).accuracy == checkpoint.best_val_acc
+        assert evaluate(examples, model).accuracy == checkpoint.best_val_acc
 
     def test_checkpoint_with_unknown_config_key_exits_2(self, workspace, tmp_path,
                                                         capsys):
@@ -285,14 +314,14 @@ class TestEval:
         assert err == f"error: {bad}: bad config: missing config key 'task'\n"
 
     @pytest.mark.parametrize("key, value, message", [
-        ("hidden", 1.5, "bad config value: hidden must be of type int, got 1.5"),
-        ("d_attn", 2.0, "bad config value: d_attn must be of type int, got 2.0"),
-        ("hidden", True, "bad config value: hidden must be of type int, got True"),
-        ("labels", "ab", "bad config value: labels must be a list of strings, got 'ab'"),
+        ("hidden", 1.5, "hidden must be of type int, got 1.5"),
+        ("d_attn", 2.0, "d_attn must be of type int, got 2.0"),
+        ("hidden", True, "hidden must be of type int, got True"),
+        ("labels", "ab", "labels must be a list of strings, got 'ab'"),
         ("labels", ["no", ""], "a label is empty"),
-        ("labels", [1, 2], "bad config value: labels must be a list of strings, got [1, 2]"),
+        ("labels", [1, 2], "labels must be a list of strings, got [1, 2]"),
         ("finetune_embeddings", "no",
-         "bad config value: finetune_embeddings must be of type bool, got 'no'"),
+         "finetune_embeddings must be of type bool, got 'no'"),
     ], ids=["float-hidden", "float-d_attn", "bool-hidden", "string-labels", "empty-label",
             "int-labels", "string-bool"])
     def test_checkpoint_config_value_of_the_wrong_type_exits_2(self, workspace, tmp_path,
@@ -307,6 +336,29 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {bad}: bad config: {message}\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("hidden", 3, "parameter 'composition.weight': checkpoint shape (10, 4) != (15, 6)"),
+        ("d_attn", 10**9,
+         "parameter 'attention.embed_weight': checkpoint shape (2, 2) != (1000000000, 2)"),
+        ("d_clf", 10**9, "parameter 'head.hidden_bias': checkpoint shape (2,) != (1000000000,)"),
+    ], ids=["hidden", "d_attn", "d_clf"])
+    def test_config_sizes_are_checked_before_a_model_is_built(
+            self, workspace, tmp_path, capsys, monkeypatch, key, value, message):
+        # a size far above the stored arrays' would otherwise be allocated first
+        def build(*args, **kwargs):
+            raise AssertionError("a model was built before the sizes were checked")
+
+        monkeypatch.setattr(training.Model, "build", build)
+        magic, config, rest = (FIXTURES / "affine.ckpt").read_bytes().split(b"\n", 2)
+        values = json.loads(config)
+        values[key] = value
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"\n".join([magic, json.dumps(values).encode(), rest]))
+        code = main(["parse", "--checkpoint", str(bad),
+                     "--input", str(workspace / "sents.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def _drop(params, name):

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from treeattn.data import PairExample, SentenceExample
+from treeattn.tensor import Tape, backward
 from treeattn.training import Checkpoint
 
 from conftest import tiny_pair_model
@@ -122,3 +123,34 @@ def test_noisy_modes_without_rng_name_the_mode(mode):
     model = tiny_pair_model()
     with pytest.raises(ValueError, match=f"mode '{mode}'.*rng"):
         model.logits(PairExample([2, 3], [4, 5], 0), mode=mode)
+
+
+def test_unknown_leaf_kind_is_named():
+    with pytest.raises(ValueError, match="unknown leaf transform 'cnn'"):
+        tiny_pair_model(leaf_kind="cnn")
+
+
+# per sentence: the leaf transform, the induction and the pooling; then the
+# pair features, the head with a dropout mask on each layer's input, the loss
+RNN_SENTENCE = ["gru_sequence", "gru_sequence", "leaf_states", "tree_induction",
+                "attention_pool"]
+HEAD = ["sub", "abs", "mul", "concat", "mul", "matmul", "add", "relu", "mul", "matmul",
+        "add", "cross_entropy"]
+
+
+@pytest.mark.parametrize("leaf_kind, finetune, records", [
+    ("rnn", False, [*RNN_SENTENCE, *RNN_SENTENCE, *HEAD]),
+    ("affine", False, [*RNN_SENTENCE[2:], *RNN_SENTENCE[2:], *HEAD]),
+    ("rnn", True, ["take_rows", *RNN_SENTENCE, "take_rows", *RNN_SENTENCE, *HEAD]),
+], ids=["rnn-frozen", "affine-frozen", "rnn-finetuned"])
+def test_tape_records_of_one_training_example_are_pinned(leaf_kind, finetune, records):
+    # the benchmark's train-pair setup (RNN leaf, frozen embeddings, dropout)
+    # records 22 ops per example; a fine-tuned table adds one lookup per sentence
+    model = tiny_pair_model(leaf_kind=leaf_kind)
+    model.embedding.vectors.requires_grad = finetune
+    example = PairExample([2, 3, 4, 5, 6], [7, 2, 8], 1)
+    with Tape() as tape:
+        loss, _ = model.example_loss(example, "train", np.random.default_rng(0), 0.87)
+        backward(tape, loss)
+    assert [record.name for record in tape._records] == records
+    assert len(records) == {"rnn": 22, "affine": 18}[leaf_kind] + 2 * finetune

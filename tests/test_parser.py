@@ -16,8 +16,6 @@ from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add, back
                              softmax)
 from treeattn.trees import export_bracketed, parse_bracketed
 
-from conftest import assert_last_bits
-
 
 def zero_composition(hidden):
     return CompositionParams(Tensor(np.zeros((5 * hidden, 2 * hidden)), requires_grad=True),
@@ -63,29 +61,6 @@ class TestCompose:
         assert cells.h[0, 0] == pytest.approx(0.3807970779778824, abs=1e-12)
         assert cells.logits[0] == 2.0 * cells.h[0, 0]
 
-    def test_pairs_sharing_a_node_in_one_record(self):
-        # one call composes both pairs a merge leaves, records nothing itself,
-        # and gives each parent the values it has when composed alone, to the
-        # last bits; the same call again gives the same bits
-        rng = np.random.default_rng(4)
-        params = init_composition_params(rng, 3)
-        query = init_query(rng, 3)
-        left, merged, right = random_states(rng, 3, 3)
-        pairs = children((left, merged), (merged, right))
-        with Tape() as tape:
-            cells = compose(*pairs, query, params)
-        assert len(tape) == 0
-        again = compose(*pairs, query, params)
-        for got, repeat in ((cells.h, again.h), (cells.c, again.c),
-                            (cells.logits, again.logits)):
-            np.testing.assert_array_equal(repeat, got)
-        for j, pair in enumerate([(left, merged), (merged, right)]):
-            alone = compose(*children(pair), query, params)
-            assert_last_bits(cells.h[j], alone.h[0])
-            assert_last_bits(cells.c[j], alone.c[0])
-            assert_last_bits(cells.logits[j], alone.logits[0])
-            assert_last_bits(cells.logits[j], np.dot(query.data, cells.h[j]))
-
     def test_gradients_match_finite_differences(self):
         # the composition's gradients as the induction records them: two
         # leaves make one candidate, which the only merge copies
@@ -115,22 +90,22 @@ class TestLeafTransforms:
     def test_affine_zero_map(self):
         params = LeafAffineParams(Tensor(np.zeros((2, 3)), requires_grad=True),
                                   Tensor(np.zeros(2), requires_grad=True))
-        states = leaf_transform(Tensor([[1.0, 2.0, 3.0]]), params, "affine")
+        states = leaf_transform(Tensor([[1.0, 2.0, 3.0]]), params)
         assert len(states) == 1
         assert states[0].h.data.tolist() == [0.0] and states[0].c.data.tolist() == [0.0]
 
     def test_affine_hand_value(self):
         # identity-like rows map x=[1] to (h, c) = ([1], [1])
         params = LeafAffineParams(Tensor([[1.0], [1.0]]), Tensor([0.0, 0.0]))
-        [s] = leaf_transform(Tensor([[1.0]]), params, "affine")
+        [s] = leaf_transform(Tensor([[1.0]]), params)
         assert s.h.data.tolist() == [1.0] and s.c.data.tolist() == [1.0]
 
     def test_rnn_shapes_and_determinism(self):
         rng = np.random.default_rng(0)
         params = init_leaf_rnn(rng, 4, 3)
         words = Tensor([np.random.default_rng(i).normal(size=4) for i in range(5)])
-        a = leaf_transform(words, params, "rnn")
-        b = leaf_transform(words, params, "rnn")
+        a = leaf_transform(words, params)
+        b = leaf_transform(words, params)
         assert len(a) == 5
         for sa, sb in zip(a, b):
             assert sa.h.shape == (3,) and sa.c.shape == (3,)
@@ -143,7 +118,7 @@ class TestLeafTransforms:
         params = init_leaf_rnn(np.random.default_rng(1), 4, 3)
         words = Tensor([np.random.default_rng(i).normal(size=4) for i in range(n)])
         with Tape() as tape:
-            states = leaf_transform(words, params, "rnn")
+            states = leaf_transform(words, params)
             records = len(tape)
             backward(tape, dot(states[0].h, states[-1].c))
         names = [rec.name for rec in tape._records[:records]]
@@ -159,19 +134,20 @@ class TestLeafTransforms:
         params = init_leaf_affine(np.random.default_rng(2), 4, 3)
         words = Tensor([np.random.default_rng(i).normal(size=4) for i in range(n)])
         with Tape() as tape:
-            states = leaf_transform(words, params, "affine")
+            states = leaf_transform(words, params)
             backward(tape, dot(states[0].h, states[-1].c))
         assert [rec.name for rec in tape._records] == ["leaf_states", "dot"]  # and the loss
         assert params.weight.grad is not None and params.bias.grad is not None
 
     def test_unknown_kind_and_empty_sentence(self):
+        # the type of the parameters is the kind
         params = init_leaf_affine(np.random.default_rng(0), 4, 3)
-        with pytest.raises(ValueError, match="leaf transform"):
-            leaf_transform(Tensor(np.zeros((1, 4))), params, "cnn")
+        with pytest.raises(TypeError, match="leaf_transform.*CompositionParams"):
+            leaf_transform(Tensor(np.zeros((1, 4))), zero_composition(2))
         with pytest.raises(ShapeError, match="empty sentence"):
-            leaf_transform(Tensor(np.zeros((0, 4))), params, "affine")
+            leaf_transform(Tensor(np.zeros((0, 4))), params)
         with pytest.raises(ShapeError, match="leaf_transform"):
-            leaf_transform(Tensor(np.zeros(4)), params, "affine")
+            leaf_transform(Tensor(np.zeros(4)), params)
 
 
 class TestValidityScores:

@@ -122,14 +122,14 @@ class TestEvaluate:
         result = evaluate([PairExample([2, 3], [4], gold)], model)
         assert result.accuracy == 1.0 and result.macro_f1 == 1.0
 
-    def test_accepts_checkpoint_directly(self):
+    def test_model_rebuilt_from_a_checkpoint_predicts_the_same(self):
         model = tiny_pair_model(num_classes=2)
         cfg = TrainConfig(task="pair", labels=("no", "yes"), hidden=8, d_attn=6,
                           d_clf=16, leaf_kind="affine")
         ckpt = snapshot(model, cfg, {}, epoch=1, best_val_acc=0.0)
         examples = [PairExample([2, 3], [4], 0)]
         direct = evaluate(examples, model)
-        via_ckpt = evaluate(examples, ckpt)
+        via_ckpt = evaluate(examples, ckpt.build_model())
         assert direct.predictions[0].predicted == via_ckpt.predictions[0].predicted
 
     def test_matches_per_example_inference(self):
@@ -210,8 +210,7 @@ class TestTrainLoop:
 
     def test_finetuned_pad_row_stays_zero(self, tmp_path):
         tr, va, vocab, embedding = toy_setup(tmp_path)
-        embedding = EmbeddingMatrix(Tensor(embedding.vectors.data.copy(),
-                                           requires_grad=True), trainable=True)
+        embedding = EmbeddingMatrix(Tensor(embedding.vectors.data.copy(), requires_grad=True))
         cfg = small_config(max_epochs=2, finetune_embeddings=True)
         train(tr, va, cfg, vocab, embedding, clock=lambda: 0.0)
         assert not embedding.vectors.data[0].any()
@@ -221,7 +220,7 @@ class TestGradientBatch:
     def test_batch_sums_equal_per_example_sums_and_plain_tapes_still_check(self):
         # a fine-tuned RNN-leaf model, so that every kind of gradient occurs
         model = tiny_pair_model(leaf_kind="rnn")
-        model.embedding.vectors.requires_grad = model.embedding.trainable = True
+        model.embedding.vectors.requires_grad = True
         params = model.parameters()
         examples = [PairExample([2, 3, 4, 2], [5, 6], 0), PairExample([7, 3, 8], [9, 2, 2], 1),
                     PairExample([4], [3, 5, 6, 11], 2)]
@@ -353,7 +352,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("text, message", [
         ('["pair"]', "config is not a JSON object"),
-        ('{"task": "pair", "labels": ["a", "b"], "hidden": "8"}', "bad config value"),
+        ('{"task": "pair", "labels": ["a", "b"], "hidden": "8"}',
+         "hidden must be of type int, got '8'"),
     ])
     def test_malformed_json_raises_value_error(self, text, message):
         with pytest.raises(ValueError, match=message):
