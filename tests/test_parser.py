@@ -16,6 +16,8 @@ from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add, back
                              softmax)
 from treeattn.trees import export_bracketed, parse_bracketed
 
+from conftest import assert_last_bits
+
 
 def zero_composition(hidden):
     return CompositionParams(Tensor(np.zeros((5 * hidden, 2 * hidden)), requires_grad=True),
@@ -60,6 +62,29 @@ class TestCompose:
         assert cells.c[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert cells.h[0, 0] == pytest.approx(0.3807970779778824, abs=1e-12)
         assert cells.logits[0] == 2.0 * cells.h[0, 0]
+
+    def test_pairs_sharing_a_node_in_one_record(self):
+        # one call composes both pairs a merge leaves, records nothing itself,
+        # and gives each parent the values it has when composed alone, to the
+        # last bits; the same call again gives the same bits
+        rng = np.random.default_rng(4)
+        params = init_composition_params(rng, 3)
+        query = init_query(rng, 3)
+        left, merged, right = random_states(rng, 3, 3)
+        pairs = children((left, merged), (merged, right))
+        with Tape() as tape:
+            cells = compose(*pairs, query, params)
+        assert len(tape) == 0
+        again = compose(*pairs, query, params)
+        for got, repeat in ((cells.h, again.h), (cells.c, again.c),
+                            (cells.logits, again.logits)):
+            np.testing.assert_array_equal(repeat, got)
+        for j, pair in enumerate([(left, merged), (merged, right)]):
+            alone = compose(*children(pair), query, params)
+            assert_last_bits(cells.h[j], alone.h[0])
+            assert_last_bits(cells.c[j], alone.c[0])
+            assert_last_bits(cells.logits[j], alone.logits[0])
+            assert_last_bits(cells.logits[j], np.dot(query.data, cells.h[j]))
 
     def test_gradients_match_finite_differences(self):
         # the composition's gradients as the induction records them: two
