@@ -2,8 +2,8 @@
 
 Every run writes a JSON manifest recording the resolved configuration,
 input digests, seed, and timestamps, so any output can be reproduced
-bit-for-bit.  Exit codes: 0 success, 2 usage or input error, 3 numeric
-failure (non-finite loss).
+bit-for-bit.  Exit codes: 0 success, 2 usage or input error (a model too
+large to allocate included), 3 numeric failure (non-finite loss).
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ import numpy as np
 
 from . import __version__
 from .classifier import cosine_similarity
-from .data import (CorpusError, load_embeddings, load_pair_corpus,
-                   load_sentence_corpus, load_tree_corpus, read_lines, tokenize)
+from .data import (CorpusError, load_corpus, load_embeddings, load_tree_corpus,
+                   read_lines, tokenize)
 from .metrics import score_corpus
 from .tensor import NonFiniteError
-from .training import Checkpoint, TrainConfig, TrainingDiverged, evaluate, train
+from .training import (Checkpoint, ModelAllocationError, TrainConfig, TrainingDiverged,
+                       evaluate, train)
 from .trees import export_bracketed
 
 
@@ -167,12 +168,8 @@ def cmd_train(args) -> int:
         raise CliError(f"bad training setting: {err}") from None
     vocab, embedding = load_embeddings(args.embeddings, vocab_limit=args.vocab_limit,
                                        seed=seed, trainable=args.finetune_embeddings)
-    if args.task == "pair":
-        train_set = load_pair_corpus(args.train, vocab, labels, config.max_len)
-        val_set = load_pair_corpus(args.val, vocab, labels, config.max_len)
-    else:
-        train_set = load_sentence_corpus(args.train, vocab, labels, config.max_len)
-        val_set = load_sentence_corpus(args.val, vocab, labels, config.max_len)
+    train_set = load_corpus(config.task, args.train, vocab, labels, config.max_len)
+    val_set = load_corpus(config.task, args.val, vocab, labels, config.max_len)
     if not train_set or not val_set:
         raise CliError("no usable examples after loading")
 
@@ -192,10 +189,7 @@ def cmd_eval(args) -> int:
     _require_files(args.corpus)
     checkpoint, model = _load_checkpoint(args.checkpoint)
     cfg = checkpoint.config
-    if cfg.task == "pair":
-        examples = load_pair_corpus(args.corpus, model.vocab, cfg.labels, cfg.max_len)
-    else:
-        examples = load_sentence_corpus(args.corpus, model.vocab, cfg.labels, cfg.max_len)
+    examples = load_corpus(cfg.task, args.corpus, model.vocab, cfg.labels, cfg.max_len)
     if not examples:
         raise CliError("no usable examples after loading")
     result = evaluate(examples, model)
@@ -326,20 +320,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="comma-separated label names, order fixes label indices")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--metrics-log", help="metrics TSV path (default: <out>.metrics.tsv)")
-    p.add_argument("--hidden", type=_positive_int, default=100)
-    p.add_argument("--d-attn", type=_positive_int, default=128)
-    p.add_argument("--d-clf", type=_positive_int, default=1024)
-    p.add_argument("--batch", type=_positive_int, default=32)
-    p.add_argument("--dropout", type=_rate, default=0.13, help="dropout rate")
-    p.add_argument("--lr", type=_positive_float, default=1e-3)
-    p.add_argument("--epochs", type=_positive_int, default=50)
-    p.add_argument("--patience", type=_nonnegative_int, default=10)
+    # each default is that of the TrainConfig field the flag fills
+    p.add_argument("--hidden", type=_positive_int, default=TrainConfig.hidden)
+    p.add_argument("--d-attn", type=_positive_int, default=TrainConfig.d_attn)
+    p.add_argument("--d-clf", type=_positive_int, default=TrainConfig.d_clf)
+    p.add_argument("--batch", type=_positive_int, default=TrainConfig.batch_size)
+    p.add_argument("--dropout", type=_rate, default=1.0 - TrainConfig.dropout_keep,
+                   help="dropout rate")
+    p.add_argument("--lr", type=_positive_float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=_positive_int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=_nonnegative_int, default=TrainConfig.patience)
     p.add_argument("--seed", type=int, help="omit to draw one from entropy")
-    p.add_argument("--temperature", type=_positive_float, default=1.0)
-    p.add_argument("--leaf", choices=("rnn", "affine"), default="rnn")
+    p.add_argument("--temperature", type=_positive_float, default=TrainConfig.temperature)
+    p.add_argument("--leaf", choices=("rnn", "affine"), default=TrainConfig.leaf_kind)
     p.add_argument("--finetune-embeddings", action="store_true")
     p.add_argument("--vocab-limit", type=_positive_int)
-    p.add_argument("--max-len", type=_positive_int, default=120)
+    p.add_argument("--max-len", type=_positive_int, default=TrainConfig.max_len)
     p.add_argument("--perturb-probs", action="store_true",
                    help="add selection noise to probabilities instead of log-probabilities")
     p.add_argument("--noise-per-sentence", action="store_true",
@@ -391,7 +387,7 @@ def main(argv=None) -> int:
     args.started = _now()
     try:
         return args.func(args)
-    except (CliError, CorpusError, OSError) as err:
+    except (CliError, CorpusError, ModelAllocationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (TrainingDiverged, NonFiniteError) as err:

@@ -176,7 +176,25 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
     return vocab, EmbeddingMatrix(vectors)
 
 
-def _iter_json_records(path):
+# the sentence fields of a task's records, and the example they make
+_TASK_RECORDS = {"pair": (("premise", "hypothesis"), PairExample),
+                 "sentence": (("sentence",), SentenceExample)}
+
+
+def load_corpus(task: str, path, vocab: Vocabulary, labels, max_len: int = 120,
+                stats: LoadStats | None = None) -> list[PairExample | SentenceExample]:
+    """Load a ``task`` corpus, one JSON record per line, preserving file
+    order: premise/hypothesis/label records for "pair", sentence/label
+    records for "sentence".
+
+    Records with a missing or empty sentence, or whose sentences hold more
+    than ``max_len`` tokens together, are skipped and counted.  A sentence
+    field that is not a string raises ``CorpusError``.
+    """
+    names, make_example = _TASK_RECORDS[task]
+    stats = stats if stats is not None else LoadStats()
+    labels = list(labels)
+    examples = []
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
@@ -187,66 +205,34 @@ def _iter_json_records(path):
         if not isinstance(record, dict):
             raise CorpusError(f"{path}:{lineno}: bad record: expected a JSON object, "
                               f"got {type(record).__name__}")
-        yield lineno, record
-
-
-def _label_index(path, lineno, record, labels) -> int:
-    label = record.get("label")
-    if label not in labels:
-        raise CorpusError(
-            f"{path}:{lineno}: unknown label {label!r} (expected one of {list(labels)})")
-    return labels.index(label)
+        label = record.get("label")
+        if label not in labels:
+            raise CorpusError(
+                f"{path}:{lineno}: unknown label {label!r} (expected one of {labels})")
+        sentences = []
+        for name in names:
+            text = record.get(name, "")
+            if not isinstance(text, str):
+                raise CorpusError(f"{path}:{lineno}: bad record: {name!r} is not a string")
+            sentences.append(tokenize(text))
+        if not all(sentences):
+            stats.skipped_empty += 1
+        elif sum(map(len, sentences)) > max_len:
+            stats.skipped_long += 1
+        else:
+            examples.append(make_example(*map(vocab.encode, sentences),
+                                         labels.index(label)))
+    if stats.skipped_empty or stats.skipped_long:
+        log.warning("%s: skipped %d empty and %d over-length records",
+                    path, stats.skipped_empty, stats.skipped_long)
+    return examples
 
 
 def load_pair_corpus(path, vocab: Vocabulary, labels,
                      max_combined_len: int = 120,
                      stats: LoadStats | None = None) -> list[PairExample]:
-    """Load premise/hypothesis/label records, preserving file order.
-
-    Records whose sentences tokenize to nothing, or whose combined token
-    count exceeds ``max_combined_len``, are skipped and counted.
-    """
-    stats = stats if stats is not None else LoadStats()
-    labels = list(labels)
-    examples: list[PairExample] = []
-    for lineno, record in _iter_json_records(path):
-        label = _label_index(path, lineno, record, labels)
-        premise = tokenize(str(record.get("premise", "")))
-        hypothesis = tokenize(str(record.get("hypothesis", "")))
-        if not premise or not hypothesis:
-            stats.skipped_empty += 1
-            continue
-        if len(premise) + len(hypothesis) > max_combined_len:
-            stats.skipped_long += 1
-            continue
-        examples.append(PairExample(vocab.encode(premise), vocab.encode(hypothesis), label))
-    if stats.skipped_empty or stats.skipped_long:
-        log.warning("%s: skipped %d empty and %d over-length records",
-                    path, stats.skipped_empty, stats.skipped_long)
-    return examples
-
-
-def load_sentence_corpus(path, vocab: Vocabulary, labels,
-                         max_len: int = 120,
-                         stats: LoadStats | None = None) -> list[SentenceExample]:
-    """Load sentence/label records; same conventions as the pair loader."""
-    stats = stats if stats is not None else LoadStats()
-    labels = list(labels)
-    examples: list[SentenceExample] = []
-    for lineno, record in _iter_json_records(path):
-        label = _label_index(path, lineno, record, labels)
-        tokens = tokenize(str(record.get("sentence", "")))
-        if not tokens:
-            stats.skipped_empty += 1
-            continue
-        if len(tokens) > max_len:
-            stats.skipped_long += 1
-            continue
-        examples.append(SentenceExample(vocab.encode(tokens), label))
-    if stats.skipped_empty or stats.skipped_long:
-        log.warning("%s: skipped %d empty and %d over-length records",
-                    path, stats.skipped_empty, stats.skipped_long)
-    return examples
+    """``load_corpus`` for the "pair" task."""
+    return load_corpus("pair", path, vocab, labels, max_combined_len, stats)
 
 
 def load_tree_corpus(path, stats: LoadStats | None = None) -> list[BinaryTree]:

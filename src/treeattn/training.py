@@ -37,6 +37,10 @@ class TrainingDiverged(ArithmeticError):
         self.example_ids = example_ids
 
 
+class ModelAllocationError(ValueError):
+    """The arrays of the model a config describes cannot be allocated."""
+
+
 # the values a TrainConfig field of each declared type takes
 _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
@@ -84,6 +88,8 @@ class TrainConfig:
         self.labels = tuple(self.labels)
         if self.task not in ("pair", "sentence"):
             raise ValueError(f"task must be 'pair' or 'sentence', got {self.task!r}")
+        if self.leaf_kind not in ("rnn", "affine"):
+            raise ValueError(f"leaf_kind must be 'rnn' or 'affine', got {self.leaf_kind!r}")
         if len(self.labels) < 2:
             raise ValueError("need at least two labels")
         for i, label in enumerate(self.labels):
@@ -133,13 +139,22 @@ class TrainConfig:
 
 def _build_model(config: TrainConfig, rng: np.random.Generator, vocab: Vocabulary,
                  embedding: EmbeddingMatrix) -> Model:
-    """The model a training run or a checkpoint of ``config`` describes."""
-    return Model.build(rng, task=config.task, num_classes=len(config.labels),
-                       hidden=config.hidden, d_attn=config.d_attn, d_clf=config.d_clf,
-                       vocab=vocab, embedding=embedding, leaf_kind=config.leaf_kind,
-                       selection=GumbelConfig(temperature=config.temperature,
-                                              perturb_probs=config.perturb_probs,
-                                              noise_per_layer=config.noise_per_layer))
+    """The model a training run or a checkpoint of ``config`` describes.
+
+    A config is checked when it is made, so numpy's refusal of an array
+    size, or a failed allocation, is all this can raise; it raises
+    ``ModelAllocationError`` naming the sizes."""
+    try:
+        return Model.build(rng, task=config.task, num_classes=len(config.labels),
+                           hidden=config.hidden, d_attn=config.d_attn, d_clf=config.d_clf,
+                           vocab=vocab, embedding=embedding, leaf_kind=config.leaf_kind,
+                           selection=GumbelConfig(temperature=config.temperature,
+                                                  perturb_probs=config.perturb_probs,
+                                                  noise_per_layer=config.noise_per_layer))
+    except (ValueError, MemoryError) as err:
+        raise ModelAllocationError(
+            f"cannot allocate a model with hidden {config.hidden}, d_attn {config.d_attn} "
+            f"and d_clf {config.d_clf}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,77 @@ class TestTrain:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_sentence_task_trains_and_evaluates(self, workspace, tmp_path, capsys):
+        for name, seed in (("train", 51), ("val", 52)):
+            records = toy.subset_pair_records(16, vocab_size=20, min_len=3, max_len=5,
+                                              seed=seed)
+            toy.write_pair_corpus(tmp_path / f"{name}.jsonl", [
+                {"sentence": f"{r['premise']} {r['hypothesis']}", "label": r["label"]}
+                for r in records])
+        ckpt = tmp_path / "sentence.ckpt"
+        assert main(["train", "--task", "sentence",
+                     "--train", str(tmp_path / "train.jsonl"),
+                     "--val", str(tmp_path / "val.jsonl"),
+                     "--embeddings", str(workspace / "emb.txt"),
+                     "--labels", "mixed,subset", "--out", str(ckpt),
+                     "--hidden", "8", "--d-attn", "6", "--d-clf", "12",
+                     "--batch", "8", "--epochs", "2", "--seed", "5", "--leaf", "affine"]) == 0
+        assert Checkpoint.load(ckpt).config.task == "sentence"
+        logged_best = max((line.split("\t")[3] for line in
+                           (tmp_path / "sentence.ckpt.metrics.tsv").read_text().splitlines()
+                           if not line.startswith("#")), key=float)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--corpus", str(tmp_path / "val.jsonl")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"accuracy\t{logged_best}"
+
+    def test_defaults_are_the_train_configs(self, workspace, tmp_path):
+        # two training pairs and one validation pair keep the default sizes
+        # and epoch count cheap
+        for name, count in (("train", 2), ("val", 1)):
+            lines = (workspace / f"{name}.jsonl").read_text().splitlines(keepends=True)
+            (tmp_path / f"{name}.jsonl").write_text("".join(lines[:count]))
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--task", "pair", "--train", str(tmp_path / "train.jsonl"),
+                     "--val", str(tmp_path / "val.jsonl"),
+                     "--embeddings", str(workspace / "emb.txt"),
+                     "--labels", "mixed,subset", "--out", str(out), "--seed", "3"]) == 0
+        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+        expected = training.TrainConfig("pair", ("mixed", "subset"), seed=3)
+        assert manifest["config"] == json.loads(expected.to_json())
+
+    def test_sentence_field_that_is_not_a_string_exits_2(self, workspace, tmp_path,
+                                                         capsys):
+        corpus = tmp_path / "null.jsonl"
+        lines = (workspace / "train.jsonl").read_text().splitlines()
+        record = {**json.loads(lines[1]), "hypothesis": None}
+        corpus.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+        code = main(["train", "--task", "pair", "--train", str(corpus),
+                     "--val", str(workspace / "val.jsonl"),
+                     "--embeddings", str(workspace / "emb.txt"),
+                     "--labels", "mixed,subset", "--out", str(tmp_path / "x.ckpt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus}:2: bad record: 'hypothesis' is not a string\n")
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--d-attn", "--d-clf"])
+    def test_model_that_cannot_be_allocated_exits_2(self, workspace, tmp_path, capsys,
+                                                    flag):
+        # numpy refuses 2**62 by arithmetic, before it asks for any memory
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["train", "--task", "pair",
+                     "--train", str(workspace / "train.jsonl"),
+                     "--val", str(workspace / "val.jsonl"),
+                     "--embeddings", str(workspace / "emb.txt"),
+                     "--labels", "mixed,subset", "--out", str(out / "x.ckpt"),
+                     flag, str(2 ** 62)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate a model with ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not list(out.iterdir())
+
 
 class TestEval:
     def test_reports_metrics_and_predictions(self, workspace, tmp_path, capsys):
@@ -322,8 +393,9 @@ class TestEval:
         ("labels", [1, 2], "labels must be a list of strings, got [1, 2]"),
         ("finetune_embeddings", "no",
          "finetune_embeddings must be of type bool, got 'no'"),
+        ("leaf_kind", "cnn", "leaf_kind must be 'rnn' or 'affine', got 'cnn'"),
     ], ids=["float-hidden", "float-d_attn", "bool-hidden", "string-labels", "empty-label",
-            "int-labels", "string-bool"])
+            "int-labels", "string-bool", "unknown-leaf"])
     def test_checkpoint_config_value_of_the_wrong_type_exits_2(self, workspace, tmp_path,
                                                                capsys, key, value, message):
         magic, config, rest = (workspace / "model.ckpt").read_bytes().split(b"\n", 2)

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from treeattn.data import (CorpusError, LoadStats, UNK_INDEX, load_embeddings,
-                           load_pair_corpus, load_sentence_corpus,
-                           load_tree_corpus, tokenize)
+from treeattn.data import (CorpusError, LoadStats, UNK_INDEX, load_corpus,
+                           load_embeddings, load_pair_corpus, load_tree_corpus,
+                           tokenize)
 from treeattn.trees import export_bracketed
 
 LABELS3 = ("entailment", "contradiction", "neutral")
@@ -109,13 +109,15 @@ class TestPairCorpus:
             load_pair_corpus(path, vocab, LABELS3)
 
     def test_empty_sentence_skipped_and_counted(self, tmp_path, vocab):
+        # a missing sentence counts as an empty one
         path = jsonl(tmp_path / "c.jsonl", [
             {"premise": "a", "hypothesis": "", "label": "neutral"},
+            {"premise": "a", "label": "neutral"},
             {"premise": "a", "hypothesis": "man", "label": "neutral"}])
         stats = LoadStats()
         examples = load_pair_corpus(path, vocab, LABELS3, stats=stats)
         assert len(examples) == 1
-        assert stats.skipped_empty == 1
+        assert stats.skipped_empty == 2
 
     def test_combined_length_cap(self, tmp_path, vocab):
         path = jsonl(tmp_path / "c.jsonl", [
@@ -138,6 +140,23 @@ class TestPairCorpus:
         with pytest.raises(CorpusError, match=":1:"):
             load_pair_corpus(path, vocab, LABELS3)
 
+    @pytest.mark.parametrize("value", [None, ["a", "man"], 3, {"a": "man"}, False],
+                             ids=["null", "list", "number", "object", "false"])
+    @pytest.mark.parametrize("task, name", [("pair", "premise"), ("pair", "hypothesis"),
+                                            ("sentence", "sentence")])
+    def test_sentence_that_is_not_a_string_names_file_line_and_field(
+            self, tmp_path, vocab, task, name, value):
+        record = {"premise": "a", "hypothesis": "man", "sentence": "a man",
+                  "label": "neutral"}
+        path = jsonl(tmp_path / "c.jsonl", [record, {**record, name: value}])
+        with pytest.raises(CorpusError) as info:
+            load_corpus(task, path, vocab, LABELS3)
+        assert str(info.value) == f"{path}:2: bad record: {name!r} is not a string"
+        # the label is checked first
+        path = jsonl(tmp_path / "c.jsonl", [{**record, name: value, "label": "maybe"}])
+        with pytest.raises(CorpusError, match=":1: unknown label 'maybe'"):
+            load_corpus(task, path, vocab, LABELS3)
+
 
 class TestSentenceCorpus:
     @pytest.fixture
@@ -148,18 +167,18 @@ class TestSentenceCorpus:
     def test_basic(self, tmp_path, vocab):
         path = jsonl(tmp_path / "s.jsonl", [
             {"sentence": "great movie", "label": "positive"}])
-        [ex] = load_sentence_corpus(path, vocab, ("negative", "positive"))
+        [ex] = load_corpus("sentence", path, vocab, ("negative", "positive"))
         assert ex.label == 1 and ex.tokens == [2, 3]
 
     def test_empty_file_gives_empty_list(self, tmp_path, vocab):
         path = tmp_path / "s.jsonl"
         path.write_text("", encoding="utf-8")
-        assert load_sentence_corpus(path, vocab, ("negative", "positive")) == []
+        assert load_corpus("sentence", path, vocab, ("negative", "positive")) == []
 
     def test_duplicates_kept(self, tmp_path, vocab):
         rec = {"sentence": "great movie", "label": "positive"}
         path = jsonl(tmp_path / "s.jsonl", [rec, rec])
-        assert len(load_sentence_corpus(path, vocab, ("negative", "positive"))) == 2
+        assert len(load_corpus("sentence", path, vocab, ("negative", "positive"))) == 2
 
 
 class TestTreeCorpus:
