@@ -18,6 +18,7 @@ relaxation they are built from, which all take one ``GumbelConfig``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,9 +134,8 @@ def leaf_transform(words: Tensor, params: LeafAffineParams | LeafRnnParams) -> l
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    # exp over -|x| never overflows; negative inputs use 1 - sigma(|x|)
-    inv = 1.0 / (1.0 + np.exp(-np.abs(x)))
-    return np.where(x >= 0, inv, 1.0 - inv)
+    # the tanh form saturates to exactly 0 or 1 and never overflows or underflows
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def gru_sequence(params: GruParams, inputs: Tensor, reverse: bool = False) -> Tensor:
@@ -276,30 +276,36 @@ class TreeLstmCells:
     forget-right; output] applied to ``[h_left; h_right]``.  One matrix
     product takes all k pre-activations and one more all k logits, so a
     pair's values match those of the elementary ops to the last bits, and
-    those bits may depend on k.  The pre-activation is checked for
+    those bits may depend on k.  Each gate is the logistic in its tanh form
+    ``0.5 + 0.5 * tanh(x / 2)``, so one ``tanh`` over the halved gate blocks
+    and the candidate block gives all five; it saturates to exactly 0 or 1
+    and raises no floating-point error.  The pre-activation is checked for
     non-finite values, because the saturating gates would otherwise hide an
     overflow, and so are the results.
     """
 
-    __slots__ = ("query", "pairs", "mem_l", "mem_r", "candidate", "gates", "tanh_c",
-                 "h", "c", "logits")
+    __slots__ = ("query", "pairs", "mem_l", "mem_r", "blocks", "tanh_c", "h", "c", "logits")
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, query: np.ndarray,
                  h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,
                  c_right: np.ndarray):
         k, hidden = h_left.shape
         self.query, self.mem_l, self.mem_r = query, c_left, c_right
-        self.pairs = pairs = np.empty((k, 2 * hidden))  # row j: [h_left[j]; h_right[j]]
-        pairs[:, :hidden] = h_left
-        pairs[:, hidden:] = h_right
-        pre = pairs @ weight.T + bias
+        self.pairs = pairs = np.concatenate((h_left, h_right), axis=1)
+        pre = pairs @ weight.T
+        pre += bias
         if not np.isfinite(pre).all():
             raise NonFiniteError("tree_induction: pre-activation has non-finite values")
-        blocks = pre.reshape(k, 5, hidden).transpose(1, 0, 2).copy()  # (5, k, H)
-        self.candidate = np.tanh(blocks[0])
-        self.gates = _logistic(blocks[1:])
-        gate_in, forget_l, forget_r, gate_out = self.gates
-        self.c = np.add(self.candidate * gate_in, c_left * forget_l + c_right * forget_r)
+        # x -> tanh(x) on the candidate block and 0.5 + 0.5 * tanh(x / 2) on
+        # the gate blocks, in place; halving is exact
+        scale, shift = _gate_affine(hidden)
+        pre *= scale
+        np.tanh(pre, out=pre)
+        pre *= scale
+        pre += shift
+        self.blocks = pre.reshape(k, 5, hidden)
+        candidate, gate_in, forget_l, forget_r, gate_out = self.blocks.transpose(1, 0, 2)
+        self.c = np.add(candidate * gate_in, c_left * forget_l + c_right * forget_r)
         self.tanh_c = np.tanh(self.c)
         self.h = self.tanh_c * gate_out
         self.logits = self.h @ query
@@ -314,16 +320,29 @@ class TreeLstmCells:
         gradient is ``g_pre.T @ pairs``, the bias's ``g_pre.sum(0)``, the
         query's ``g_logit @ h`` and that of ``[h_left; h_right]``
         ``g_pre @ weight``."""
-        gate_in, forget_l, forget_r, gate_out = self.gates
-        candidate, tanh_c = self.candidate, self.tanh_c
+        blocks, tanh_c = self.blocks, self.tanh_c
+        candidate, gate_in, forget_l, forget_r, gate_out = blocks.transpose(1, 0, 2)
         k, hidden = g_h.shape
         g_h += g_logit[:, None] * self.query
         g_c += g_h * gate_out * (1.0 - tanh_c * tanh_c)
-        g_pre = np.empty((5, k, hidden))
-        g_pre[0] = g_c * gate_in * (1.0 - candidate * candidate)
-        g_pre[1:] = g_c * candidate, g_c * self.mem_l, g_c * self.mem_r, g_h * tanh_c
-        g_pre[1:] *= self.gates * (1.0 - self.gates)
-        return g_pre.transpose(1, 0, 2).reshape(k, 5 * hidden), g_c * forget_l, g_c * forget_r
+        # per block, the gradient of its activation times that activation's
+        # slope: 1 - t^2 for the candidate t, g (1 - g) for a gate g
+        g_pre = np.concatenate((g_c * gate_in, g_c * candidate, g_c * self.mem_l,
+                                g_c * self.mem_r, g_h * tanh_c), axis=1)
+        slope = blocks * (1.0 - blocks)
+        slope[:, 0] = 1.0 - candidate * candidate
+        g_pre *= slope.reshape(k, 5 * hidden)
+        return g_pre, g_c * forget_l, g_c * forget_r
+
+
+@lru_cache(maxsize=None)
+def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (5H,) scale and shift that turn the tanh of a cell's halved gate
+    blocks into 0.5 + 0.5 * tanh and leave its candidate block as it is."""
+    scale, shift = np.full((2, 5 * hidden), 0.5)
+    scale[:hidden], shift[:hidden] = 1.0, 0.0
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
 
 def compose(h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,
@@ -452,7 +471,9 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     passes the relaxed gradient straight through), of the Gumbel relaxation
     (``_gumbel_relaxation_grad``) and of the validity softmax; the first
     layer's cells come last, as one batch.  The weight gradient is one
-    deferred matrix product over all candidates.
+    deferred matrix product over all candidates.  The Gumbel noise of all
+    layers is one draw per sentence, which gives the same values and leaves
+    ``rng`` in the same state as one draw per layer.
     """
     n = len(leaves)
     if n == 0:
@@ -467,9 +488,11 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
         raise ShapeError(f"tree_induction: weight {weight.shape} and bias {bias.shape} "
                          f"do not fit children of size {hidden}")
     mode = config.mode
-    presampled = None
-    if mode != "infer" and not config.noise_per_layer:
-        presampled = gumbel_noise(n - 1, rng)
+    # one draw per sentence: layer t's n - 1 - t values start at offset
+    # (every layer its own, as if drawn per layer) or at 0 (one vector reused)
+    noise, offset = None, 0
+    if mode != "infer":
+        noise = gumbel_noise(n * (n - 1) // 2 if config.noise_per_layer else n - 1, rng)
     node_h, node_c = np.empty((2, 2 * n - 1, hidden))
     node_h[:n] = [t.data for t in leaf_h]
     node_c[:n] = [t.data for t in leaf_c]
@@ -477,7 +500,7 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     cand_h, cand_c = np.empty((2, 3 * n, hidden))
     cand_logit = np.empty(3 * n)
     count = 0  # candidate rows filled
-    cells: list = []  # per compose call: (candidate rows, TreeLstmCells, lefts, rights)
+    cells: list = []  # per compose call: (candidate rows, TreeLstmCells, window)
     steps: list = []  # per merge: (live rows, index, probs, relaxed)
     nodes = list(range(n))  # the current nodes, in sentence order
     live: list[int] = []
@@ -485,18 +508,20 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     window = nodes[:]
     merges: list[int] = []
     for t in range(n - 1):
-        lefts, rights = window[:-1], window[1:]
-        made = compose(node_h.take(lefts, 0), node_h.take(rights, 0), node_c.take(lefts, 0),
-                       node_c.take(rights, 0), query, params)
+        win_h, win_c = node_h.take(window, 0), node_c.take(window, 0)
+        made = compose(win_h[:-1], win_h[1:], win_c[:-1], win_c[1:], query, params)
         rows = slice(count, count + len(made.logits))
         cand_h[rows], cand_c[rows], cand_logit[rows] = made.h, made.c, made.logits
         live[slot:slot] = range(rows.start, rows.stop)
-        cells.append((rows, made, lefts, rights))
+        cells.append((rows, made, window))
         count = rows.stop
         logits = cand_logit.take(live)
         scores = validity_scores(logits)
-        noise = presampled[:len(logits)] if presampled is not None else None
-        index, relaxed = st_gumbel_select(scores, config, rng, noise=noise)
+        layer_noise = None
+        if noise is not None:
+            layer_noise = noise[offset:offset + len(logits)]
+            offset += len(logits) if config.noise_per_layer else 0
+        index, relaxed = st_gumbel_select(scores, config, noise=layer_noise)
         if mode == "soft":
             node_h[n + t] = relaxed @ cand_h[live]
             node_c[n + t] = relaxed @ cand_c[live]
@@ -519,10 +544,11 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
         g_cand_h, g_cand_c = np.zeros((2, count, hidden))
         g_cand_logit = np.zeros(count)
 
-        def cell_backward(rows, made, lefts, rights):
+        def cell_backward(rows, made, window):
             g_pre, g_mem_l, g_mem_r = made.backward(g_cand_h[rows], g_cand_c[rows],
                                                     g_cand_logit[rows])
             g_pairs = g_pre @ weight.data
+            lefts, rights = window[:-1], window[1:]
             g_node_h[lefts] += g_pairs[:, :hidden]
             g_node_h[rights] += g_pairs[:, hidden:]
             g_node_c[lefts] += g_mem_l
@@ -546,7 +572,7 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
             g_cand_logit[live_rows] += _softmax_grad(probs, g_probs)
         g_pres[0] = cell_backward(*cells[0])
         g_pre = np.concatenate(g_pres)
-        pairs = np.concatenate([made.pairs for _, made, _, _ in cells])
+        pairs = np.concatenate([made.pairs for _, made, _ in cells])
         return (_Outer(g_pre.T, pairs), g_pre.sum(axis=0),
                 g_cand_logit @ cand_h[:count], *g_node_h[:n], *g_node_c[:n])
 

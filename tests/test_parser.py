@@ -63,28 +63,59 @@ class TestCompose:
         assert cells.h[0, 0] == pytest.approx(0.3807970779778824, abs=1e-12)
         assert cells.logits[0] == 2.0 * cells.h[0, 0]
 
-    def test_pairs_sharing_a_node_in_one_record(self):
-        # one call composes both pairs a merge leaves, records nothing itself,
-        # and gives each parent the values it has when composed alone, to the
-        # last bits; the same call again gives the same bits
-        rng = np.random.default_rng(4)
-        params = init_composition_params(rng, 3)
-        query = init_query(rng, 3)
-        left, merged, right = random_states(rng, 3, 3)
-        pairs = children((left, merged), (merged, right))
+    @pytest.mark.parametrize("k", [2, 7], ids=["merge-window", "first-layer"])
+    def test_batch_gives_each_pair_its_values_alone(self, k):
+        # k = 2 is the two pairs a merge leaves, which share its node, and
+        # k = 7 a first layer over a row of 8 nodes.  One call composes the
+        # whole batch and records nothing itself; the same call again gives
+        # the same bits, and each parent has the values it has when composed
+        # alone to the last bits, which may depend on k (one matrix product
+        # takes the whole batch)
+        rng = np.random.default_rng(k)
+        hidden = 8
+        params = CompositionParams(Tensor(rng.normal(size=(5 * hidden, 2 * hidden))),
+                                   Tensor(rng.normal(size=5 * hidden)))
+        query = Tensor(rng.normal(size=hidden))
+        row = random_states(rng, k + 1, hidden)
+        pairs = list(zip(row, row[1:]))
         with Tape() as tape:
-            cells = compose(*pairs, query, params)
+            cells = compose(*children(*pairs), query, params)
         assert len(tape) == 0
-        again = compose(*pairs, query, params)
-        for got, repeat in ((cells.h, again.h), (cells.c, again.c),
-                            (cells.logits, again.logits)):
-            np.testing.assert_array_equal(repeat, got)
-        for j, pair in enumerate([(left, merged), (merged, right)]):
+        again = compose(*children(*pairs), query, params)
+        for name in ("h", "c", "logits"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(cells, name))
+        for j, pair in enumerate(pairs):
             alone = compose(*children(pair), query, params)
-            assert_last_bits(cells.h[j], alone.h[0])
-            assert_last_bits(cells.c[j], alone.c[0])
-            assert_last_bits(cells.logits[j], alone.logits[0])
+            for name in ("h", "c", "logits"):
+                assert_last_bits(getattr(cells, name)[j], getattr(alone, name)[0])
             assert_last_bits(cells.logits[j], np.dot(query.data, cells.h[j]))
+
+    def test_gates_saturate_exactly_without_floating_point_errors(self):
+        # pre-activations of +-800 and +-1e300 give gates of exactly 0 or 1
+        # and raise no overflow, underflow or invalid-value error, in the
+        # cell and in a GRU direction
+        extremes = np.array([800.0, -800.0, 1e300, -1e300])
+        bounds = (extremes > 0).astype(float)
+        hidden = len(extremes)
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            bias = np.tile(extremes, 5)
+            params = CompositionParams(Tensor(np.zeros((5 * hidden, 2 * hidden))),
+                                       Tensor(bias))
+            cells = compose(*children((state(np.ones(hidden), np.ones(hidden)),
+                                       state(np.ones(hidden), np.ones(hidden)))),
+                            Tensor(np.ones(hidden)), params)
+            np.testing.assert_array_equal(cells.blocks[0, 1:], np.tile(bounds, (4, 1)))
+            # c = candidate * input + c_left * forget_left + c_right * forget_right
+            np.testing.assert_array_equal(cells.c[0], [3.0, 0.0, 3.0, 0.0])
+            np.testing.assert_array_equal(parser._logistic(extremes), bounds)
+            # an update gate of exactly 1 keeps the zero start state, and one
+            # of exactly 0 takes the candidate, tanh(800) = tanh(1e300) = 1
+            gru = parser.GruParams(*(Tensor(np.zeros(shape)) for shape in
+                                     [(hidden, 3), (hidden, hidden), (hidden,)] * 3))
+            gru.update_bias.data[:] = gru.reset_bias.data[:] = extremes
+            gru.cand_bias.data[:] = -extremes
+            states = parser.gru_sequence(gru, Tensor(np.ones((2, 3))))
+        np.testing.assert_array_equal(states.data, [[0.0, 1.0, 0.0, 1.0]] * 2)
 
     def test_gradients_match_finite_differences(self):
         # the composition's gradients as the induction records them: two

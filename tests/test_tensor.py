@@ -341,31 +341,6 @@ class TestMultiOutputRecords:
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
 
-class TestTreeLstmCell:
-    """``TreeLstmCells`` through ``parser.compose``; the induction oracle
-    tests check its values and gradients."""
-
-    def test_forward_does_not_depend_on_the_batch(self):
-        # only in the last bits: one matrix product composes the whole batch,
-        # so a pair's bits may depend on how many pairs share it; two calls
-        # on the same batch agree bit for bit
-        rng = np.random.default_rng(6)
-        hidden, k = 8, 7
-        params = CompositionParams(Tensor(rng.normal(size=(5 * hidden, 2 * hidden))),
-                                   Tensor(rng.normal(size=5 * hidden)))
-        query = Tensor(rng.normal(size=hidden))
-        h, c = rng.normal(size=(2, k + 1, hidden))
-        children = (h[:-1], h[1:], c[:-1], c[1:])  # k pairs over a row of k + 1 nodes
-        together = compose(*children, query, params)
-        again = compose(*children, query, params)
-        for name in ("h", "c", "logits"):
-            np.testing.assert_array_equal(getattr(again, name), getattr(together, name))
-        for j in range(k):
-            alone = compose(*(side[j:j + 1] for side in children), query, params)
-            for name in ("h", "c", "logits"):
-                assert_last_bits(getattr(together, name)[j], getattr(alone, name)[0])
-
-
 def unfused_gru_step(x, state, weights):
     """One GRU step written with elementary ops; ``weights`` in GRU_WEIGHTS order."""
     u_in, u_state, u_bias, r_in, r_state, r_bias, c_in, c_state, c_bias = weights
