@@ -129,12 +129,75 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
                     trainable: bool = False) -> tuple[Vocabulary, EmbeddingMatrix]:
     """Read a "word v1 .. vD" file into a vocabulary and vector matrix.
 
-    Vocabulary order follows file order after the two reserved slots.  The
-    PAD row is zero; the UNK row is a seeded uniform(-0.05, 0.05) draw so
-    reloading the same file with the same seed is bit-reproducible.
+    Words and values are separated by whitespace, values use Python
+    ``float`` syntax, ``#`` starts no comment and blank lines are skipped;
+    at most ``vocab_limit`` words are read.  Vocabulary order follows file
+    order after the two reserved slots.  The PAD row is zero; the UNK row is
+    a seeded uniform(-0.05, 0.05) draw so reloading the same file with the
+    same seed is bit-reproducible.
+    """
+    words, values, linenos = _read_vectors(path, vocab_limit)
+    dim = values.shape[1]
+    rng = np.random.default_rng(seed)
+    unk = rng.uniform(-0.05, 0.05, size=(1, dim))
+    matrix = np.concatenate([np.zeros((1, dim)), unk, values])
+    try:
+        vectors = Tensor(matrix, requires_grad=trainable)
+    except NonFiniteError:  # "nan" and "inf" parse as floats
+        row = int(np.argmin(np.isfinite(matrix).all(axis=1))) - 2
+        raise CorpusError(
+            f"{path}:{linenos[row]}: non-finite vector component") from None
+    try:
+        vocab = Vocabulary.from_words(words)
+    except RepeatedWordError as err:
+        raise CorpusError(f"{path}:{linenos[err.index - 2]}: {err}") from None
+    return vocab, EmbeddingMatrix(vectors)
+
+
+def _read_vectors(path, vocab_limit):
+    """The words, their (V, D) values and their line numbers.
+
+    One ``np.loadtxt`` call converts all the vector text.  Its float syntax
+    is a subset of ``float``'s (no ``_`` and no non-ASCII digits), read by
+    the same correctly rounded conversion, and text it accepts splits into
+    the fields of ``str.split``.  When it refuses the text or returns a row
+    count other than the lines read, or a line holds only a word or the
+    file no word at all (``loadtxt`` would skip the one and warn about the
+    other), ``_read_vectors_by_line`` reads the file again and returns, or
+    raises, what it would have from the start.
     """
     words: list[str] = []
-    rows: list[np.ndarray] = []
+    linenos: list[int] = []
+
+    def vector_texts():
+        for lineno, line in read_lines(path):
+            parts = line.split(maxsplit=1)
+            if not parts:
+                continue
+            if len(parts) == 1:
+                raise ValueError("no vector components")
+            words.append(parts[0])
+            linenos.append(lineno)
+            yield parts[1]
+            if vocab_limit is not None and len(words) >= vocab_limit:
+                return
+        if not words:
+            raise ValueError("no words")
+
+    try:  # also catches the CorpusError of a line that is not UTF-8
+        values = np.loadtxt(vector_texts(), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or len(values) != len(words):
+        return _read_vectors_by_line(path, vocab_limit)
+    return words, values, linenos
+
+
+def _read_vectors_by_line(path, vocab_limit):
+    """``_read_vectors`` with one ``float`` call per value; a malformed line
+    raises ``CorpusError`` naming it."""
+    words: list[str] = []
+    rows: list[list[float]] = []
     linenos: list[int] = []
     dim = None
     for lineno, line in read_lines(path):
@@ -150,30 +213,16 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
             raise CorpusError(
                 f"{path}:{lineno}: expected {dim} components, got {len(values)}")
         try:
-            row = np.array([float(v) for v in values], dtype=np.float64)
+            rows.append([float(v) for v in values])
         except ValueError as err:
             raise CorpusError(f"{path}:{lineno}: {err}") from None
         words.append(word)
-        rows.append(row)
         linenos.append(lineno)
         if vocab_limit is not None and len(words) >= vocab_limit:
             break
     if not rows:
         raise CorpusError(f"{path}: empty embedding file")
-    rng = np.random.default_rng(seed)
-    unk = rng.uniform(-0.05, 0.05, size=dim)
-    matrix = np.vstack([np.zeros(dim), unk, *rows])
-    try:
-        vectors = Tensor(matrix, requires_grad=trainable)
-    except NonFiniteError:  # "nan" and "inf" parse as floats
-        row = int(np.argmin(np.isfinite(matrix).all(axis=1))) - 2
-        raise CorpusError(
-            f"{path}:{linenos[row]}: non-finite vector component") from None
-    try:
-        vocab = Vocabulary.from_words(words)
-    except RepeatedWordError as err:
-        raise CorpusError(f"{path}:{linenos[err.index - 2]}: {err}") from None
-    return vocab, EmbeddingMatrix(vectors)
+    return words, np.array(rows, dtype=np.float64), linenos
 
 
 # the sentence fields of a task's records, and the example they make

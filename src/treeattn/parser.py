@@ -414,10 +414,15 @@ def st_gumbel_select(scores, config: GumbelConfig,
     weights are the relaxation as an array in ``train`` and ``soft`` mode
     (``induce_tree``'s backward pass needs it in both) and ``None`` in
     ``infer`` mode.
+
+    A tensor whose values are not a probability vector raises
+    ``ValueError``.  An array is not checked: ``induce_tree`` passes the
+    softmax that ``validity_scores`` has just taken.
     """
     probs = scores.data if isinstance(scores, Tensor) else scores
     k = len(probs)
-    if abs(float(probs.sum()) - 1.0) > 1e-6 or (probs < 0).any():
+    if isinstance(scores, Tensor) and (abs(float(probs.sum()) - 1.0) > 1e-6
+                                       or (probs < 0).any()):
         raise ValueError("st_gumbel_select: scores are not a probability vector")
     if config.mode == "infer":
         index = int(probs.argmax())

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from treeattn import data
 from treeattn.data import (CorpusError, LoadStats, UNK_INDEX, load_corpus,
                            load_embeddings, load_pair_corpus, load_tree_corpus,
                            tokenize)
@@ -47,31 +48,83 @@ class TestEmbeddings:
         assert not (a.vectors.data[1] == c.vectors.data[1]).all()
         assert (np.abs(a.vectors.data[1]) < 0.05).all()
 
-    def test_dimension_mismatch_names_line(self, tmp_path):
-        path = write(tmp_path / "emb.txt", ["cat 1 2 3", "dog 4 5"])
-        with pytest.raises(CorpusError, match=":2:"):
-            load_embeddings(path)
-
-    def test_empty_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("lines, eol, by_line", [
+        (["tiny 4.9e-324 -4.9e-324 -0.0", "huge 1e308 -1e308 +1.5"], "\n", False),
+        (["\ttab\t1\t2\t3", "  spaced   4  5    6  ", "nbsp\xa07\xa08\xa09"], "\r\n",
+         False),
+        (["under 1_0 2 3", "score 4 5 6"], "\n", True),
+        (["one 1", "column -2.5"], "\n", False),
+    ], ids=["extremes", "separators", "underscore", "one-column"])
+    def test_values_are_float_of_each_field(self, tmp_path, monkeypatch, lines, eol,
+                                            by_line):
+        # numpy converts the vector text unless it refuses a value, as it
+        # does "1_0"; the file is then read again one float() at a time
         path = tmp_path / "emb.txt"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(CorpusError, match="empty"):
-            load_embeddings(path)
+        path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+        rereads = []
+        reread = data._read_vectors_by_line
+        monkeypatch.setattr(data, "_read_vectors_by_line",
+                            lambda *args: rereads.append(args) or reread(*args))
+        vocab, emb = load_embeddings(path)
+        fields = [line.split() for line in lines]
+        expected = np.array([[float(v) for v in f[1:]] for f in fields])
+        assert vocab.index_to_word[2:] == [f[0] for f in fields]
+        assert emb.vectors.data[2:].tobytes() == expected.tobytes()
+        assert bool(rereads) == by_line
+
+    def test_dimension_mismatch_names_line(self, tmp_path, recwarn):
+        # a line holding only a word has no components; a file of such
+        # lines warns about nothing
+        for lines, message in ((["cat 1 2 3", "dog 4 5"], "2: expected 3 components, got 2"),
+                               (["cat 1 2", "", "dog"], "3: expected 2 components, got 0"),
+                               (["", "cat", "dog 1 2"], "2: no vector components"),
+                               (["cat"], "1: no vector components")):
+            path = write(tmp_path / "emb.txt", lines)
+            with pytest.raises(CorpusError) as info:
+                load_embeddings(path)
+            assert str(info.value) == f"{path}:{message}"
+        assert not recwarn.list
+
+    def test_empty_file_rejected(self, tmp_path, recwarn):
+        path = tmp_path / "emb.txt"
+        for text in ("", "\n  \n\t\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(CorpusError) as info:
+                load_embeddings(path)
+            assert str(info.value) == f"{path}: empty embedding file"
+        assert not recwarn.list
 
     def test_vocab_limit(self, tmp_path):
-        path = write(tmp_path / "emb.txt", ["a 1", "b 2", "c 3"])
-        vocab, emb = load_embeddings(path, vocab_limit=2)
-        assert len(vocab) == 4 and emb.vectors.shape == (4, 1)
+        # the lines after the limit are not read
+        for last in (b"c 3", b"c x y", b"c \xff"):
+            path = tmp_path / "emb.txt"
+            path.write_bytes(b"a 1\n\nb 2\n" + last + b"\n")
+            vocab, emb = load_embeddings(path, vocab_limit=2)
+            assert len(vocab) == 4 and emb.vectors.shape == (4, 1)
 
     def test_bad_number_names_line(self, tmp_path):
-        path = write(tmp_path / "emb.txt", ["cat 1 x 3"])
-        with pytest.raises(CorpusError, match=":1:"):
-            load_embeddings(path)
+        # "#" starts no comment, also when each line would keep as many values
+        for lines, lineno, value in ((["cat 1 x 3"], 1, "x"),
+                                     (["", "cat 1 2#3", "dog 4 5#6"], 2, "2#3")):
+            path = write(tmp_path / "emb.txt", lines)
+            with pytest.raises(CorpusError) as info:
+                load_embeddings(path)
+            assert str(info.value) == (
+                f"{path}:{lineno}: could not convert string to float: {value!r}")
+
+    def test_non_finite_value_names_line(self, tmp_path):
+        for value in ("nan", "-inf", "1e309"):
+            path = write(tmp_path / "emb.txt", ["", "cat 1 2", "", "dog 3 " + value,
+                                                "bird inf 4"])
+            with pytest.raises(CorpusError) as info:
+                load_embeddings(path)
+            assert str(info.value) == f"{path}:4: non-finite vector component"
 
     def test_repeated_word_names_file_line_and_word(self, tmp_path):
-        # the blank line is skipped, so the repeat's line is not its row;
+        # the blank lines are skipped, so the repeat's line is not its row;
         # a file word may also repeat a reserved token
         for lines, lineno, word in ((["cat 1 2", "dog 3 4", "", "cat 5 6"], 4, "cat"),
+                                    (["", "", "dog 1 2", "cat 3 4", "dog 5 6"], 5, "dog"),
                                     (["dog 1 2", "<unk> 3 4"], 2, "<unk>")):
             path = write(tmp_path / "emb.txt", lines)
             with pytest.raises(CorpusError) as info:
