@@ -55,12 +55,22 @@ def branching_baselines(n: int) -> tuple[BinaryTree, BinaryTree]:
     return left, right
 
 
+def mean_depth(spans: SpanSet) -> float:
+    """Mean root-to-leaf edge count of a tree, from all its internal spans.
+
+    A leaf's depth is the number of internal spans that contain it, so the
+    depths sum to the total span width.  The integer sum and one true
+    division make the value exact.
+    """
+    return sum(end - start for start, end in spans.spans) / spans.n
+
+
 def macro_avg_depth(trees) -> float:
     """Mean over sentences of the mean root-to-leaf edge count."""
     trees = list(trees)
     if not trees:
         raise ValueError("macro_avg_depth: empty corpus")
-    return float(np.mean([np.mean(tree.leaf_depths()) for tree in trees]))
+    return float(np.mean([mean_depth(spans_of(tree)) for tree in trees]))
 
 
 @dataclass
@@ -94,14 +104,15 @@ class TreeScoreReport:
 
 
 def _strip_root(span_set: SpanSet) -> SpanSet:
-    return SpanSet(span_set.n,
-                   frozenset(s for s in span_set.spans if s != (0, span_set.n)))
+    return SpanSet(span_set.n, span_set.spans - {(0, span_set.n)})
 
 
 def _micro_f1(pairs: list[tuple[SpanSet, SpanSet]]) -> float:
     overlap = sum(len(p.spans & r.spans) for p, r in pairs)
     pred_total = sum(len(p.spans) for p, _ in pairs)
     ref_total = sum(len(r.spans) for _, r in pairs)
+    if pred_total == 0 and ref_total == 0:
+        return 100.0  # nothing to score on either side, as in unlabeled_f1
     if pred_total == 0 or ref_total == 0 or overlap == 0:
         return 0.0
     precision = overlap / pred_total
@@ -116,7 +127,8 @@ def score_corpus(pred_trees, ref_trees=None, *, exclude_root: bool = False,
 
     The default corpus score is the unweighted mean of per-sentence F1;
     ``micro`` pools span counts over the corpus instead.  ``exclude_root``
-    drops the full-sentence span from every span set before scoring.
+    drops the full-sentence span from every span set before scoring F1;
+    the depth of a sentence always counts its root.
     """
     pred_trees = list(pred_trees)
     if not pred_trees:
@@ -131,27 +143,27 @@ def score_corpus(pred_trees, ref_trees=None, *, exclude_root: bool = False,
         if bad:
             raise ValueError(f"sentence lengths differ at indices {bad}")
 
-    def span_view(tree: BinaryTree) -> SpanSet:
-        s = spans_of(tree)
-        return _strip_root(s) if exclude_root else s
+    def view(spans: SpanSet) -> SpanSet:
+        return _strip_root(spans) if exclude_root else spans
 
-    def score_one(index: int) -> tuple[SentenceScore, tuple]:
-        tree = pred_trees[index]
-        left, right = branching_baselines(tree.n)
-        pred = span_view(tree)
-        left_s, right_s = span_view(left), span_view(right)
-        ref_s = span_view(ref_trees[index]) if ref_trees is not None else None
-        score = SentenceScore(
-            index, tree.n,
+    # the baselines depend on the sentence length alone
+    baselines: dict[int, tuple[SpanSet, SpanSet]] = {}
+    sentences, views = [], []
+    for index, tree in enumerate(pred_trees):
+        n = tree.n
+        if n not in baselines:
+            baselines[n] = tuple(view(spans_of(b)) for b in branching_baselines(n))
+        left_s, right_s = baselines[n]
+        full = spans_of(tree)
+        pred = view(full)
+        ref_s = view(spans_of(ref_trees[index])) if ref_trees is not None else None
+        sentences.append(SentenceScore(
+            index, n,
             unlabeled_f1(pred, left_s),
             unlabeled_f1(pred, right_s),
             unlabeled_f1(pred, ref_s) if ref_s is not None else None,
-            float(np.mean(tree.leaf_depths())))
-        return score, (pred, left_s, right_s, ref_s)
-
-    scored = [score_one(i) for i in range(len(pred_trees))]
-    sentences = [s for s, _ in scored]
-    views = [v for _, v in scored]
+            mean_depth(full)))
+        views.append((pred, left_s, right_s, ref_s))
 
     if micro:
         f1_left = _micro_f1([(p, l) for p, l, _, _ in views])

@@ -41,42 +41,23 @@ class BinaryTree:
             raise ValueError(
                 f"{len(self.tokens)} tokens for {self.n} leaves")
 
-    def children(self) -> list[tuple[int, int] | None]:
-        """Per node id: ``None`` for leaves, ``(left, right)`` otherwise.
+    def node_spans(self) -> list[tuple[int, int]]:
+        """Half-open leaf interval of every node, indexed by node id.
 
         Node ids follow creation order: leaves are ``0..n-1``, the merge at
         layer ``t`` creates node ``n + t``; the root is the last node.
         """
-        out: list[tuple[int, int] | None] = [None] * self.n
-        active = list(range(self.n))
-        for t, pos in enumerate(self.merges):
-            out.append((active[pos], active[pos + 1]))
-            active[pos:pos + 2] = [self.n + t]
-        return out
-
-    def node_spans(self) -> list[tuple[int, int]]:
-        """Half-open leaf interval of every node, indexed by node id."""
         spans = [(i, i + 1) for i in range(self.n)]
-        active = list(spans)
+        # active node i covers [starts[i], starts[i + 1]); n ends the last one
+        starts = list(range(self.n + 1))
         for pos in self.merges:
-            span = (active[pos][0], active[pos + 1][1])
-            active[pos:pos + 2] = [span]
-            spans.append(span)
+            spans.append((starts[pos], starts[pos + 2]))
+            del starts[pos + 1]
         return spans
 
     def span_set(self) -> frozenset[tuple[int, int]]:
         """Half-open leaf intervals of all internal nodes (width >= 2)."""
         return frozenset(self.node_spans()[self.n:])
-
-    def leaf_depths(self) -> list[int]:
-        """Edge count from the root to each leaf, in leaf order."""
-        depth = [0] * (2 * self.n - 1)
-        kids = self.children()
-        for node in range(2 * self.n - 2, self.n - 1, -1):
-            left, right = kids[node]
-            depth[left] = depth[node] + 1
-            depth[right] = depth[node] + 1
-        return depth[: self.n]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryTree):

@@ -14,7 +14,7 @@ from treeattn.parser import (CompositionParams, GruParams, GumbelConfig, NodeSta
                              gru_sequence, gumbel_noise, induce_tree, leaf_states,
                              st_gumbel_select)
 from treeattn.tensor import Tensor, dot, finite_difference_check
-from treeattn.trees import BinaryTree
+from treeattn.trees import BinaryTree, export_bracketed
 from treeattn import tensor as T
 
 import elementary as E
@@ -26,26 +26,44 @@ def random_tree(rng: np.random.Generator, n: int, tokens=None) -> BinaryTree:
     return BinaryTree(n, merges, tokens)
 
 
-def oracle_spans(tree: BinaryTree) -> list[tuple[int, int]]:
+def oracle_spans(tree: BinaryTree, exclude_root: bool = False) -> list[tuple[int, int]]:
     """Span extraction through an independent path: bracket counting over
-    the exported string."""
-    from treeattn.trees import export_bracketed
+    the exported string, without the full-sentence span if
+    ``exclude_root``."""
     stack, spans, position = [], [], 0
     for symbol in export_bracketed(tree).split():
         if symbol == "(":
             stack.append(position)
         elif symbol == ")":
             start = stack.pop()
-            if position - start >= 2:
-                spans.append((start, position))
+            span = (start, position)
+            if position - start >= 2 and not (exclude_root and span == (0, tree.n)):
+                spans.append(span)
         else:
             position += 1
     return spans
 
 
-def oracle_f1(pred_tree: BinaryTree, ref_tree: BinaryTree) -> float:
+def oracle_depths(tree: BinaryTree) -> list[int]:
+    """Per-leaf depth by bracket counting over the exported string: the
+    brackets open at each leaf, less the one pair that wraps a one-leaf
+    tree."""
+    depths, open_count = [], 0
+    for symbol in export_bracketed(tree).split():
+        if symbol == "(":
+            open_count += 1
+        elif symbol == ")":
+            open_count -= 1
+        else:
+            depths.append(open_count)
+    return depths if tree.n > 1 else [0]
+
+
+def oracle_f1(pred_tree: BinaryTree, ref_tree: BinaryTree,
+              exclude_root: bool = False) -> float:
     """Naive intersection count over the oracle span lists."""
-    pred, ref = oracle_spans(pred_tree), oracle_spans(ref_tree)
+    pred = oracle_spans(pred_tree, exclude_root)
+    ref = oracle_spans(ref_tree, exclude_root)
     if pred_tree.n <= 2:
         return 100.0
     matches = sum(1 for s in pred if s in ref)

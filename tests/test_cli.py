@@ -1,10 +1,14 @@
 """End-to-end command-line workflows on a generated toy task."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeattn import toy, training
 from treeattn.cli import main
@@ -590,6 +594,54 @@ class TestTreescore:
         out = capsys.readouterr().out
         assert "max over 2 inputs" in out
         assert out.rstrip().splitlines()[-1].split()[2] == "100.0"
+
+
+VALID_TREES = b"( ( a b ) c )\n( a ( b ( c d ) ) )\n( e )\n"
+
+# truncation, byte flips, stray or missing brackets, NUL, NEL (U+0085 and
+# its bare byte), other non-UTF-8 bytes and blank lines
+TREE_FILE_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 99)),
+    st.tuples(st.just("flip"), st.integers(0, 99), st.integers(1, 255)),
+    st.tuples(st.just("delete"), st.integers(0, 99)),
+    st.tuples(st.just("insert"), st.integers(0, 99), st.sampled_from(
+        [b"(", b")", b" ( ", b" ) ", b"\x00", "\x85".encode(), b"\x85", b"\xff",
+         b"\xc3", b"\n", b"\n\n", b" \r\n"])),
+), min_size=1, max_size=4)
+
+
+def edit_bytes(data: bytes, edits) -> bytes:
+    for kind, position, *arg in edits:
+        at = position % (len(data) + 1)
+        if kind == "truncate":
+            data = data[:at]
+        elif kind == "insert":
+            data = data[:at] + arg[0] + data[at:]
+        elif at < len(data):
+            kept = bytes([data[at] ^ arg[0]]) if kind == "flip" else b""
+            data = data[:at] + kept + data[at + 1:]
+    return data
+
+
+@given(TREE_FILE_EDITS, st.booleans())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_treescore_on_mutated_tree_files_exits_0_or_2(edits, mutate_ref_too):
+    """A damaged predicted (and optionally reference) tree file is scored or
+    rejected with exit 2, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        damaged = edit_bytes(VALID_TREES, edits)
+        (root / "pred.txt").write_bytes(damaged)
+        (root / "ref.txt").write_bytes(damaged if mutate_ref_too else VALID_TREES)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["treescore", "--pred", str(root / "pred.txt"),
+                         "--ref", str(root / "ref.txt"), "--micro", "--exclude-root",
+                         "--per-sentence", str(root / "per.tsv"),
+                         "--out", str(root / "report.txt"),
+                         "--manifest", str(root / "manifest.json")])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestSimilarity:

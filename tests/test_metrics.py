@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeattn.metrics import (SpanSet, branching_baselines, macro_avg_depth,
-                              score_corpus, spans_of, unlabeled_f1)
-from treeattn.trees import export_bracketed, parse_bracketed
+from treeattn import metrics
+from treeattn.metrics import (SpanSet, _micro_f1, branching_baselines, macro_avg_depth,
+                              mean_depth, score_corpus, spans_of, unlabeled_f1)
+from treeattn.trees import BinaryTree, export_bracketed, parse_bracketed
 
-from conftest import oracle_f1, random_tree
+from conftest import oracle_depths, oracle_f1, oracle_spans, random_tree
 
 
 def tree_of(line):
@@ -96,6 +97,17 @@ class TestBranchingBaselines:
 
 
 class TestDepth:
+    def test_mean_depth_examples(self):
+        assert mean_depth(spans_of(BinaryTree(1, ()))) == 0.0
+        assert mean_depth(spans_of(BinaryTree(4, (0, 1, 0)))) == 2.0
+        assert mean_depth(spans_of(BinaryTree(4, (0, 0, 0)))) == 2.25
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_mean_depth_is_the_bracket_counted_depth(self, n, seed):
+        tree = random_tree(np.random.default_rng(seed), n)
+        assert mean_depth(spans_of(tree)) == float(np.mean(oracle_depths(tree)))
+
     def test_balanced_four(self):
         assert macro_avg_depth([tree_of("( ( a b ) ( c d ) )")]) == 2.0
 
@@ -153,6 +165,33 @@ class TestScoreCorpus:
         assert micro.f1_reference == pytest.approx(100 * 3 / 5)
         assert macro.f1_reference != micro.f1_reference
 
+    def test_micro_corpus_with_nothing_to_score_is_100(self):
+        # without the root, sentences of <= 2 words keep no span on either side
+        trees = [tree_of("( a b )"), tree_of("( c )")]
+        report = score_corpus(trees, trees, exclude_root=True, micro=True)
+        assert (report.f1_left, report.f1_right, report.f1_reference) == (100.0,) * 3
+
+    def test_micro_one_empty_side_or_no_overlap_is_0(self):
+        some, none = SpanSet(4, frozenset({(0, 2)})), SpanSet(4, frozenset())
+        assert _micro_f1([(some, none)]) == 0.0
+        assert _micro_f1([(none, some)]) == 0.0
+        pred, ref = [tree_of("( a ( b c ) )")], [tree_of("( ( a b ) c )")]
+        assert score_corpus(pred, ref, exclude_root=True, micro=True).f1_reference == 0.0
+
+    def test_baselines_built_once_per_length(self, monkeypatch):
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return branching_baselines(n)
+
+        monkeypatch.setattr(metrics, "branching_baselines", counted)
+        rng = np.random.default_rng(4)
+        lengths = [3, 7, 12] * 16 + [12, 3]  # 50 trees of 3 distinct lengths
+        score_corpus([random_tree(rng, n) for n in lengths],
+                     [random_tree(rng, n) for n in lengths])
+        assert sorted(built) == [3, 7, 12]
+
     def test_exclude_root_flag(self):
         pred = [tree_of("( ( a b ) ( c d ) )")]
         ref = [tree_of("( a ( b ( c d ) ) )")]
@@ -165,3 +204,63 @@ class TestScoreCorpus:
         text = report.render()
         assert "left-branching" in text and "right-branching" in text
         assert "avg-depth" in text
+
+
+def bracketed_baselines(n):
+    """Left- and right-branching trees over n leaves, parsed from their text."""
+    if n == 1:
+        return (tree_of("( w0 )"),) * 2
+    words = [f"w{i}" for i in range(n)]
+    left = "( " * (n - 1) + words[0] + "".join(f" {w} )" for w in words[1:])
+    right = "".join(f"( {w} " for w in words[:-1]) + words[-1] + " )" * (n - 1)
+    return tree_of(left), tree_of(right)
+
+
+def oracle_micro_f1(pairs, exclude_root):
+    """Pooled bracket F1 over the oracle span lists; 100 when neither side
+    has a span to score."""
+    overlap = pred_total = ref_total = 0
+    for pred_tree, ref_tree in pairs:
+        pred = oracle_spans(pred_tree, exclude_root)
+        ref = oracle_spans(ref_tree, exclude_root)
+        overlap += sum(1 for s in pred if s in ref)
+        pred_total += len(pred)
+        ref_total += len(ref)
+    if pred_total == ref_total == 0:
+        return 100.0
+    if not pred_total or not ref_total or not overlap:
+        return 0.0
+    p, r = overlap / pred_total, overlap / ref_total
+    return 200.0 * p * r / (p + r)
+
+
+@pytest.mark.parametrize("with_ref", [False, True])
+@pytest.mark.parametrize("micro", [False, True])
+@pytest.mark.parametrize("exclude_root", [False, True])
+def test_scores_equal_the_bracket_counting_oracle(exclude_root, micro, with_ref):
+    """Every per-sentence score and corpus average, bit for bit."""
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        # n = 1 and n = 2 always, and lengths repeat
+        lengths = [1, 2, *(int(n) for n in rng.integers(1, 12, 30))]
+        pred = [random_tree(rng, n) for n in lengths]
+        ref = [random_tree(rng, n) for n in lengths] if with_ref else None
+        report = score_corpus(pred, ref, exclude_root=exclude_root, micro=micro)
+        baselines = [bracketed_baselines(n) for n in lengths]
+        columns = {"f1_left": [(p, left) for p, (left, _) in zip(pred, baselines)],
+                   "f1_right": [(p, right) for p, (_, right) in zip(pred, baselines)]}
+        if with_ref:
+            columns["f1_reference"] = list(zip(pred, ref))
+        for name, pairs in columns.items():
+            expected = [oracle_f1(p, g, exclude_root) for p, g in pairs]
+            assert [getattr(s, name) for s in report.sentences] == expected
+            corpus = (oracle_micro_f1(pairs, exclude_root) if micro
+                      else float(np.mean(expected)))
+            assert getattr(report, name) == corpus
+        if not with_ref:
+            assert report.f1_reference is None
+            assert all(s.f1_reference is None for s in report.sentences)
+        depths = [float(np.mean(oracle_depths(p))) for p in pred]
+        assert [s.depth for s in report.sentences] == depths
+        assert report.avg_depth == float(np.mean(depths))
+        assert [(s.index, s.length) for s in report.sentences] == list(enumerate(lengths))

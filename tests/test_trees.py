@@ -1,4 +1,4 @@
-"""Tree representation: validation, spans, depths, bracketed text."""
+"""Tree representation: validation, spans, bracketed text."""
 
 import numpy as np
 import pytest
@@ -30,22 +30,19 @@ class TestValidation:
 
 
 class TestStructure:
-    def test_children_creation_order(self):
-        tree = BinaryTree(4, (0, 1, 0))  # ((a b)(c d))
-        kids = tree.children()
-        assert kids[:4] == [None] * 4
-        assert kids[4] == (0, 1) and kids[5] == (2, 3) and kids[6] == (4, 5)
+    def test_node_spans_creation_order(self):
+        # leaves first, then one node per merge: ((a b)(c d)), then (((a b) c) d)
+        assert BinaryTree(4, (0, 1, 0)).node_spans() == [
+            (0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4), (0, 4)]
+        assert BinaryTree(4, (0, 0, 0)).node_spans() == [
+            (0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (0, 3), (0, 4)]
+        assert BinaryTree(1, ()).node_spans() == [(0, 1)]
 
     def test_span_sets(self):
         assert BinaryTree(4, (0, 1, 0)).span_set() == {(0, 2), (2, 4), (0, 4)}
         assert BinaryTree(2, (0,)).span_set() == {(0, 2)}
         assert BinaryTree(1, ()).span_set() == frozenset()
         assert BinaryTree(4, (0, 0, 0)).span_set() == {(0, 2), (0, 3), (0, 4)}
-
-    def test_leaf_depths(self):
-        assert BinaryTree(4, (0, 1, 0)).leaf_depths() == [2, 2, 2, 2]
-        assert BinaryTree(4, (0, 0, 0)).leaf_depths() == [3, 3, 2, 1]
-        assert BinaryTree(1, ()).leaf_depths() == [0]
 
     def test_structural_equality_ignores_merge_order(self):
         # ((a b)(c d)) built left-first and right-first
