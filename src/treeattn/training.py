@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, asdict
@@ -301,10 +302,15 @@ class Checkpoint:
         with open(path, "wb") as fh:
             fh.write(header.getvalue().encode("utf-8"))
             for arr in self.params.values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """The checkpoint stored at ``path``; a malformed header, a blob
+        shorter than its parameter shapes or longer than them raises
+        ``ValueError`` naming the file.  The file is read once and each
+        parameter is copied from those bytes into its own float32 array, so
+        a load holds two copies of the blob at its peak."""
         with open(path, "rb") as fh:
             raw = fh.read()
         cut = raw.find(b"blob\n")
@@ -314,18 +320,17 @@ class Checkpoint:
             config, meta, vocab_words, shapes = _read_header(raw[:cut])
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
-        blob = raw[cut + len(b"blob\n"):]
+        offset = cut + len(b"blob\n")
         params: dict[str, np.ndarray] = {}
-        offset = 0
         for name, shape in shapes:
-            size = int(np.prod(shape)) * 4
-            chunk = blob[offset:offset + size]
-            if len(chunk) != size:
+            count = math.prod(shape)  # a Python int: a product of header dims cannot wrap
+            if 4 * count > len(raw) - offset:
                 raise ValueError(f"{path}: truncated blob at parameter {name!r}")
-            params[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
-            offset += size
-        if offset != len(blob):
-            raise ValueError(f"{path}: {len(blob) - offset} trailing bytes in blob")
+            values = np.frombuffer(raw, "<f4", count=count, offset=offset)
+            params[name] = values.reshape(shape).copy()
+            offset += 4 * count
+        if offset != len(raw):
+            raise ValueError(f"{path}: {len(raw) - offset} trailing bytes in blob")
         return cls(config, vocab_words, params, meta["rng_state"],
                    meta["epoch"], meta["best_val_acc"])
 
@@ -415,9 +420,22 @@ def _read_header(header: bytes):
 
 
 def snapshot(model: Model, config: TrainConfig, rng_state: dict, epoch: int,
-             best_val_acc: float) -> Checkpoint:
-    params = {name: np.asarray(arr, dtype=np.float32)
-              for name, arr in model.state_arrays().items()}
+             best_val_acc: float, frozen: dict[str, np.ndarray] | None = None) -> Checkpoint:
+    """The model's parameters as a float32 checkpoint.  A trained parameter
+    is converted at each call.  A parameter that does not train is converted
+    once per ``frozen`` cache and made read-only: every snapshot given the
+    same cache shares that array."""
+    trained = model.parameters()
+    frozen = {} if frozen is None else frozen
+    params = {}
+    for name, arr in model.state_arrays().items():
+        if name in trained:
+            params[name] = np.asarray(arr, dtype=np.float32)
+            continue
+        if name not in frozen:
+            frozen[name] = arr.astype(np.float32)
+            frozen[name].flags.writeable = False
+        params[name] = frozen[name]
     return Checkpoint(config, list(model.vocab.index_to_word), params,
                       rng_state, epoch, best_val_acc)
 
@@ -486,6 +504,7 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
 
     best_acc = float("-inf")
     best_checkpoint: Checkpoint | None = None
+    frozen: dict[str, np.ndarray] = {}  # converted once, shared by every best checkpoint
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -532,7 +551,7 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
             best_acc = val.accuracy
             epochs_since_best = 0
             rng_state = _seeded(config.seed, 1, epoch + 1).bit_generator.state
-            best_checkpoint = snapshot(model, config, rng_state, epoch, best_acc)
+            best_checkpoint = snapshot(model, config, rng_state, epoch, best_acc, frozen)
         else:
             epochs_since_best += 1
             if epochs_since_best > config.patience:

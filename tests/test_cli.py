@@ -644,6 +644,37 @@ def test_treescore_on_mutated_tree_files_exits_0_or_2(edits, mutate_ref_too):
     assert "Traceback" not in err.getvalue()
 
 
+AFFINE_CHECKPOINT = (FIXTURES / "affine.ckpt").read_bytes()
+
+# byte flips anywhere in the file, then perhaps a cut; no inserted digits,
+# so no mutant asks for a large allocation
+CHECKPOINT_EDITS = st.builds(
+    lambda flips, cut: flips + cut,
+    st.lists(st.tuples(st.just("flip"), st.integers(0, len(AFFINE_CHECKPOINT)),
+                       st.integers(1, 255)), max_size=4),
+    st.lists(st.tuples(st.just("truncate"), st.integers(0, len(AFFINE_CHECKPOINT))),
+             max_size=1))
+
+
+@given(CHECKPOINT_EDITS)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_parse_with_mutated_checkpoint_exits_0_2_or_3(edits):
+    """A damaged checkpoint is parsed, or rejected with exit 2 (3 if its
+    values overflow in the model), never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "model.ckpt").write_bytes(edit_bytes(AFFINE_CHECKPOINT, edits))
+        (root / "sents.txt").write_text("a b c\nc zebra\nb\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["parse", "--checkpoint", str(root / "model.ckpt"),
+                         "--input", str(root / "sents.txt"), "--out", str(root / "trees.txt"),
+                         "--attention", str(root / "attn.tsv"),
+                         "--manifest", str(root / "manifest.json")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
 class TestSimilarity:
     def test_scores_format_and_bounds(self, workspace, tmp_path, capsys):
         code = main(["similarity", "--checkpoint", str(workspace / "model.ckpt"),

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from treeattn.tensor import (GradientBatch, Tape, Tensor, backward, cross_entrop
 from treeattn.training import (Adam, Checkpoint, TrainConfig, TrainingDiverged,
                                adam_step, clip_gradients, evaluate, macro_f1,
                                snapshot, train)
-from treeattn import toy
+from treeattn import toy, training
 
 from conftest import tiny_pair_model
 
@@ -208,6 +209,29 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(tr, [], small_config(), vocab, embedding)
 
+    def test_frozen_embedding_is_converted_once_per_run(self, tmp_path, monkeypatch):
+        tr, va, vocab, embedding = toy_setup(tmp_path)
+        made = []
+
+        def recorded_snapshot(*args):
+            made.append(snapshot(*args))
+            return made[-1]
+
+        monkeypatch.setattr(training, "snapshot", recorded_snapshot)
+        cfg = small_config(max_epochs=5, learning_rate=1e-2)
+        result = train(tr, va, cfg, vocab, embedding, clock=lambda: 0.0)
+        assert len(made) >= 2 and result.checkpoint is made[-1]
+        first = made[0].params
+        frozen = first["embedding"]
+        np.testing.assert_array_equal(frozen, embedding.vectors.data.astype(np.float32))
+        assert not frozen.flags.writeable
+        for checkpoint in made[1:]:
+            # the one conversion is shared; each trained parameter is converted anew
+            assert checkpoint.params["embedding"] is frozen
+            for name, arr in checkpoint.params.items():
+                if name != "embedding":
+                    assert arr is not first[name] and arr.flags.writeable, name
+
     def test_finetuned_pad_row_stays_zero(self, tmp_path):
         tr, va, vocab, embedding = toy_setup(tmp_path)
         embedding = EmbeddingMatrix(Tensor(embedding.vectors.data.copy(), requires_grad=True))
@@ -328,6 +352,50 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
                                              f"{re.escape(message)}"):
             Checkpoint.load(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data[:-1], "truncated blob at parameter 'embedding'"),
+        (lambda data: data + b"\0\0\0", "3 trailing bytes in blob"),
+        # 2**32 * 2**32 elements wrap to 0 in int64; the blob holds far fewer
+        (lambda data: data.replace(b"\nleaf.weight 4 2\n",
+                                   b"\nleaf.weight 4294967296 4294967296\n"),
+         "truncated blob at parameter 'leaf.weight'"),
+    ])
+    def test_blob_that_does_not_match_the_shapes_is_named(self, tmp_path, edit, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(edit((FIXTURES / "affine.ckpt").read_bytes()))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            Checkpoint.load(path)
+
+    def test_save_writes_any_array_layout_as_little_endian_float32(self, tmp_path):
+        values = np.arange(12, dtype=np.float64).reshape(3, 4)
+        params = {"transposed": values.T, "big_endian": values.astype(">f4")}
+        path = tmp_path / "layouts.ckpt"
+        Checkpoint(small_config(), ["<pad>", "<unk>"], params, {}, 1, 0.5).save(path)
+        assert path.read_bytes().split(b"blob\n", 1)[1] == (
+            values.T.astype("<f4").tobytes() + values.astype("<f4").tobytes())
+        loaded = Checkpoint.load(path).params
+        np.testing.assert_array_equal(loaded["transposed"], values.T)
+        np.testing.assert_array_equal(loaded["big_endian"], values)
+        assert all(arr.flags.writeable and arr.flags.aligned for arr in loaded.values())
+
+    def test_load_peak_memory_is_at_most_two_and_a_half_file_sizes(self, tmp_path):
+        # the blob is almost all of the file and almost all embedding, as
+        # with a real vocabulary
+        vectors = np.random.default_rng(0).standard_normal((2000, 300)).astype(np.float32)
+        params = {"head.out_bias": np.ones(3, np.float32), "embedding": vectors}
+        path = tmp_path / "big.ckpt"
+        Checkpoint(small_config(), ["<pad>", "<unk>"], params, {}, 1, 0.5).save(path)
+        size = path.stat().st_size
+        assert vectors.nbytes >= 0.9 * size
+        tracemalloc.start()
+        try:
+            loaded = Checkpoint.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.params["embedding"], vectors)
+        assert peak <= 2.5 * size, f"peak {peak / size:.2f}x the file size"
 
 
 class TestConfigValidation:
