@@ -420,22 +420,9 @@ def _read_header(header: bytes):
 
 
 def snapshot(model: Model, config: TrainConfig, rng_state: dict, epoch: int,
-             best_val_acc: float, frozen: dict[str, np.ndarray] | None = None) -> Checkpoint:
-    """The model's parameters as a float32 checkpoint.  A trained parameter
-    is converted at each call.  A parameter that does not train is converted
-    once per ``frozen`` cache and made read-only: every snapshot given the
-    same cache shares that array."""
-    trained = model.parameters()
-    frozen = {} if frozen is None else frozen
-    params = {}
-    for name, arr in model.state_arrays().items():
-        if name in trained:
-            params[name] = np.asarray(arr, dtype=np.float32)
-            continue
-        if name not in frozen:
-            frozen[name] = arr.astype(np.float32)
-            frozen[name].flags.writeable = False
-        params[name] = frozen[name]
+             best_val_acc: float) -> Checkpoint:
+    params = {name: np.asarray(arr, dtype=np.float32)
+              for name, arr in model.state_arrays().items()}
     return Checkpoint(config, list(model.vocab.index_to_word), params,
                       rng_state, epoch, best_val_acc)
 
@@ -504,7 +491,6 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
 
     best_acc = float("-inf")
     best_checkpoint: Checkpoint | None = None
-    frozen: dict[str, np.ndarray] = {}  # converted once, shared by every best checkpoint
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -551,7 +537,7 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
             best_acc = val.accuracy
             epochs_since_best = 0
             rng_state = _seeded(config.seed, 1, epoch + 1).bit_generator.state
-            best_checkpoint = snapshot(model, config, rng_state, epoch, best_acc, frozen)
+            best_checkpoint = snapshot(model, config, rng_state, epoch, best_acc)
         else:
             epochs_since_best += 1
             if epochs_since_best > config.patience:

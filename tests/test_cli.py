@@ -646,8 +646,11 @@ def test_treescore_on_mutated_tree_files_exits_0_or_2(edits, mutate_ref_too):
 
 AFFINE_CHECKPOINT = (FIXTURES / "affine.ckpt").read_bytes()
 
-# byte flips anywhere in the file, then perhaps a cut; no inserted digits,
-# so no mutant asks for a large allocation
+# byte flips anywhere in the file, then perhaps a cut.  A flip can write a
+# digit and so change a config size or a shape in the header; allocation
+# stays bounded because Checkpoint.load compares each parameter's byte count
+# with the file length before it allocates, and build_model checks the
+# config sizes against the stored shapes before it allocates the model
 CHECKPOINT_EDITS = st.builds(
     lambda flips, cut: flips + cut,
     st.lists(st.tuples(st.just("flip"), st.integers(0, len(AFFINE_CHECKPOINT)),

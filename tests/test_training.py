@@ -14,7 +14,7 @@ from treeattn.tensor import (GradientBatch, Tape, Tensor, backward, cross_entrop
 from treeattn.training import (Adam, Checkpoint, TrainConfig, TrainingDiverged,
                                adam_step, clip_gradients, evaluate, macro_f1,
                                snapshot, train)
-from treeattn import toy, training
+from treeattn import toy
 
 from conftest import tiny_pair_model
 
@@ -208,29 +208,6 @@ class TestTrainLoop:
             train([], va, small_config(), vocab, embedding)
         with pytest.raises(ValueError):
             train(tr, [], small_config(), vocab, embedding)
-
-    def test_frozen_embedding_is_converted_once_per_run(self, tmp_path, monkeypatch):
-        tr, va, vocab, embedding = toy_setup(tmp_path)
-        made = []
-
-        def recorded_snapshot(*args):
-            made.append(snapshot(*args))
-            return made[-1]
-
-        monkeypatch.setattr(training, "snapshot", recorded_snapshot)
-        cfg = small_config(max_epochs=5, learning_rate=1e-2)
-        result = train(tr, va, cfg, vocab, embedding, clock=lambda: 0.0)
-        assert len(made) >= 2 and result.checkpoint is made[-1]
-        first = made[0].params
-        frozen = first["embedding"]
-        np.testing.assert_array_equal(frozen, embedding.vectors.data.astype(np.float32))
-        assert not frozen.flags.writeable
-        for checkpoint in made[1:]:
-            # the one conversion is shared; each trained parameter is converted anew
-            assert checkpoint.params["embedding"] is frozen
-            for name, arr in checkpoint.params.items():
-                if name != "embedding":
-                    assert arr is not first[name] and arr.flags.writeable, name
 
     def test_finetuned_pad_row_stays_zero(self, tmp_path):
         tr, va, vocab, embedding = toy_setup(tmp_path)
