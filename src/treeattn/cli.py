@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .classifier import cosine_similarity
 from .data import (CorpusError, load_corpus, load_embeddings, load_tree_corpus,
-                   read_lines, tokenize)
+                   read_lines, tokenize, write_file)
 from .metrics import score_corpus
 from .tensor import NonFiniteError
 from .training import (Checkpoint, ModelAllocationError, TrainConfig, TrainingDiverged,
@@ -84,35 +84,31 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(args, anchor, *, config: dict, inputs, outputs, seed) -> None:
+def _write_manifest(args, anchor, *, config: dict, inputs, outputs: dict, seed) -> None:
     """Write the run manifest to ``--manifest``, else next to ``anchor``
-    (the command's main output), else to ``treeattn-manifest.json``."""
-    if args.manifest:
-        path = Path(args.manifest)
-    elif anchor:
-        path = Path(str(anchor) + ".manifest.json")
-    else:
-        path = Path("treeattn-manifest.json")
+    (the command's main output), else to ``treeattn-manifest.json``;
+    ``outputs`` maps each file written to its digest."""
+    path = args.manifest or (f"{anchor}.manifest.json" if anchor
+                             else "treeattn-manifest.json")
     manifest = {
         "tool": "treeattn",
         "version": __version__,
         "command": args.subcommand,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
-        "outputs": [str(p) for p in outputs if p is not None],
+        "outputs": list(outputs),
         "seed": seed,
         "started": args.started,
         "finished": _now(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
 
 
-def _write_output(path, text: str) -> None:
-    """Write ``text`` to ``path``, or to stdout when no path is given."""
+def _write_output(written: dict, path, text: str) -> None:
+    """Write ``text`` to ``path`` and record its digest in ``written``, or
+    write it to stdout when no path is given."""
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        written[path] = write_file(path, [text])
     else:
         sys.stdout.write(text)
 
@@ -174,14 +170,13 @@ def cmd_train(args) -> int:
         raise CliError("no usable examples after loading")
 
     result = train(train_set, val_set, config, vocab, embedding)
-    result.checkpoint.save(args.out)
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(result.log_text)
     best = result.checkpoint
+    written = {args.out: best.save(args.out),
+               metrics_path: write_file(metrics_path, [result.log_text])}
     print(f"best epoch {best.epoch}: val acc {best.best_val_acc:.4f} -> {args.out}")
     _write_manifest(args, args.out, config=json.loads(config.to_json()),
                     inputs=[args.train, args.val, args.embeddings],
-                    outputs=[args.out, metrics_path], seed=seed)
+                    outputs=written, seed=seed)
     return 0
 
 
@@ -195,15 +190,13 @@ def cmd_eval(args) -> int:
     result = evaluate(examples, model)
     print(f"accuracy\t{result.accuracy:.4f}")
     print(f"macro_f1\t{result.macro_f1:.4f}")
+    written = {}
     if args.predictions:
-        with open(args.predictions, "w", encoding="utf-8") as fh:
-            for p in result.predictions:
-                probs = " ".join(f"{x:.6f}" for x in p.probs)
-                fh.write(f"{p.index}\t{cfg.labels[p.gold]}\t"
-                         f"{cfg.labels[p.predicted]}\t{probs}\n")
+        written[args.predictions] = write_file(args.predictions, (
+            f"{p.index}\t{cfg.labels[p.gold]}\t{cfg.labels[p.predicted]}\t"
+            + " ".join(f"{x:.6f}" for x in p.probs) + "\n" for p in result.predictions))
     _write_manifest(args, args.predictions, config=json.loads(cfg.to_json()),
-                    inputs=[args.checkpoint, args.corpus],
-                    outputs=[args.predictions], seed=cfg.seed)
+                    inputs=[args.checkpoint, args.corpus], outputs=written, seed=cfg.seed)
     return 0
 
 
@@ -222,12 +215,13 @@ def cmd_parse(args) -> int:
                 weight = encoded.weights.data[node]
                 text = " ".join(tokens[start:end])
                 weight_rows.append(f"{index}\t{node}\t{start}\t{end}\t{weight:.6f}\t{text}")
-    _write_output(args.out, "\n".join(tree_lines) + "\n")
+    written = {}
+    _write_output(written, args.out, "\n".join(tree_lines) + "\n")
     if args.attention:
-        Path(args.attention).write_text("\n".join(weight_rows) + "\n", encoding="utf-8")
+        _write_output(written, args.attention, "\n".join(weight_rows) + "\n")
     _write_manifest(args, args.out, config=json.loads(checkpoint.config.to_json()),
                     inputs=[args.checkpoint, args.input],
-                    outputs=[args.out, args.attention], seed=checkpoint.config.seed)
+                    outputs=written, seed=checkpoint.config.seed)
     return 0
 
 
@@ -260,18 +254,18 @@ def cmd_treescore(args) -> int:
                       f"{max(r.f1_right for r in reports):16.1f} "
                       f"{ref_cell:>16}\n")
         text = "\n".join(pieces)
-    _write_output(args.out, text)
+    written = {}
+    _write_output(written, args.out, text)
     if args.per_sentence:
-        with open(args.per_sentence, "w", encoding="utf-8") as fh:
-            fh.write("index\tlength\tf1_left\tf1_right\tf1_reference\tdepth\n")
-            for s in reports[0].sentences:
-                ref_cell = f"{s.f1_reference:.2f}" if s.f1_reference is not None else "-"
-                fh.write(f"{s.index}\t{s.length}\t{s.f1_left:.2f}\t"
-                         f"{s.f1_right:.2f}\t{ref_cell}\t{s.depth:.3f}\n")
+        rows = ["index\tlength\tf1_left\tf1_right\tf1_reference\tdepth\n"]
+        for s in reports[0].sentences:
+            ref_cell = f"{s.f1_reference:.2f}" if s.f1_reference is not None else "-"
+            rows.append(f"{s.index}\t{s.length}\t{s.f1_left:.2f}\t"
+                        f"{s.f1_right:.2f}\t{ref_cell}\t{s.depth:.3f}\n")
+        _write_output(written, args.per_sentence, "".join(rows))
     _write_manifest(args, args.out,
                     config={"exclude_root": args.exclude_root, "micro": args.micro},
-                    inputs=[*args.pred, args.ref],
-                    outputs=[args.out, args.per_sentence], seed=None)
+                    inputs=[*args.pred, args.ref], outputs=written, seed=None)
     return 0
 
 
@@ -292,9 +286,10 @@ def cmd_similarity(args) -> int:
                 raise CliError(f"{args.pairs}:{lineno}: empty sentence")
             vectors.append(model.encode(model.vocab.encode(tokens)).sentence)
         scores.append(cosine_similarity(vectors[0], vectors[1]))
-    _write_output(args.out, "".join(f"{s:.4f}\n" for s in scores))
+    written = {}
+    _write_output(written, args.out, "".join(f"{s:.4f}\n" for s in scores))
     _write_manifest(args, args.out, config=json.loads(checkpoint.config.to_json()),
-                    inputs=[args.checkpoint, args.pairs], outputs=[args.out],
+                    inputs=[args.checkpoint, args.pairs], outputs=written,
                     seed=checkpoint.config.seed)
     return 0
 

@@ -1,4 +1,4 @@
-"""Word-vector files, vocabularies, and corpus ingestion.
+"""Word-vector files, vocabularies, corpus ingestion, and file output.
 
 Three line-oriented formats are understood: embedding files ("word v1 ..
 vD" per line), JSON-record corpora for sentence pairs and single
@@ -7,9 +7,13 @@ sentences, and bracketed-tree files (one tree per line).
 
 from __future__ import annotations
 
+import errno
+import hashlib
 import json
 import logging
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,6 +122,54 @@ def read_lines(path):
             if not line.isascii() and _UNDECODABLE.search(line):
                 raise CorpusError(f"{path}:{lineno}: not valid UTF-8")
             yield lineno, line
+
+
+def write_file(path, chunks) -> str:
+    """Write ``chunks`` (``str`` as UTF-8, or bytes-like) to ``path`` and
+    return the SHA-256 hex digest of the bytes written.
+
+    The bytes go to a new file in the target's directory, created with mode
+    ``0o666`` less the umask, which then replaces the target, so a failure
+    part way leaves the old file (or none) under the name, never a
+    truncated one; the new file is deleted on any exception.  A symlink is
+    written through to the file it names.  An existing target that is not a
+    regular file (a device, a FIFO) is written in place; a directory raises
+    ``IsADirectoryError`` naming ``path``.
+    """
+    digest = hashlib.sha256()
+
+    def copy(fh):
+        for chunk in chunks:
+            if isinstance(chunk, str):
+                chunk = chunk.encode("utf-8")
+            digest.update(chunk)
+            fh.write(chunk)
+
+    try:
+        kind = stat.S_IFMT(os.stat(path).st_mode)
+    except FileNotFoundError:
+        kind = stat.S_IFREG
+    if kind == stat.S_IFDIR:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if kind != stat.S_IFREG:
+        with open(path, "wb") as fh:
+            copy(fh)
+        return digest.hexdigest()
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, str(path)) from None
+    try:
+        with open(fd, "wb") as fh:
+            copy(fh)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    return digest.hexdigest()
 
 
 def tokenize(text: str) -> list[str]:

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 
+from .data import write_file
+
 SUBSET_LABELS = ("mixed", "subset")
 
 
@@ -44,17 +46,13 @@ def subset_pair_records(count: int, vocab_size: int = 50, min_len: int = 3,
     return records
 
 
-def write_pair_corpus(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+def write_pair_corpus(path, records) -> str:
+    return write_file(path, (json.dumps(record) + "\n" for record in records))
 
 
 def write_embedding_file(path, vocab_size: int = 50, dim: int = 16,
-                         seed: int = 0) -> None:
+                         seed: int = 0) -> str:
     """Random unit-scale word vectors, one "word v1 .. vD" line per token."""
     rng = np.random.default_rng(seed)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(vocab_size):
-            vec = rng.normal(0.0, 0.5, size=dim)
-            fh.write(token_name(i) + " " + " ".join(f"{v:.6f}" for v in vec) + "\n")
+    return write_file(path, (token_name(i) + " " + " ".join(
+        f"{v:.6f}" for v in rng.normal(0.0, 0.5, size=dim)) + "\n" for i in range(vocab_size)))

@@ -8,7 +8,6 @@ on batch composition order.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import numbers
@@ -17,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields, asdict
 
 import numpy as np
 
-from .data import PAD_INDEX, EmbeddingMatrix, Vocabulary
+from .data import PAD_INDEX, EmbeddingMatrix, Vocabulary, write_file
 from .model import Model
 from .parser import GumbelConfig
 from .tensor import GradientBatch, NonFiniteError, Tape, Tensor, backward, stable_softmax
@@ -286,23 +285,23 @@ class Checkpoint:
     epoch: int
     best_val_acc: float
 
-    def save(self, path) -> None:
-        header = io.StringIO()
-        header.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n")
-        header.write(self.config.to_json() + "\n")
-        header.write(json.dumps({"epoch": self.epoch,
-                                 "best_val_acc": self.best_val_acc,
-                                 "rng_state": self.rng_state}, sort_keys=True) + "\n")
-        header.write(json.dumps(self.vocab_words) + "\n")
-        header.write(f"params {len(self.params)}\n")
+    def save(self, path) -> str:
+        """Write the checkpoint to ``path``; returns the SHA-256 of its bytes."""
+        return write_file(path, self._chunks())
+
+    def _chunks(self):
+        # the header lines, then each parameter as little-endian float32
+        yield f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n"
+        yield self.config.to_json() + "\n"
+        yield json.dumps({"epoch": self.epoch, "best_val_acc": self.best_val_acc,
+                          "rng_state": self.rng_state}, sort_keys=True) + "\n"
+        yield json.dumps(self.vocab_words) + "\n"
+        yield f"params {len(self.params)}\n"
         for name, arr in self.params.items():
-            dims = " ".join(str(d) for d in arr.shape)
-            header.write(f"{name} {dims}\n")
-        header.write("blob\n")
-        with open(path, "wb") as fh:
-            fh.write(header.getvalue().encode("utf-8"))
-            for arr in self.params.values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+            yield f"{name} {' '.join(str(d) for d in arr.shape)}\n"
+        yield "blob\n"
+        for arr in self.params.values():
+            yield np.ascontiguousarray(arr, dtype="<f4")
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
