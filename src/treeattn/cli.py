@@ -1,9 +1,13 @@
 """Command-line interface: train, eval, parse, treescore, similarity.
 
 Every run writes a JSON manifest recording the resolved configuration,
-input digests, seed, and timestamps, so any output can be reproduced
-bit-for-bit.  Exit codes: 0 success, 2 usage or input error (a model too
-large to allocate included), 3 numeric failure (non-finite loss).
+input digests, seed, timestamps, and the files written with their digests,
+so any output can be reproduced bit-for-bit.  Each command checks its
+output paths before it loads anything, and writes every file through
+``data.write_file``, which replaces a file only once its new bytes are
+complete.  Exit codes: 0 success, 2 usage or input error (a model too
+large to allocate, or two outputs naming one file, included), 3 numeric
+failure (non-finite loss).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -66,6 +71,29 @@ def _require_files(*paths) -> None:
             raise CliError(f"no such file: {path}")
 
 
+def _resolve_outputs(args, *names) -> None:
+    """Check the command's output paths, the ``args`` attributes ``names``
+    (the main output first) and the manifest, before any work, filling in
+    the manifest's default: next to the main output, else
+    ``treeattn-manifest.json``.  Two paths naming one file, or a path whose
+    directory does not exist, are an input error."""
+    anchor = getattr(args, names[0])
+    args.manifest = args.manifest or (f"{anchor}.manifest.json" if anchor
+                                      else "treeattn-manifest.json")
+    flags = {}
+    for name in (*names, "manifest"):
+        path = getattr(args, name)
+        if not path:
+            continue
+        flag = "--" + name.replace("_", "-")
+        real = os.path.realpath(path)
+        if not os.path.isdir(os.path.dirname(real)):
+            raise CliError(f"no such directory for {flag} {path}")
+        if real in flags:
+            raise CliError(f"{flags[real]} and {flag} name the same file: {path}")
+        flags[real] = flag
+
+
 def _reject_directories(*paths) -> None:
     for path in paths:
         if path is not None and Path(path).is_dir():
@@ -84,12 +112,9 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(args, anchor, *, config: dict, inputs, outputs: dict, seed) -> None:
-    """Write the run manifest to ``--manifest``, else next to ``anchor``
-    (the command's main output), else to ``treeattn-manifest.json``;
+def _write_manifest(args, *, config: dict, inputs, outputs: dict, seed) -> None:
+    """Write the run manifest to the path ``_resolve_outputs`` settled;
     ``outputs`` maps each file written to its digest."""
-    path = args.manifest or (f"{anchor}.manifest.json" if anchor
-                             else "treeattn-manifest.json")
     manifest = {
         "tool": "treeattn",
         "version": __version__,
@@ -97,11 +122,12 @@ def _write_manifest(args, anchor, *, config: dict, inputs, outputs: dict, seed) 
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
         "outputs": list(outputs),
+        "output_sha256": outputs,
         "seed": seed,
         "started": args.started,
         "finished": _now(),
     }
-    write_file(path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+    write_file(args.manifest, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
 
 
 def _write_output(written: dict, path, text: str) -> None:
@@ -114,15 +140,16 @@ def _write_output(written: dict, path, text: str) -> None:
 
 
 def _load_checkpoint(path) -> tuple:
-    """A checkpoint and the model it describes; a malformed one is an
-    input error."""
+    """The config of the checkpoint at ``path`` and the model it describes;
+    a malformed checkpoint is an input error.  The checkpoint itself is not
+    kept: the model holds its own copy of the parameters."""
     _require_files(path)
     try:
         checkpoint = Checkpoint.load(path)
     except ValueError as err:
         raise CliError(str(err)) from None
     try:
-        return checkpoint, checkpoint.build_model()
+        return checkpoint.config, checkpoint.build_model()
     except ValueError as err:
         raise CliError(f"{path}: {err}") from None
 
@@ -144,8 +171,9 @@ def _read_sentences(path):
 def cmd_train(args) -> int:
     _require_files(args.train, args.val, args.embeddings)
     # the outputs are written after the whole run, so check them first
-    metrics_path = args.metrics_log or str(args.out) + ".metrics.tsv"
-    _reject_directories(args.out, metrics_path, args.manifest)
+    args.metrics_log = args.metrics_log or f"{args.out}.metrics.tsv"
+    _resolve_outputs(args, "out", "metrics_log")
+    _reject_directories(args.out, args.metrics_log, args.manifest)
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 31))
@@ -172,9 +200,9 @@ def cmd_train(args) -> int:
     result = train(train_set, val_set, config, vocab, embedding)
     best = result.checkpoint
     written = {args.out: best.save(args.out),
-               metrics_path: write_file(metrics_path, [result.log_text])}
+               args.metrics_log: write_file(args.metrics_log, [result.log_text])}
     print(f"best epoch {best.epoch}: val acc {best.best_val_acc:.4f} -> {args.out}")
-    _write_manifest(args, args.out, config=json.loads(config.to_json()),
+    _write_manifest(args, config=json.loads(config.to_json()),
                     inputs=[args.train, args.val, args.embeddings],
                     outputs=written, seed=seed)
     return 0
@@ -182,8 +210,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_files(args.corpus)
-    checkpoint, model = _load_checkpoint(args.checkpoint)
-    cfg = checkpoint.config
+    _resolve_outputs(args, "predictions")
+    cfg, model = _load_checkpoint(args.checkpoint)
     examples = load_corpus(cfg.task, args.corpus, model.vocab, cfg.labels, cfg.max_len)
     if not examples:
         raise CliError("no usable examples after loading")
@@ -195,14 +223,15 @@ def cmd_eval(args) -> int:
         written[args.predictions] = write_file(args.predictions, (
             f"{p.index}\t{cfg.labels[p.gold]}\t{cfg.labels[p.predicted]}\t"
             + " ".join(f"{x:.6f}" for x in p.probs) + "\n" for p in result.predictions))
-    _write_manifest(args, args.predictions, config=json.loads(cfg.to_json()),
+    _write_manifest(args, config=json.loads(cfg.to_json()),
                     inputs=[args.checkpoint, args.corpus], outputs=written, seed=cfg.seed)
     return 0
 
 
 def cmd_parse(args) -> int:
     _require_files(args.input)
-    checkpoint, model = _load_checkpoint(args.checkpoint)
+    _resolve_outputs(args, "out", "attention")
+    cfg, model = _load_checkpoint(args.checkpoint)
     sentences = _read_sentences(args.input)
     tree_lines = []
     weight_rows = []
@@ -219,9 +248,8 @@ def cmd_parse(args) -> int:
     _write_output(written, args.out, "\n".join(tree_lines) + "\n")
     if args.attention:
         _write_output(written, args.attention, "\n".join(weight_rows) + "\n")
-    _write_manifest(args, args.out, config=json.loads(checkpoint.config.to_json()),
-                    inputs=[args.checkpoint, args.input],
-                    outputs=written, seed=checkpoint.config.seed)
+    _write_manifest(args, config=json.loads(cfg.to_json()),
+                    inputs=[args.checkpoint, args.input], outputs=written, seed=cfg.seed)
     return 0
 
 
@@ -231,6 +259,7 @@ def cmd_treescore(args) -> int:
     if args.per_sentence and len(args.pred) > 1:
         raise CliError("--per-sentence needs exactly one --pred file")
     _require_files(*args.pred, args.ref)
+    _resolve_outputs(args, "out", "per_sentence")
     ref = load_tree_corpus(args.ref) if args.ref else None
     reports = []
     for pred_path in args.pred:
@@ -263,15 +292,15 @@ def cmd_treescore(args) -> int:
             rows.append(f"{s.index}\t{s.length}\t{s.f1_left:.2f}\t"
                         f"{s.f1_right:.2f}\t{ref_cell}\t{s.depth:.3f}\n")
         _write_output(written, args.per_sentence, "".join(rows))
-    _write_manifest(args, args.out,
-                    config={"exclude_root": args.exclude_root, "micro": args.micro},
+    _write_manifest(args, config={"exclude_root": args.exclude_root, "micro": args.micro},
                     inputs=[*args.pred, args.ref], outputs=written, seed=None)
     return 0
 
 
 def cmd_similarity(args) -> int:
     _require_files(args.pairs)
-    checkpoint, model = _load_checkpoint(args.checkpoint)
+    _resolve_outputs(args, "out")
+    cfg, model = _load_checkpoint(args.checkpoint)
     scores = []
     for lineno, line in read_lines(args.pairs):
         if not line.strip():
@@ -288,9 +317,8 @@ def cmd_similarity(args) -> int:
         scores.append(cosine_similarity(vectors[0], vectors[1]))
     written = {}
     _write_output(written, args.out, "".join(f"{s:.4f}\n" for s in scores))
-    _write_manifest(args, args.out, config=json.loads(checkpoint.config.to_json()),
-                    inputs=[args.checkpoint, args.pairs], outputs=written,
-                    seed=checkpoint.config.seed)
+    _write_manifest(args, config=json.loads(cfg.to_json()),
+                    inputs=[args.checkpoint, args.pairs], outputs=written, seed=cfg.seed)
     return 0
 
 

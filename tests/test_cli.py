@@ -1,9 +1,11 @@
 """End-to-end command-line workflows on a generated toy task."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from treeattn import toy, training
 from treeattn.cli import main
 from treeattn.data import load_pair_corpus
+from treeattn.model import Model
 from treeattn.parser import GumbelConfig
 from treeattn.training import Checkpoint, evaluate
 from treeattn.trees import parse_bracketed
@@ -526,6 +529,29 @@ class TestParse:
         tree, _ = parse_bracketed((tmp_path / "t.txt").read_text())
         assert tree.n == 3
 
+    def test_checkpoint_is_dropped_before_the_first_encode(self, workspace, tmp_path,
+                                                           monkeypatch):
+        # after build_model only the config is read, so the checkpoint's
+        # float32 arrays must not stay alive next to the model's copies
+        loaded, alive = [], []
+        load, encode = Checkpoint.load.__func__, Model.encode
+
+        def spy_load(cls, path):
+            checkpoint = load(cls, path)
+            loaded.append(weakref.ref(checkpoint))
+            return checkpoint
+
+        def spy_encode(self, *args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return encode(self, *args, **kwargs)
+
+        monkeypatch.setattr(Checkpoint, "load", classmethod(spy_load))
+        monkeypatch.setattr(Model, "encode", spy_encode)
+        assert main(["parse", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--input", str(workspace / "sents.txt"),
+                     "--out", str(tmp_path / "t.txt")]) == 0
+        assert len(loaded) == 1 and alive[0] is False
+
     def test_repeated_runs_are_byte_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for out in (a, b):
@@ -785,3 +811,89 @@ class TestInputAndOutputErrors:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: output path is a directory: {tmp_path / 'ckpt'}\n")
+
+    def test_train_out_in_a_missing_directory_exits_2_before_loading(
+            self, workspace, tmp_path, capsys):
+        emb = _with_bad_byte(workspace / "emb.txt", tmp_path / "emb.txt")
+        out = tmp_path / "nodir" / "model.ckpt"
+        code = main(["train", "--task", "pair",
+                     "--train", str(workspace / "train.jsonl"),
+                     "--val", str(workspace / "val.jsonl"),
+                     "--embeddings", str(emb), "--labels", "mixed,subset",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: no such directory for --out {out}\n"
+        assert not (tmp_path / "nodir").exists()
+
+    def test_train_out_and_metrics_log_naming_one_file_exit_2_before_loading(
+            self, workspace, tmp_path, capsys):
+        emb = _with_bad_byte(workspace / "emb.txt", tmp_path / "emb.txt")
+        out = tmp_path / "m.ckpt"
+        code = main(["train", "--task", "pair",
+                     "--train", str(workspace / "train.jsonl"),
+                     "--val", str(workspace / "val.jsonl"),
+                     "--embeddings", str(emb), "--labels", "mixed,subset",
+                     "--out", str(out), "--metrics-log", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out and --metrics-log name the same file: {out}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, name, message", [
+        ("--attention", "t.txt", "--out and --attention name the same file"),
+        ("--manifest", "t.txt", "--out and --manifest name the same file"),
+        # the default manifest path counts too
+        ("--attention", "t.txt.manifest.json",
+         "--attention and --manifest name the same file")])
+    def test_parse_outputs_naming_one_file_exit_2_before_loading(
+            self, workspace, tmp_path, capsys, flag, name, message):
+        source = _with_bad_byte(workspace / "sents.txt", tmp_path / "sents.txt")
+        (tmp_path / "t.txt").write_text("keep\n")
+        code = main(["parse", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--input", str(source), "--out", str(tmp_path / "t.txt"),
+                     flag, str(tmp_path / name)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}: ")
+        assert (tmp_path / "t.txt").read_text() == "keep\n"
+
+    def test_outputs_naming_one_file_through_a_symlink_exit_2(self, tmp_path, capsys):
+        (tmp_path / "trees.txt").write_text(TREES)
+        (tmp_path / "link.txt").symlink_to(tmp_path / "report.txt")
+        assert main(["treescore", "--pred", str(tmp_path / "trees.txt"),
+                     "--baselines-only", "--out", str(tmp_path / "report.txt"),
+                     "--per-sentence", str(tmp_path / "link.txt")]) == 2
+        assert "--out and --per-sentence name the same file" in capsys.readouterr().err
+
+
+def test_each_manifest_records_the_digest_of_every_file_output(workspace, tmp_path):
+    ckpt = str(workspace / "model.ckpt")
+    (tmp_path / "trees.txt").write_text(TREES)
+    runs = [  # manifest, the command that wrote it, its number of file outputs
+        (workspace / "model.ckpt.manifest.json", None, 2),  # the workspace's train run
+        (tmp_path / "preds.tsv.manifest.json", [
+            "eval", "--checkpoint", ckpt, "--corpus", str(workspace / "val.jsonl"),
+            "--predictions", str(tmp_path / "preds.tsv")], 1),
+        (tmp_path / "p.txt.manifest.json", [
+            "parse", "--checkpoint", ckpt, "--input", str(workspace / "sents.txt"),
+            "--out", str(tmp_path / "p.txt"), "--attention", str(tmp_path / "a.tsv")], 2),
+        (tmp_path / "r.txt.manifest.json", [
+            "treescore", "--pred", str(tmp_path / "trees.txt"), "--baselines-only",
+            "--out", str(tmp_path / "r.txt"), "--per-sentence", str(tmp_path / "s.tsv")], 2),
+        (tmp_path / "sim.txt.manifest.json", [
+            "similarity", "--checkpoint", ckpt, "--pairs", str(workspace / "pairs.tsv"),
+            "--out", str(tmp_path / "sim.txt")], 1),
+        # stdout is not a file and gets no digest
+        (tmp_path / "stdout.json", [
+            "similarity", "--checkpoint", ckpt, "--pairs", str(workspace / "pairs.tsv"),
+            "--manifest", str(tmp_path / "stdout.json")], 0),
+    ]
+    for manifest_path, argv, count in runs:
+        if argv is not None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        manifest = json.loads(manifest_path.read_text())
+        digests = manifest["output_sha256"]
+        assert len(manifest["outputs"]) == count
+        assert sorted(digests) == sorted(manifest["outputs"])
+        for path, digest in digests.items():
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest(), path

@@ -1,6 +1,12 @@
-"""Embedding files, vocabularies, and corpus loaders."""
+"""Embedding files, vocabularies, corpus loaders, and the file writer."""
 
+import ast
+import hashlib
 import json
+import os
+import stat
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +14,7 @@ import pytest
 from treeattn import data
 from treeattn.data import (CorpusError, LoadStats, UNK_INDEX, load_corpus,
                            load_embeddings, load_pair_corpus, load_tree_corpus,
-                           tokenize)
+                           tokenize, write_file)
 from treeattn.trees import export_bracketed
 
 LABELS3 = ("entailment", "contradiction", "neutral")
@@ -258,3 +264,118 @@ class TestTreeCorpus:
         path = write(tmp_path / "t.txt", lines)
         trees = load_tree_corpus(path)
         assert [export_bracketed(t) for t in trees] == lines
+
+
+class TestWriteFile:
+    def test_chunks_of_each_kind_and_their_digest(self, tmp_path):
+        array = np.arange(3, dtype="<f4")
+        expected = "é\n".encode("utf-8") + b"\x00\xff" + array.tobytes()
+        digest = write_file(tmp_path / "out", ["é\n", b"\x00", memoryview(b"\xff"), array])
+        assert (tmp_path / "out").read_bytes() == expected
+        assert digest == hashlib.sha256(expected).hexdigest()
+
+    def test_failure_midway_keeps_the_old_file_and_no_temporary(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old\n")
+
+        def chunks():
+            yield b"x" * (1 << 20)  # past any buffer: these bytes reach the disk
+            raise RuntimeError("midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            write_file(target, chunks())
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_file(tmp_path / "new.txt", ["x"])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "new.txt").st_mode) == 0o666 & ~umask
+
+    def test_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "real.txt").write_text("old")
+        (tmp_path / "link.txt").symlink_to("real.txt")
+        (tmp_path / "dangling.txt").symlink_to("later.txt")
+        write_file(tmp_path / "link.txt", ["new"])
+        write_file(tmp_path / "dangling.txt", ["made"])
+        assert os.readlink(tmp_path / "link.txt") == "real.txt"
+        assert os.readlink(tmp_path / "dangling.txt") == "later.txt"
+        assert (tmp_path / "real.txt").read_text() == "new"
+        assert (tmp_path / "later.txt").read_text() == "made"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        # replacing the FIFO with a regular file would leave the reader
+        # waiting for a writer that never comes
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        results = {}
+        threads = [threading.Thread(target=lambda: results.update(read=fifo.read_bytes()),
+                                    daemon=True),
+                   threading.Thread(target=lambda: results.update(
+                       digest=write_file(fifo, ["abc\n", b"def"])), daemon=True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {"read": b"abc\ndef",
+                           "digest": hashlib.sha256(b"abc\ndef").hexdigest()}
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_directory_target_raises_naming_the_path_given(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            write_file(tmp_path / "d", ["x"])
+        assert info.value.filename == str(tmp_path / "d")
+        assert os.listdir(tmp_path) == ["d"] and not os.listdir(tmp_path / "d")
+
+    def test_missing_directory_raises_naming_the_path_given(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as info:
+            write_file(tmp_path / "nodir" / "out", ["x"])
+        assert info.value.filename == str(tmp_path / "nodir" / "out")
+
+
+def _file_write(call: ast.Call):
+    """What ``call`` writes to a file, or None."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        owner, name = None, func.id
+    elif isinstance(func, ast.Attribute):
+        owner, name = getattr(func.value, "id", None), func.attr
+    else:
+        return None
+    if name == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None)
+        if mode is not None and not (isinstance(mode, ast.Constant)
+                                     and isinstance(mode.value, str)
+                                     and not set(mode.value) & set("wax+")):
+            return f"open with mode {ast.unparse(mode)}"
+    elif (name in ("write_text", "write_bytes", "tofile")
+          or (owner, name) == ("json", "dump")
+          or (owner in ("np", "numpy") and name.startswith("save"))):
+        return ast.unparse(func)
+    return None
+
+
+def test_every_file_write_goes_through_write_file():
+    # one module owns how a file is written: outside data.write_file, no
+    # library code opens a file for writing or calls a writing helper
+    found = []
+    for path in sorted(Path(data.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "data.py":
+            [writer] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                        and node.name == "write_file"]
+            allowed = {id(node) for node in ast.walk(writer)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                what = _file_write(node)
+                if what:
+                    found.append(f"{path.name} line {node.lineno}: {what}")
+    assert not found, f"file writes outside data.write_file: {found}"
