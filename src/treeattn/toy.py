@@ -46,13 +46,14 @@ def subset_pair_records(count: int, vocab_size: int = 50, min_len: int = 3,
     return records
 
 
-def write_pair_corpus(path, records) -> str:
-    return write_file(path, (json.dumps(record) + "\n" for record in records))
+def write_pair_corpus(path, records) -> None:
+    write_file(path, (json.dumps(record) + "\n" for record in records))
 
 
 def write_embedding_file(path, vocab_size: int = 50, dim: int = 16,
-                         seed: int = 0) -> str:
+                         seed: int = 0) -> None:
     """Random unit-scale word vectors, one "word v1 .. vD" line per token."""
     rng = np.random.default_rng(seed)
-    return write_file(path, (token_name(i) + " " + " ".join(
-        f"{v:.6f}" for v in rng.normal(0.0, 0.5, size=dim)) + "\n" for i in range(vocab_size)))
+    lines = (token_name(i) + " " + " ".join(f"{v:.6f}" for v in rng.normal(0.0, 0.5, size=dim))
+             + "\n" for i in range(vocab_size))
+    write_file(path, lines)
