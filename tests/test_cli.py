@@ -812,32 +812,21 @@ class TestInputAndOutputErrors:
         assert capsys.readouterr().err == (
             f"error: output path is a directory: {tmp_path / 'ckpt'}\n")
 
-    def test_train_out_in_a_missing_directory_exits_2_before_loading(
-            self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("outputs, message", [
+        (["--out", "nodir/model.ckpt"], "no such directory for --out {tmp}/nodir/model.ckpt"),
+        (["--out", "m.ckpt", "--metrics-log", "m.ckpt"],
+         "--out and --metrics-log name the same file: {tmp}/m.ckpt")])
+    def test_bad_train_outputs_exit_2_before_loading(self, workspace, tmp_path, capsys,
+                                                     outputs, message):
         emb = _with_bad_byte(workspace / "emb.txt", tmp_path / "emb.txt")
-        out = tmp_path / "nodir" / "model.ckpt"
         code = main(["train", "--task", "pair",
                      "--train", str(workspace / "train.jsonl"),
                      "--val", str(workspace / "val.jsonl"),
                      "--embeddings", str(emb), "--labels", "mixed,subset",
-                     "--out", str(out)])
+                     *(a if a.startswith("--") else str(tmp_path / a) for a in outputs)])
         assert code == 2
-        assert capsys.readouterr().err == f"error: no such directory for --out {out}\n"
-        assert not (tmp_path / "nodir").exists()
-
-    def test_train_out_and_metrics_log_naming_one_file_exit_2_before_loading(
-            self, workspace, tmp_path, capsys):
-        emb = _with_bad_byte(workspace / "emb.txt", tmp_path / "emb.txt")
-        out = tmp_path / "m.ckpt"
-        code = main(["train", "--task", "pair",
-                     "--train", str(workspace / "train.jsonl"),
-                     "--val", str(workspace / "val.jsonl"),
-                     "--embeddings", str(emb), "--labels", "mixed,subset",
-                     "--out", str(out), "--metrics-log", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: --out and --metrics-log name the same file: {out}\n")
-        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
 
     @pytest.mark.parametrize("flag, name, message", [
         ("--attention", "t.txt", "--out and --attention name the same file"),
