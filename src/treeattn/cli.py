@@ -1,13 +1,16 @@
 """Command-line interface: train, eval, parse, treescore, similarity.
 
-Every run writes a JSON manifest recording the resolved configuration,
-input digests, seed, timestamps, and the files written with their digests,
-so any output can be reproduced bit-for-bit.  Each command checks its
-output paths before it loads anything, and writes every file through
-``data.write_file``, which replaces a file only once its new bytes are
-complete.  Exit codes: 0 success, 2 usage or input error (a model too
-large to allocate, or two outputs naming one file, included), 3 numeric
-failure (non-finite loss).
+Each subcommand declares its input and output flags once, on its parser.
+Before any work, ``main`` requires every input to be a file and takes its
+digest, and rejects an output that is a directory, lies in a missing
+directory, or names the same file as another output.  The command then
+returns its configuration, seed and output texts, and ``main`` writes each
+file through ``data.write_file``, which replaces a file only once its new
+bytes are complete, and last a JSON manifest recording the configuration,
+input digests, seed, timestamps, and the files written with their
+digests, so any output can be reproduced bit-for-bit.  Exit codes: 0
+success, 2 usage or input error (a model too large to allocate, or a bad
+output path, included), 3 numeric failure (non-finite loss).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -65,39 +67,43 @@ def _rate(text: str) -> float:
     return value
 
 
-def _require_files(*paths) -> None:
-    for path in paths:
-        if path is not None and not Path(path).is_file():
-            raise CliError(f"no such file: {path}")
+# outputs whose unset path defaults to the command's first output plus a suffix
+_DEFAULT_SUFFIXES = {"metrics_log": ".metrics.tsv", "manifest": ".manifest.json"}
 
 
-def _resolve_outputs(args, *names) -> None:
-    """Check the command's output paths, the ``args`` attributes ``names``
-    (the main output first) and the manifest, before any work, filling in
-    the manifest's default: next to the main output, else
-    ``treeattn-manifest.json``.  Two paths naming one file, or a path whose
-    directory does not exist, are an input error."""
-    anchor = getattr(args, names[0])
-    args.manifest = args.manifest or (f"{anchor}.manifest.json" if anchor
-                                      else "treeattn-manifest.json")
+def _check_paths(args) -> dict:
+    """Check the command's declared paths before any work; returns the
+    ``{path: sha256}`` of its inputs, each of which must be a file.  Fills
+    in the default output paths (the manifest's is ``treeattn-manifest.json``
+    when the first output goes to stdout) and rejects an output that is a
+    directory, lies in a missing directory, or names another output's file."""
+    digests = {}
+    for name in args.inputs:
+        value = getattr(args, name)
+        for path in value if isinstance(value, list) else [value]:
+            if path is None:
+                continue
+            if not os.path.isfile(path):
+                raise CliError(f"no such file: {path}")
+            digests[str(path)] = _sha256(path)
+    anchor = getattr(args, args.outputs[0])
     flags = {}
-    for name in (*names, "manifest"):
-        path = getattr(args, name)
+    for name in (*args.outputs, "manifest"):
+        if not getattr(args, name) and name in _DEFAULT_SUFFIXES:
+            setattr(args, name, f"{anchor}{_DEFAULT_SUFFIXES[name]}" if anchor
+                    else "treeattn-manifest.json")
+        path, flag = getattr(args, name), "--" + name.replace("_", "-")
         if not path:
             continue
-        flag = "--" + name.replace("_", "-")
         real = os.path.realpath(path)
+        if os.path.isdir(real):
+            raise CliError(f"output path is a directory: {path}")
         if not os.path.isdir(os.path.dirname(real)):
             raise CliError(f"no such directory for {flag} {path}")
         if real in flags:
             raise CliError(f"{flags[real]} and {flag} name the same file: {path}")
         flags[real] = flag
-
-
-def _reject_directories(*paths) -> None:
-    for path in paths:
-        if path is not None and Path(path).is_dir():
-            raise CliError(f"output path is a directory: {path}")
+    return digests
 
 
 def _sha256(path) -> str:
@@ -112,38 +118,36 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(args, *, config: dict, inputs, outputs: dict, seed) -> None:
-    """Write the run manifest to the path ``_resolve_outputs`` settled;
-    ``outputs`` maps each file written to its digest."""
+def _finish(args, started: str, inputs: dict, config: dict, seed, outputs: dict) -> None:
+    """Write each of the command's ``outputs`` (``{name: chunks}``) to the
+    path ``_check_paths`` settled, an unset ``out`` to stdout, then the run
+    manifest, which records the digest of every file written."""
+    written = {}
+    for name, chunks in outputs.items():
+        path = getattr(args, name)
+        if path:
+            written[path] = write_file(path, chunks)
+        elif name == "out":
+            sys.stdout.writelines(chunks)
     manifest = {
         "tool": "treeattn",
         "version": __version__,
         "command": args.subcommand,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
-        "outputs": list(outputs),
-        "output_sha256": outputs,
+        "inputs": inputs,
+        "outputs": list(written),
+        "output_sha256": written,
         "seed": seed,
-        "started": args.started,
+        "started": started,
         "finished": _now(),
     }
     write_file(args.manifest, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
-
-
-def _write_output(written: dict, path, text: str) -> None:
-    """Write ``text`` to ``path`` and record its digest in ``written``, or
-    write it to stdout when no path is given."""
-    if path:
-        written[path] = write_file(path, [text])
-    else:
-        sys.stdout.write(text)
 
 
 def _load_checkpoint(path) -> tuple:
     """The config of the checkpoint at ``path`` and the model it describes;
     a malformed checkpoint is an input error.  The checkpoint itself is not
     kept: the model holds its own copy of the parameters."""
-    _require_files(path)
     try:
         checkpoint = Checkpoint.load(path)
     except ValueError as err:
@@ -168,12 +172,7 @@ def _read_sentences(path):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_train(args) -> int:
-    _require_files(args.train, args.val, args.embeddings)
-    # the outputs are written after the whole run, so check them first
-    args.metrics_log = args.metrics_log or f"{args.out}.metrics.tsv"
-    _resolve_outputs(args, "out", "metrics_log")
-    _reject_directories(args.out, args.metrics_log, args.manifest)
+def cmd_train(args) -> tuple:
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 31))
@@ -199,18 +198,12 @@ def cmd_train(args) -> int:
 
     result = train(train_set, val_set, config, vocab, embedding)
     best = result.checkpoint
-    written = {args.out: best.save(args.out),
-               args.metrics_log: write_file(args.metrics_log, [result.log_text])}
     print(f"best epoch {best.epoch}: val acc {best.best_val_acc:.4f} -> {args.out}")
-    _write_manifest(args, config=json.loads(config.to_json()),
-                    inputs=[args.train, args.val, args.embeddings],
-                    outputs=written, seed=seed)
-    return 0
+    return (json.loads(config.to_json()), seed,
+            {"out": best.chunks(), "metrics_log": [result.log_text]})
 
 
-def cmd_eval(args) -> int:
-    _require_files(args.corpus)
-    _resolve_outputs(args, "predictions")
+def cmd_eval(args) -> tuple:
     cfg, model = _load_checkpoint(args.checkpoint)
     examples = load_corpus(cfg.task, args.corpus, model.vocab, cfg.labels, cfg.max_len)
     if not examples:
@@ -218,19 +211,13 @@ def cmd_eval(args) -> int:
     result = evaluate(examples, model)
     print(f"accuracy\t{result.accuracy:.4f}")
     print(f"macro_f1\t{result.macro_f1:.4f}")
-    written = {}
-    if args.predictions:
-        written[args.predictions] = write_file(args.predictions, (
-            f"{p.index}\t{cfg.labels[p.gold]}\t{cfg.labels[p.predicted]}\t"
-            + " ".join(f"{x:.6f}" for x in p.probs) + "\n" for p in result.predictions))
-    _write_manifest(args, config=json.loads(cfg.to_json()),
-                    inputs=[args.checkpoint, args.corpus], outputs=written, seed=cfg.seed)
-    return 0
+    predictions = (
+        f"{p.index}\t{cfg.labels[p.gold]}\t{cfg.labels[p.predicted]}\t"
+        + " ".join(f"{x:.6f}" for x in p.probs) + "\n" for p in result.predictions)
+    return json.loads(cfg.to_json()), cfg.seed, {"predictions": predictions}
 
 
-def cmd_parse(args) -> int:
-    _require_files(args.input)
-    _resolve_outputs(args, "out", "attention")
+def cmd_parse(args) -> tuple:
     cfg, model = _load_checkpoint(args.checkpoint)
     sentences = _read_sentences(args.input)
     tree_lines = []
@@ -244,22 +231,16 @@ def cmd_parse(args) -> int:
                 weight = encoded.weights.data[node]
                 text = " ".join(tokens[start:end])
                 weight_rows.append(f"{index}\t{node}\t{start}\t{end}\t{weight:.6f}\t{text}")
-    written = {}
-    _write_output(written, args.out, "\n".join(tree_lines) + "\n")
-    if args.attention:
-        _write_output(written, args.attention, "\n".join(weight_rows) + "\n")
-    _write_manifest(args, config=json.loads(cfg.to_json()),
-                    inputs=[args.checkpoint, args.input], outputs=written, seed=cfg.seed)
-    return 0
+    return json.loads(cfg.to_json()), cfg.seed, {
+        "out": ["\n".join(tree_lines) + "\n"],
+        "attention": ["\n".join(weight_rows) + "\n"]}
 
 
-def cmd_treescore(args) -> int:
+def cmd_treescore(args) -> tuple:
     if args.ref is None and not args.baselines_only:
         raise CliError("provide --ref or pass --baselines-only")
     if args.per_sentence and len(args.pred) > 1:
         raise CliError("--per-sentence needs exactly one --pred file")
-    _require_files(*args.pred, args.ref)
-    _resolve_outputs(args, "out", "per_sentence")
     ref = load_tree_corpus(args.ref) if args.ref else None
     reports = []
     for pred_path in args.pred:
@@ -283,23 +264,18 @@ def cmd_treescore(args) -> int:
                       f"{max(r.f1_right for r in reports):16.1f} "
                       f"{ref_cell:>16}\n")
         text = "\n".join(pieces)
-    written = {}
-    _write_output(written, args.out, text)
+    rows = []
     if args.per_sentence:
-        rows = ["index\tlength\tf1_left\tf1_right\tf1_reference\tdepth\n"]
+        rows.append("index\tlength\tf1_left\tf1_right\tf1_reference\tdepth\n")
         for s in reports[0].sentences:
             ref_cell = f"{s.f1_reference:.2f}" if s.f1_reference is not None else "-"
             rows.append(f"{s.index}\t{s.length}\t{s.f1_left:.2f}\t"
                         f"{s.f1_right:.2f}\t{ref_cell}\t{s.depth:.3f}\n")
-        _write_output(written, args.per_sentence, "".join(rows))
-    _write_manifest(args, config={"exclude_root": args.exclude_root, "micro": args.micro},
-                    inputs=[*args.pred, args.ref], outputs=written, seed=None)
-    return 0
+    return ({"exclude_root": args.exclude_root, "micro": args.micro}, None,
+            {"out": [text], "per_sentence": ["".join(rows)]})
 
 
-def cmd_similarity(args) -> int:
-    _require_files(args.pairs)
-    _resolve_outputs(args, "out")
+def cmd_similarity(args) -> tuple:
     cfg, model = _load_checkpoint(args.checkpoint)
     scores = []
     for lineno, line in read_lines(args.pairs):
@@ -315,11 +291,8 @@ def cmd_similarity(args) -> int:
                 raise CliError(f"{args.pairs}:{lineno}: empty sentence")
             vectors.append(model.encode(model.vocab.encode(tokens)).sentence)
         scores.append(cosine_similarity(vectors[0], vectors[1]))
-    written = {}
-    _write_output(written, args.out, "".join(f"{s:.4f}\n" for s in scores))
-    _write_manifest(args, config=json.loads(cfg.to_json()),
-                    inputs=[args.checkpoint, args.pairs], outputs=written, seed=cfg.seed)
-    return 0
+    return (json.loads(cfg.to_json()), cfg.seed,
+            {"out": ["".join(f"{s:.4f}\n" for s in scores)]})
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +337,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-per-sentence", action="store_true",
                    help="draw one noise vector per sentence instead of per layer")
     p.add_argument("--manifest")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, inputs=("train", "val", "embeddings"),
+                   outputs=("out", "metrics_log"))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--predictions", help="write per-example predictions TSV here")
     p.add_argument("--manifest")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, inputs=("checkpoint", "corpus"), outputs=("predictions",))
 
     p = sub.add_parser("parse", help="induce trees for raw sentences")
     p.add_argument("--checkpoint", required=True)
@@ -379,7 +353,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="bracketed trees output (default: stdout)")
     p.add_argument("--attention", help="write per-node attention weights TSV here")
     p.add_argument("--manifest")
-    p.set_defaults(func=cmd_parse)
+    p.set_defaults(func=cmd_parse, inputs=("checkpoint", "input"),
+                   outputs=("out", "attention"))
 
     p = sub.add_parser("treescore", help="score predicted trees (bracket F1, depth)")
     p.add_argument("--pred", required=True, nargs="+",
@@ -394,22 +369,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-sentence", help="write per-sentence scores TSV here")
     p.add_argument("--out", help="report output (default: stdout)")
     p.add_argument("--manifest")
-    p.set_defaults(func=cmd_treescore)
+    p.set_defaults(func=cmd_treescore, inputs=("pred", "ref"),
+                   outputs=("out", "per_sentence"))
 
     p = sub.add_parser("similarity", help="cosine similarity of sentence pairs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pairs", required=True, help="tab-separated sentence pairs")
     p.add_argument("--out", help="scores output (default: stdout)")
     p.add_argument("--manifest")
-    p.set_defaults(func=cmd_similarity)
+    p.set_defaults(func=cmd_similarity, inputs=("checkpoint", "pairs"), outputs=("out",))
     return top
 
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    args.started = _now()
+    started = _now()
     try:
-        return args.func(args)
+        inputs = _check_paths(args)
+        _finish(args, started, inputs, *args.func(args))
+        return 0
     except (CliError, CorpusError, ModelAllocationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

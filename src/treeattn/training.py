@@ -287,10 +287,11 @@ class Checkpoint:
 
     def save(self, path) -> str:
         """Write the checkpoint to ``path``; returns the SHA-256 of its bytes."""
-        return write_file(path, self._chunks())
+        return write_file(path, self.chunks())
 
-    def _chunks(self):
-        # the header lines, then each parameter as little-endian float32
+    def chunks(self):
+        """The checkpoint's bytes, as ``save`` writes them: the header
+        lines, then each parameter as little-endian float32."""
         yield f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n"
         yield self.config.to_json() + "\n"
         yield json.dumps({"epoch": self.epoch, "best_val_acc": self.best_val_acc,

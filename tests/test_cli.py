@@ -777,16 +777,16 @@ class TestInputAndOutputErrors:
         (tmp_path / "report").mkdir()
         assert main(["treescore", "--pred", str(tmp_path / "trees.txt"),
                      "--baselines-only", "--out", str(tmp_path / "report")]) == 2
-        err = capsys.readouterr().err
-        assert "Is a directory" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: output path is a directory: {tmp_path / 'report'}\n")
 
     def test_directory_as_eval_predictions_exits_2(self, workspace, tmp_path, capsys):
         (tmp_path / "preds").mkdir()
         assert main(["eval", "--checkpoint", str(workspace / "model.ckpt"),
                      "--corpus", str(workspace / "val.jsonl"),
                      "--predictions", str(tmp_path / "preds")]) == 2
-        err = capsys.readouterr().err
-        assert "Is a directory" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: output path is a directory: {tmp_path / 'preds'}\n")
 
     def test_directory_as_manifest_exits_2(self, tmp_path, capsys):
         (tmp_path / "trees.txt").write_text(TREES)
@@ -794,8 +794,8 @@ class TestInputAndOutputErrors:
         assert main(["treescore", "--pred", str(tmp_path / "trees.txt"),
                      "--baselines-only", "--out", str(tmp_path / "report.txt"),
                      "--manifest", str(tmp_path / "manifest")]) == 2
-        err = capsys.readouterr().err
-        assert "Is a directory" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: output path is a directory: {tmp_path / 'manifest'}\n")
 
     def test_directory_as_train_out_exits_2_before_loading(self, workspace, tmp_path,
                                                           capsys):
