@@ -76,8 +76,9 @@ def _check_paths(args) -> dict:
     ``{path: sha256}`` of its inputs, each of which must be a file.  Fills
     in the default output paths (the manifest's is ``treeattn-manifest.json``
     when the first output goes to stdout) and rejects an output that is a
-    directory, lies in a missing directory, or names another output's file."""
-    digests = {}
+    directory, lies in a missing directory, or names the file of an input or
+    of another output.  Two inputs may name one file."""
+    digests, flags = {}, {}
     for name in args.inputs:
         value = getattr(args, name)
         for path in value if isinstance(value, list) else [value]:
@@ -86,8 +87,8 @@ def _check_paths(args) -> dict:
             if not os.path.isfile(path):
                 raise CliError(f"no such file: {path}")
             digests[str(path)] = _sha256(path)
+            flags.setdefault(os.path.realpath(path), "--" + name.replace("_", "-"))
     anchor = getattr(args, args.outputs[0])
-    flags = {}
     for name in (*args.outputs, "manifest"):
         if not getattr(args, name) and name in _DEFAULT_SUFFIXES:
             setattr(args, name, f"{anchor}{_DEFAULT_SUFFIXES[name]}" if anchor
@@ -237,8 +238,6 @@ def cmd_parse(args) -> tuple:
 
 
 def cmd_treescore(args) -> tuple:
-    if args.ref is None and not args.baselines_only:
-        raise CliError("provide --ref or pass --baselines-only")
     if args.per_sentence and len(args.pred) > 1:
         raise CliError("--per-sentence needs exactly one --pred file")
     ref = load_tree_corpus(args.ref) if args.ref else None
@@ -359,9 +358,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("treescore", help="score predicted trees (bracket F1, depth)")
     p.add_argument("--pred", required=True, nargs="+",
                    help="predicted-tree file(s); several inputs add a max-over-inputs row")
-    p.add_argument("--ref", help="aligned reference trees")
-    p.add_argument("--baselines-only", action="store_true",
-                   help="score against branching baselines only")
+    against = p.add_mutually_exclusive_group(required=True)
+    against.add_argument("--ref", help="aligned reference trees")
+    against.add_argument("--baselines-only", action="store_true",
+                         help="score against branching baselines only")
     p.add_argument("--micro", action="store_true",
                    help="pool span counts over the corpus instead of macro-averaging")
     p.add_argument("--exclude-root", action="store_true",

@@ -69,11 +69,18 @@ class BinaryTree:
         return hash((self.n, self.tokens, self.span_set()))
 
 
+# Penn Treebank escapes, so that a bracket token is not read back as a bracket
+_LEAF_ESCAPES = {"(": "-LRB-", ")": "-RRB-"}
+
+
 def export_bracketed(tree: BinaryTree) -> str:
     """Whitespace-delimited bracketing, e.g. ``( ( w1 w2 ) w3 )``.
 
-    Exact inverse of :func:`parse_bracketed` for binary trees.  Trees
-    without tokens are rendered with placeholder leaves ``w1..wn``.
+    Exact inverse of :func:`parse_bracketed` for binary trees with no
+    bracket token.  A leaf token ``(`` or ``)`` is written as ``-LRB-`` or
+    ``-RRB-``, which parses back as that escape, with the tree's spans
+    intact.  Trees without tokens are rendered with placeholder leaves
+    ``w1..wn``.
     """
     tokens = tree.tokens or tuple(f"w{i + 1}" for i in range(tree.n))
     spans = tree.node_spans()
@@ -84,7 +91,7 @@ def export_bracketed(tree: BinaryTree) -> str:
         closes[end - 1] += 1
     parts: list[str] = []
     for token, before, after in zip(tokens, opens, closes):
-        parts += ["("] * before + [token] + [")"] * after
+        parts += ["("] * before + [_LEAF_ESCAPES.get(token, token)] + [")"] * after
     return " ".join(parts)
 
 

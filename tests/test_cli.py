@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeattn import toy, training
+from treeattn import cli, toy, training
 from treeattn.cli import main
 from treeattn.data import load_pair_corpus
 from treeattn.model import Model
@@ -552,6 +552,24 @@ class TestParse:
                      "--out", str(tmp_path / "t.txt")]) == 0
         assert len(loaded) == 1 and alive[0] is False
 
+    def test_bracket_tokens_read_back_in_treescore(self, workspace, tmp_path, capsys):
+        tokens = ["tok00", "(", "tok01", ")", "tok02"]
+        (tmp_path / "s.txt").write_text(" ".join(tokens) + "\n", encoding="utf-8")
+        assert main(["parse", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--input", "s.txt", "--out", "t.txt", "--attention", "a.tsv"]) == 0
+        model = Checkpoint.load(workspace / "model.ckpt").build_model()
+        expected = model.encode(model.vocab.encode(tokens), mode="infer",
+                                tokens=tuple(tokens)).tree
+        tree, _ = parse_bracketed((tmp_path / "t.txt").read_text())
+        assert tree.span_set() == expected.span_set()
+        assert tree.tokens == ("tok00", "-LRB-", "tok01", "-RRB-", "tok02")
+        # the attention report keeps the raw tokens
+        rows = [row.split("\t") for row in (tmp_path / "a.tsv").read_text().splitlines()]
+        assert [row[5] for row in rows[:5]] == tokens
+        assert rows[-1][5] == " ".join(tokens)
+        assert main(["treescore", "--pred", "t.txt", "--baselines-only"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_repeated_runs_are_byte_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for out in (a, b):
@@ -603,10 +621,29 @@ class TestTreescore:
         assert main(["treescore", "--pred", str(pred), "--ref", str(ref)]) == 2
         assert "[1]" in capsys.readouterr().err
 
-    def test_requires_ref_or_baselines_flag(self, tmp_path):
+    def test_requires_ref_or_baselines_flag(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"
         pred.write_text("( a b )\n")
-        assert main(["treescore", "--pred", str(pred)]) == 2
+        with pytest.raises(SystemExit) as info:  # rejected by the argument parser
+            main(["treescore", "--pred", str(pred)])
+        assert info.value.code == 2
+        assert ("one of the arguments --ref --baselines-only is required"
+                in capsys.readouterr().err)
+
+    def test_ref_and_baselines_only_together_exit_2(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        pred.write_text("( a b )\n")
+        with pytest.raises(SystemExit) as info:
+            main(["treescore", "--pred", str(pred), "--ref", str(pred), "--baselines-only"])
+        assert info.value.code == 2
+        assert ("argument --baselines-only: not allowed with argument --ref"
+                in capsys.readouterr().err)
+
+    def test_one_file_as_pred_and_ref_scores_100(self, tmp_path, capsys):
+        trees = tmp_path / "trees.txt"
+        trees.write_text("( ( a b ) c )\n( a ( b c ) )\n")
+        assert main(["treescore", "--pred", str(trees), "--ref", str(trees)]) == 0
+        assert "100.0" in capsys.readouterr().out
 
     def test_max_over_multiple_inputs(self, tmp_path, capsys):
         ref = tmp_path / "ref.txt"
@@ -845,6 +882,59 @@ class TestInputAndOutputErrors:
         assert capsys.readouterr().err.startswith(f"error: {message}: ")
         assert (tmp_path / "t.txt").read_text() == "keep\n"
 
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in [
+            ("train", ["--out", "--metrics-log", "--manifest"]),
+            ("eval", ["--predictions", "--manifest"]),
+            ("parse", ["--out", "--attention", "--manifest"]),
+            ("treescore", ["--out", "--per-sentence", "--manifest"]),
+            ("similarity", ["--out", "--manifest"])]
+        for flag in flags])
+    def test_directory_as_any_output_exits_2_before_loading(self, workspace, tmp_path,
+                                                            capsys, command, flag):
+        # each command reads a broken input: only a check made before any
+        # loading reports the directory instead
+        (tmp_path / "trees.txt").write_text(TREES)
+        bad = {name: str(_with_bad_byte(path, tmp_path / f"bad_{path.name}"))
+               for name, path in [("emb", workspace / "emb.txt"),
+                                  ("corpus", workspace / "val.jsonl"),
+                                  ("sents", workspace / "sents.txt"),
+                                  ("trees", tmp_path / "trees.txt"),
+                                  ("pairs", workspace / "pairs.tsv")]}
+        checkpoint = str(workspace / "model.ckpt")
+        argv = {
+            "train": ["train", "--task", "pair", "--train", str(workspace / "train.jsonl"),
+                      "--val", str(workspace / "val.jsonl"), "--embeddings", bad["emb"],
+                      "--labels", "mixed,subset", "--out", "x.ckpt"],
+            "eval": ["eval", "--checkpoint", checkpoint, "--corpus", bad["corpus"]],
+            "parse": ["parse", "--checkpoint", checkpoint, "--input", bad["sents"]],
+            "treescore": ["treescore", "--pred", bad["trees"], "--baselines-only"],
+            "similarity": ["similarity", "--checkpoint", checkpoint, "--pairs", bad["pairs"]],
+        }[command]
+        (tmp_path / "dir").mkdir()
+        # a repeated flag takes its last value
+        assert main([*argv, flag, str(tmp_path / "dir")]) == 2
+        assert capsys.readouterr() == ("", f"error: output path is a directory: "
+                                           f"{tmp_path / 'dir'}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["dir", "trees.txt", *(Path(path).name for path in bad.values())])
+        assert not list((tmp_path / "dir").iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["treescore", "--pred", "t.txt", "--baselines-only", "--out", "t.txt"],
+         "--pred and --out name the same file: t.txt"),
+        (["parse", "--input", "t.txt", "--out", "t.txt"],
+         "--input and --out name the same file: t.txt")], ids=["treescore", "parse"])
+    def test_output_naming_an_input_exits_2_before_loading(self, workspace, tmp_path,
+                                                           capsys, argv, message):
+        (tmp_path / "t.txt").write_text(TREES)
+        if argv[0] == "parse":
+            argv = [*argv, "--checkpoint", str(workspace / "model.ckpt")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert (tmp_path / "t.txt").read_text() == TREES
+        assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
+
     def test_outputs_naming_one_file_through_a_symlink_exit_2(self, tmp_path, capsys):
         (tmp_path / "trees.txt").write_text(TREES)
         (tmp_path / "link.txt").symlink_to(tmp_path / "report.txt")
@@ -886,3 +976,27 @@ def test_each_manifest_records_the_digest_of_every_file_output(workspace, tmp_pa
         assert sorted(digests) == sorted(manifest["outputs"])
         for path, digest in digests.items():
             assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest(), path
+
+
+def test_manifest_digests_each_input_as_it_was_loaded(workspace, tmp_path, monkeypatch):
+    emb = tmp_path / "emb.txt"
+    emb.write_bytes((workspace / "emb.txt").read_bytes())
+    loaded = hashlib.sha256(emb.read_bytes()).hexdigest()
+    real_train = cli.train
+
+    def train_then_append(*args, **kwargs):
+        result = real_train(*args, **kwargs)
+        with open(emb, "a", encoding="utf-8") as fh:
+            fh.write("late 0 0 0 0 0 0\n")
+        return result
+
+    monkeypatch.setattr(cli, "train", train_then_append)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--task", "pair", "--train", str(workspace / "train.jsonl"),
+                     "--val", str(workspace / "val.jsonl"), "--embeddings", str(emb),
+                     "--labels", "mixed,subset", "--out", str(tmp_path / "m.ckpt"),
+                     "--hidden", "4", "--d-attn", "3", "--d-clf", "4",
+                     "--epochs", "1", "--seed", "5"]) == 0
+    assert hashlib.sha256(emb.read_bytes()).hexdigest() != loaded
+    manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+    assert manifest["inputs"][str(emb)] == loaded

@@ -57,6 +57,14 @@ class TestBracketedText:
         assert export_bracketed(BinaryTree(3, (1, 0))) == "( w1 ( w2 w3 ) )"
         assert export_bracketed(BinaryTree(1, (), ("hi",))) == "( hi )"
 
+    def test_bracket_tokens_are_escaped(self):
+        line = export_bracketed(BinaryTree(3, (0, 0), ("a", "(", "b")))
+        assert line == "( ( a -LRB- ) b )"
+        tree, _ = parse_bracketed(line)
+        assert tree.span_set() == {(0, 2), (0, 3)}
+        assert tree.tokens == ("a", "-LRB-", "b")
+        assert export_bracketed(BinaryTree(2, (0,), (")", "("))) == "( -RRB- -LRB- )"
+
     def test_parse_simple(self):
         tree, fixups = parse_bracketed("( ( a b ) c )")
         assert fixups == 0
