@@ -3,14 +3,15 @@
 Each subcommand declares its input and output flags once, on its parser.
 Before any work, ``main`` requires every input to be a file and takes its
 digest, and rejects an output that is a directory, lies in a missing
-directory, or names the same file as another output.  The command then
-returns its configuration, seed and output texts, and ``main`` writes each
-file through ``data.write_file``, which replaces a file only once its new
-bytes are complete, and last a JSON manifest recording the configuration,
-input digests, seed, timestamps, and the files written with their
-digests, so any output can be reproduced bit-for-bit.  Exit codes: 0
-success, 2 usage or input error (a model too large to allocate, or a bad
-output path, included), 3 numeric failure (non-finite loss).
+directory, or names the file of an input or of another output.  The
+command then returns its configuration, seed and output texts, and
+``main`` writes each file through ``data.write_file``, which replaces a
+file only once its new bytes are complete, and last a JSON manifest
+recording the configuration, input digests, seed, timestamps, and the
+files written with their digests, so any output can be reproduced
+bit-for-bit.  Exit codes: 0 success, 2 usage or input error (a model too
+large to allocate, or a bad output path, included), 3 numeric failure
+(non-finite loss).
 """
 
 from __future__ import annotations
