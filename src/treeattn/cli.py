@@ -11,7 +11,8 @@ recording the configuration, input digests, seed, timestamps, and the
 files written with their digests, so any output can be reproduced
 bit-for-bit.  Exit codes: 0 success, 2 usage or input error (a model too
 large to allocate, or a bad output path, included), 3 numeric failure
-(non-finite loss).
+(a non-finite loss, or trained weights that overflow float32 in the
+checkpoint).
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def _finish(args, started: str, inputs: dict, config: dict, seed, outputs: dict)
 def _load_checkpoint(path) -> tuple:
     """The config of the checkpoint at ``path`` and the model it describes;
     a malformed checkpoint is an input error.  The checkpoint itself is not
-    kept: the model holds its own copy of the parameters."""
+    kept: the model holds float64 copies of the trained parameters, and a
+    frozen embedding is the stored float32 array itself."""
     try:
         checkpoint = Checkpoint.load(path)
     except ValueError as err:

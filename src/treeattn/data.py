@@ -71,14 +71,28 @@ class Vocabulary:
 
 @dataclass
 class EmbeddingMatrix:
-    """Word vectors as one (vocab, dim) tensor; row 0 (PAD) stays zero.
-    They train exactly when the tensor requires a gradient."""
+    """Word vectors as one (vocab, dim) table; row 0 (PAD) stays zero.
 
-    vectors: Tensor
+    A fine-tuned table is a float64 ``Tensor`` that requires a gradient.  A
+    frozen one is held as a plain array: the float32 matrix that
+    ``load_embeddings`` reads and a checkpoint stores, or the data of a
+    frozen ``Tensor`` given here.  An array holding NaN or Inf raises
+    ``NonFiniteError``.  ``tensor.take_rows`` gathers a sentence's rows
+    from either as float64.
+    """
+
+    vectors: Tensor | np.ndarray
+
+    def __post_init__(self):
+        if isinstance(self.vectors, Tensor):
+            if not self.vectors.requires_grad:
+                self.vectors = self.vectors.data  # checked when the tensor was made
+        elif not np.isfinite(self.vectors).all():
+            raise NonFiniteError("embedding table holds NaN or Inf")
 
     @property
     def trainable(self) -> bool:
-        return self.vectors.requires_grad
+        return isinstance(self.vectors, Tensor)
 
     @property
     def dim(self) -> int:
@@ -184,39 +198,40 @@ def load_embeddings(path, vocab_limit: int | None = None, seed: int = 0,
     Words and values are separated by whitespace, values use Python
     ``float`` syntax, ``#`` starts no comment and blank lines are skipped;
     at most ``vocab_limit`` words are read.  Vocabulary order follows file
-    order after the two reserved slots.  The PAD row is zero; the UNK row is
-    a seeded uniform(-0.05, 0.05) draw so reloading the same file with the
-    same seed is bit-reproducible.
+    order after the two reserved slots.  Each value is the float32 rounding
+    of its ``float``, ``np.float32(float(field))``; one that is not finite
+    there (``nan``, ``inf``, ``1e39``) raises ``CorpusError`` naming its
+    line.  The PAD row is zero; the UNK row is the float32 rounding of a
+    seeded uniform(-0.05, 0.05) draw so reloading the same file with the
+    same seed is bit-reproducible.  A frozen table is the one float32
+    matrix the file was read into; a ``trainable`` one is its float64 copy.
     """
-    words, values, linenos = _read_vectors(path, vocab_limit)
-    dim = values.shape[1]
-    rng = np.random.default_rng(seed)
-    unk = rng.uniform(-0.05, 0.05, size=(1, dim))
-    matrix = np.concatenate([np.zeros((1, dim)), unk, values])
-    try:
-        vectors = Tensor(matrix, requires_grad=trainable)
-    except NonFiniteError:  # "nan" and "inf" parse as floats
-        row = int(np.argmin(np.isfinite(matrix).all(axis=1))) - 2
-        raise CorpusError(
-            f"{path}:{linenos[row]}: non-finite vector component") from None
+    words, matrix, linenos = _read_vectors(path, vocab_limit)
+    matrix[PAD_INDEX] = 0.0
+    matrix[UNK_INDEX] = np.random.default_rng(seed).uniform(-0.05, 0.05, size=matrix.shape[1])
     try:
         vocab = Vocabulary.from_words(words)
     except RepeatedWordError as err:
         raise CorpusError(f"{path}:{linenos[err.index - 2]}: {err}") from None
-    return vocab, EmbeddingMatrix(vectors)
+    return vocab, EmbeddingMatrix(Tensor(matrix, requires_grad=True) if trainable else matrix)
 
 
 def _read_vectors(path, vocab_limit):
-    """The words, their (V, D) values and their line numbers.
+    """The words, a float32 (V + 2, D) matrix whose rows from 2 on hold
+    their values, and their line numbers; rows 0 and 1 are left for PAD and
+    UNK.
 
-    One ``np.loadtxt`` call converts all the vector text.  Its float syntax
-    is a subset of ``float``'s (no ``_`` and no non-ASCII digits), read by
-    the same correctly rounded conversion, and text it accepts splits into
-    the fields of ``str.split``.  When it refuses the text or returns a row
-    count other than the lines read, or a line holds only a word or the
-    file no word at all (``loadtxt`` would skip the one and warn about the
-    other), ``_read_vectors_by_line`` reads the file again and returns, or
-    raises, what it would have from the start.
+    One ``np.loadtxt`` call converts all the vector text, after two rows of
+    zeros that make the reserved rows, so the matrix is the array it
+    returns.  Its float syntax is a subset of ``float``'s (no ``_`` and no
+    non-ASCII digits), read by the same correctly rounded conversion to
+    float64 and then rounded to float32, and text it accepts splits into
+    the fields of ``str.split``.  When it refuses the text, returns a row
+    count other than the lines read or a value that is not finite, or a
+    line holds only a word or the file no word at all (``loadtxt`` would
+    skip the one and warn about the other), ``_read_vectors_by_line`` reads
+    the file again and returns, or raises, what it would have from the
+    start.
     """
     words: list[str] = []
     linenos: list[int] = []
@@ -228,6 +243,8 @@ def _read_vectors(path, vocab_limit):
                 continue
             if len(parts) == 1:
                 raise ValueError("no vector components")
+            if not words:
+                yield from ["0 " * len(parts[1].split())] * 2
             words.append(parts[0])
             linenos.append(lineno)
             yield parts[1]
@@ -237,19 +254,20 @@ def _read_vectors(path, vocab_limit):
             raise ValueError("no words")
 
     try:  # also catches the CorpusError of a line that is not UTF-8
-        values = np.loadtxt(vector_texts(), dtype=np.float64, comments=None, ndmin=2)
+        matrix = np.loadtxt(vector_texts(), dtype=np.float32, comments=None, ndmin=2)
     except ValueError:
-        values = None
-    if values is None or len(values) != len(words):
+        matrix = None
+    if matrix is None or len(matrix) != len(words) + 2 or not np.isfinite(matrix).all():
         return _read_vectors_by_line(path, vocab_limit)
-    return words, values, linenos
+    return words, matrix, linenos
 
 
 def _read_vectors_by_line(path, vocab_limit):
-    """``_read_vectors`` with one ``float`` call per value; a malformed line
-    raises ``CorpusError`` naming it."""
+    """``_read_vectors`` with one ``float`` call per value; a malformed line,
+    or a value that is not finite in float32, raises ``CorpusError``
+    naming it."""
     words: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     linenos: list[int] = []
     dim = None
     for lineno, line in read_lines(path):
@@ -265,16 +283,27 @@ def _read_vectors_by_line(path, vocab_limit):
             raise CorpusError(
                 f"{path}:{lineno}: expected {dim} components, got {len(values)}")
         try:
-            rows.append([float(v) for v in values])
+            row = [float(v) for v in values]
         except ValueError as err:
             raise CorpusError(f"{path}:{lineno}: {err}") from None
+        with np.errstate(over="ignore"):
+            stored = np.array(row, dtype=np.float32)
+        if not np.isfinite(stored).all():
+            column = int(np.argmin(np.isfinite(stored)))
+            if np.isfinite(row[column]):
+                raise CorpusError(f"{path}:{lineno}: vector component {values[column]} "
+                                  "is outside the float32 range")
+            raise CorpusError(f"{path}:{lineno}: non-finite vector component")
+        rows.append(stored)
         words.append(word)
         linenos.append(lineno)
         if vocab_limit is not None and len(words) >= vocab_limit:
             break
     if not rows:
         raise CorpusError(f"{path}: empty embedding file")
-    return words, np.array(rows, dtype=np.float64), linenos
+    matrix = np.zeros((len(rows) + 2, dim), dtype=np.float32)
+    matrix[2:] = rows
+    return words, matrix, linenos
 
 
 # the sentence fields of a task's records, and the example they make

@@ -102,18 +102,19 @@ class Model:
         return params
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Every parameter's values by name, trainable or not."""
+        """Every parameter's values by name, trainable or not; a frozen
+        embedding is its float32 table itself."""
         arrays = {name: t.data for name, t in self.parameters().items()}
-        arrays.setdefault("embedding", self.embedding.vectors.data)
+        arrays.setdefault("embedding", self.embedding.vectors)
         return arrays
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take every parameter's values from ``arrays``; a missing, unknown
-        or misshapen parameter, or one holding NaN or Inf, raises
-        ``ValueError`` naming it.  An array the tensor already holds is
-        taken as it is: the tensor checked it when it was made."""
+        """Take every parameter's values but the embedding's, which the
+        model was built with, from ``arrays``; a missing, unknown or
+        misshapen parameter, or one holding NaN or Inf, raises
+        ``ValueError`` naming it."""
         targets = self.parameters()
-        targets.setdefault("embedding", self.embedding.vectors)
+        targets.pop("embedding", None)
         for name, tensor in targets.items():
             if name not in arrays:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")
@@ -121,10 +122,10 @@ class Model:
             if value.shape != tensor.shape:
                 raise ValueError(
                     f"parameter {name!r}: checkpoint shape {value.shape} != {tensor.shape}")
-            if value is not tensor.data and not np.isfinite(value).all():
+            if not np.isfinite(value).all():
                 raise ValueError(f"parameter {name!r} has non-finite values")
             tensor.data = value
-        unknown = [name for name in arrays if name not in targets]
+        unknown = [name for name in arrays if name not in targets and name != "embedding"]
         if unknown:
             raise ValueError(f"checkpoint has unknown parameter {unknown[0]!r}")
 

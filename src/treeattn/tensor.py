@@ -53,7 +53,10 @@ class Tensor:
 
     ``grad`` stays ``None`` until a backward pass deposits something into
     it; it always matches ``data`` in shape.  Tensors that never require
-    gradients are immutable by convention and safe to share.
+    gradients are immutable by convention and safe to share.  A frozen
+    embedding table is the one array of the model held outside a tensor,
+    float32 when it is read from a file or a checkpoint; ``take_rows``
+    upcasts the rows it gathers from it.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -405,17 +408,23 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     return _emit("cross_entropy", (logits,), out, grad_fn)
 
 
-def take_rows(matrix: Tensor, indices: Sequence[int]) -> Tensor:
+def take_rows(matrix: Tensor | np.ndarray, indices: Sequence[int]) -> Tensor:
     """The rows ``indices`` of a matrix as one (n, D) matrix, a sentence's
-    embedding lookup; a repeated index gets the sum of its rows' gradients."""
-    if matrix.data.ndim != 2:
-        raise ShapeError(f"take_rows: expected a matrix, got shape {matrix.shape}")
+    embedding lookup; a repeated index gets the sum of its rows' gradients.
+    A plain array, a frozen table whose values were checked when it was
+    made, gives its rows as float64, an exact upcast from float32, and
+    records nothing."""
+    frozen = not isinstance(matrix, Tensor)
+    table = matrix if frozen else matrix.data
+    if table.ndim != 2:
+        raise ShapeError(f"take_rows: expected a matrix, got shape {table.shape}")
     index = np.asarray(indices, dtype=np.intp).reshape(-1)
-    if len(index) and not (0 <= index.min() and index.max() < matrix.shape[0]):
-        raise ShapeError(f"take_rows: rows {list(indices)} outside shape {matrix.shape}")
-    out = matrix.data[index]  # a copy
+    if len(index) and not (0 <= index.min() and index.max() < table.shape[0]):
+        raise ShapeError(f"take_rows: rows {list(indices)} outside shape {table.shape}")
+    out = np.asarray(table[index], dtype=np.float64)  # a copy
 
-    return _emit("take_rows", (matrix,), out, lambda g: (_Rows(index, g),))
+    return _emit("take_rows", () if frozen else (matrix,), out,
+                 lambda g: (_Rows(index, g),), views_of=() if frozen else None)
 
 
 # ---------------------------------------------------------------------------

@@ -358,14 +358,13 @@ class Checkpoint:
             raise ValueError(f"vocabulary has {len(self.vocab_words)} words but parameter "
                              f"'embedding' has shape {vectors.shape}")
         vocab = Vocabulary(list(self.vocab_words))
-        try:
-            vectors = Tensor(np.asarray(vectors, dtype=np.float64),
-                             requires_grad=cfg.finetune_embeddings)
+        try:  # a frozen table adopts the stored float32 array as it is
+            embedding = EmbeddingMatrix(Tensor(vectors, requires_grad=True)
+                                        if cfg.finetune_embeddings else vectors)
         except NonFiniteError:
             raise ValueError("parameter 'embedding' has non-finite values") from None
-        model = _build_model(cfg, np.random.default_rng(0), vocab, EmbeddingMatrix(vectors))
-        # the embedding as converted and checked above, not converted again
-        model.load_state_arrays({**self.params, "embedding": vectors.data})
+        model = _build_model(cfg, np.random.default_rng(0), vocab, embedding)
+        model.load_state_arrays(self.params)
         return model
 
 
@@ -421,8 +420,16 @@ def _read_header(header: bytes):
 
 def snapshot(model: Model, config: TrainConfig, rng_state: dict, epoch: int,
              best_val_acc: float) -> Checkpoint:
-    params = {name: np.asarray(arr, dtype=np.float32)
-              for name, arr in model.state_arrays().items()}
+    """The model's parameters as a checkpoint stores them, in float32; a
+    frozen embedding is its own table, not a copy.  A parameter whose
+    float32 rounding is not finite raises ``NonFiniteError`` naming it."""
+    params = {}
+    for name, arr in model.state_arrays().items():
+        with np.errstate(over="ignore"):
+            stored = np.asarray(arr, dtype=np.float32)
+        if stored is not arr and not np.isfinite(stored).all():
+            raise NonFiniteError(f"parameter {name!r} overflows float32 in the checkpoint")
+        params[name] = stored
     return Checkpoint(config, list(model.vocab.index_to_word), params,
                       rng_state, epoch, best_val_acc)
 

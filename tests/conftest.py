@@ -76,15 +76,16 @@ def oracle_f1(pred_tree: BinaryTree, ref_tree: BinaryTree,
 def tiny_pair_model(seed: int = 42, hidden: int = 8, d_attn: int = 6,
                     d_clf: int = 16, num_classes: int = 3, vocab_size: int = 10,
                     d_word: int = 5, leaf_kind: str = "affine",
-                    task: str = "pair") -> Model:
-    """Small randomly initialized model over a synthetic vocabulary."""
+                    task: str = "pair", finetune: bool = False) -> Model:
+    """Small randomly initialized model over a synthetic vocabulary; its
+    embedding is a float64 table, fine-tuned when ``finetune`` is set."""
     rng = np.random.default_rng(seed)
     words = [f"w{i}" for i in range(vocab_size)]
     vocab = Vocabulary.from_words(words)
     matrix = np.vstack([np.zeros(d_word),
                         rng.uniform(-0.05, 0.05, d_word),
                         rng.normal(0.0, 0.3, (vocab_size, d_word))])
-    embedding = EmbeddingMatrix(Tensor(matrix))
+    embedding = EmbeddingMatrix(Tensor(matrix, requires_grad=finetune))
     return Model.build(rng, task=task, num_classes=num_classes, hidden=hidden,
                        d_attn=d_attn, d_clf=d_clf, vocab=vocab,
                        embedding=embedding, leaf_kind=leaf_kind)

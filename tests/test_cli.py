@@ -221,23 +221,44 @@ class TestTrain:
         assert info.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
+    def train_argv(self, workspace, tmp_path, *flags, embeddings=None):
+        return ["train", "--task", "pair",
+                "--train", str(workspace / "train.jsonl"),
+                "--val", str(workspace / "val.jsonl"),
+                "--embeddings", str(embeddings or workspace / "emb.txt"),
+                "--labels", "mixed,subset",
+                "--out", str(tmp_path / "x.ckpt"),
+                "--hidden", "4", "--d-attn", "4", "--d-clf", "8",
+                "--epochs", "1", "--leaf", "affine", "--seed", "1", *flags]
+
     def test_divergent_training_exits_3(self, workspace, tmp_path, capsys):
-        emb = tmp_path / "huge.txt"
-        lines = []
-        for i in range(20):
-            lines.append(toy.token_name(i) + " " + " ".join(["1e160"] * 6))
-        emb.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # in-range inputs; the first step's huge rate overflows the second
+        # batch's forward pass
         with np.errstate(over="ignore"):
-            code = main(["train", "--task", "pair",
-                         "--train", str(workspace / "train.jsonl"),
-                         "--val", str(workspace / "val.jsonl"),
-                         "--embeddings", str(emb),
-                         "--labels", "mixed,subset",
-                         "--out", str(tmp_path / "x.ckpt"),
-                         "--hidden", "4", "--d-attn", "4", "--d-clf", "8",
-                         "--epochs", "1", "--leaf", "affine", "--seed", "1"])
+            code = main(self.train_argv(workspace, tmp_path, "--lr", "1e300",
+                                        "--batch", "8"))
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_weights_beyond_float32_exit_3_without_a_checkpoint(self, workspace, tmp_path,
+                                                              capsys):
+        # one step at rate 1e39 leaves finite float64 weights whose float32
+        # rounding, what the checkpoint would store, is infinite
+        code = main(self.train_argv(workspace, tmp_path, "--lr", "1e39"))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: parameter 'leaf.weight' overflows float32 in the checkpoint\n")
+        assert not list(tmp_path.glob("x.ckpt*"))
+
+    @pytest.mark.parametrize("value", ["1e160", "1e39"])
+    def test_embedding_beyond_float32_exits_2(self, workspace, tmp_path, capsys, value):
+        emb = tmp_path / "huge.txt"
+        emb.write_text("".join(f"{toy.token_name(i)} 0.5 {value} 0.5 0.5 0.5 0.5\n"
+                               for i in range(20)), encoding="utf-8")
+        assert main(self.train_argv(workspace, tmp_path, embeddings=emb)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {emb}:1: vector component {value} is outside the float32 range\n")
+        assert not list(tmp_path.glob("x.ckpt*"))
 
     def test_sentence_task_trains_and_evaluates(self, workspace, tmp_path, capsys):
         for name, seed in (("train", 51), ("val", 52)):
@@ -329,7 +350,8 @@ class TestEval:
 
     def test_saved_checkpoint_reproduces_logged_best_val_acc(self, workspace, tmp_path,
                                                              capsys):
-        # the checkpoint stores float32 weights; validation ran on float64 ones
+        # the checkpoint stores float32 weights; validation ran on float64
+        # trained weights and on the frozen float32 table the file stores
         toy.write_pair_corpus(tmp_path / "val.jsonl", toy.subset_pair_records(
             40, vocab_size=20, min_len=3, max_len=8, seed=43))
         ckpt = tmp_path / "rnn.ckpt"
@@ -737,6 +759,62 @@ def test_parse_with_mutated_checkpoint_exits_0_2_or_3(edits):
                          "--input", str(root / "sents.txt"), "--out", str(root / "trees.txt"),
                          "--attention", str(root / "attn.tsv"),
                          "--manifest", str(root / "manifest.json")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+VALID_EMBEDDINGS = "".join(f"{toy.token_name(i)} 0.{i} -0.5 2.5e-1\n" for i in range(6))
+FUZZ_PAIRS = toy.subset_pair_records(4, vocab_size=6, min_len=2, max_len=3, seed=3)
+
+# values put in place of a field, the last field of a row dropped, then
+# cuts, byte flips and inserted bytes that are not UTF-8 (or a NUL).  No
+# edit adds a field or a line, so the table never grows
+EMBEDDING_FILE_EDITS = st.tuples(
+    st.lists(st.one_of(
+        st.tuples(st.just("value"), st.integers(0, 5), st.integers(1, 3), st.sampled_from(
+            ["nan", "-inf", "1e39", "-1e39", "1e400", "3.4028236e38", "3.4028235e38",
+             "-1e30", "1e-46"])),
+        st.tuples(st.just("ragged"), st.integers(0, 5)),
+    ), max_size=3),
+    st.lists(st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 99)),
+        st.tuples(st.just("flip"), st.integers(0, 99), st.integers(1, 255)),
+        st.tuples(st.just("insert"), st.integers(0, 99),
+                  st.sampled_from([b"\xff", b"\xc3", b"\x85", b"\x00"])),
+    ), max_size=3))
+
+
+def edit_embeddings(field_edits, byte_edits) -> bytes:
+    rows = [line.split() for line in VALID_EMBEDDINGS.splitlines()]
+    for kind, row, *arg in field_edits:
+        if kind == "value":
+            rows[row][arg[0] % len(rows[row])] = arg[1]
+        else:
+            del rows[row][-1]
+    data = "".join(" ".join(fields) + "\n" for fields in rows).encode()
+    # a flip that would break a line is left out
+    byte_edits = [edit for edit in byte_edits if edit[0] != "flip" or
+                  bytes([data[edit[1] % len(data)] ^ edit[2]]) not in b"\n\r"]
+    return edit_bytes(data, byte_edits)
+
+
+@given(EMBEDDING_FILE_EDITS)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_train_with_mutated_embedding_file_exits_0_2_or_3(edits):
+    """A damaged embedding file trains, or is rejected with exit 2 (3 if its
+    values overflow in the model), never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "emb.txt").write_bytes(edit_embeddings(*edits))
+        toy.write_pair_corpus(root / "pairs.jsonl", FUZZ_PAIRS)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--task", "pair", "--train", str(root / "pairs.jsonl"),
+                         "--val", str(root / "pairs.jsonl"),
+                         "--embeddings", str(root / "emb.txt"),
+                         "--labels", ",".join(toy.SUBSET_LABELS),
+                         "--out", str(root / "model.ckpt"), "--hidden", "2",
+                         "--d-attn", "2", "--d-clf", "2", "--epochs", "1", "--seed", "1"])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
 

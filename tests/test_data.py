@@ -6,18 +6,24 @@ import json
 import os
 import stat
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treeattn import data
+from treeattn import data, toy
 from treeattn.data import (CorpusError, LoadStats, UNK_INDEX, load_corpus,
                            load_embeddings, load_pair_corpus, load_tree_corpus,
                            tokenize, write_file)
 from treeattn.trees import export_bracketed
 
 LABELS3 = ("entailment", "contradiction", "neutral")
+
+# 1 + 2**-24 + 2**-70: float64 rounds it to 1 + 2**-24, a float32 tie that
+# rounds to even, 1.0, although the decimal lies above the tie (1 + 2**-23
+# when rounded once)
+ROUNDS_TWICE = "1.0000000596046447753914720329472543"
 
 
 def write(path, lines):
@@ -35,9 +41,9 @@ class TestEmbeddings:
         path = write(tmp_path / "emb.txt", ["cat 1 2 3", "dog 4 5 6"])
         vocab, emb = load_embeddings(path)
         assert len(vocab) == 4
-        assert emb.vectors.shape == (4, 3)
-        np.testing.assert_array_equal(emb.vectors.data[0], [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(emb.vectors.data[2], [1.0, 2.0, 3.0])
+        assert emb.vectors.shape == (4, 3) and emb.vectors.dtype == np.float32
+        np.testing.assert_array_equal(emb.vectors[0], [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(emb.vectors[2], [1.0, 2.0, 3.0])
 
     def test_unknown_word_maps_to_unk(self, tmp_path):
         path = write(tmp_path / "emb.txt", ["cat 1 2 3"])
@@ -50,21 +56,23 @@ class TestEmbeddings:
         _, a = load_embeddings(path, seed=9)
         _, b = load_embeddings(path, seed=9)
         _, c = load_embeddings(path, seed=10)
-        assert (a.vectors.data[1] == b.vectors.data[1]).all()
-        assert not (a.vectors.data[1] == c.vectors.data[1]).all()
-        assert (np.abs(a.vectors.data[1]) < 0.05).all()
+        assert (a.vectors[1] == b.vectors[1]).all()
+        assert not (a.vectors[1] == c.vectors[1]).all()
+        assert (np.abs(a.vectors[1]) < 0.05).all()
 
     @pytest.mark.parametrize("lines, eol, by_line", [
-        (["tiny 4.9e-324 -4.9e-324 -0.0", "huge 1e308 -1e308 +1.5"], "\n", False),
+        (["tiny 4.9e-324 -4.9e-324 -0.0", "huge 3.4028235e38 -3.4028235e38 +1.5",
+          f"round {ROUNDS_TWICE} 1e-46 -7e-46"], "\n", False),
         (["\ttab\t1\t2\t3", "  spaced   4  5    6  ", "nbsp\xa07\xa08\xa09"], "\r\n",
          False),
-        (["under 1_0 2 3", "score 4 5 6"], "\n", True),
+        (["under 1_0 2 3", f"round {ROUNDS_TWICE} 3.4028235e38 -1e-46"], "\n", True),
         (["one 1", "column -2.5"], "\n", False),
     ], ids=["extremes", "separators", "underscore", "one-column"])
     def test_values_are_float_of_each_field(self, tmp_path, monkeypatch, lines, eol,
                                             by_line):
         # numpy converts the vector text unless it refuses a value, as it
-        # does "1_0"; the file is then read again one float() at a time
+        # does "1_0"; the file is then read again one float() at a time.
+        # Either way a value is rounded once to float64, then to float32.
         path = tmp_path / "emb.txt"
         path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
         rereads = []
@@ -73,10 +81,25 @@ class TestEmbeddings:
                             lambda *args: rereads.append(args) or reread(*args))
         vocab, emb = load_embeddings(path)
         fields = [line.split() for line in lines]
-        expected = np.array([[float(v) for v in f[1:]] for f in fields])
+        expected = np.array([[np.float32(float(v)) for v in f[1:]] for f in fields])
         assert vocab.index_to_word[2:] == [f[0] for f in fields]
-        assert emb.vectors.data[2:].tobytes() == expected.tobytes()
+        assert emb.vectors.dtype == np.float32
+        assert emb.vectors[2:].tobytes() == expected.tobytes()
         assert bool(rereads) == by_line
+
+    def test_load_peak_memory_is_at_most_twice_the_float32_table(self, tmp_path):
+        # numpy reads the text into the table itself: no float64 parse and no
+        # copy to add the reserved rows
+        path = tmp_path / "emb.txt"
+        toy.write_embedding_file(path, vocab_size=2000, dim=300, seed=0)
+        tracemalloc.start()
+        try:
+            _, emb = load_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emb.vectors.dtype == np.float32 and emb.vectors.shape == (2002, 300)
+        assert peak <= 2 * emb.vectors.nbytes, f"peak {peak / emb.vectors.nbytes:.2f}x the table"
 
     def test_dimension_mismatch_names_line(self, tmp_path, recwarn):
         # a line holding only a word has no components; a file of such
@@ -125,6 +148,18 @@ class TestEmbeddings:
             with pytest.raises(CorpusError) as info:
                 load_embeddings(path)
             assert str(info.value) == f"{path}:4: non-finite vector component"
+
+    @pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "fine-tuned"])
+    @pytest.mark.parametrize("value", ["1e39", "-3.4028236e38", "1e308", "-1e308"])
+    def test_value_beyond_float32_names_line(self, tmp_path, recwarn, value, trainable):
+        # finite as a float, but its float32 rounding is not; the whole file
+        # is read either way, so a fine-tuned table starts from float32 too
+        path = write(tmp_path / "emb.txt", ["cat 1 2", "", f"dog 3 {value}", "bird 1e39 4"])
+        with pytest.raises(CorpusError) as info:
+            load_embeddings(path, trainable=trainable)
+        assert str(info.value) == (
+            f"{path}:3: vector component {value} is outside the float32 range")
+        assert not recwarn.list
 
     def test_repeated_word_names_file_line_and_word(self, tmp_path):
         # the blank lines are skipped, so the repeat's line is not its row;

@@ -149,8 +149,7 @@ HEAD = ["sub", "abs", "mul", "concat", "mul", "matmul", "add", "relu", "mul", "m
 def test_tape_records_of_one_training_example_are_pinned(leaf_kind, finetune, records):
     # the benchmark's train-pair setup (RNN leaf, frozen embeddings, dropout)
     # records 22 ops per example; a fine-tuned table adds one lookup per sentence
-    model = tiny_pair_model(leaf_kind=leaf_kind)
-    model.embedding.vectors.requires_grad = finetune
+    model = tiny_pair_model(leaf_kind=leaf_kind, finetune=finetune)
     example = PairExample([2, 3, 4, 5, 6], [7, 2, 8], 1)
     with Tape() as tape:
         loss, _ = model.example_loss(example, "train", np.random.default_rng(0), 0.87)

@@ -714,10 +714,20 @@ class TestTakeRows:
             rows = take_rows(Tensor(np.ones((3, 2))), [0, 2])
         assert len(tape) == 0 and not rows.requires_grad
 
+    def test_frozen_float32_table_gives_exact_float64_rows_and_records_nothing(self):
+        table = np.random.default_rng(3).normal(size=(5, 4)).astype(np.float32)
+        with Tape() as tape:
+            rows = take_rows(table, [4, 0, 4])
+        assert len(tape) == 0 and not rows.requires_grad
+        assert rows.data.dtype == np.float64 and rows.data.flags.writeable
+        assert rows.data.tobytes() == table[[4, 0, 4]].astype(np.float64).tobytes()
+        assert (rows.data.astype(np.float32) == table[[4, 0, 4]]).all()
+
     def test_index_outside_the_table_raises(self):
         for ids in ([3], [-1]):
-            with pytest.raises(ShapeError, match="take_rows"):
-                take_rows(Tensor(np.ones((3, 2))), ids)
+            for table in (Tensor(np.ones((3, 2))), np.ones((3, 2), np.float32)):
+                with pytest.raises(ShapeError, match="take_rows"):
+                    take_rows(table, ids)
 
 
 def fused_induce_tree(leaves, params, query, config, rng):

@@ -194,9 +194,11 @@ class TestTrainLoop:
         assert len(result.history) == 2
 
     def test_divergence_reports_batch_examples(self, tmp_path):
+        # a fine-tuned float64 table can hold values float32 cannot
         tr, va, vocab, embedding = toy_setup(tmp_path)
+        embedding = EmbeddingMatrix(Tensor(embedding.vectors, requires_grad=True))
         embedding.vectors.data[2:] *= 1e160  # forces overflow inside compose
-        cfg = small_config(max_epochs=1)
+        cfg = small_config(max_epochs=1, finetune_embeddings=True)
         with pytest.raises(TrainingDiverged) as info, np.errstate(over="ignore"):
             train(tr, va, cfg, vocab, embedding, clock=lambda: 0.0)
         assert info.value.epoch == 1
@@ -211,7 +213,7 @@ class TestTrainLoop:
 
     def test_finetuned_pad_row_stays_zero(self, tmp_path):
         tr, va, vocab, embedding = toy_setup(tmp_path)
-        embedding = EmbeddingMatrix(Tensor(embedding.vectors.data.copy(), requires_grad=True))
+        embedding = EmbeddingMatrix(Tensor(embedding.vectors, requires_grad=True))
         cfg = small_config(max_epochs=2, finetune_embeddings=True)
         train(tr, va, cfg, vocab, embedding, clock=lambda: 0.0)
         assert not embedding.vectors.data[0].any()
@@ -220,8 +222,7 @@ class TestTrainLoop:
 class TestGradientBatch:
     def test_batch_sums_equal_per_example_sums_and_plain_tapes_still_check(self):
         # a fine-tuned RNN-leaf model, so that every kind of gradient occurs
-        model = tiny_pair_model(leaf_kind="rnn")
-        model.embedding.vectors.requires_grad = True
+        model = tiny_pair_model(leaf_kind="rnn", finetune=True)
         params = model.parameters()
         examples = [PairExample([2, 3, 4, 2], [5, 6], 0), PairExample([7, 3, 8], [9, 2, 2], 1),
                     PairExample([4], [3, 5, 6, 11], 2)]
@@ -300,6 +301,17 @@ class TestCheckpoint:
         snapshot(ckpt.build_model(), ckpt.config, ckpt.rng_state, ckpt.epoch,
                  ckpt.best_val_acc).save(out)
         assert out.read_bytes() == source.read_bytes()
+
+    @pytest.mark.parametrize("name", ["affine.ckpt", "rnn_finetune.ckpt"])
+    def test_model_adopts_a_frozen_stored_table_and_snapshot_shares_it(self, name):
+        ckpt = Checkpoint.load(FIXTURES / name)
+        model = ckpt.build_model()
+        stored = ckpt.params["embedding"]
+        frozen = not ckpt.config.finetune_embeddings
+        assert model.embedding.trainable != frozen
+        assert np.shares_memory(model.state_arrays()["embedding"], stored) == frozen
+        again = snapshot(model, ckpt.config, ckpt.rng_state, ckpt.epoch, ckpt.best_val_acc)
+        assert (again.params["embedding"] is stored) == frozen
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
