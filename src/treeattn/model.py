@@ -109,22 +109,23 @@ class Model:
         return arrays
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take every parameter's values but the embedding's, which the
-        model was built with, from ``arrays``; a missing, unknown or
-        misshapen parameter, or one holding NaN or Inf, raises
-        ``ValueError`` naming it."""
+        """Copy every parameter's values but the embedding's, which the
+        model was built with, from ``arrays`` into the float64 array the
+        model already holds for it, so no parameter aliases ``arrays``; a
+        missing, unknown or misshapen parameter, or one holding NaN or Inf,
+        raises ``ValueError`` naming it."""
         targets = self.parameters()
         targets.pop("embedding", None)
         for name, tensor in targets.items():
             if name not in arrays:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")
-            value = np.asarray(arrays[name], dtype=np.float64)
+            value = np.asarray(arrays[name])
             if value.shape != tensor.shape:
                 raise ValueError(
                     f"parameter {name!r}: checkpoint shape {value.shape} != {tensor.shape}")
             if not np.isfinite(value).all():
                 raise ValueError(f"parameter {name!r} has non-finite values")
-            tensor.data = value
+            tensor.data[...] = value
         unknown = [name for name in arrays if name not in targets and name != "embedding"]
         if unknown:
             raise ValueError(f"checkpoint has unknown parameter {unknown[0]!r}")

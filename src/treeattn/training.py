@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import MISSING, dataclass, field, fields, asdict
 
@@ -23,6 +24,8 @@ from .tensor import GradientBatch, NonFiniteError, Tape, Tensor, backward, stabl
 
 CHECKPOINT_MAGIC = "treeattn-checkpoint"
 CHECKPOINT_VERSION = 1
+_BLOB_MARKER = b"blob\n"  # ends a checkpoint's header; the float32 blob follows
+_READ_CHUNK = 1 << 16  # bytes read at a time while looking for the blob marker
 
 
 class TrainingDiverged(ArithmeticError):
@@ -300,7 +303,7 @@ class Checkpoint:
         yield f"params {len(self.params)}\n"
         for name, arr in self.params.items():
             yield f"{name} {' '.join(str(d) for d in arr.shape)}\n"
-        yield "blob\n"
+        yield _BLOB_MARKER
         for arr in self.params.values():
             yield np.ascontiguousarray(arr, dtype="<f4")
 
@@ -308,29 +311,32 @@ class Checkpoint:
     def load(cls, path) -> "Checkpoint":
         """The checkpoint stored at ``path``; a malformed header, a blob
         shorter than its parameter shapes or longer than them raises
-        ``ValueError`` naming the file.  The file is read once and each
-        parameter is copied from those bytes into its own float32 array, so
-        a load holds two copies of the blob at its peak."""
+        ``ValueError`` naming the file.  The header is read up to the first
+        blob marker, then each parameter is read from the file straight
+        into its own float32 array, so a load holds one copy of the blob."""
         with open(path, "rb") as fh:
-            raw = fh.read()
-        cut = raw.find(b"blob\n")
-        if cut < 0:
-            raise ValueError(f"{path}: not a checkpoint (missing blob marker)")
-        try:
-            config, meta, vocab_words, shapes = _read_header(raw[:cut])
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
-        offset = cut + len(b"blob\n")
-        params: dict[str, np.ndarray] = {}
-        for name, shape in shapes:
-            count = math.prod(shape)  # a Python int: a product of header dims cannot wrap
-            if 4 * count > len(raw) - offset:
-                raise ValueError(f"{path}: truncated blob at parameter {name!r}")
-            values = np.frombuffer(raw, "<f4", count=count, offset=offset)
-            params[name] = values.reshape(shape).copy()
-            offset += 4 * count
-        if offset != len(raw):
-            raise ValueError(f"{path}: {len(raw) - offset} trailing bytes in blob")
+            size = os.fstat(fh.fileno()).st_size
+            header = _read_to_marker(fh, _BLOB_MARKER)
+            if header is None:
+                raise ValueError(f"{path}: not a checkpoint (missing blob marker)")
+            try:
+                config, meta, vocab_words, shapes = _read_header(header)
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
+            offset = len(header) + len(_BLOB_MARKER)
+            fh.seek(offset)
+            params: dict[str, np.ndarray] = {}
+            for name, shape in shapes:
+                count = math.prod(shape)  # a Python int: a product of header dims cannot wrap
+                if 4 * count > size - offset:  # checked before the array is allocated
+                    raise ValueError(f"{path}: truncated blob at parameter {name!r}")
+                values = np.empty(shape, "<f4")
+                if fh.readinto(values) != 4 * count:
+                    raise ValueError(f"{path}: truncated blob at parameter {name!r}")
+                params[name] = values
+                offset += 4 * count
+        if offset != size:
+            raise ValueError(f"{path}: {size - offset} trailing bytes in blob")
         return cls(config, vocab_words, params, meta["rng_state"],
                    meta["epoch"], meta["best_val_acc"])
 
@@ -366,6 +372,19 @@ class Checkpoint:
         model = _build_model(cfg, np.random.default_rng(0), vocab, embedding)
         model.load_state_arrays(self.params)
         return model
+
+
+def _read_to_marker(fh, marker: bytes) -> bytes | None:
+    """The bytes of ``fh`` before the first ``marker``, read ``_READ_CHUNK``
+    bytes at a time, or ``None`` if the file holds no marker."""
+    head = bytearray()
+    while chunk := fh.read(_READ_CHUNK):
+        start = max(len(head) - len(marker) + 1, 0)  # a marker may straddle two chunks
+        head += chunk
+        cut = head.find(marker, start)
+        if cut >= 0:
+            return bytes(head[:cut])
+    return None
 
 
 def _read_header(header: bytes):

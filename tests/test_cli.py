@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -233,12 +234,14 @@ class TestTrain:
 
     def test_divergent_training_exits_3(self, workspace, tmp_path, capsys):
         # in-range inputs; the first step's huge rate overflows the second
-        # batch's forward pass
-        with np.errstate(over="ignore"):
-            code = main(self.train_argv(workspace, tmp_path, "--lr", "1e300",
-                                        "--batch", "8"))
+        # batch's forward pass, which main reports without a numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(self.train_argv(workspace, tmp_path, "--lr", "1e300", "--batch", "8"))
         assert code == 3
-        assert "numeric failure" in capsys.readouterr().err
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
 
     def test_weights_beyond_float32_exit_3_without_a_checkpoint(self, workspace, tmp_path,
                                                               capsys):

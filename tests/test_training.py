@@ -11,9 +11,10 @@ import pytest
 from treeattn.data import EmbeddingMatrix, PairExample, load_embeddings, load_pair_corpus
 from treeattn.tensor import (GradientBatch, Tape, Tensor, backward, cross_entropy,
                              finite_difference_check)
-from treeattn.training import (Adam, Checkpoint, TrainConfig, TrainingDiverged,
-                               adam_step, clip_gradients, evaluate, macro_f1,
-                               snapshot, train)
+from treeattn.model import Model
+from treeattn.training import (_READ_CHUNK, Adam, Checkpoint, TrainConfig,
+                               TrainingDiverged, adam_step, clip_gradients, evaluate,
+                               macro_f1, snapshot, train)
 from treeattn import toy
 
 from conftest import tiny_pair_model
@@ -314,9 +315,11 @@ class TestCheckpoint:
         assert (again.params["embedding"] is stored) == frozen
 
     def test_corrupt_file_rejected(self, tmp_path):
+        # longer than two read chunks, and ending in a marker cut short
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"not a checkpoint\n")
-        with pytest.raises(ValueError):
+        path.write_bytes(b"not a checkpoint\n" + b"x" * (2 * _READ_CHUNK) + b"blob")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a checkpoint "
+                                             r"\(missing blob marker\)$"):
             Checkpoint.load(path)
 
     @pytest.mark.parametrize("line, replacement, message", [
@@ -368,7 +371,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded["big_endian"], values)
         assert all(arr.flags.writeable and arr.flags.aligned for arr in loaded.values())
 
-    def test_load_peak_memory_is_at_most_two_and_a_half_file_sizes(self, tmp_path):
+    def test_load_peak_memory_is_at_most_one_and_a_quarter_file_sizes(self, tmp_path):
         # the blob is almost all of the file and almost all embedding, as
         # with a real vocabulary
         vectors = np.random.default_rng(0).standard_normal((2000, 300)).astype(np.float32)
@@ -384,7 +387,55 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded.params["embedding"], vectors)
-        assert peak <= 2.5 * size, f"peak {peak / size:.2f}x the file size"
+        assert peak <= 1.25 * size, f"peak {peak / size:.2f}x the file size"
+
+    @pytest.mark.parametrize("at", [chunk * _READ_CHUNK + shift
+                                    for chunk in (1, 2) for shift in range(-6, 7)])
+    def test_blob_marker_at_any_offset_near_a_read_chunk_boundary_loads(self, tmp_path, at):
+        # each character of the long word moves the marker one byte
+        params = {"head.out_bias": np.arange(3, dtype=np.float32),
+                  "leaf.weight": np.arange(12, dtype=np.float32).reshape(4, 3)}
+        path = tmp_path / "model.ckpt"
+        Checkpoint(small_config(), ["<pad>", "<unk>", ""], params, {}, 1, 0.5).save(path)
+        words = ["<pad>", "<unk>", "w" * (at - path.read_bytes().find(b"blob\n"))]
+        Checkpoint(small_config(), words, params, {}, 1, 0.5).save(path)
+        assert path.read_bytes().find(b"blob\n") == at
+        loaded = Checkpoint.load(path)
+        assert loaded.vocab_words == words
+        assert loaded.params.keys() == params.keys()
+        for name, values in params.items():
+            np.testing.assert_array_equal(loaded.params[name], values)
+
+    @pytest.mark.parametrize("name", ["affine.ckpt", "rnn_finetune.ckpt"])
+    def test_build_model_copies_stored_values_into_the_arrays_it_built(self, name,
+                                                                       monkeypatch):
+        built = {}
+        load_state_arrays = Model.load_state_arrays
+
+        def record(model, arrays):
+            built.update((key, t.data) for key, t in model.parameters().items())
+            load_state_arrays(model, arrays)
+
+        monkeypatch.setattr(Model, "load_state_arrays", record)
+        ckpt = Checkpoint.load(FIXTURES / name)
+        params = ckpt.build_model().parameters()
+        params.pop("embedding", None)
+        assert params.keys() == ckpt.params.keys() - {"embedding"}
+        for key, tensor in params.items():
+            assert tensor.data is built[key], key
+            assert tensor.data.dtype == np.float64
+            np.testing.assert_array_equal(tensor.data, ckpt.params[key].astype(np.float64))
+            assert not np.shares_memory(tensor.data, ckpt.params[key]), key
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loaded_parameters_never_alias_the_given_arrays(self, dtype):
+        model = tiny_pair_model(seed=3)
+        arrays = {name: np.full(t.shape, 0.25, dtype)
+                  for name, t in model.parameters().items()}
+        model.load_state_arrays(arrays)
+        for name, tensor in model.parameters().items():
+            assert (tensor.data == 0.25).all(), name
+            assert not np.shares_memory(tensor.data, arrays[name]), name
 
 
 class TestConfigValidation:
