@@ -43,31 +43,13 @@ class CliError(Exception):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and np.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
-def _rate(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
-    return value
+    """``--vocab-limit``, which no ``TrainConfig`` field range-checks."""
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
 # outputs whose unset path defaults to the command's first output plus a suffix
@@ -319,22 +301,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="comma-separated label names, order fixes label indices")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--metrics-log", help="metrics TSV path (default: <out>.metrics.tsv)")
-    # each default is that of the TrainConfig field the flag fills
-    p.add_argument("--hidden", type=_positive_int, default=TrainConfig.hidden)
-    p.add_argument("--d-attn", type=_positive_int, default=TrainConfig.d_attn)
-    p.add_argument("--d-clf", type=_positive_int, default=TrainConfig.d_clf)
-    p.add_argument("--batch", type=_positive_int, default=TrainConfig.batch_size)
-    p.add_argument("--dropout", type=_rate, default=1.0 - TrainConfig.dropout_keep,
+    # each default is that of the TrainConfig field the flag fills, and
+    # TrainConfig checks its range: cmd_train reports a bad one as exit 2
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p.add_argument("--d-attn", type=int, default=TrainConfig.d_attn)
+    p.add_argument("--d-clf", type=int, default=TrainConfig.d_clf)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--dropout", type=float, default=1.0 - TrainConfig.dropout_keep,
                    help="dropout rate")
-    p.add_argument("--lr", type=_positive_float, default=TrainConfig.learning_rate)
-    p.add_argument("--epochs", type=_positive_int, default=TrainConfig.max_epochs)
-    p.add_argument("--patience", type=_nonnegative_int, default=TrainConfig.patience)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--seed", type=int, help="omit to draw one from entropy")
-    p.add_argument("--temperature", type=_positive_float, default=TrainConfig.temperature)
+    p.add_argument("--temperature", type=float, default=TrainConfig.temperature)
     p.add_argument("--leaf", choices=("rnn", "affine"), default=TrainConfig.leaf_kind)
     p.add_argument("--finetune-embeddings", action="store_true")
     p.add_argument("--vocab-limit", type=_positive_int)
-    p.add_argument("--max-len", type=_positive_int, default=TrainConfig.max_len)
+    p.add_argument("--max-len", type=int, default=TrainConfig.max_len)
     p.add_argument("--perturb-probs", action="store_true",
                    help="add selection noise to probabilities instead of log-probabilities")
     p.add_argument("--noise-per-sentence", action="store_true",

@@ -101,35 +101,6 @@ class Model:
             _collect_tensors(prefix, value, params)
         return params
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Every parameter's values by name, trainable or not; a frozen
-        embedding is its float32 table itself."""
-        arrays = {name: t.data for name, t in self.parameters().items()}
-        arrays.setdefault("embedding", self.embedding.vectors)
-        return arrays
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy every parameter's values but the embedding's, which the
-        model was built with, from ``arrays`` into the float64 array the
-        model already holds for it, so no parameter aliases ``arrays``; a
-        missing, unknown or misshapen parameter, or one holding NaN or Inf,
-        raises ``ValueError`` naming it."""
-        targets = self.parameters()
-        targets.pop("embedding", None)
-        for name, tensor in targets.items():
-            if name not in arrays:
-                raise ValueError(f"checkpoint is missing parameter {name!r}")
-            value = np.asarray(arrays[name])
-            if value.shape != tensor.shape:
-                raise ValueError(
-                    f"parameter {name!r}: checkpoint shape {value.shape} != {tensor.shape}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"parameter {name!r} has non-finite values")
-            tensor.data[...] = value
-        unknown = [name for name in arrays if name not in targets and name != "embedding"]
-        if unknown:
-            raise ValueError(f"checkpoint has unknown parameter {unknown[0]!r}")
-
     def encode(self, token_ids: list[int], mode: str = "infer",
                rng: np.random.Generator | None = None,
                tokens=None) -> EncodedSentence:

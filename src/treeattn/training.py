@@ -108,12 +108,14 @@ class TrainConfig:
             value = getattr(self, name)
             if not (value > 0 and np.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ValueError("Adam betas must lie in (0, 1)")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
         if not 0.0 < self.dropout_keep <= 1.0:
-            raise ValueError("dropout keep-probability must lie in (0, 1]")
+            raise ValueError(f"dropout_keep must lie in (0, 1], got {self.dropout_keep}")
         if self.patience < 0:
-            raise ValueError("patience must be nonnegative")
+            raise ValueError(f"patience must be nonnegative, got {self.patience}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -365,12 +367,28 @@ class Checkpoint:
                              f"'embedding' has shape {vectors.shape}")
         vocab = Vocabulary(list(self.vocab_words))
         try:  # a frozen table adopts the stored float32 array as it is
-            embedding = EmbeddingMatrix(Tensor(vectors, requires_grad=True)
+            embedding = EmbeddingMatrix(Tensor(vectors.astype(np.float64), requires_grad=True)
                                         if cfg.finetune_embeddings else vectors)
         except NonFiniteError:
             raise ValueError("parameter 'embedding' has non-finite values") from None
         model = _build_model(cfg, np.random.default_rng(0), vocab, embedding)
-        model.load_state_arrays(self.params)
+        # every other parameter's stored values are copied into the float64
+        # array the model was built with, so none aliases self.params
+        params = model.parameters()
+        params.pop("embedding", None)
+        for name, tensor in params.items():
+            stored = self.params.get(name)
+            if stored is None:
+                raise ValueError(f"checkpoint is missing parameter {name!r}")
+            if stored.shape != tensor.shape:
+                raise ValueError(
+                    f"parameter {name!r}: checkpoint shape {stored.shape} != {tensor.shape}")
+            if not np.isfinite(stored).all():
+                raise ValueError(f"parameter {name!r} has non-finite values")
+            tensor.data[...] = stored
+        unknown = [name for name in self.params if name not in params and name != "embedding"]
+        if unknown:
+            raise ValueError(f"checkpoint has unknown parameter {unknown[0]!r}")
         return model
 
 
@@ -442,8 +460,10 @@ def snapshot(model: Model, config: TrainConfig, rng_state: dict, epoch: int,
     """The model's parameters as a checkpoint stores them, in float32; a
     frozen embedding is its own table, not a copy.  A parameter whose
     float32 rounding is not finite raises ``NonFiniteError`` naming it."""
+    arrays = {name: t.data for name, t in model.parameters().items()}
+    arrays.setdefault("embedding", model.embedding.vectors)  # a frozen table, last
     params = {}
-    for name, arr in model.state_arrays().items():
+    for name, arr in arrays.items():
         with np.errstate(over="ignore"):
             stored = np.asarray(arr, dtype=np.float32)
         if stored is not arr and not np.isfinite(stored).all():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treeattn import cli, toy, training
 from treeattn.cli import main
@@ -128,29 +128,6 @@ class TestTrain:
         assert code == 2
         assert "no such file" in capsys.readouterr().err
 
-    def test_zero_dim_exits_2(self, workspace):
-        with pytest.raises(SystemExit) as info:
-            main(["train", "--task", "pair",
-                  "--train", str(workspace / "train.jsonl"),
-                  "--val", str(workspace / "val.jsonl"),
-                  "--embeddings", str(workspace / "emb.txt"),
-                  "--labels", "mixed,subset",
-                  "--out", str(workspace / "x.ckpt"), "--hidden", "0"])
-        assert info.value.code == 2
-
-    def test_negative_patience_exits_2(self, workspace, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["train", "--task", "pair",
-                  "--train", str(workspace / "train.jsonl"),
-                  "--val", str(workspace / "val.jsonl"),
-                  "--embeddings", str(workspace / "emb.txt"),
-                  "--labels", "mixed,subset",
-                  "--out", str(workspace / "x.ckpt"), "--patience", "-1"])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "--patience: must be a nonnegative integer" in err
-        assert "Traceback" not in err
-
     def test_corpus_line_that_is_not_an_object_exits_2(self, workspace, tmp_path,
                                                        capsys):
         corpus = tmp_path / "list.jsonl"
@@ -181,29 +158,59 @@ class TestTrain:
             f"error: {emb}:3: non-finite vector component\n")
 
     @pytest.mark.parametrize("setting, message", [
-        (["--labels", "mixed"], "bad training setting: need at least two labels"),
-        (["--seed", "-1"], "bad training setting: seed must be nonnegative"),
-        (["--labels", "mixed,mixed,subset"], "bad training setting: label 'mixed' is given"),
-        (["--labels", "mixed,subset,"], "bad training setting: a label is empty"),
-        (["--temperature", "nan"], "--temperature: must be positive and finite"),
-        (["--lr", "inf"], "--lr: must be positive and finite"),
-    ], ids=["one-label", "negative-seed", "repeated-label", "empty-label", "nan-temperature",
-            "inf-lr"])
+        (["--labels", "mixed"], "need at least two labels"),
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["--labels", "mixed,mixed,subset"], "label 'mixed' is given twice"),
+        (["--labels", "mixed,subset,"], "a label is empty"),
+        # each flag's range is checked by the TrainConfig field it fills
+        (["--hidden", "0"], "hidden must be positive, got 0"),
+        (["--d-attn", "-3"], "d_attn must be positive, got -3"),
+        (["--d-clf", "0"], "d_clf must be positive, got 0"),
+        (["--batch", "0"], "batch_size must be positive, got 0"),
+        (["--epochs", "0"], "max_epochs must be positive, got 0"),
+        (["--max-len", "0"], "max_len must be positive, got 0"),
+        (["--dropout", "1"], "dropout_keep must lie in (0, 1], got 0.0"),
+        (["--dropout", "-0.5"], "dropout_keep must lie in (0, 1], got 1.5"),
+        (["--lr", "nan"], "learning_rate must be positive and finite, got nan"),
+        (["--lr", "inf"], "learning_rate must be positive and finite, got inf"),
+        (["--lr", "0"], "learning_rate must be positive and finite, got 0.0"),
+        (["--temperature", "nan"], "temperature must be positive and finite, got nan"),
+        (["--temperature", "inf"], "temperature must be positive and finite, got inf"),
+        (["--patience", "-1"], "patience must be nonnegative, got -1"),
+    ], ids=["one-label", "negative-seed", "repeated-label", "empty-label", "zero-hidden",
+            "negative-d-attn", "zero-d-clf", "zero-batch", "zero-epochs", "zero-max-len",
+            "dropout-one", "negative-dropout", "nan-lr", "inf-lr", "zero-lr",
+            "nan-temperature", "inf-temperature", "negative-patience"])
     def test_bad_setting_exits_2_before_writing(self, workspace, tmp_path, capsys,
                                                 setting, message):
         out = tmp_path / "x.ckpt"
         # the setting comes last, so a repeated option overrides the base one
-        argv = ["train", "--task", "pair", "--train", str(workspace / "train.jsonl"),
-                "--val", str(workspace / "val.jsonl"),
-                "--embeddings", str(workspace / "emb.txt"),
-                "--labels", "mixed,subset", "--out", str(out), *setting]
-        try:
-            code = main(argv)
-        except SystemExit as exit_:  # rejected by the argument parser
-            code = exit_.code
+        code = main(["train", "--task", "pair", "--train", str(workspace / "train.jsonl"),
+                     "--val", str(workspace / "val.jsonl"),
+                     "--embeddings", str(workspace / "emb.txt"),
+                     "--labels", "mixed,subset", "--out", str(out), *setting])
         assert code == 2
+        assert capsys.readouterr().err == f"error: bad training setting: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--vocab-limit", "abc", "must be a positive integer, got 'abc'"),
+        ("--vocab-limit", "0", "must be a positive integer, got '0'"),
+        ("--hidden", "1e3", "invalid int value: '1e3'"),
+        ("--lr", "fast", "invalid float value: 'fast'"),
+    ])
+    def test_flag_the_parser_rejects_exits_2_naming_it(self, workspace, tmp_path, capsys,
+                                                       flag, value, message):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--task", "pair", "--train", str(workspace / "train.jsonl"),
+                  "--val", str(workspace / "val.jsonl"),
+                  "--embeddings", str(workspace / "emb.txt"),
+                  "--labels", "mixed,subset", "--out", str(tmp_path / "x.ckpt"),
+                  flag, value])
+        assert info.value.code == 2
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        assert err.endswith(f"error: argument {flag}: {message}\n"), err
+        assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
     def test_unknown_flag_exits_2(self):
@@ -818,6 +825,54 @@ def test_train_with_mutated_embedding_file_exits_0_2_or_3(edits):
                          "--labels", ",".join(toy.SUBSET_LABELS),
                          "--out", str(root / "model.ckpt"), "--hidden", "2",
                          "--d-attn", "2", "--d-clf", "2", "--epochs", "1", "--seed", "1"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+# values for the numeric train flags: out of range, not a number, or
+# extreme.  Sizes are 1-4 or 2**62, which numpy refuses by arithmetic, never
+# one it would allocate, and a run has at most two epochs
+NOT_A_NUMBER = ["1e3", "abc"]
+SIZE_VALUES = st.sampled_from(["1", "2", "3", "4", str(2 ** 62), "0", "-1", *NOT_A_NUMBER])
+REAL_VALUES = st.sampled_from(["0", "-0.0", "-1", "0.5", "1", str(2 ** 62), "nan", "inf",
+                               "-inf", "1e-320", "-1e-320", "1e308", "-1e308", "1e400",
+                               "0x10", "abc"])
+TRAIN_FLAG_VALUES = st.lists(st.one_of(
+    *(st.tuples(st.just(flag), SIZE_VALUES)
+      for flag in ("--hidden", "--d-attn", "--d-clf", "--batch", "--max-len",
+                   "--vocab-limit")),
+    st.tuples(st.just("--epochs"), st.sampled_from(["-1", "0", "1", "2", *NOT_A_NUMBER])),
+    st.tuples(st.just("--patience"), st.sampled_from(["-1", "0", "1", str(2 ** 62),
+                                                      *NOT_A_NUMBER])),
+    *(st.tuples(st.just(flag), REAL_VALUES)
+      for flag in ("--dropout", "--lr", "--temperature")),
+), min_size=1, max_size=2)
+
+
+@given(TRAIN_FLAG_VALUES)
+@example([("--temperature", "1e-320")])  # finite, but the selection logits overflow
+@example([("--lr", "1e308")])
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_train_with_fuzzed_numeric_flags_exits_0_2_or_3(flags):
+    """Any value of the numeric train flags trains, or is rejected with exit
+    2 (3 if training diverges), never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "emb.txt").write_text(VALID_EMBEDDINGS, encoding="utf-8")
+        toy.write_pair_corpus(root / "pairs.jsonl", FUZZ_PAIRS)
+        # the drawn flags come last, so they override the small base sizes;
+        # "--lr=-inf" reaches the type conversion where "--lr -inf" would not
+        argv = ["train", "--task", "pair", "--train", str(root / "pairs.jsonl"),
+                "--val", str(root / "pairs.jsonl"), "--embeddings", str(root / "emb.txt"),
+                "--labels", ",".join(toy.SUBSET_LABELS), "--out", str(root / "model.ckpt"),
+                "--hidden", "2", "--d-attn", "2", "--d-clf", "2", "--epochs", "1",
+                "--seed", "1", *(f"{flag}={value}" for flag, value in flags)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:  # rejected by the argument parser
+                code = exit_.code
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
 

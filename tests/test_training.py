@@ -11,11 +11,10 @@ import pytest
 from treeattn.data import EmbeddingMatrix, PairExample, load_embeddings, load_pair_corpus
 from treeattn.tensor import (GradientBatch, Tape, Tensor, backward, cross_entropy,
                              finite_difference_check)
-from treeattn.model import Model
 from treeattn.training import (_READ_CHUNK, Adam, Checkpoint, TrainConfig,
                                TrainingDiverged, adam_step, clip_gradients, evaluate,
                                macro_f1, snapshot, train)
-from treeattn import toy
+from treeattn import toy, training
 
 from conftest import tiny_pair_model
 
@@ -310,7 +309,9 @@ class TestCheckpoint:
         stored = ckpt.params["embedding"]
         frozen = not ckpt.config.finetune_embeddings
         assert model.embedding.trainable != frozen
-        assert np.shares_memory(model.state_arrays()["embedding"], stored) == frozen
+        assert (model.embedding.vectors is stored) == frozen
+        if not frozen:
+            assert not np.shares_memory(model.embedding.vectors.data, stored)
         again = snapshot(model, ckpt.config, ckpt.rng_state, ckpt.epoch, ckpt.best_val_acc)
         assert (again.params["embedding"] is stored) == frozen
 
@@ -410,13 +411,14 @@ class TestCheckpoint:
     def test_build_model_copies_stored_values_into_the_arrays_it_built(self, name,
                                                                        monkeypatch):
         built = {}
-        load_state_arrays = Model.load_state_arrays
+        build = training._build_model
 
-        def record(model, arrays):
+        def record(*args):
+            model = build(*args)
             built.update((key, t.data) for key, t in model.parameters().items())
-            load_state_arrays(model, arrays)
+            return model
 
-        monkeypatch.setattr(Model, "load_state_arrays", record)
+        monkeypatch.setattr(training, "_build_model", record)
         ckpt = Checkpoint.load(FIXTURES / name)
         params = ckpt.build_model().parameters()
         params.pop("embedding", None)
@@ -427,31 +429,43 @@ class TestCheckpoint:
             np.testing.assert_array_equal(tensor.data, ckpt.params[key].astype(np.float64))
             assert not np.shares_memory(tensor.data, ckpt.params[key]), key
 
+    @pytest.mark.parametrize("finetune", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_loaded_parameters_never_alias_the_given_arrays(self, dtype):
-        model = tiny_pair_model(seed=3)
+    def test_loaded_parameters_never_alias_the_given_arrays(self, dtype, finetune):
+        model = tiny_pair_model(seed=3, finetune=finetune)
+        cfg = TrainConfig(task="pair", labels=("a", "b", "c"), hidden=8, d_attn=6, d_clf=16,
+                          leaf_kind="affine", finetune_embeddings=finetune)
         arrays = {name: np.full(t.shape, 0.25, dtype)
                   for name, t in model.parameters().items()}
-        model.load_state_arrays(arrays)
-        for name, tensor in model.parameters().items():
+        arrays.setdefault("embedding", np.full(model.embedding.vectors.shape, 0.25, dtype))
+        rebuilt = Checkpoint(cfg, list(model.vocab.index_to_word), arrays, {}, 1,
+                             0.5).build_model()
+        params = rebuilt.parameters()
+        assert params.keys() == model.parameters().keys()
+        for name, tensor in params.items():
+            assert tensor.data.dtype == np.float64, name
             assert (tensor.data == 0.25).all(), name
             assert not np.shares_memory(tensor.data, arrays[name]), name
 
 
 class TestConfigValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            small_config(task="tagging")
-        with pytest.raises(ValueError):
-            small_config(hidden=0)
-        with pytest.raises(ValueError):
-            small_config(beta1=1.0)
-        with pytest.raises(ValueError):
-            small_config(dropout_keep=0.0)
-        with pytest.raises(ValueError):
-            small_config(labels=("one",))
-        with pytest.raises(ValueError):
-            small_config(patience=-1)
+    @pytest.mark.parametrize("override, message", [
+        ({"task": "tagging"}, "task must be 'pair' or 'sentence', got 'tagging'"),
+        ({"hidden": 0}, "hidden must be positive, got 0"),
+        ({"max_epochs": 0}, "max_epochs must be positive, got 0"),
+        ({"temperature": float("nan")}, "temperature must be positive and finite, got nan"),
+        ({"beta1": 1.0}, "beta1 must lie in (0, 1), got 1.0"),
+        ({"beta2": 0.0}, "beta2 must lie in (0, 1), got 0.0"),
+        ({"dropout_keep": 0.0}, "dropout_keep must lie in (0, 1], got 0.0"),
+        ({"dropout_keep": 1.5}, "dropout_keep must lie in (0, 1], got 1.5"),
+        ({"labels": ("one",)}, "need at least two labels"),
+        ({"patience": -1}, "patience must be nonnegative, got -1"),
+    ])
+    def test_rejects_bad_values(self, override, message):
+        # a range message names the field and the value given, since the
+        # train command reports it to the user as it is
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**override)
 
     def test_unknown_json_key_is_named(self):
         text = small_config().to_json()[:-1] + ', "frobnicate": 1}'
