@@ -270,10 +270,12 @@ class TreeLstmCells:
     arrays: the parents' ``h``, ``c`` and validity logits ``query . h``,
     and what ``backward`` needs.
 
-    Row j of ``h_left``, ``h_right``, ``c_left`` and ``c_right`` (each
-    (k, H)) holds the children of pair j.  ``weight`` is (5H, 2H) and
-    ``bias`` (5H,), with gate blocks [candidate; input; forget-left;
-    forget-right; output] applied to ``[h_left; h_right]``.  One matrix
+    Row j of ``pairs`` (k, 2H) is ``[h_left; h_right]`` of pair j and row j
+    of ``mems`` (k, 2H) its ``[c_left; c_right]``.  ``weight`` is (5H, 2H)
+    and ``bias`` (5H,), with gate blocks [candidate; input; forget-left;
+    forget-right; output] applied to ``pairs``.  The parents' ``h`` and
+    ``c`` (k, H) and logits (k,) are written into the arrays given, which
+    ``induce_tree`` passes as the pairs' candidate rows.  One matrix
     product takes all k pre-activations and one more all k logits, so a
     pair's values match those of the elementary ops to the last bits, and
     those bits may depend on k.  Each gate is the logistic in its tanh form
@@ -281,20 +283,20 @@ class TreeLstmCells:
     and the candidate block gives all five; it saturates to exactly 0 or 1
     and raises no floating-point error.  The pre-activation is checked for
     non-finite values, because the saturating gates would otherwise hide an
-    overflow, and so are the results.
+    overflow, and so are ``c`` and the logits.
     """
 
-    __slots__ = ("query", "pairs", "mem_l", "mem_r", "blocks", "tanh_c", "h", "c", "logits")
+    __slots__ = ("query", "pairs", "mems", "blocks", "tanh_c", "h", "c", "logits")
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, query: np.ndarray,
-                 h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,
-                 c_right: np.ndarray):
-        k, hidden = h_left.shape
-        self.query, self.mem_l, self.mem_r = query, c_left, c_right
-        self.pairs = pairs = np.concatenate((h_left, h_right), axis=1)
+                 pairs: np.ndarray, mems: np.ndarray, h: np.ndarray, c: np.ndarray,
+                 logits: np.ndarray):
+        k, hidden = h.shape
+        self.query, self.pairs, self.mems, self.h, self.c, self.logits = (
+            query, pairs, mems, h, c, logits)
         pre = pairs @ weight.T
         pre += bias
-        if not np.isfinite(pre).all():
+        if not _all_finite(pre):
             raise NonFiniteError("tree_induction: pre-activation has non-finite values")
         # x -> tanh(x) on the candidate block and 0.5 + 0.5 * tanh(x / 2) on
         # the gate blocks, in place; halving is exact
@@ -303,13 +305,15 @@ class TreeLstmCells:
         np.tanh(pre, out=pre)
         pre *= scale
         pre += shift
-        self.blocks = pre.reshape(k, 5, hidden)
-        candidate, gate_in, forget_l, forget_r, gate_out = self.blocks.transpose(1, 0, 2)
-        self.c = np.add(candidate * gate_in, c_left * forget_l + c_right * forget_r)
-        self.tanh_c = np.tanh(self.c)
-        self.h = self.tanh_c * gate_out
-        self.logits = self.h @ query
-        if not (np.isfinite(self.c).all() and np.isfinite(self.logits).all()):
+        self.blocks = blocks = pre.reshape(k, 5, hidden)
+        # c = (c_left * forget_left + c_right * forget_right) + candidate * input
+        kept = mems.reshape(k, 2, hidden) * blocks[:, 2:4]
+        np.add(kept[:, 0], kept[:, 1], out=c)
+        c += blocks[:, 0] * blocks[:, 1]
+        self.tanh_c = np.tanh(c)
+        np.multiply(self.tanh_c, blocks[:, 4], out=h)
+        np.matmul(h, query, out=logits)
+        if not (_all_finite(c) and _all_finite(logits)):
             raise NonFiniteError("tree_induction: produced non-finite values")
 
     def backward(self, g_h: np.ndarray, g_c: np.ndarray,
@@ -327,12 +331,17 @@ class TreeLstmCells:
         g_c += g_h * gate_out * (1.0 - tanh_c * tanh_c)
         # per block, the gradient of its activation times that activation's
         # slope: 1 - t^2 for the candidate t, g (1 - g) for a gate g
-        g_pre = np.concatenate((g_c * gate_in, g_c * candidate, g_c * self.mem_l,
-                                g_c * self.mem_r, g_h * tanh_c), axis=1)
+        g_pre = np.concatenate((g_c * gate_in, g_c * candidate, g_c * self.mems[:, :hidden],
+                                g_c * self.mems[:, hidden:], g_h * tanh_c), axis=1)
         slope = blocks * (1.0 - blocks)
         slope[:, 0] = 1.0 - candidate * candidate
         g_pre *= slope.reshape(k, 5 * hidden)
         return g_pre, g_c * forget_l, g_c * forget_r
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    # the ufunc's own reduce: ndarray.all goes through a Python wrapper
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
 
 
 @lru_cache(maxsize=None)
@@ -345,23 +354,45 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def compose(h_left: np.ndarray, h_right: np.ndarray, c_left: np.ndarray,
-            c_right: np.ndarray, query: Tensor, params: CompositionParams) -> TreeLstmCells:
-    """Merge each (left, right) pair of child states, row j of the (k, H)
-    arrays, into a parent with the binary Tree-LSTM cell; returns the
-    ``TreeLstmCells`` holding the parents' ``h``, ``c`` and validity logits
-    (dot products with ``query``) and what its ``backward`` needs.
-    ``induce_tree`` calls it once for the first layer and once per merge,
-    and its ``tree_induction`` record replays those cells' backward."""
-    return TreeLstmCells(params.weight.data, params.bias.data, query.data,
-                         h_left, h_right, c_left, c_right)
+def compose(pairs: np.ndarray, mems: np.ndarray, query: Tensor, params: CompositionParams,
+            out: tuple[np.ndarray, np.ndarray, np.ndarray]) -> TreeLstmCells:
+    """Merge each pair of child states into a parent with the binary
+    Tree-LSTM cell: row j of ``pairs`` (k, 2H) is ``[h_left; h_right]`` of
+    pair j and row j of ``mems`` (k, 2H) its ``[c_left; c_right]``.
+    Returns the ``TreeLstmCells`` holding the parents' ``h``, ``c`` and
+    validity logits (dot products with ``query``) and what its
+    ``backward`` needs.  The parents are written into ``out``, the arrays
+    ``(h, c, logits)`` of shapes (k, H), (k, H) and (k,).  ``induce_tree``
+    calls it once for the first layer and once per merge but the last,
+    with ``out`` the pairs' candidate rows, and its ``tree_induction``
+    record replays those cells' backward."""
+    return TreeLstmCells(params.weight.data, params.bias.data, query.data, pairs, mems, *out)
 
 
-def validity_scores(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the candidates' validity logits; sums to one."""
+def softmax_argmax(logits: np.ndarray) -> int:
+    """The index ``int(stable_softmax(logits).argmax())`` gives, mostly
+    without taking the softmax.
+
+    The softmax is increasing, so its argmax is the logits' argmax, unless
+    it rounds the largest probabilities to one value; its argmax is then
+    the lowest of their indices.  That happens only to logits within a few
+    units in the last place of 1 of the max, so the softmax is taken
+    whenever another logit lies within 1e-14 of the max.
+    """
+    index = int(logits.argmax())
+    if np.count_nonzero(logits >= logits[index] - 1e-14) > 1:
+        return int(stable_softmax(logits).argmax())
+    return index
+
+
+def validity_scores(logits: np.ndarray, config: GumbelConfig) -> np.ndarray:
+    """The scores ``st_gumbel_select`` picks from, given the candidates'
+    validity logits: their softmax, which sums to one, in ``train`` and
+    ``soft`` mode, and the logits themselves in ``infer`` mode, which only
+    needs the softmax's argmax (``softmax_argmax`` takes it from them)."""
     if not len(logits):
         raise ShapeError("validity_scores: no candidates")
-    return stable_softmax(logits)
+    return logits if config.mode == "infer" else stable_softmax(logits)
 
 
 def gumbel_noise(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -402,7 +433,7 @@ def st_gumbel_select(scores, config: GumbelConfig,
                      rng: np.random.Generator | None = None,
                      noise: np.ndarray | None = None) -> tuple[int, Tensor | np.ndarray | None]:
     """Pick one candidate from a probability vector, a tensor or (inside
-    ``induce_tree``) an array.
+    ``induce_tree``) an array of ``validity_scores``.
 
     Returns the chosen index and the selection weights.  Argmax ties
     resolve to the lowest index.  For a tensor the weights are a tensor: in
@@ -413,11 +444,12 @@ def st_gumbel_select(scores, config: GumbelConfig,
     one-hot in ``infer`` mode.  For an array nothing is recorded, and the
     weights are the relaxation as an array in ``train`` and ``soft`` mode
     (``induce_tree``'s backward pass needs it in both) and ``None`` in
-    ``infer`` mode.
+    ``infer`` mode, where the array holds the validity logits and the index
+    is their softmax's argmax (``softmax_argmax``).
 
     A tensor whose values are not a probability vector raises
-    ``ValueError``.  An array is not checked: ``induce_tree`` passes the
-    softmax that ``validity_scores`` has just taken.
+    ``ValueError``.  An array is not checked: ``induce_tree`` passes what
+    ``validity_scores`` has just returned.
     """
     probs = scores.data if isinstance(scores, Tensor) else scores
     k = len(probs)
@@ -425,9 +457,9 @@ def st_gumbel_select(scores, config: GumbelConfig,
                                        or (probs < 0).any()):
         raise ValueError("st_gumbel_select: scores are not a probability vector")
     if config.mode == "infer":
-        index = int(probs.argmax())
         if not isinstance(scores, Tensor):
-            return index, None
+            return softmax_argmax(scores), None
+        index = int(probs.argmax())
         return index, Tensor(np.eye(k)[index])
     if noise is None:
         noise = gumbel_noise(k, rng)
@@ -460,18 +492,28 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     first, then composed nodes in creation order).
 
     The state lives in arrays.  Leaf i is node i and the node made by merge
-    t is node n + t; their ``h`` and ``c`` are rows of two (2n - 1, H)
-    arrays.  Every candidate ever composed has a row in the candidate arrays
-    (``h``, ``c`` and validity logit), and ``live`` holds the rows of the
-    current candidates in sentence order.  The first layer's n - 1 pairs
-    are composed in one ``compose`` call, then only the at most two pairs
-    that touch each new node (the ``window`` of nodes, entering ``live`` at
-    ``slot``), so a merge costs O(1) Python work plus their arithmetic.
+    t is node n + t; their ``h`` and ``c`` are rows of one (2, 2n - 1, H)
+    array.  Every candidate ever composed has a row in the candidate arrays
+    (``h`` and ``c`` in one (2, 3n, H) array, and validity logit), and
+    ``live`` holds the rows of the current candidates in sentence order.
+    The first layer's n - 1 pairs are composed in one ``compose`` call,
+    then only the at most two pairs that touch each new node (the
+    ``window`` of nodes, entering ``live`` at ``slot``), so a merge costs
+    O(1) Python work plus their arithmetic.  One ``take`` gathers a
+    window's child pairs (nodes a, b, c as a, b, b, c) into the rows
+    ``compose`` reads, and the cell writes the parents straight into
+    their candidate rows.
 
-    In ``train`` and ``soft`` mode the composed nodes are the outputs of one
-    ``tree_induction`` record; ``infer`` records nothing.  Its backward pass
-    replays the merges in reverse: for each merge ``TreeLstmCells.backward``
-    of the pairs composed after it, then the gradient of the merge (under
+    Every mode makes the same calls at each layer: ``compose``, then
+    ``validity_scores`` of the live logits, then ``st_gumbel_select``.  In
+    ``infer`` mode no softmax is taken unless a near tie needs it
+    (``softmax_argmax``), and the merge is the same as the softmax's argmax.
+
+    ``infer`` records nothing and keeps no cells.  In ``train`` and ``soft``
+    mode the composed nodes are the outputs of one ``tree_induction``
+    record, whose backward pass replays the merges in reverse: for each
+    merge ``TreeLstmCells.backward`` of the pairs composed after it, then
+    the gradient of the merge (under
     ``train`` the weighted sum's gradient at the one-hot weights, which
     passes the relaxed gradient straight through), of the Gumbel relaxation
     (``_gumbel_relaxation_grad``) and of the validity softmax; the first
@@ -498,11 +540,13 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     noise, offset = None, 0
     if mode != "infer":
         noise = gumbel_noise(n * (n - 1) // 2 if config.noise_per_layer else n - 1, rng)
-    node_h, node_c = np.empty((2, 2 * n - 1, hidden))
+    nodes_hc = np.empty((2, 2 * n - 1, hidden))  # every node's h, then its c
+    node_h, node_c = nodes_hc
     node_h[:n] = [t.data for t in leaf_h]
     node_c[:n] = [t.data for t in leaf_c]
     # n - 1 pairs of leaves, then at most two per merge but the last
-    cand_h, cand_c = np.empty((2, 3 * n, hidden))
+    cands_hc = np.empty((2, 3 * n, hidden))
+    cand_h, cand_c = cands_hc
     cand_logit = np.empty(3 * n)
     count = 0  # candidate rows filled
     cells: list = []  # per compose call: (candidate rows, TreeLstmCells, window)
@@ -513,15 +557,19 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     window = nodes[:]
     merges: list[int] = []
     for t in range(n - 1):
-        win_h, win_c = node_h.take(window, 0), node_c.take(window, 0)
-        made = compose(win_h[:-1], win_h[1:], win_c[:-1], win_c[1:], query, params)
-        rows = slice(count, count + len(made.logits))
-        cand_h[rows], cand_c[rows], cand_logit[rows] = made.h, made.c, made.logits
+        # the window's k adjacent pairs as rows [left; right]: nodes a, b, c
+        # gather as a, b, b, c
+        children = [node for node in window for _ in (0, 1)][1:-1]
+        rows = slice(count, count + len(window) - 1)
+        pairs, mems = nodes_hc.take(children, 1).reshape(2, -1, 2 * hidden)
+        made = compose(pairs, mems, query, params,
+                       out=(cand_h[rows], cand_c[rows], cand_logit[rows]))
         live[slot:slot] = range(rows.start, rows.stop)
-        cells.append((rows, made, window))
+        if mode != "infer":
+            cells.append((rows, made, window))
         count = rows.stop
         logits = cand_logit.take(live)
-        scores = validity_scores(logits)
+        scores = validity_scores(logits, config)
         layer_noise = None
         if noise is not None:
             layer_noise = noise[offset:offset + len(logits)]
@@ -531,8 +579,7 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
             node_h[n + t] = relaxed @ cand_h[live]
             node_c[n + t] = relaxed @ cand_c[live]
         else:
-            node_h[n + t] = cand_h[live[index]]
-            node_c[n + t] = cand_c[live[index]]
+            nodes_hc[:, n + t] = cands_hc[:, live[index]]
         if mode != "infer":
             steps.append((live[:], index, scores, relaxed))
         merges.append(index)

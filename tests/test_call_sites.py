@@ -3,14 +3,20 @@
 ``benchmarks/tracing.py`` records a layer by replacing the name its caller
 looks up (``parser.compose``, ``training.backward``, ...).  A refactor that
 calls the function some other way leaves that span silent, which only a
-traced benchmark run would show; this test runs each span's caller once
-under the tracer, on tiny inputs, instead.
+traced benchmark run would show; these tests run each span's caller under
+the tracer, on tiny inputs, instead: once over a training run, and once
+over an ``infer``-mode evaluation alone, whose induction path training
+does not take.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from treeattn import cli, data, toy, training
+
+from conftest import tiny_pair_model
 
 _SPEC = importlib.util.spec_from_file_location(
     "tracing", Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py")
@@ -38,3 +44,26 @@ def test_every_call_site_records_calls(tmp_path):
                          "--baselines-only", "--out", str(tmp_path / "report.txt")]) == 0
     silent = [name for name, *_ in tracing.CALL_SITES if not tracer.calls[name]]
     assert not silent, f"spans that recorded no call: {silent}"
+
+
+def test_infer_evaluation_records_every_induction_span():
+    # per sentence of n words: one compose call for the first layer and one
+    # per merge but the last, one validity_scores call over each layer's
+    # n - 1 - t candidates, and one st_gumbel_select call per merge
+    model = tiny_pair_model()
+    rng = np.random.default_rng(3)
+    lengths = [(1, 4), (6, 2), (9, 3)]
+    examples = [data.PairExample([int(i) for i in rng.integers(2, 12, size=p)],
+                                 [int(i) for i in rng.integers(2, 12, size=h)], label)
+                for label, (p, h) in enumerate(lengths)]
+    sentences = [n for pair in lengths for n in pair]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        training.evaluate(examples, model)
+    merges = sum(n - 1 for n in sentences)
+    assert tracer.calls["training.evaluate"] == 1
+    assert tracer.calls["parser.induce_tree"] == len(sentences)
+    assert tracer.calls["parser.compose"] == merges
+    assert tracer.calls["parser.validity_scores"] == merges
+    assert tracer.counts["candidates"] == sum(n * (n - 1) // 2 for n in sentences)
+    assert tracer.calls["parser.st_gumbel_select"] == merges

@@ -11,9 +11,9 @@ from treeattn.parser import (MODES, CompositionParams, GumbelConfig, LeafAffineP
                              NodeState, compose, gumbel_noise, induce_tree,
                              init_composition_params, init_leaf_affine,
                              init_leaf_rnn, init_query, leaf_transform,
-                             st_gumbel_select, validity_scores)
+                             softmax_argmax, st_gumbel_select, validity_scores)
 from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add, backward, dot,
-                             softmax)
+                             softmax, stable_softmax)
 from treeattn.trees import export_bracketed, parse_bracketed
 
 from conftest import assert_last_bits
@@ -42,23 +42,25 @@ class FixedUniform:
         return self.values[:size]
 
 
-def children(*pairs):
-    """The (k, H) arrays h_left, h_right, c_left and c_right of k pairs of
-    NodeStates."""
-    return [np.array([getattr(pair[side], part).data for pair in pairs])
-            for part, side in (("h", 0), ("h", 1), ("c", 0), ("c", 1))]
+def compose_pairs(pairs, query, params):
+    """``compose`` over k (left, right) pairs of NodeStates, into new arrays."""
+    kids = [np.array([np.concatenate((getattr(left, part).data, getattr(right, part).data))
+                      for left, right in pairs]) for part in ("h", "c")]
+    k, hidden = len(pairs), query.shape[0]
+    return compose(*kids, query, params, (np.empty((k, hidden)), np.empty((k, hidden)),
+                                          np.empty(k)))
 
 
 class TestCompose:
     def test_all_zero_parameters_and_memories(self):
-        cells = compose(*children((state([0.0], [0.0]), state([0.0], [0.0]))),
-                        Tensor([1.0]), zero_composition(1))
+        cells = compose_pairs([(state([0.0], [0.0]), state([0.0], [0.0]))],
+                              Tensor([1.0]), zero_composition(1))
         assert cells.c[0, 0] == 0.0 and cells.h[0, 0] == 0.0 and cells.logits[0] == 0.0
 
     def test_zero_weights_unit_memories(self):
         # gates sit at 0.5, so c = 0.5 + 0.5 and h = tanh(1)/2
-        cells = compose(*children((state([0.0], [1.0]), state([0.0], [1.0]))),
-                        Tensor([2.0]), zero_composition(1))
+        cells = compose_pairs([(state([0.0], [1.0]), state([0.0], [1.0]))],
+                              Tensor([2.0]), zero_composition(1))
         assert cells.c[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert cells.h[0, 0] == pytest.approx(0.3807970779778824, abs=1e-12)
         assert cells.logits[0] == 2.0 * cells.h[0, 0]
@@ -79,13 +81,13 @@ class TestCompose:
         row = random_states(rng, k + 1, hidden)
         pairs = list(zip(row, row[1:]))
         with Tape() as tape:
-            cells = compose(*children(*pairs), query, params)
+            cells = compose_pairs(pairs, query, params)
         assert len(tape) == 0
-        again = compose(*children(*pairs), query, params)
+        again = compose_pairs(pairs, query, params)
         for name in ("h", "c", "logits"):
             np.testing.assert_array_equal(getattr(again, name), getattr(cells, name))
         for j, pair in enumerate(pairs):
-            alone = compose(*children(pair), query, params)
+            alone = compose_pairs([pair], query, params)
             for name in ("h", "c", "logits"):
                 assert_last_bits(getattr(cells, name)[j], getattr(alone, name)[0])
             assert_last_bits(cells.logits[j], np.dot(query.data, cells.h[j]))
@@ -101,9 +103,9 @@ class TestCompose:
             bias = np.tile(extremes, 5)
             params = CompositionParams(Tensor(np.zeros((5 * hidden, 2 * hidden))),
                                        Tensor(bias))
-            cells = compose(*children((state(np.ones(hidden), np.ones(hidden)),
-                                       state(np.ones(hidden), np.ones(hidden)))),
-                            Tensor(np.ones(hidden)), params)
+            cells = compose_pairs([(state(np.ones(hidden), np.ones(hidden)),
+                                    state(np.ones(hidden), np.ones(hidden)))],
+                                  Tensor(np.ones(hidden)), params)
             np.testing.assert_array_equal(cells.blocks[0, 1:], np.tile(bounds, (4, 1)))
             # c = candidate * input + c_left * forget_left + c_right * forget_right
             np.testing.assert_array_equal(cells.c[0], [3.0, 0.0, 3.0, 0.0])
@@ -208,21 +210,21 @@ class TestLeafTransforms:
 
 class TestValidityScores:
     def test_identical_candidates_uniform(self):
-        scores = validity_scores(np.full(4, 0.7))
+        scores = validity_scores(np.full(4, 0.7), GumbelConfig())
         np.testing.assert_allclose(scores, np.full(4, 0.25), atol=1e-15)
 
     def test_single_candidate(self):
-        assert validity_scores(np.array([5.0])).tolist() == [1.0]
+        assert validity_scores(np.array([5.0]), GumbelConfig()).tolist() == [1.0]
 
     def test_log_ratio_hand_value(self):
-        scores = validity_scores(np.array([math.log(2.0), 0.0]))
+        scores = validity_scores(np.array([math.log(2.0), 0.0]), GumbelConfig())
         np.testing.assert_allclose(scores, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             k = int(rng.integers(1, 9))
-            scores = validity_scores(rng.normal(scale=3.0, size=k))
+            scores = validity_scores(rng.normal(scale=3.0, size=k), GumbelConfig())
             assert abs(scores.sum() - 1.0) <= 1e-12
             assert (scores >= 0).all()
 
@@ -234,8 +236,8 @@ class TestValidityScores:
         query = init_query(rng, 4)
         calls = []
         for name in ("compose", "validity_scores"):
-            def spy(*args, real=getattr(parser, name), name=name):
-                out = real(*args)
+            def spy(*args, real=getattr(parser, name), name=name, **kwargs):
+                out = real(*args, **kwargs)
                 calls.append((name, out.logits.copy() if name == "compose" else args[0].copy()))
                 return out
             monkeypatch.setattr(parser, name, spy)
@@ -249,6 +251,46 @@ class TestValidityScores:
             expected = [*previous[:max(index - 1, 0)], *new, *previous[index + 2:]]
             assert len(logits) == len(expected) == len(previous) - 1
             np.testing.assert_array_equal(logits, expected)
+
+
+def near_tie_logits():
+    """Logit vectors whose largest entries tie or nearly tie: exact ties,
+    one-ulp gaps on either side of the max, gaps just under, at and just
+    over 1e-14, at magnitudes from 1e-300 to 1e300, with the larger of each
+    near-tied pair first and last."""
+    vectors = [np.array(v) for v in ([1.0, 1.0], [0.5, 2.0, 2.0, -1.0], [3.0] * 4,
+                                     [0.0, -0.0], [-7.0, -7.0, -9.0])]
+    gaps = (np.nextafter(1e-14, 0.0), 1e-14, np.nextafter(1e-14, 1.0))
+    for scale in 10.0 ** np.arange(-300, 301, 25):
+        for top in (scale, -scale, 0.3 * scale):
+            low = top - 1.0 - abs(top)  # clearly below the near tie
+            for other in (top, np.nextafter(top, np.inf), np.nextafter(top, -np.inf),
+                          *(top - gap for gap in gaps), *(top + gap for gap in gaps)):
+                vectors += [np.array([top, other]), np.array([other, top]),
+                            np.array([low, other, low, top]), np.array([low, top, other])]
+    return vectors
+
+
+class TestInferPick:
+    """``infer`` mode picks the validity softmax's argmax from the logits."""
+
+    def test_matches_the_softmax_argmax_at_near_ties(self):
+        infer = GumbelConfig(mode="infer")
+        vectors = near_tie_logits()
+        rounded = 0  # vectors whose softmax argmax is not their own argmax
+        for logits in vectors:
+            want = int(stable_softmax(logits).argmax())
+            assert softmax_argmax(logits) == want, logits
+            # the path induce_tree takes: validity_scores, then st_gumbel_select
+            assert st_gumbel_select(validity_scores(logits, infer), infer) == (want, None)
+            rounded += int(logits.argmax()) != want
+        assert rounded > 100  # the softmax's rounding decides many of them
+
+    def test_validity_scores_in_infer_mode_are_the_logits(self):
+        logits = np.array([0.3, -1.0, 2.5])
+        assert validity_scores(logits, GumbelConfig(mode="infer")) is logits
+        with pytest.raises(ShapeError, match="no candidates"):
+            validity_scores(np.array([]), GumbelConfig(mode="infer"))
 
 
 class TestGumbelNoise:
@@ -399,7 +441,7 @@ class TestInduceTree:
         leaves = random_states(rng, 2, 3)
         _, nodes = induce_tree(leaves, params, query, GumbelConfig(),
                                np.random.default_rng(0))
-        direct = compose(*children(leaves), query, params)
+        direct = compose_pairs([leaves], query, params)
         assert (nodes[-1].h.data == direct.h[0]).all()
         assert (nodes[-1].c.data == direct.c[0]).all()
 
@@ -412,9 +454,9 @@ class TestInduceTree:
         query = init_query(rng, 4)
         sizes = []
 
-        def spy(*args, real=parser.compose):
+        def spy(*args, real=parser.compose, **kwargs):
             sizes.append(len(args[0]))
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(parser, "compose", spy)
         with Tape() as tape:
@@ -457,6 +499,82 @@ class TestInduceTree:
                     np.errstate(over="ignore", invalid="ignore"):
                 induce_tree(leaves, params, init_query(rng, 2), GumbelConfig(mode=mode),
                             np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", ["pre-activation", "c", "logit"])
+    def test_non_finite_value_at_a_later_merge_raises_in_its_compose(self, monkeypatch,
+                                                                     case, mode):
+        # three leaves whose two first-layer pairs are finite, while the one
+        # pair of the merged node and the remaining leaf is not, whichever
+        # pair the first merge takes; every check runs at every merge
+        if case == "pre-activation":
+            # h_left + h_right per gate row: 1.5 - 1 on the first layer, then
+            # tanh(1) + 1.5 times 1e308 once a merged node is a child
+            weight, bias, query = np.full((5, 2), 1e308), np.zeros(5), [1.0]
+            leaf_h, leaf_c = [[1.5], [-1.0], [1.5]], [[0.0]] * 3
+            message = "pre-activation has non-finite values"
+        else:
+            # zero weights and a bias of 800 saturate every gate and the
+            # candidate to exactly 1: a parent's c is 1 + (c_left + c_right)
+            weight, bias = np.zeros((5, 2)), np.full(5, 800.0)
+            if case == "c":
+                # 0.9e308 on the first layer, then 1 + 2 * 0.9e308
+                query, leaf_h, leaf_c = [1.0], [[0.0]] * 3, [[0.9e308], [0.0], [0.9e308]]
+            else:
+                # h = tanh(c): [tanh(11), tanh(-4)] on the first layer, whose
+                # logit is 1e308 * (1.0 - 0.9993), then about [1, 1], whose
+                # logit is 2e308
+                weight, bias = np.zeros((10, 4)), np.full(10, 800.0)
+                query, leaf_h = [1e308, 1e308], [[0.0, 0.0]] * 3
+                leaf_c = [[5.0, 15.0], [5.0, -20.0], [5.0, 15.0]]
+            message = "tree_induction: produced non-finite values"
+        params = CompositionParams(Tensor(weight), Tensor(bias))
+        leaves = [state(h, c) for h, c in zip(leaf_h, leaf_c)]
+        started, returned = [], []
+
+        def spy(*args, real=parser.compose, **kwargs):
+            started.append(len(args[0]))
+            out = real(*args, **kwargs)
+            returned.append(len(args[0]))
+            return out
+
+        monkeypatch.setattr(parser, "compose", spy)
+        with pytest.raises(NonFiniteError, match=message), \
+                np.errstate(over="ignore", invalid="ignore"):
+            induce_tree(leaves, params, Tensor(query), GumbelConfig(mode=mode),
+                        np.random.default_rng(0))
+        assert started == [2, 1] and returned == [2]
+
+    def test_infer_near_tie_at_a_later_merge_takes_the_softmax_argmax(self, monkeypatch):
+        # Zero weights and a bias of 800 saturate every gate and the candidate
+        # to exactly 1, so a parent's c is 1 + (c_left + c_right) and its h
+        # tanh(c).  Leaf c values -1, 0.5, 0.5, -1 + a few ulps make (w2 w3)
+        # the clear first merge; the second scores (w1 x) against (x w4),
+        # whose logits differ in their last bits, the larger last, and whose
+        # softmax rounds them to one value: the pick is the first, as the
+        # softmax's argmax has it, not the logits' argmax
+        params = CompositionParams(Tensor(np.zeros((5, 2))), Tensor(np.full(5, 800.0)))
+        layers = []
+
+        def spy(logits, config, real=parser.validity_scores):
+            layers.append(logits.copy())
+            return real(logits, config)
+
+        monkeypatch.setattr(parser, "validity_scores", spy)
+        last = -1.0
+        for _ in range(64):
+            last = np.nextafter(last, 0.0)
+            layers.clear()
+            leaves = [state([0.0], [c]) for c in (-1.0, 0.5, 0.5, last)]
+            tree, _ = induce_tree(leaves, params, Tensor([0.1]), GumbelConfig(mode="infer"))
+            second = layers[1]
+            if second[1] > second[0]:
+                break
+        else:
+            pytest.fail("no leaf value put the larger near-tied logit last")
+        assert int(layers[0].argmax()) == 1 and layers[0].max() - np.sort(layers[0])[-2] > 1e-3
+        assert int(stable_softmax(second).argmax()) == 0
+        assert tree.merges == (1, 0, 0)
 
     def test_structural_validity_over_seeds_and_lengths(self):
         rng = np.random.default_rng(7)

@@ -794,9 +794,11 @@ class TestTreeInduction:
     def test_train_node_is_a_copy_of_the_chosen_candidate(self):
         leaves, params, query = self.inputs(5, 2)
         _, nodes = induce_tree(leaves, params, query, GumbelConfig(), np.random.default_rng(0))
-        pair = [np.array([leaf.h.data]) for leaf in leaves] + [
-            np.array([leaf.c.data]) for leaf in leaves]
-        cells = compose(*pair, query, params)
+        pairs, mems = (np.concatenate([getattr(leaf, part).data for leaf in leaves])[None]
+                       for part in ("h", "c"))
+        hidden = query.shape[0]
+        cells = compose(pairs, mems, query, params,
+                        (np.empty((1, hidden)), np.empty((1, hidden)), np.empty(1)))
         np.testing.assert_array_equal(nodes[2].h.data, cells.h[0])
         np.testing.assert_array_equal(nodes[2].c.data, cells.c[0])
 
