@@ -80,10 +80,6 @@ class Model:
                    selection)
 
     @property
-    def hidden(self) -> int:
-        return self.composition.hidden
-
-    @property
     def num_classes(self) -> int:
         return self.head.out_bias.shape[0]
 

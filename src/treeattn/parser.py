@@ -48,10 +48,6 @@ class CompositionParams:
     weight: Tensor
     bias: Tensor
 
-    @property
-    def hidden(self) -> int:
-        return self.weight.shape[0] // 5
-
 
 @dataclass
 class LeafAffineParams:
@@ -430,7 +426,6 @@ def _gumbel_relaxation_grad(g: np.ndarray, relaxed: np.ndarray, probs: np.ndarra
 
 
 def st_gumbel_select(scores, config: GumbelConfig,
-                     rng: np.random.Generator | None = None,
                      noise: np.ndarray | None = None) -> tuple[int, Tensor | np.ndarray | None]:
     """Pick one candidate from a probability vector, a tensor or (inside
     ``induce_tree``) an array of ``validity_scores``.
@@ -445,7 +440,9 @@ def st_gumbel_select(scores, config: GumbelConfig,
     weights are the relaxation as an array in ``train`` and ``soft`` mode
     (``induce_tree``'s backward pass needs it in both) and ``None`` in
     ``infer`` mode, where the array holds the validity logits and the index
-    is their softmax's argmax (``softmax_argmax``).
+    is their softmax's argmax (``softmax_argmax``).  ``train`` and ``soft``
+    mode perturb with ``noise``, one Gumbel draw per candidate
+    (``gumbel_noise``), and raise ``ValueError`` without it.
 
     A tensor whose values are not a probability vector raises
     ``ValueError``.  An array is not checked: ``induce_tree`` passes what
@@ -462,7 +459,7 @@ def st_gumbel_select(scores, config: GumbelConfig,
         index = int(probs.argmax())
         return index, Tensor(np.eye(k)[index])
     if noise is None:
-        noise = gumbel_noise(k, rng)
+        raise ValueError(f"st_gumbel_select: {config.mode} mode needs noise")
     if not isinstance(scores, Tensor):
         return gumbel_relaxation(probs, noise, config)
     _check_vector("gumbel_softmax", scores)

@@ -24,8 +24,7 @@ from .tensor import GradientBatch, NonFiniteError, Tape, Tensor, backward, stabl
 
 CHECKPOINT_MAGIC = "treeattn-checkpoint"
 CHECKPOINT_VERSION = 1
-_BLOB_MARKER = b"blob\n"  # ends a checkpoint's header; the float32 blob follows
-_READ_CHUNK = 1 << 16  # bytes read at a time while looking for the blob marker
+_BLOB_MARKER = b"blob\n"  # the line that ends a checkpoint's header; the float32 blob follows
 
 
 class TrainingDiverged(ArithmeticError):
@@ -313,20 +312,22 @@ class Checkpoint:
     def load(cls, path) -> "Checkpoint":
         """The checkpoint stored at ``path``; a malformed header, a blob
         shorter than its parameter shapes or longer than them raises
-        ``ValueError`` naming the file.  The header is read up to the first
-        blob marker, then each parameter is read from the file straight
-        into its own float32 array, so a load holds one copy of the blob."""
+        ``ValueError`` naming the file.  The header is read a line at a
+        time up to the line ``blob``, then each parameter is read from the
+        file straight into its own float32 array, so a load holds one copy
+        of the blob."""
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            header = _read_to_marker(fh, _BLOB_MARKER)
-            if header is None:
-                raise ValueError(f"{path}: not a checkpoint (missing blob marker)")
+            header = []
+            while (line := fh.readline()) != _BLOB_MARKER:
+                if not line:
+                    raise ValueError(f"{path}: not a checkpoint (missing blob marker)")
+                header.append(line)
             try:
-                config, meta, vocab_words, shapes = _read_header(header)
+                config, meta, vocab_words, shapes = _read_header(b"".join(header))
             except ValueError as err:
                 raise ValueError(f"{path}: {err}") from None
-            offset = len(header) + len(_BLOB_MARKER)
-            fh.seek(offset)
+            offset = fh.tell()
             params: dict[str, np.ndarray] = {}
             for name, shape in shapes:
                 count = math.prod(shape)  # a Python int: a product of header dims cannot wrap
@@ -350,18 +351,22 @@ class Checkpoint:
         are checked against the stored arrays before a model of those sizes
         is allocated."""
         cfg = self.config
-        for name, shape in (("composition.weight", (5 * cfg.hidden, 2 * cfg.hidden)),
-                            ("attention.embed_weight", (cfg.d_attn, cfg.hidden)),
-                            ("head.hidden_bias", (cfg.d_clf,))):
-            stored = self.params.get(name)
-            if stored is None:
+
+        # the stored array of ``name``, which must exist and, given a
+        # ``shape``, have it
+        def stored(name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+            values = self.params.get(name)
+            if values is None:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")
-            if stored.shape != shape:
+            if shape is not None and values.shape != shape:
                 raise ValueError(
-                    f"parameter {name!r}: checkpoint shape {stored.shape} != {shape}")
-        vectors = self.params.get("embedding")
-        if vectors is None:
-            raise ValueError("checkpoint is missing parameter 'embedding'")
+                    f"parameter {name!r}: checkpoint shape {values.shape} != {shape}")
+            return values
+
+        stored("composition.weight", (5 * cfg.hidden, 2 * cfg.hidden))
+        stored("attention.embed_weight", (cfg.d_attn, cfg.hidden))
+        stored("head.hidden_bias", (cfg.d_clf,))
+        vectors = stored("embedding")
         if vectors.ndim != 2 or vectors.shape[0] != len(self.vocab_words):
             raise ValueError(f"vocabulary has {len(self.vocab_words)} words but parameter "
                              f"'embedding' has shape {vectors.shape}")
@@ -377,32 +382,14 @@ class Checkpoint:
         params = model.parameters()
         params.pop("embedding", None)
         for name, tensor in params.items():
-            stored = self.params.get(name)
-            if stored is None:
-                raise ValueError(f"checkpoint is missing parameter {name!r}")
-            if stored.shape != tensor.shape:
-                raise ValueError(
-                    f"parameter {name!r}: checkpoint shape {stored.shape} != {tensor.shape}")
-            if not np.isfinite(stored).all():
+            values = stored(name, tensor.shape)
+            if not np.isfinite(values).all():
                 raise ValueError(f"parameter {name!r} has non-finite values")
-            tensor.data[...] = stored
+            tensor.data[...] = values
         unknown = [name for name in self.params if name not in params and name != "embedding"]
         if unknown:
             raise ValueError(f"checkpoint has unknown parameter {unknown[0]!r}")
         return model
-
-
-def _read_to_marker(fh, marker: bytes) -> bytes | None:
-    """The bytes of ``fh`` before the first ``marker``, read ``_READ_CHUNK``
-    bytes at a time, or ``None`` if the file holds no marker."""
-    head = bytearray()
-    while chunk := fh.read(_READ_CHUNK):
-        start = max(len(head) - len(marker) + 1, 0)  # a marker may straddle two chunks
-        head += chunk
-        cut = head.find(marker, start)
-        if cut >= 0:
-            return bytes(head[:cut])
-    return None
 
 
 def _read_header(header: bytes):

@@ -905,6 +905,14 @@ class TestSimilarity:
                      "--pairs", str(pairs)]) == 2
         assert ":1:" in capsys.readouterr().err
 
+    def test_blank_lines_are_skipped(self, workspace, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("tok01 tok02\ttok01 tok02\n\n \t \ntok04\ttok05\n", encoding="utf-8")
+        assert main(["similarity", "--checkpoint", str(workspace / "model.ckpt"),
+                     "--pairs", str(pairs)]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == "1.0000" and -1.0 <= float(second) <= 1.0
+
 
 def _with_bad_byte(source, target):
     """Copy a text file with one byte that is not UTF-8 inserted into line 2."""
@@ -1070,6 +1078,42 @@ class TestInputAndOutputErrors:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert (tmp_path / "t.txt").read_text() == TREES
         assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
+
+    # one record with an empty sentence, one longer than the default max_len
+    SKIPPED_RECORDS = "".join(json.dumps(record) + "\n" for record in [
+        {"premise": "tok00", "hypothesis": "", "label": "mixed"},
+        {"premise": "tok00 " * 121, "hypothesis": "tok01", "label": "subset"}])
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("parse", "tok00 tok01\n\ntok02\n", "{input}:2: empty sentence"),
+        ("train", SKIPPED_RECORDS, "no usable examples after loading"),
+        ("eval", SKIPPED_RECORDS, "no usable examples after loading"),
+        ("treescore", TREES, "--per-sentence needs exactly one --pred file"),
+        ("similarity", "tok00\ttok01\n\ntok02\n",
+         "{input}:3: expected two tab-separated sentences"),
+    ])
+    def test_input_the_command_cannot_use_exits_2_with_one_error_line(
+            self, workspace, tmp_path, capsys, command, text, message):
+        source = tmp_path / "input.txt"
+        source.write_text(text, encoding="utf-8")
+        checkpoint = str(workspace / "model.ckpt")
+        argv = {
+            "parse": ["parse", "--checkpoint", checkpoint, "--input", str(source)],
+            "train": ["train", "--task", "pair", "--train", str(source),
+                      "--val", str(workspace / "val.jsonl"),
+                      "--embeddings", str(workspace / "emb.txt"),
+                      "--labels", "mixed,subset", "--out", "x.ckpt"],
+            "eval": ["eval", "--checkpoint", checkpoint, "--corpus", str(source)],
+            "treescore": ["treescore", "--pred", str(source), str(source),
+                          "--baselines-only", "--per-sentence", "per.tsv"],
+            "similarity": ["similarity", "--checkpoint", checkpoint, "--pairs", str(source)],
+        }[command]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {message.format(input=source)}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["input.txt"]
 
     def test_outputs_naming_one_file_through_a_symlink_exit_2(self, tmp_path, capsys):
         (tmp_path / "trees.txt").write_text(TREES)

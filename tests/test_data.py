@@ -397,20 +397,62 @@ def _file_write(call: ast.Call):
     return None
 
 
-def test_every_file_write_goes_through_write_file():
-    # one module owns how a file is written: outside data.write_file, no
-    # library code opens a file for writing or calls a writing helper
+def _file_open(call: ast.Call):
+    """How ``call`` opens a file, or None.  ``np.loadtxt`` is not counted:
+    ``load_embeddings`` hands it text that ``read_lines`` has read."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        owner, name = None, func.id
+    elif isinstance(func, ast.Attribute):
+        owner, name = getattr(func.value, "id", None), func.attr
+    else:
+        return None
+    if (name in ("open", "fdopen", "read_text", "read_bytes", "fromfile", "memmap")
+            or (owner in ("np", "numpy") and name == "load")):
+        return ast.unparse(func)
+    return None
+
+
+def _calls_outside(owners: dict, what) -> list[str]:
+    """``what(call)`` of each call in the package's modules for which it is
+    not None, except in the functions ``owners`` names per module file
+    (``"name"`` or ``"Class.name"``)."""
     found = []
     for path in sorted(Path(data.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = set()
-        if path.name == "data.py":
-            [writer] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                        and node.name == "write_file"]
-            allowed = {id(node) for node in ast.walk(writer)}
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            for func in methods:
+                if (isinstance(func, ast.FunctionDef)
+                        and prefix + func.name in owners.get(path.name, ())):
+                    allowed.update(id(inner) for inner in ast.walk(func))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and id(node) not in allowed:
-                what = _file_write(node)
-                if what:
-                    found.append(f"{path.name} line {node.lineno}: {what}")
+                if text := what(node):
+                    found.append(f"{path.name} line {node.lineno}: {text}")
+    return found
+
+
+def test_every_file_write_goes_through_write_file():
+    # one module owns how a file is written: outside data.write_file, no
+    # library code opens a file for writing or calls a writing helper
+    found = _calls_outside({"data.py": {"write_file"}}, _file_write)
     assert not found, f"file writes outside data.write_file: {found}"
+
+
+# the only functions that open a file: the text reader, the writer, the
+# checkpoint reader and the input digest
+FILE_OPENERS = {"data.py": {"read_lines", "write_file"}, "training.py": {"Checkpoint.load"},
+                "cli.py": {"_sha256"}}
+
+
+def test_every_file_read_goes_through_the_known_openers():
+    found = _calls_outside(FILE_OPENERS, _file_open)
+    assert not found, f"files opened outside {FILE_OPENERS}: {found}"
+    # each opener named is found and opens a file, so none is a stale name
+    for module, names in FILE_OPENERS.items():
+        for name in names:
+            others = {**FILE_OPENERS, module: names - {name}}
+            assert _calls_outside(others, _file_open), f"{module}: {name} opens no file"

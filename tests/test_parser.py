@@ -348,6 +348,12 @@ class TestStGumbelSelect:
         with pytest.raises(ValueError, match="probability"):
             st_gumbel_select(Tensor([0.9, 0.9]), GumbelConfig(), noise=np.zeros(2))
 
+    @pytest.mark.parametrize("mode", ["train", "soft"])
+    @pytest.mark.parametrize("scores", [Tensor([0.2, 0.5, 0.3]), np.array([0.2, 0.5, 0.3])])
+    def test_noisy_mode_without_noise_raises_naming_the_function(self, mode, scores):
+        with pytest.raises(ValueError, match=f"^st_gumbel_select: {mode} mode needs noise$"):
+            st_gumbel_select(scores, GumbelConfig(mode=mode))
+
     def test_perturb_probs_flag_changes_operand(self):
         scores = Tensor([0.6, 0.4])
         noise = np.array([0.0, 0.3])

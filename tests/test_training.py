@@ -1,5 +1,6 @@
 """Optimizer, evaluation metrics, training loop, checkpoints."""
 
+import io
 import json
 import re
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from treeattn.data import EmbeddingMatrix, PairExample, load_embeddings, load_pair_corpus
 from treeattn.tensor import (GradientBatch, Tape, Tensor, backward, cross_entropy,
                              finite_difference_check)
-from treeattn.training import (_READ_CHUNK, Adam, Checkpoint, TrainConfig,
+from treeattn.training import (Adam, Checkpoint, TrainConfig,
                                TrainingDiverged, adam_step, clip_gradients, evaluate,
                                macro_f1, snapshot, train)
 from treeattn import toy, training
@@ -316,9 +317,18 @@ class TestCheckpoint:
         assert (again.params["embedding"] is stored) == frozen
 
     def test_corrupt_file_rejected(self, tmp_path):
-        # longer than two read chunks, and ending in a marker cut short
+        # longer than two read buffers, and ending in a marker cut short
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"not a checkpoint\n" + b"x" * (2 * _READ_CHUNK) + b"blob")
+        path.write_bytes(b"not a checkpoint\n" + b"x" * (2 * io.DEFAULT_BUFFER_SIZE) + b"blob")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a checkpoint "
+                                             r"\(missing blob marker\)$"):
+            Checkpoint.load(path)
+
+    def test_blob_marker_must_be_a_line_of_its_own(self, tmp_path):
+        # a header line that only ends in "blob" does not end the header
+        path = tmp_path / "bad.ckpt"
+        data = (FIXTURES / "affine.ckpt").read_bytes()
+        path.write_bytes(data.replace(b"\nblob\n", b"\nxblob\n", 1))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a checkpoint "
                                              r"\(missing blob marker\)$"):
             Checkpoint.load(path)
@@ -390,9 +400,9 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.params["embedding"], vectors)
         assert peak <= 1.25 * size, f"peak {peak / size:.2f}x the file size"
 
-    @pytest.mark.parametrize("at", [chunk * _READ_CHUNK + shift
-                                    for chunk in (1, 2) for shift in range(-6, 7)])
-    def test_blob_marker_at_any_offset_near_a_read_chunk_boundary_loads(self, tmp_path, at):
+    @pytest.mark.parametrize("at", [fill * io.DEFAULT_BUFFER_SIZE + shift
+                                    for fill in (1, 2) for shift in range(-6, 7)])
+    def test_blob_marker_at_any_offset_near_a_read_buffer_boundary_loads(self, tmp_path, at):
         # each character of the long word moves the marker one byte
         params = {"head.out_bias": np.arange(3, dtype=np.float32),
                   "leaf.weight": np.arange(12, dtype=np.float32).reshape(4, 3)}
