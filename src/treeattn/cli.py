@@ -155,6 +155,15 @@ def _read_sentences(path):
     return sentences
 
 
+def _usable_corpus(config: TrainConfig, flag: str, path, vocab) -> list:
+    """The examples of the corpus that ``flag`` names at ``path``; a corpus
+    that leaves none after loading is an input error naming both."""
+    examples = load_corpus(config.task, path, vocab, config.labels, config.max_len)
+    if not examples:
+        raise CliError(f"{flag} {path}: no usable examples after loading")
+    return examples
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -178,10 +187,8 @@ def cmd_train(args) -> tuple:
         raise CliError(f"bad training setting: {err}") from None
     vocab, embedding = load_embeddings(args.embeddings, vocab_limit=args.vocab_limit,
                                        seed=seed, trainable=args.finetune_embeddings)
-    train_set = load_corpus(config.task, args.train, vocab, labels, config.max_len)
-    val_set = load_corpus(config.task, args.val, vocab, labels, config.max_len)
-    if not train_set or not val_set:
-        raise CliError("no usable examples after loading")
+    train_set = _usable_corpus(config, "--train", args.train, vocab)
+    val_set = _usable_corpus(config, "--val", args.val, vocab)
 
     result = train(train_set, val_set, config, vocab, embedding)
     best = result.checkpoint
@@ -192,9 +199,7 @@ def cmd_train(args) -> tuple:
 
 def cmd_eval(args) -> tuple:
     cfg, model = _load_checkpoint(args.checkpoint)
-    examples = load_corpus(cfg.task, args.corpus, model.vocab, cfg.labels, cfg.max_len)
-    if not examples:
-        raise CliError("no usable examples after loading")
+    examples = _usable_corpus(cfg, "--corpus", args.corpus, model.vocab)
     result = evaluate(examples, model)
     print(f"accuracy\t{result.accuracy:.4f}")
     print(f"macro_f1\t{result.macro_f1:.4f}")

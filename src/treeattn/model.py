@@ -103,10 +103,24 @@ class Model:
         """Run the encoder over one sentence of vocabulary indices."""
         if mode != "infer" and rng is None:
             raise ValueError(f"mode {mode!r} draws Gumbel noise and needs an rng")
-        words = take_rows(self.embedding.vectors, token_ids)
-        leaves = parser.leaf_transform(words, self.leaf_params)
-        tree, nodes = parser.induce_tree(leaves, self.composition, self.query,
+        tree, nodes = parser.induce_tree(self._leaves(token_ids), self.composition, self.query,
                                          replace(self.selection, mode=mode), rng, tokens=tokens)
+        return self._pooled(tree, nodes)
+
+    def encode_group(self, sentences: list[list[int]]) -> list[EncodedSentence]:
+        """``encode`` in ``infer`` mode over several sentences, whose trees
+        one ``parser.induce_tree`` call induces in lockstep; each result is
+        bit for bit what the sentence gives alone."""
+        induced = parser.induce_tree([self._leaves(ids) for ids in sentences],
+                                     self.composition, self.query,
+                                     replace(self.selection, mode="infer"))
+        return [self._pooled(tree, nodes) for tree, nodes in induced]
+
+    def _leaves(self, token_ids: list[int]) -> list[parser.NodeState]:
+        words = take_rows(self.embedding.vectors, token_ids)
+        return parser.leaf_transform(words, self.leaf_params)
+
+    def _pooled(self, tree: BinaryTree, nodes: list[parser.NodeState]) -> EncodedSentence:
         pooled = attention.attend([state.h for state in nodes], self.attn)
         return EncodedSentence(tree, nodes, pooled.sentence, pooled.weights)
 
@@ -114,15 +128,12 @@ class Model:
                rng: np.random.Generator | None = None,
                dropout_keep: float = 1.0) -> Tensor:
         """Class logits for a pair or sentence example (matching the task)."""
+        self._check_example(example)
         if self.task == "pair":
-            if not isinstance(example, PairExample):
-                raise TypeError("pair model expects PairExample inputs")
             s1 = self.encode(example.premise, mode, rng).sentence
             s2 = self.encode(example.hypothesis, mode, rng).sentence
             feature = classifier.featurize_pair(s1, s2)
         else:
-            if not isinstance(example, SentenceExample):
-                raise TypeError("sentence model expects SentenceExample inputs")
             feature = self.encode(example.tokens, mode, rng).sentence
         masks = None
         if mode == "train" and dropout_keep < 1.0:
@@ -130,6 +141,27 @@ class Model:
                      classifier.make_dropout_mask(rng, self.head.hidden_bias.shape[0],
                                                   dropout_keep))
         return classifier.classify(feature, self.head, masks)
+
+    def infer_logits(self, examples) -> list[Tensor]:
+        """``logits`` in ``infer`` mode of each example, with the trees of
+        all their sentences induced by one ``encode_group`` call; each is
+        bit for bit what the example gives alone."""
+        for example in examples:
+            self._check_example(example)
+        if self.task == "sentence":
+            return [classifier.classify(encoded.sentence, self.head)
+                    for encoded in self.encode_group([ex.tokens for ex in examples])]
+        encoded = self.encode_group([ids for ex in examples
+                                     for ids in (ex.premise, ex.hypothesis)])
+        return [classifier.classify(classifier.featurize_pair(s1.sentence, s2.sentence),
+                                    self.head)
+                for s1, s2 in zip(encoded[::2], encoded[1::2])]
+
+    def _check_example(self, example) -> None:
+        if self.task == "pair" and not isinstance(example, PairExample):
+            raise TypeError("pair model expects PairExample inputs")
+        if self.task == "sentence" and not isinstance(example, SentenceExample):
+            raise TypeError("sentence model expects SentenceExample inputs")
 
     def example_loss(self, example, mode: str = "train",
                      rng: np.random.Generator | None = None,

@@ -271,10 +271,14 @@ class TreeLstmCells:
     and ``bias`` (5H,), with gate blocks [candidate; input; forget-left;
     forget-right; output] applied to ``pairs``.  The parents' ``h`` and
     ``c`` (k, H) and logits (k,) are written into the arrays given, which
-    ``induce_tree`` passes as the pairs' candidate rows.  One matrix
-    product takes all k pre-activations and one more all k logits, so a
-    pair's values match those of the elementary ops to the last bits, and
-    those bits may depend on k.  Each gate is the logistic in its tanh form
+    ``induce_tree`` passes as the pairs' candidate rows.  The rows fall
+    into ``segments``, slices of consecutive rows (one sentence's each, by
+    default all k as one): one matrix product takes a segment's
+    pre-activations and one more its logits, so a pair's values match
+    those of the elementary ops to the last bits.  Those bits may depend on
+    the segment's row count (BLAS does not round every row count alike),
+    but not on the rows around it, because everything else is elementwise
+    and runs once over all k rows.  Each gate is the logistic in its tanh form
     ``0.5 + 0.5 * tanh(x / 2)``, so one ``tanh`` over the halved gate blocks
     and the candidate block gives all five; it saturates to exactly 0 or 1
     and raises no floating-point error.  The pre-activation is checked for
@@ -286,11 +290,13 @@ class TreeLstmCells:
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, query: np.ndarray,
                  pairs: np.ndarray, mems: np.ndarray, h: np.ndarray, c: np.ndarray,
-                 logits: np.ndarray):
+                 logits: np.ndarray, segments: tuple[slice, ...] = (slice(None),)):
         k, hidden = h.shape
         self.query, self.pairs, self.mems, self.h, self.c, self.logits = (
             query, pairs, mems, h, c, logits)
-        pre = pairs @ weight.T
+        pre, weight_t = np.empty((k, 5 * hidden)), weight.T
+        for rows in segments:
+            np.matmul(pairs[rows], weight_t, out=pre[rows])
         pre += bias
         if not _all_finite(pre):
             raise NonFiniteError("tree_induction: pre-activation has non-finite values")
@@ -308,7 +314,8 @@ class TreeLstmCells:
         c += blocks[:, 0] * blocks[:, 1]
         self.tanh_c = np.tanh(c)
         np.multiply(self.tanh_c, blocks[:, 4], out=h)
-        np.matmul(h, query, out=logits)
+        for rows in segments:
+            np.matmul(h[rows], query, out=logits[rows])
         if not (_all_finite(c) and _all_finite(logits)):
             raise NonFiniteError("tree_induction: produced non-finite values")
 
@@ -351,18 +358,23 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compose(pairs: np.ndarray, mems: np.ndarray, query: Tensor, params: CompositionParams,
-            out: tuple[np.ndarray, np.ndarray, np.ndarray]) -> TreeLstmCells:
+            out: tuple[np.ndarray, np.ndarray, np.ndarray],
+            segments: tuple[slice, ...] = (slice(None),)) -> TreeLstmCells:
     """Merge each pair of child states into a parent with the binary
     Tree-LSTM cell: row j of ``pairs`` (k, 2H) is ``[h_left; h_right]`` of
     pair j and row j of ``mems`` (k, 2H) its ``[c_left; c_right]``.
     Returns the ``TreeLstmCells`` holding the parents' ``h``, ``c`` and
     validity logits (dot products with ``query``) and what its
     ``backward`` needs.  The parents are written into ``out``, the arrays
-    ``(h, c, logits)`` of shapes (k, H), (k, H) and (k,).  ``induce_tree``
-    calls it once for the first layer and once per merge but the last,
-    with ``out`` the pairs' candidate rows, and its ``tree_induction``
-    record replays those cells' backward."""
-    return TreeLstmCells(params.weight.data, params.bias.data, query.data, pairs, mems, *out)
+    ``(h, c, logits)`` of shapes (k, H), (k, H) and (k,); ``segments`` are
+    the row slices that take their matrix products apart (one per
+    sentence).  Per sentence, ``induce_tree`` calls it once for the first
+    layer, then once per merge but the last for the pairs that touch the
+    new node; ``infer`` mode makes the later calls once per layer for all
+    sentences of a group.  ``out`` is the pairs' candidate rows, and the
+    ``tree_induction`` record replays those cells' backward."""
+    return TreeLstmCells(params.weight.data, params.bias.data, query.data, pairs, mems,
+                         *out, segments)
 
 
 def softmax_argmax(logits: np.ndarray) -> int:
@@ -476,9 +488,9 @@ def st_gumbel_select(scores, config: GumbelConfig,
     return index, _emit("gumbel_softmax", (scores,), out, grad_fn)
 
 
-def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tensor,
-                config: GumbelConfig, rng: np.random.Generator | None = None,
-                tokens=None) -> tuple[BinaryTree, list[NodeState]]:
+def induce_tree(leaves: list[NodeState] | list[list[NodeState]], params: CompositionParams,
+                query: Tensor, config: GumbelConfig, rng: np.random.Generator | None = None,
+                tokens=None):
     """Reduce a sentence to a single node, one merge per layer.
 
     At every layer all adjacent pairs are candidates: each is composed,
@@ -487,6 +499,12 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     it is the weighted sum of all candidates under the relaxed selection
     weights.  Returns the induced tree and all 2n - 1 node states (leaves
     first, then composed nodes in creation order).
+
+    In ``infer`` mode ``leaves`` may instead be a group: a list of
+    sentences' leaf lists, with ``tokens`` None or one entry per sentence.
+    Their trees are induced in lockstep (``_induce_lockstep``), and the
+    result is one (tree, nodes) per sentence, each bit for bit what the
+    sentence gives alone.
 
     The state lives in arrays.  Leaf i is node i and the node made by merge
     t is node n + t; their ``h`` and ``c`` are rows of one (2, 2n - 1, H)
@@ -502,7 +520,9 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     their candidate rows.
 
     Every mode makes the same calls at each layer: ``compose``, then
-    ``validity_scores`` of the live logits, then ``st_gumbel_select``.  In
+    ``validity_scores`` of the live logits, then ``st_gumbel_select``
+    (after the first layer, ``infer`` shares one ``compose`` call among the
+    sentences of a group).  In
     ``infer`` mode no softmax is taken unless a near tie needs it
     (``softmax_argmax``), and the merge is the same as the softmax's argmax.
 
@@ -519,24 +539,28 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     layers is one draw per sentence, which gives the same values and leaves
     ``rng`` in the same state as one draw per layer.
     """
+    group = bool(leaves) and not isinstance(leaves[0], NodeState)
+    if config.mode == "infer":
+        if group:
+            return _induce_lockstep(leaves, params, query, config,
+                                    tokens if tokens is not None else [None] * len(leaves))
+        return _induce_lockstep([leaves], params, query, config, [tokens])[0]
+    if group:
+        raise ValueError(f"induce_tree: {config.mode} mode induces one sentence at a time")
     n = len(leaves)
     if n == 0:
         raise ShapeError("induce_tree: empty sentence")
     if n == 1:
         return BinaryTree(1, (), tokens), list(leaves)
+    _check_leaves(leaves, params, query)
     leaf_h, leaf_c = [leaf.h for leaf in leaves], [leaf.c for leaf in leaves]
-    _check_same_vectors("tree_induction", (query, *leaf_h, *leaf_c))
     hidden = query.shape[0]
     weight, bias = params.weight, params.bias
-    if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
-        raise ShapeError(f"tree_induction: weight {weight.shape} and bias {bias.shape} "
-                         f"do not fit children of size {hidden}")
-    mode = config.mode
+    soft = config.mode == "soft"
     # one draw per sentence: layer t's n - 1 - t values start at offset
     # (every layer its own, as if drawn per layer) or at 0 (one vector reused)
-    noise, offset = None, 0
-    if mode != "infer":
-        noise = gumbel_noise(n * (n - 1) // 2 if config.noise_per_layer else n - 1, rng)
+    noise = gumbel_noise(n * (n - 1) // 2 if config.noise_per_layer else n - 1, rng)
+    offset = 0
     nodes_hc = np.empty((2, 2 * n - 1, hidden))  # every node's h, then its c
     node_h, node_c = nodes_hc
     node_h[:n] = [t.data for t in leaf_h]
@@ -554,31 +578,24 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
     window = nodes[:]
     merges: list[int] = []
     for t in range(n - 1):
-        # the window's k adjacent pairs as rows [left; right]: nodes a, b, c
-        # gather as a, b, b, c
-        children = [node for node in window for _ in (0, 1)][1:-1]
         rows = slice(count, count + len(window) - 1)
-        pairs, mems = nodes_hc.take(children, 1).reshape(2, -1, 2 * hidden)
+        pairs, mems = nodes_hc.take(_children(window), 1).reshape(2, -1, 2 * hidden)
         made = compose(pairs, mems, query, params,
                        out=(cand_h[rows], cand_c[rows], cand_logit[rows]))
         live[slot:slot] = range(rows.start, rows.stop)
-        if mode != "infer":
-            cells.append((rows, made, window))
+        cells.append((rows, made, window))
         count = rows.stop
         logits = cand_logit.take(live)
         scores = validity_scores(logits, config)
-        layer_noise = None
-        if noise is not None:
-            layer_noise = noise[offset:offset + len(logits)]
-            offset += len(logits) if config.noise_per_layer else 0
+        layer_noise = noise[offset:offset + len(logits)]
+        offset += len(logits) if config.noise_per_layer else 0
         index, relaxed = st_gumbel_select(scores, config, noise=layer_noise)
-        if mode == "soft":
+        if soft:
             node_h[n + t] = relaxed @ cand_h[live]
             node_c[n + t] = relaxed @ cand_c[live]
         else:
             nodes_hc[:, n + t] = cands_hc[:, live[index]]
-        if mode != "infer":
-            steps.append((live[:], index, scores, relaxed))
+        steps.append((live[:], index, scores, relaxed))
         merges.append(index)
         nodes[index:index + 2] = [n + t]
         slot = max(index - 1, 0)
@@ -610,7 +627,7 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
                 g_pres[t + 1] = cell_backward(*cells[t + 1])
             live_rows, index, probs, relaxed = steps[t]
             g_h, g_c = g_node_h[n + t], g_node_c[n + t]
-            if mode == "soft":
+            if soft:
                 g_cand_h[live_rows] += relaxed[:, None] * g_h
                 g_cand_c[live_rows] += relaxed[:, None] * g_c
             else:
@@ -626,11 +643,136 @@ def induce_tree(leaves: list[NodeState], params: CompositionParams, query: Tenso
                 g_cand_logit @ cand_h[:count], *g_node_h[:n], *g_node_c[:n])
 
     hs, cs = node_h[n:], node_c[n:]
-    # infer: the composed nodes are constants
-    inputs = () if mode == "infer" else (weight, bias, query, *leaf_h, *leaf_c)
-    outs = _emit("tree_induction", inputs, (*hs, *cs), grad_fn, views_of=(hs, cs))
+    outs = _emit("tree_induction", (weight, bias, query, *leaf_h, *leaf_c), (*hs, *cs),
+                 grad_fn, views_of=(hs, cs))
     return (BinaryTree(n, tuple(merges), tokens),
             [*leaves, *(NodeState(h, c) for h, c in zip(outs[:n - 1], outs[n - 1:]))])
+
+
+def _check_leaves(leaves: list[NodeState], params: CompositionParams, query: Tensor) -> None:
+    """Raise ``ShapeError`` unless the leaves' ``h`` and ``c`` and the query
+    are vectors of one size H that the cell's weights fit."""
+    _check_same_vectors("tree_induction",
+                        (query, *(leaf.h for leaf in leaves), *(leaf.c for leaf in leaves)))
+    hidden = query.shape[0]
+    weight, bias = params.weight, params.bias
+    if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
+        raise ShapeError(f"tree_induction: weight {weight.shape} and bias {bias.shape} "
+                         f"do not fit children of size {hidden}")
+
+
+def _children(window: list[int]) -> list[int]:
+    """The window's adjacent pairs as rows [left; right]: nodes a, b, c
+    gather as a, b, b, c."""
+    return [node for node in window for _ in (0, 1)][1:-1]
+
+
+class _Lockstep:
+    """One sentence of a lockstep induction: its position in the group, its
+    size n, the group row of its first node, and its current nodes, live
+    candidate rows (both in sentence order) and merges so far."""
+
+    __slots__ = ("index", "n", "base", "nodes", "live", "merges")
+
+    def __init__(self, index: int, n: int, base: int):
+        self.index, self.n, self.base = index, n, base
+        self.nodes = list(range(base, base + n))
+        self.live: list[int] = []
+        self.merges: list[int] = []
+
+
+def _induce_lockstep(sentences: list[list[NodeState]], params: CompositionParams,
+                     query: Tensor, config: GumbelConfig,
+                     tokens: list) -> list[tuple[BinaryTree, list[NodeState]]]:
+    """``infer``-mode induction of a group of sentences, layer by layer in
+    lockstep; one (tree, nodes) per sentence, as ``induce_tree`` gives it.
+
+    The layout is ``induce_tree``'s, for the whole group: the nodes of
+    every sentence (2n - 1 rows each) are rows of one (2, rows, H) array,
+    and every candidate composed of one candidate array.  Each sentence's
+    first layer is one ``compose`` call of its own.  After that, a layer
+    selects one merge per sentence still being induced, each through its
+    own ``validity_scores`` and ``st_gumbel_select`` calls, copies all
+    chosen candidates into their nodes at once, gathers the pairs that
+    touch every new node with one ``take``, and composes them in one
+    ``compose`` call with one segment per sentence.  The cell's matrix
+    products thus run per sentence with the row counts of inducing it
+    alone (the first layer's n - 1, then at most 2), and all the rest is
+    elementwise; so each sentence's merges and node bits do not depend on
+    the group.  A non-finite value in any sentence raises
+    ``NonFiniteError`` at the first check, in this order, that sees one.
+    """
+    hidden = query.shape[0]
+    induced: list = [None] * len(sentences)
+    runs: list[_Lockstep] = []
+    size = 0  # node rows of the group
+    for i, leaves in enumerate(sentences):
+        n = len(leaves)
+        if n == 0:
+            raise ShapeError("induce_tree: empty sentence")
+        if n == 1:
+            induced[i] = BinaryTree(1, (), tokens[i]), list(leaves)
+            continue
+        _check_leaves(leaves, params, query)
+        runs.append(_Lockstep(i, n, size))
+        size += 2 * n - 1
+    if not runs:
+        return induced
+    nodes_hc = np.empty((2, size, hidden))  # every node's h, then its c
+    # a sentence's n - 1 first-layer pairs, then at most two per merge but the last
+    cand_rows = sum(3 * run.n for run in runs)
+    cands_hc = np.empty((2, cand_rows, hidden))
+    cand_h, cand_c = cands_hc
+    cand_logit = np.empty(cand_rows)
+    count = 0  # candidate rows filled
+    for run in runs:
+        leaves = sentences[run.index]
+        nodes_hc[:, run.base:run.base + run.n] = [[leaf.h.data for leaf in leaves],
+                                                  [leaf.c.data for leaf in leaves]]
+        rows = slice(count, count + run.n - 1)
+        pairs, mems = nodes_hc.take(_children(run.nodes), 1).reshape(2, -1, 2 * hidden)
+        compose(pairs, mems, query, params,
+                out=(cand_h[rows], cand_c[rows], cand_logit[rows]))
+        run.live = list(range(rows.start, rows.stop))
+        count = rows.stop
+    active = runs
+    while active:
+        made, chosen = [], []  # per sentence: its new node, the candidate row it copies
+        # the pairs that touch the new nodes, and each sentence's rows of them
+        children, segments, going_on = [], [], []
+        for run in active:
+            scores = validity_scores(cand_logit.take(run.live), config)
+            index, _ = st_gumbel_select(scores, config)
+            node = run.base + run.n + len(run.merges)
+            made.append(node)
+            chosen.append(run.live[index])
+            run.merges.append(index)
+            run.nodes[index:index + 2] = [node]
+            if len(run.nodes) == 1:
+                continue
+            slot = max(index - 1, 0)
+            start = len(children) // 2
+            children += _children(run.nodes[slot:index + 2])
+            segments.append(slice(start, len(children) // 2))
+            run.live[slot:index + 2] = range(count + start, count + len(children) // 2)
+            going_on.append(run)
+        nodes_hc[:, made] = cands_hc[:, chosen]
+        if going_on:
+            rows = slice(count, count + len(children) // 2)
+            pairs, mems = nodes_hc.take(children, 1).reshape(2, -1, 2 * hidden)
+            compose(pairs, mems, query, params,
+                    out=(cand_h[rows], cand_c[rows], cand_logit[rows]), segments=tuple(segments))
+            count = rows.stop
+        active = going_on
+    for run in runs:
+        n, first = run.n, run.base + run.n  # the sentence's first composed node
+        hs, cs = nodes_hc[:, first:first + n - 1]
+        # constants, copies of candidates whose values compose has checked
+        outs = _emit("tree_induction", (), (*hs, *cs), None, views_of=())
+        induced[run.index] = (
+            BinaryTree(n, tuple(run.merges), tokens[run.index]),
+            [*sentences[run.index], *(NodeState(h, c) for h, c in zip(outs[:n - 1], outs[n - 1:]))])
+    return induced
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ from .tensor import GradientBatch, NonFiniteError, Tape, Tensor, backward, stabl
 CHECKPOINT_MAGIC = "treeattn-checkpoint"
 CHECKPOINT_VERSION = 1
 _BLOB_MARKER = b"blob\n"  # the line that ends a checkpoint's header; the float32 blob follows
+# examples per lockstep group in evaluate: large enough to share the per-call
+# work of tree induction, small enough that a group's arrays stay small
+EVAL_GROUP = 8
 
 
 class TrainingDiverged(ArithmeticError):
@@ -166,18 +169,34 @@ def _build_model(config: TrainConfig, rng: np.random.Generator, vocab: Vocabular
 # ---------------------------------------------------------------------------
 
 def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float, beta1: float, beta2: float, eps: float) -> None:
-    """One bias-corrected Adam update, in place, in 64-bit arithmetic."""
+              t: int, lr: float, beta1: float, beta2: float, eps: float,
+              scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    """One bias-corrected Adam update, in place, in 64-bit arithmetic:
+    ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + ((1 - beta2) g) g`` and
+    ``value -= (lr m_hat) / (sqrt(v_hat) + eps)``, in that association.
+    ``scratch`` is two float64 arrays of ``value``'s shape that the step
+    overwrites, so it allocates nothing."""
+    a, b = scratch
     m *= beta1
-    m += (1.0 - beta1) * grad
+    np.multiply(grad, 1.0 - beta1, out=a)
+    m += a
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.multiply(grad, 1.0 - beta2, out=a)
+    a *= grad
+    v += a
+    np.divide(m, 1.0 - beta1 ** t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - beta2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    value -= a
 
 
 class Adam:
+    """Adam over named parameters, with two scratch buffers of the largest
+    parameter's size that every parameter's step shares."""
+
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
@@ -185,6 +204,7 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._scratch = np.empty((2, max((p.data.size for p in params.values()), default=0)))
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -194,8 +214,9 @@ class Adam:
         self.t += 1
         for name, p in self.params.items():
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+            a, b = (s[:p.data.size].reshape(p.data.shape) for s in self._scratch)
             adam_step(p.data, grad, self.m[name], self.v[name], self.t,
-                      self.lr, self.beta1, self.beta2, self.eps)
+                      self.lr, self.beta1, self.beta2, self.eps, (a, b))
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -252,8 +273,11 @@ def macro_f1(gold: list[int], predicted: list[int], num_classes: int) -> float:
 def evaluate(examples, model: Model) -> EvalResult:
     """Accuracy and macro-F1 with deterministic inference-mode trees.
 
-    Inference runs per example (no padding, no batching), so results are
-    identical for any batch size.
+    The examples are encoded in groups of ``EVAL_GROUP``, the trees of a
+    group's sentences induced in lockstep (``Model.infer_logits``).  No
+    example is padded and every matrix product stays per sentence, so each
+    example's probabilities are bit for bit those of encoding it alone,
+    whatever the group holds; a group is freed before the next is encoded.
     """
     if not examples:
         raise ValueError("evaluate: empty corpus")
@@ -264,10 +288,11 @@ def evaluate(examples, model: Model) -> EvalResult:
                              f"model's {num_classes} classes")
 
     predictions = []
-    for i, ex in enumerate(examples):
-        logits = model.logits(ex, mode="infer")
-        probs = stable_softmax(logits.data)
-        predictions.append(Prediction(i, ex.label, int(np.argmax(logits.data)), probs))
+    for start in range(0, len(examples), EVAL_GROUP):
+        group = examples[start:start + EVAL_GROUP]
+        for i, (ex, logits) in enumerate(zip(group, model.infer_logits(group)), start):
+            probs = stable_softmax(logits.data)
+            predictions.append(Prediction(i, ex.label, int(np.argmax(logits.data)), probs))
     gold = [p.gold for p in predictions]
     pred = [p.predicted for p in predictions]
     accuracy = sum(1 for g, p in zip(gold, pred) if g == p) / len(predictions)
@@ -439,6 +464,10 @@ def _read_header(header: bytes):
     if head != "params" or len(count) != 1:
         raise ValueError("bad parameter count line: expected 'params <n>'")
     shapes = [numbered_line("parameter shape") for _ in range(count[0])]
+    extra = next(lines, None)
+    if extra is not None:
+        raise ValueError(f"unexpected header line {extra!r} after the {count[0]} "
+                         f"parameter shape lines")
     return config, meta, vocab_words, shapes
 
 

@@ -47,23 +47,32 @@ def test_every_call_site_records_calls(tmp_path):
 
 
 def test_infer_evaluation_records_every_induction_span():
-    # per sentence of n words: one compose call for the first layer and one
-    # per merge but the last, one validity_scores call over each layer's
-    # n - 1 - t candidates, and one st_gumbel_select call per merge
+    # evaluate induces each group of EVAL_GROUP examples in one induce_tree
+    # call: every sentence of n >= 2 words makes one compose call for its
+    # first layer, then each later layer one compose call for the new pairs
+    # of all sentences still being induced, so a group of longest sentence
+    # m makes m - 2 of those.  Selection stays per sentence: one
+    # validity_scores call over each layer's n - 1 - t candidates and one
+    # st_gumbel_select call per merge
     model = tiny_pair_model()
     rng = np.random.default_rng(3)
-    lengths = [(1, 4), (6, 2), (9, 3)]
+    lengths = [(1, 4), (6, 2), (9, 3), *(tuple(int(n) for n in rng.integers(1, 8, size=2))
+                                         for _ in range(training.EVAL_GROUP))]
     examples = [data.PairExample([int(i) for i in rng.integers(2, 12, size=p)],
-                                 [int(i) for i in rng.integers(2, 12, size=h)], label)
+                                 [int(i) for i in rng.integers(2, 12, size=h)], label % 3)
                 for label, (p, h) in enumerate(lengths)]
-    sentences = [n for pair in lengths for n in pair]
+    groups = [[n for pair in lengths[i:i + training.EVAL_GROUP] for n in pair]
+              for i in range(0, len(lengths), training.EVAL_GROUP)]
+    sentences = [n for group in groups for n in group]
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         training.evaluate(examples, model)
     merges = sum(n - 1 for n in sentences)
+    assert len(groups) == 2
     assert tracer.calls["training.evaluate"] == 1
-    assert tracer.calls["parser.induce_tree"] == len(sentences)
-    assert tracer.calls["parser.compose"] == merges
+    assert tracer.calls["parser.induce_tree"] == len(groups)
+    assert tracer.calls["parser.compose"] == sum(
+        sum(n > 1 for n in group) + max(max(group) - 2, 0) for group in groups)
     assert tracer.calls["parser.validity_scores"] == merges
     assert tracer.counts["candidates"] == sum(n * (n - 1) // 2 for n in sentences)
     assert tracer.calls["parser.st_gumbel_select"] == merges

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 import warnings
 import weakref
@@ -409,6 +410,18 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {bad}: truncated header: no config line\n"
+
+    def test_checkpoint_with_an_extra_header_line_exits_2(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "extra.ckpt"
+        bad.write_bytes((workspace / "model.ckpt").read_bytes().replace(
+            b"\nblob\n", b"\nnot a shape line at all\nblob\n", 1))
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--corpus", str(workspace / "val.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(bad))}: unexpected header line "
+                            rf"'not a shape line at all' after the \d+ parameter shape lines\n",
+                            err), err
 
     def test_checkpoint_config_missing_a_key_exits_2(self, workspace, tmp_path,
                                                       capsys):
@@ -1086,8 +1099,9 @@ class TestInputAndOutputErrors:
 
     @pytest.mark.parametrize("command, text, message", [
         ("parse", "tok00 tok01\n\ntok02\n", "{input}:2: empty sentence"),
-        ("train", SKIPPED_RECORDS, "no usable examples after loading"),
-        ("eval", SKIPPED_RECORDS, "no usable examples after loading"),
+        ("train", SKIPPED_RECORDS, "--train {input}: no usable examples after loading"),
+        ("train-val", SKIPPED_RECORDS, "--val {input}: no usable examples after loading"),
+        ("eval", SKIPPED_RECORDS, "--corpus {input}: no usable examples after loading"),
         ("treescore", TREES, "--per-sentence needs exactly one --pred file"),
         ("similarity", "tok00\ttok01\n\ntok02\n",
          "{input}:3: expected two tab-separated sentences"),
@@ -1103,6 +1117,9 @@ class TestInputAndOutputErrors:
                       "--val", str(workspace / "val.jsonl"),
                       "--embeddings", str(workspace / "emb.txt"),
                       "--labels", "mixed,subset", "--out", "x.ckpt"],
+            "train-val": ["train", "--task", "pair", "--train", str(workspace / "val.jsonl"),
+                          "--val", str(source), "--embeddings", str(workspace / "emb.txt"),
+                          "--labels", "mixed,subset", "--out", "x.ckpt"],
             "eval": ["eval", "--checkpoint", checkpoint, "--corpus", str(source)],
             "treescore": ["treescore", "--pred", str(source), str(source),
                           "--baselines-only", "--per-sentence", "per.tsv"],

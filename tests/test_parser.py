@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeattn import parser
 from treeattn.parser import (MODES, CompositionParams, GumbelConfig, LeafAffineParams,
@@ -623,3 +624,151 @@ class TestInduceTree:
                                       GumbelConfig(noise_per_layer=False),
                                       np.random.default_rng(5))
         assert len(per_layer.merges) == len(per_sentence.merges) == 5
+
+
+def near_tied_leaves(rng, n, hidden, palette):
+    """n leaves drawn from ``palette`` states, each moved by 0-3 units in
+    the last place, so that many candidates tie exactly or nearly."""
+    leaves = []
+    for _ in range(n):
+        h, c = palette[rng.integers(len(palette))]
+        for _ in range(int(rng.integers(4))):
+            h = np.nextafter(h, np.inf)
+        leaves.append(state(h, c))
+    return leaves
+
+
+def node_bytes(nodes):
+    return b"".join(node.h.data.tobytes() + node.c.data.tobytes() for node in nodes)
+
+
+@st.composite
+def lockstep_groups(draw):
+    """Sentences of 1, 2 or up to 60 leaves, random or near-tied, and a
+    shuffled partition of them into groups."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    lengths = draw(st.lists(st.one_of(st.sampled_from([1, 2]), st.integers(1, 60)),
+                            min_size=1, max_size=6))
+    tied = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    order = draw(st.permutations(range(len(lengths))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(lengths)), max_size=3)) | {len(lengths)})
+    return seed, lengths, tied, order, cuts
+
+
+class TestLockstepInduction:
+    @given(lockstep_groups())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_a_group_induces_each_sentence_as_alone(self, drawn):
+        # merges and node bytes match inducing each sentence alone, in one
+        # group and in shuffled groups, because every matrix product stays
+        # per sentence and everything else is elementwise
+        seed, lengths, tied, order, cuts = drawn
+        rng = np.random.default_rng(seed)
+        hidden = 3
+        params, query = init_composition_params(rng, hidden), init_query(rng, hidden)
+        palette = [(rng.normal(size=hidden), rng.normal(size=hidden)) for _ in range(2)]
+        sentences = [near_tied_leaves(rng, n, hidden, palette) if tie
+                     else random_states(rng, n, hidden) for n, tie in zip(lengths, tied)]
+        config = GumbelConfig(mode="infer")
+        alone = [induce_tree(leaves, params, query, config) for leaves in sentences]
+        together = induce_tree(sentences, params, query, config)
+        shuffled = [None] * len(sentences)
+        start = 0
+        for stop in cuts:
+            members = order[start:stop]
+            induced = induce_tree([sentences[i] for i in members], params, query, config)
+            for i, result in zip(members, induced):
+                shuffled[i] = result
+            start = stop
+        for i, (tree, nodes) in enumerate(alone):
+            assert len(nodes) == 2 * lengths[i] - 1 and nodes[:lengths[i]] == sentences[i]
+            for other_tree, other_nodes in (together[i], shuffled[i]):
+                assert other_tree == tree
+                assert node_bytes(other_nodes) == node_bytes(nodes)
+
+    def test_ties_in_a_group_take_the_softmax_argmax(self, monkeypatch):
+        # the near tie of test_infer_near_tie_at_a_later_merge_takes_the_softmax_argmax,
+        # between two sentences of other lengths
+        params = CompositionParams(Tensor(np.zeros((5, 2))), Tensor(np.full(5, 800.0)))
+        last = -1.0
+        for _ in range(64):
+            last = np.nextafter(last, 0.0)
+            tied = [state([0.0], [c]) for c in (-1.0, 0.5, 0.5, last)]
+            if induce_tree(tied, params, Tensor([0.1]), GumbelConfig(mode="infer"))[0].merges \
+                    == (1, 0, 0):
+                break
+        rng = np.random.default_rng(4)
+        group = [random_states(rng, 6, 1), tied, random_states(rng, 2, 1)]
+        spied = []
+
+        def spy(scores, config, real=parser.st_gumbel_select, **kwargs):
+            spied.append(len(scores))
+            return real(scores, config, **kwargs)
+
+        monkeypatch.setattr(parser, "st_gumbel_select", spy)
+        trees = [tree for tree, _ in induce_tree(group, params, Tensor([0.1]),
+                                                 GumbelConfig(mode="infer"))]
+        assert trees[1].merges == (1, 0, 0)
+        # layer by layer, one selection per sentence still being induced
+        assert spied == [5, 3, 1, 4, 2, 3, 1, 2, 1]
+
+    def test_group_of_one_word_sentences_composes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        calls = []
+        monkeypatch.setattr(parser, "compose", lambda *args, **kwargs: calls.append(args))
+        sentences = [random_states(rng, 1, 4) for _ in range(3)]
+        induced = induce_tree(sentences, init_composition_params(rng, 4), init_query(rng, 4),
+                              GumbelConfig(mode="infer"), tokens=[("a",), ("b",), ("c",)])
+        assert [(tree.n, tree.merges, tree.tokens) for tree, _ in induced] == [
+            (1, (), ("a",)), (1, (), ("b",)), (1, (), ("c",))]
+        assert [nodes for _, nodes in induced] == sentences and not calls
+
+    @pytest.mark.parametrize("mode", ["train", "soft"])
+    def test_only_infer_mode_takes_a_group(self, mode):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError, match=f"{mode} mode induces one sentence at a time"):
+            induce_tree([random_states(rng, 3, 2)], init_composition_params(rng, 2),
+                        init_query(rng, 2), GumbelConfig(mode=mode), rng)
+
+    def test_an_empty_sentence_in_a_group_raises(self):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ShapeError, match="induce_tree: empty sentence"):
+            induce_tree([random_states(rng, 3, 2), []], init_composition_params(rng, 2),
+                        init_query(rng, 2), GumbelConfig(mode="infer"))
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["pre-activation", "c"])
+    def test_a_non_finite_value_in_any_sentence_raises(self, bad, case):
+        # three sentences of 3, 4 and 2 leaves; one of them overflows at its
+        # first layer, whichever it is
+        weight = np.full((5, 2), 1.0)
+        params = CompositionParams(Tensor(weight), Tensor(np.zeros(5)))
+        rng = np.random.default_rng(6)
+        group = [[state(rng.normal(size=1), rng.normal(size=1)) for _ in range(n)]
+                 for n in (3, 4, 2)]
+        if case == "pre-activation":
+            group[bad][0] = state([1e308], [0.0])
+            group[bad][1] = state([1e308], [0.0])
+            message = "pre-activation has non-finite values"
+        else:
+            group[bad][0] = state([0.0], [1e308])
+            group[bad][1] = state([0.0], [1e308])
+            params.bias.data[:] = 800.0  # every gate saturates to exactly 1
+            message = "tree_induction: produced non-finite values"
+        with pytest.raises(NonFiniteError, match=message), \
+                np.errstate(over="ignore", invalid="ignore"):
+            induce_tree(group, params, Tensor([1.0]), GumbelConfig(mode="infer"))
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_an_overflow_at_a_later_layer_in_any_sentence_raises(self, bad):
+        # every gate is exactly 1, so a parent's c is c_left + c_right + 1:
+        # the end leaves of sentence ``bad`` hold 0.9e308 each, which
+        # overflows only once a lockstep layer composes a pair holding both
+        params = CompositionParams(Tensor(np.full((5, 2), 1.0)), Tensor(np.full(5, 800.0)))
+        group = [[state([0.0], [0.0]) for _ in range(n)] for n in (3, 4, 2)]
+        group[bad][0] = group[bad][-1] = state([0.0], [0.9e308])
+        config = GumbelConfig(mode="infer")
+        induce_tree(group[:bad] + group[bad + 1:], params, Tensor([1.0]), config)
+        with pytest.raises(NonFiniteError, match="tree_induction: produced non-finite values"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            induce_tree(group, params, Tensor([1.0]), config)

@@ -5,9 +5,11 @@ import json
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeattn.data import EmbeddingMatrix, PairExample, load_embeddings, load_pair_corpus
 from treeattn.tensor import (GradientBatch, Tape, Tensor, backward, cross_entropy,
@@ -20,6 +22,7 @@ from treeattn import toy, training
 from conftest import tiny_pair_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
+LOCKSTEP_MODEL = tiny_pair_model(seed=17)
 
 
 def toy_setup(tmp_path, n_train=24, n_val=12, emb_seed=1):
@@ -49,14 +52,14 @@ class TestAdam:
     def test_zero_gradient_from_fresh_state_is_a_no_op(self):
         value = np.array([1.5, -2.0])
         m, v = np.zeros(2), np.zeros(2)
-        adam_step(value, np.zeros(2), m, v, 1, 0.1, 0.9, 0.999, 1e-8)
+        adam_step(value, np.zeros(2), m, v, 1, 0.1, 0.9, 0.999, 1e-8, np.empty((2, 2)))
         assert value.tolist() == [1.5, -2.0]
         assert not m.any() and not v.any()
 
     def test_first_step_magnitude(self):
         value = np.array([0.0])
         m, v = np.zeros(1), np.zeros(1)
-        adam_step(value, np.ones(1), m, v, 1, 0.1, 0.9, 0.999, 1e-8)
+        adam_step(value, np.ones(1), m, v, 1, 0.1, 0.9, 0.999, 1e-8, np.empty((2, 1)))
         assert value[0] == pytest.approx(-0.09999999900000002, abs=1e-12)
 
     def test_identical_gradients_identical_updates(self):
@@ -72,8 +75,45 @@ class TestAdam:
         value = np.array([0.0])
         m, v = np.array([1.0]), np.array([1.0])
         for t in range(2, 30):
-            adam_step(value, np.zeros(1), m, v, t, 0.0, 0.9, 0.999, 1e-8)
+            adam_step(value, np.zeros(1), m, v, t, 0.0, 0.9, 0.999, 1e-8, np.empty((2, 1)))
         assert m[0] < 0.1 and v[0] < 1.0
+
+    def test_in_place_step_matches_the_allocating_formula_bit_for_bit(self):
+        # the association (1 - b1) g, ((1 - b2) g) g, (lr m_hat) / (sqrt(v_hat) + eps),
+        # with scratch arrays that are views into larger buffers, as Adam.step passes
+        rng = np.random.default_rng(8)
+        shape = (3, 5)
+        value, m, v = rng.normal(size=shape), np.zeros(shape), np.zeros(shape)
+        want, want_m, want_v = value.copy(), m.copy(), v.copy()
+        scratch = [buffer[:15].reshape(shape) for buffer in np.empty((2, 40))]
+        for t in range(1, 6):
+            grad = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3)
+            adam_step(value, grad, m, v, t, 0.01, 0.9, 0.999, 1e-8, scratch)
+            want_m = want_m * 0.9 + (1.0 - 0.9) * grad
+            want_v = want_v * 0.999 + (1.0 - 0.999) * grad * grad
+            m_hat, v_hat = want_m / (1.0 - 0.9 ** t), want_v / (1.0 - 0.999 ** t)
+            want = want - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            for got, expected in ((value, want), (m, want_m), (v, want_v)):
+                assert got.tobytes() == expected.tobytes()
+
+    def test_step_shares_two_scratch_buffers_across_parameters(self):
+        # a step allocates nothing of a parameter's size: the largest
+        # parameter is 80 kB, and the step's peak stays far below it
+        rng = np.random.default_rng(1)
+        params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+                  for name, shape in (("w", (100, 100)), ("b", (100,)), ("q", (7, 3)))}
+        for p in params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        opt = Adam(params, lr=0.01)
+        assert opt._scratch.shape == (2, 10000)
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8000, peak
 
     def test_clip_gradients_scales_global_norm(self):
         a = Tensor(np.zeros(3), requires_grad=True)
@@ -168,6 +208,49 @@ class TestEvaluate:
             train_step(after, mode, 9)
             for got, want in zip(between, alone):
                 np.testing.assert_array_equal(got, want)
+
+    @given(st.data())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_probabilities_do_not_depend_on_the_groups(self, data):
+        # each example alone, all in one group, and shuffled into groups of
+        # another size give the same probabilities to the bit; sentences of
+        # one or two tokens of few distinct words force exact and near ties
+        model = LOCKSTEP_MODEL
+        sentence = st.one_of(
+            st.lists(st.integers(2, 11), min_size=1, max_size=60),
+            st.lists(st.sampled_from([2, 3]), min_size=1, max_size=60),
+            st.integers(1, 2).flatmap(lambda n: st.lists(st.integers(2, 11),
+                                                         min_size=n, max_size=n)))
+        examples = data.draw(st.lists(st.builds(PairExample, sentence, sentence,
+                                                st.integers(0, 2)), min_size=1, max_size=10))
+        alone = [evaluate([ex], model).predictions[0].probs for ex in examples]
+        with mock.patch.object(training, "EVAL_GROUP", len(examples)):
+            together = evaluate(examples, model).predictions
+        order = data.draw(st.permutations(range(len(examples))))
+        with mock.patch.object(training, "EVAL_GROUP", data.draw(st.integers(1, 4))):
+            shuffled = evaluate([examples[i] for i in order], model).predictions
+        for i, probs in enumerate(alone):
+            assert together[i].probs.tobytes() == probs.tobytes()
+            assert shuffled[order.index(i)].probs.tobytes() == probs.tobytes()
+
+    def test_peak_memory_is_that_of_one_group(self):
+        # a group's arrays are freed before the next group is encoded, so
+        # four groups peak within 10% of one
+        model = tiny_pair_model(hidden=32, d_attn=16, d_clf=16)
+        rng = np.random.default_rng(5)
+        examples = [PairExample([int(i) for i in rng.integers(2, 12, size=rng.integers(40, 61))],
+                                [int(i) for i in rng.integers(2, 12, size=rng.integers(20, 31))],
+                                i % 3) for i in range(4 * training.EVAL_GROUP)]
+        evaluate(examples[:2], model)  # caches and lazily built tables
+        peaks = []
+        for count in (1, 4):
+            tracemalloc.start()
+            try:
+                evaluate(examples[:count * training.EVAL_GROUP], model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestTrainLoop:
@@ -354,6 +437,16 @@ class TestCheckpoint:
         path.write_bytes(b"\n".join(lines) + b"blob\n" + blob)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
                                              f"{re.escape(message)}"):
+            Checkpoint.load(path)
+
+    @pytest.mark.parametrize("extra", [b"not a shape line at all", b"", b"head.out_bias 3"])
+    def test_a_header_line_after_the_parameter_shapes_is_named(self, tmp_path, extra):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes((FIXTURES / "affine.ckpt").read_bytes().replace(
+            b"\nblob\n", b"\n" + extra + b"\nblob\n", 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unexpected header "
+                                             f"line {re.escape(repr(extra.decode()))} "
+                                             f"after the 12 parameter shape lines$"):
             Checkpoint.load(path)
 
     @pytest.mark.parametrize("edit, message", [
