@@ -109,8 +109,9 @@ class Model:
 
     def encode_group(self, sentences: list[list[int]]) -> list[EncodedSentence]:
         """``encode`` in ``infer`` mode over several sentences, whose trees
-        one ``parser.induce_tree`` call induces in lockstep; each result is
-        bit for bit what the sentence gives alone."""
+        one ``parser.induce_tree`` call induces in lockstep, in the loop that
+        induces a sentence alone as a group of one; each result is bit for
+        bit what ``encode`` gives the sentence."""
         induced = parser.induce_tree([self._leaves(ids) for ids in sentences],
                                      self.composition, self.query,
                                      replace(self.selection, mode="infer"))

@@ -7,7 +7,9 @@ training the selection is a straight-through Gumbel draw: the forward
 value is a hard one-hot over candidates while the backward pass sees the
 gradient of the temperature-scaled softmax relaxation, so the scoring
 parameters keep receiving signal.  n leaves always produce exactly
-2n - 1 node states.
+2n - 1 node states.  One loop induces in every mode: it takes a group of
+sentences layer by layer in lockstep, and a sentence alone is a group of
+one (``train`` and ``soft`` mode take nothing else).
 
 The fused ops of the leaf transforms (``gru_sequence``, ``leaf_states``)
 and of the induction (``tree_induction``, and ``st_gumbel_select``'s
@@ -272,8 +274,8 @@ class TreeLstmCells:
     forget-right; output] applied to ``pairs``.  The parents' ``h`` and
     ``c`` (k, H) and logits (k,) are written into the arrays given, which
     ``induce_tree`` passes as the pairs' candidate rows.  The rows fall
-    into ``segments``, slices of consecutive rows (one sentence's each, by
-    default all k as one): one matrix product takes a segment's
+    into ``segments``, slices of consecutive rows, one per sentence of the
+    group (by default all k as one): one matrix product takes a segment's
     pre-activations and one more its logits, so a pair's values match
     those of the elementary ops to the last bits.  Those bits may depend on
     the segment's row count (BLAS does not round every row count alike),
@@ -368,11 +370,10 @@ def compose(pairs: np.ndarray, mems: np.ndarray, query: Tensor, params: Composit
     ``backward`` needs.  The parents are written into ``out``, the arrays
     ``(h, c, logits)`` of shapes (k, H), (k, H) and (k,); ``segments`` are
     the row slices that take their matrix products apart (one per
-    sentence).  Per sentence, ``induce_tree`` calls it once for the first
-    layer, then once per merge but the last for the pairs that touch the
-    new node; ``infer`` mode makes the later calls once per layer for all
-    sentences of a group.  ``out`` is the pairs' candidate rows, and the
-    ``tree_induction`` record replays those cells' backward."""
+    sentence).  ``induce_tree`` calls it once per sentence for its first
+    layer, then once per layer for the pairs that touch the new nodes of
+    every sentence still being induced.  ``out`` is the pairs' candidate
+    rows, and the ``tree_induction`` record replays those cells' backward."""
     return TreeLstmCells(params.weight.data, params.bias.data, query.data, pairs, mems,
                          *out, segments)
 
@@ -501,108 +502,186 @@ def induce_tree(leaves: list[NodeState] | list[list[NodeState]], params: Composi
     first, then composed nodes in creation order).
 
     In ``infer`` mode ``leaves`` may instead be a group: a list of
-    sentences' leaf lists, with ``tokens`` None or one entry per sentence.
-    Their trees are induced in lockstep (``_induce_lockstep``), and the
-    result is one (tree, nodes) per sentence, each bit for bit what the
-    sentence gives alone.
+    sentences' leaf lists, with ``tokens`` None or one entry per sentence;
+    the result is then one (tree, nodes) per sentence, each bit for bit
+    what the sentence gives alone.  One loop serves every mode and induces
+    a group's trees in lockstep; a sentence alone is a group of one.
 
-    The state lives in arrays.  Leaf i is node i and the node made by merge
-    t is node n + t; their ``h`` and ``c`` are rows of one (2, 2n - 1, H)
-    array.  Every candidate ever composed has a row in the candidate arrays
-    (``h`` and ``c`` in one (2, 3n, H) array, and validity logit), and
-    ``live`` holds the rows of the current candidates in sentence order.
-    The first layer's n - 1 pairs are composed in one ``compose`` call,
-    then only the at most two pairs that touch each new node (the
-    ``window`` of nodes, entering ``live`` at ``slot``), so a merge costs
-    O(1) Python work plus their arithmetic.  One ``take`` gathers a
-    window's child pairs (nodes a, b, c as a, b, b, c) into the rows
-    ``compose`` reads, and the cell writes the parents straight into
-    their candidate rows.
-
-    Every mode makes the same calls at each layer: ``compose``, then
-    ``validity_scores`` of the live logits, then ``st_gumbel_select``
-    (after the first layer, ``infer`` shares one ``compose`` call among the
-    sentences of a group).  In
-    ``infer`` mode no softmax is taken unless a near tie needs it
-    (``softmax_argmax``), and the merge is the same as the softmax's argmax.
+    The state lives in arrays.  Each sentence's n leaves and the nodes its
+    merges make (merge t makes node n + t) take 2n - 1 consecutive rows of
+    the group's node array (``h`` and ``c`` in one (2, rows, H) array).
+    Every candidate ever composed has a row in the candidate arrays (``h``
+    and ``c`` in one (2, rows, H) array, and validity logit), and a
+    sentence's ``live`` holds the rows of its current candidates in
+    sentence order.  Each sentence's first layer of n - 1 pairs is one
+    ``compose`` call of its own.  After that, a layer selects one merge per
+    sentence still being induced, each through its own ``validity_scores``
+    and ``st_gumbel_select`` calls, writes every new node, gathers the at
+    most two pairs that touch each new node with one ``take`` (nodes a, b,
+    c as a, b, b, c), and composes them in one ``compose`` call with one
+    segment per sentence, which writes the parents straight into their
+    candidate rows.  So a merge costs O(1) Python work plus the arithmetic
+    of its pairs.  The cell's matrix products run per sentence with the row
+    counts of inducing it alone (the first layer's n - 1, then at most 2),
+    and all the rest is elementwise; so each sentence's merges and node
+    bits do not depend on its group.  In ``infer`` mode no softmax is taken
+    unless a near tie needs it (``softmax_argmax``), and the merge is the
+    same as the softmax's argmax.  A non-finite value in any sentence
+    raises ``NonFiniteError`` at the first check, in this order, that sees
+    one.
 
     ``infer`` records nothing and keeps no cells.  In ``train`` and ``soft``
     mode the composed nodes are the outputs of one ``tree_induction``
     record, whose backward pass replays the merges in reverse: for each
     merge ``TreeLstmCells.backward`` of the pairs composed after it, then
-    the gradient of the merge (under
-    ``train`` the weighted sum's gradient at the one-hot weights, which
-    passes the relaxed gradient straight through), of the Gumbel relaxation
-    (``_gumbel_relaxation_grad``) and of the validity softmax; the first
-    layer's cells come last, as one batch.  The weight gradient is one
-    deferred matrix product over all candidates.  The Gumbel noise of all
-    layers is one draw per sentence, which gives the same values and leaves
-    ``rng`` in the same state as one draw per layer.
+    the gradient of the merge (under ``train`` the weighted sum's gradient
+    at the one-hot weights, which passes the relaxed gradient straight
+    through), of the Gumbel relaxation (``_gumbel_relaxation_grad``) and of
+    the validity softmax; the first layer's cells come last, as one batch.
+    The weight gradient is one deferred matrix product over all
+    candidates.  The Gumbel noise of all layers is one draw per sentence,
+    which gives the same values and leaves ``rng`` in the same state as one
+    draw per layer.
     """
-    group = bool(leaves) and not isinstance(leaves[0], NodeState)
-    if config.mode == "infer":
-        if group:
-            return _induce_lockstep(leaves, params, query, config,
-                                    tokens if tokens is not None else [None] * len(leaves))
-        return _induce_lockstep([leaves], params, query, config, [tokens])[0]
-    if group:
-        raise ValueError(f"induce_tree: {config.mode} mode induces one sentence at a time")
-    n = len(leaves)
-    if n == 0:
-        raise ShapeError("induce_tree: empty sentence")
-    if n == 1:
-        return BinaryTree(1, (), tokens), list(leaves)
-    _check_leaves(leaves, params, query)
-    leaf_h, leaf_c = [leaf.h for leaf in leaves], [leaf.c for leaf in leaves]
+    if leaves and not isinstance(leaves[0], NodeState):
+        if config.mode != "infer":
+            raise ValueError(f"induce_tree: {config.mode} mode induces one sentence at a time")
+        return _induce(leaves, params, query, config, rng,
+                       tokens if tokens is not None else [None] * len(leaves))
+    return _induce([leaves], params, query, config, rng, [tokens])[0]
+
+
+def _check_leaves(leaves: list[NodeState], params: CompositionParams, query: Tensor) -> None:
+    """Raise ``ShapeError`` unless the leaves' ``h`` and ``c`` and the query
+    are vectors of one size H that the cell's weights fit."""
+    _check_same_vectors("tree_induction",
+                        (query, *(leaf.h for leaf in leaves), *(leaf.c for leaf in leaves)))
     hidden = query.shape[0]
     weight, bias = params.weight, params.bias
-    soft = config.mode == "soft"
-    # one draw per sentence: layer t's n - 1 - t values start at offset
-    # (every layer its own, as if drawn per layer) or at 0 (one vector reused)
-    noise = gumbel_noise(n * (n - 1) // 2 if config.noise_per_layer else n - 1, rng)
-    offset = 0
-    nodes_hc = np.empty((2, 2 * n - 1, hidden))  # every node's h, then its c
+    if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
+        raise ShapeError(f"tree_induction: weight {weight.shape} and bias {bias.shape} "
+                         f"do not fit children of size {hidden}")
+
+
+def _children(window: list[int]) -> list[int]:
+    """The window's adjacent pairs as rows [left; right]: nodes a, b, c
+    gather as a, b, b, c."""
+    return [node for node in window for _ in (0, 1)][1:-1]
+
+
+class _Lockstep:
+    """One sentence of an induction: its position in the group, its size n,
+    the group row of its first node, its Gumbel noise (None in ``infer``
+    mode) and the offset of its next layer's noise, and its current nodes,
+    live candidate rows (both in sentence order) and merges so far."""
+
+    __slots__ = ("index", "n", "base", "noise", "offset", "nodes", "live", "merges")
+
+    def __init__(self, index: int, n: int, base: int, noise: np.ndarray | None):
+        self.index, self.n, self.base, self.noise, self.offset = index, n, base, noise, 0
+        self.nodes = list(range(base, base + n))
+        self.live: list[int] = []
+        self.merges: list[int] = []
+
+
+def _induce(sentences: list[list[NodeState]], params: CompositionParams, query: Tensor,
+            config: GumbelConfig, rng: np.random.Generator | None,
+            tokens: list) -> list[tuple[BinaryTree, list[NodeState]]]:
+    """``induce_tree`` of a group of sentences, which is a group of one in
+    ``train`` and ``soft`` mode; one (tree, nodes) per sentence."""
+    hidden = query.shape[0]
+    weight, bias = params.weight, params.bias
+    soft, record = config.mode == "soft", config.mode != "infer"
+    induced: list = [None] * len(sentences)
+    runs: list[_Lockstep] = []
+    size = 0  # node rows of the group
+    for i, leaves in enumerate(sentences):
+        n = len(leaves)
+        if n == 0:
+            raise ShapeError("induce_tree: empty sentence")
+        if n == 1:
+            induced[i] = BinaryTree(1, (), tokens[i]), list(leaves)
+            continue
+        _check_leaves(leaves, params, query)
+        # one draw per sentence: layer t's n - 1 - t values start at offset
+        # (every layer its own, as if drawn per layer) or at 0 (one vector reused)
+        noise = (gumbel_noise(n * (n - 1) // 2 if config.noise_per_layer else n - 1, rng)
+                 if record else None)
+        runs.append(_Lockstep(i, n, size, noise))
+        size += 2 * n - 1
+    if not runs:
+        return induced
+    nodes_hc = np.empty((2, size, hidden))  # every node's h, then its c
     node_h, node_c = nodes_hc
-    node_h[:n] = [t.data for t in leaf_h]
-    node_c[:n] = [t.data for t in leaf_c]
-    # n - 1 pairs of leaves, then at most two per merge but the last
-    cands_hc = np.empty((2, 3 * n, hidden))
+    # a sentence's n - 1 first-layer pairs, then at most two per merge but the last
+    cand_rows = sum(3 * run.n for run in runs)
+    cands_hc = np.empty((2, cand_rows, hidden))
     cand_h, cand_c = cands_hc
-    cand_logit = np.empty(3 * n)
+    cand_logit = np.empty(cand_rows)
     count = 0  # candidate rows filled
-    cells: list = []  # per compose call: (candidate rows, TreeLstmCells, window)
-    steps: list = []  # per merge: (live rows, index, probs, relaxed)
-    nodes = list(range(n))  # the current nodes, in sentence order
-    live: list[int] = []
-    slot = 0
-    window = nodes[:]
-    merges: list[int] = []
-    for t in range(n - 1):
-        rows = slice(count, count + len(window) - 1)
-        pairs, mems = nodes_hc.take(_children(window), 1).reshape(2, -1, 2 * hidden)
-        made = compose(pairs, mems, query, params,
+    # kept when recording: per compose call (candidate rows, TreeLstmCells,
+    # children), per merge (live rows, index, scores, relaxed)
+    cells: list = []
+    steps: list = []
+    for run in runs:
+        leaves = sentences[run.index]
+        nodes_hc[:, run.base:run.base + run.n] = [[leaf.h.data for leaf in leaves],
+                                                  [leaf.c.data for leaf in leaves]]
+        rows = slice(count, count + run.n - 1)
+        children = _children(run.nodes)
+        pairs, mems = nodes_hc.take(children, 1).reshape(2, -1, 2 * hidden)
+        cell = compose(pairs, mems, query, params,
                        out=(cand_h[rows], cand_c[rows], cand_logit[rows]))
-        live[slot:slot] = range(rows.start, rows.stop)
-        cells.append((rows, made, window))
+        if record:
+            cells.append((rows, cell, children))
+        run.live = list(range(rows.start, rows.stop))
         count = rows.stop
-        logits = cand_logit.take(live)
-        scores = validity_scores(logits, config)
-        layer_noise = noise[offset:offset + len(logits)]
-        offset += len(logits) if config.noise_per_layer else 0
-        index, relaxed = st_gumbel_select(scores, config, noise=layer_noise)
-        if soft:
-            node_h[n + t] = relaxed @ cand_h[live]
-            node_c[n + t] = relaxed @ cand_c[live]
-        else:
-            nodes_hc[:, n + t] = cands_hc[:, live[index]]
-        steps.append((live[:], index, scores, relaxed))
-        merges.append(index)
-        nodes[index:index + 2] = [n + t]
-        slot = max(index - 1, 0)
-        del live[slot:index + 2]
-        window = nodes[slot:index + 2]
+    active = runs
+    while active:
+        made, chosen = [], []  # per sentence: its new node, the candidate row it copies
+        # the pairs that touch the new nodes, and each sentence's rows of them
+        children, segments, going_on = [], [], []
+        for run in active:
+            logits = cand_logit.take(run.live)
+            scores = validity_scores(logits, config)
+            noise = run.noise
+            if noise is not None:
+                noise = noise[run.offset:run.offset + len(logits)]
+                run.offset += len(logits) if config.noise_per_layer else 0
+            index, relaxed = st_gumbel_select(scores, config, noise=noise)
+            node = run.base + run.n + len(run.merges)
+            if soft:
+                node_h[node] = relaxed @ cand_h[run.live]
+                node_c[node] = relaxed @ cand_c[run.live]
+            else:
+                made.append(node)
+                chosen.append(run.live[index])
+            if record:
+                steps.append((run.live[:], index, scores, relaxed))
+            run.merges.append(index)
+            run.nodes[index:index + 2] = [node]
+            if len(run.nodes) == 1:
+                continue
+            slot = max(index - 1, 0)
+            start = len(children) // 2
+            children += _children(run.nodes[slot:index + 2])
+            segments.append(slice(start, len(children) // 2))
+            run.live[slot:index + 2] = range(count + start, count + len(children) // 2)
+            going_on.append(run)
+        nodes_hc[:, made] = cands_hc[:, chosen]
+        if going_on:
+            rows = slice(count, count + len(children) // 2)
+            pairs, mems = nodes_hc.take(children, 1).reshape(2, -1, 2 * hidden)
+            cell = compose(pairs, mems, query, params,
+                           out=(cand_h[rows], cand_c[rows], cand_logit[rows]),
+                           segments=tuple(segments))
+            if record:
+                cells.append((rows, cell, children))
+            count = rows.stop
+        active = going_on
 
     def grad_fn(grads):
+        n = runs[0].n  # a group of one: its rows are all the group's
         g_node_h, g_node_c = np.zeros((2, 2 * n - 1, hidden))
         for i, g in enumerate(grads):
             if g is not None:
@@ -610,11 +689,11 @@ def induce_tree(leaves: list[NodeState] | list[list[NodeState]], params: Composi
         g_cand_h, g_cand_c = np.zeros((2, count, hidden))
         g_cand_logit = np.zeros(count)
 
-        def cell_backward(rows, made, window):
-            g_pre, g_mem_l, g_mem_r = made.backward(g_cand_h[rows], g_cand_c[rows],
+        def cell_backward(rows, cell, children):
+            g_pre, g_mem_l, g_mem_r = cell.backward(g_cand_h[rows], g_cand_c[rows],
                                                     g_cand_logit[rows])
             g_pairs = g_pre @ weight.data
-            lefts, rights = window[:-1], window[1:]
+            lefts, rights = children[0::2], children[1::2]
             g_node_h[lefts] += g_pairs[:, :hidden]
             g_node_h[rights] += g_pairs[:, hidden:]
             g_node_c[lefts] += g_mem_l
@@ -638,140 +717,24 @@ def induce_tree(leaves: list[NodeState] | list[list[NodeState]], params: Composi
             g_cand_logit[live_rows] += _softmax_grad(probs, g_probs)
         g_pres[0] = cell_backward(*cells[0])
         g_pre = np.concatenate(g_pres)
-        pairs = np.concatenate([made.pairs for _, made, _ in cells])
+        pairs = np.concatenate([cell.pairs for _, cell, _ in cells])
         return (_Outer(g_pre.T, pairs), g_pre.sum(axis=0),
                 g_cand_logit @ cand_h[:count], *g_node_h[:n], *g_node_c[:n])
 
-    hs, cs = node_h[n:], node_c[n:]
-    outs = _emit("tree_induction", (weight, bias, query, *leaf_h, *leaf_c), (*hs, *cs),
-                 grad_fn, views_of=(hs, cs))
-    return (BinaryTree(n, tuple(merges), tokens),
-            [*leaves, *(NodeState(h, c) for h, c in zip(outs[:n - 1], outs[n - 1:]))])
-
-
-def _check_leaves(leaves: list[NodeState], params: CompositionParams, query: Tensor) -> None:
-    """Raise ``ShapeError`` unless the leaves' ``h`` and ``c`` and the query
-    are vectors of one size H that the cell's weights fit."""
-    _check_same_vectors("tree_induction",
-                        (query, *(leaf.h for leaf in leaves), *(leaf.c for leaf in leaves)))
-    hidden = query.shape[0]
-    weight, bias = params.weight, params.bias
-    if weight.shape != (5 * hidden, 2 * hidden) or bias.shape != (5 * hidden,):
-        raise ShapeError(f"tree_induction: weight {weight.shape} and bias {bias.shape} "
-                         f"do not fit children of size {hidden}")
-
-
-def _children(window: list[int]) -> list[int]:
-    """The window's adjacent pairs as rows [left; right]: nodes a, b, c
-    gather as a, b, b, c."""
-    return [node for node in window for _ in (0, 1)][1:-1]
-
-
-class _Lockstep:
-    """One sentence of a lockstep induction: its position in the group, its
-    size n, the group row of its first node, and its current nodes, live
-    candidate rows (both in sentence order) and merges so far."""
-
-    __slots__ = ("index", "n", "base", "nodes", "live", "merges")
-
-    def __init__(self, index: int, n: int, base: int):
-        self.index, self.n, self.base = index, n, base
-        self.nodes = list(range(base, base + n))
-        self.live: list[int] = []
-        self.merges: list[int] = []
-
-
-def _induce_lockstep(sentences: list[list[NodeState]], params: CompositionParams,
-                     query: Tensor, config: GumbelConfig,
-                     tokens: list) -> list[tuple[BinaryTree, list[NodeState]]]:
-    """``infer``-mode induction of a group of sentences, layer by layer in
-    lockstep; one (tree, nodes) per sentence, as ``induce_tree`` gives it.
-
-    The layout is ``induce_tree``'s, for the whole group: the nodes of
-    every sentence (2n - 1 rows each) are rows of one (2, rows, H) array,
-    and every candidate composed of one candidate array.  Each sentence's
-    first layer is one ``compose`` call of its own.  After that, a layer
-    selects one merge per sentence still being induced, each through its
-    own ``validity_scores`` and ``st_gumbel_select`` calls, copies all
-    chosen candidates into their nodes at once, gathers the pairs that
-    touch every new node with one ``take``, and composes them in one
-    ``compose`` call with one segment per sentence.  The cell's matrix
-    products thus run per sentence with the row counts of inducing it
-    alone (the first layer's n - 1, then at most 2), and all the rest is
-    elementwise; so each sentence's merges and node bits do not depend on
-    the group.  A non-finite value in any sentence raises
-    ``NonFiniteError`` at the first check, in this order, that sees one.
-    """
-    hidden = query.shape[0]
-    induced: list = [None] * len(sentences)
-    runs: list[_Lockstep] = []
-    size = 0  # node rows of the group
-    for i, leaves in enumerate(sentences):
-        n = len(leaves)
-        if n == 0:
-            raise ShapeError("induce_tree: empty sentence")
-        if n == 1:
-            induced[i] = BinaryTree(1, (), tokens[i]), list(leaves)
-            continue
-        _check_leaves(leaves, params, query)
-        runs.append(_Lockstep(i, n, size))
-        size += 2 * n - 1
-    if not runs:
-        return induced
-    nodes_hc = np.empty((2, size, hidden))  # every node's h, then its c
-    # a sentence's n - 1 first-layer pairs, then at most two per merge but the last
-    cand_rows = sum(3 * run.n for run in runs)
-    cands_hc = np.empty((2, cand_rows, hidden))
-    cand_h, cand_c = cands_hc
-    cand_logit = np.empty(cand_rows)
-    count = 0  # candidate rows filled
-    for run in runs:
-        leaves = sentences[run.index]
-        nodes_hc[:, run.base:run.base + run.n] = [[leaf.h.data for leaf in leaves],
-                                                  [leaf.c.data for leaf in leaves]]
-        rows = slice(count, count + run.n - 1)
-        pairs, mems = nodes_hc.take(_children(run.nodes), 1).reshape(2, -1, 2 * hidden)
-        compose(pairs, mems, query, params,
-                out=(cand_h[rows], cand_c[rows], cand_logit[rows]))
-        run.live = list(range(rows.start, rows.stop))
-        count = rows.stop
-    active = runs
-    while active:
-        made, chosen = [], []  # per sentence: its new node, the candidate row it copies
-        # the pairs that touch the new nodes, and each sentence's rows of them
-        children, segments, going_on = [], [], []
-        for run in active:
-            scores = validity_scores(cand_logit.take(run.live), config)
-            index, _ = st_gumbel_select(scores, config)
-            node = run.base + run.n + len(run.merges)
-            made.append(node)
-            chosen.append(run.live[index])
-            run.merges.append(index)
-            run.nodes[index:index + 2] = [node]
-            if len(run.nodes) == 1:
-                continue
-            slot = max(index - 1, 0)
-            start = len(children) // 2
-            children += _children(run.nodes[slot:index + 2])
-            segments.append(slice(start, len(children) // 2))
-            run.live[slot:index + 2] = range(count + start, count + len(children) // 2)
-            going_on.append(run)
-        nodes_hc[:, made] = cands_hc[:, chosen]
-        if going_on:
-            rows = slice(count, count + len(children) // 2)
-            pairs, mems = nodes_hc.take(children, 1).reshape(2, -1, 2 * hidden)
-            compose(pairs, mems, query, params,
-                    out=(cand_h[rows], cand_c[rows], cand_logit[rows]), segments=tuple(segments))
-            count = rows.stop
-        active = going_on
     for run in runs:
         n, first = run.n, run.base + run.n  # the sentence's first composed node
+        leaves = sentences[run.index]
         hs, cs = nodes_hc[:, first:first + n - 1]
-        # constants, copies of candidates whose values compose has checked
-        outs = _emit("tree_induction", (), (*hs, *cs), None, views_of=())
+        if record:
+            outs = _emit("tree_induction", (weight, bias, query, *(leaf.h for leaf in leaves),
+                                            *(leaf.c for leaf in leaves)),
+                         (*hs, *cs), grad_fn, views_of=(hs, cs))
+        else:
+            # constants, copies of candidates whose values compose has checked
+            outs = _emit("tree_induction", (), (*hs, *cs), None, views_of=())
         induced[run.index] = (
             BinaryTree(n, tuple(run.merges), tokens[run.index]),
-            [*sentences[run.index], *(NodeState(h, c) for h, c in zip(outs[:n - 1], outs[n - 1:]))])
+            [*leaves, *(NodeState(h, c) for h, c in zip(outs[:n - 1], outs[n - 1:]))])
     return induced
 
 

@@ -6,15 +6,17 @@ calls the function some other way leaves that span silent, which only a
 traced benchmark run would show; these tests run each span's caller under
 the tracer, on tiny inputs, instead: once over a training run, and once
 over an ``infer``-mode evaluation alone, whose induction path training
-does not take.
+does not take; and once over a single induction in every mode.
 """
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from treeattn import cli, data, toy, training
+from treeattn import cli, data, parser, toy, training
+from treeattn.tensor import Tensor
 
 from conftest import tiny_pair_model
 
@@ -76,3 +78,26 @@ def test_infer_evaluation_records_every_induction_span():
     assert tracer.calls["parser.validity_scores"] == merges
     assert tracer.counts["candidates"] == sum(n * (n - 1) // 2 for n in sentences)
     assert tracer.calls["parser.st_gumbel_select"] == merges
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("mode", parser.MODES)
+def test_one_induction_records_its_calls_in_every_mode(mode, n):
+    # a sentence alone is one induce_tree span, so a path that re-enters
+    # induce_tree by name would count two; its n - 1 merges make one compose
+    # call for the first layer and one for each later layer, and one
+    # validity_scores and st_gumbel_select call each, over n(n - 1)/2
+    # candidates in all (a one-word sentence composes nothing)
+    rng = np.random.default_rng(n)
+    hidden = 3
+    leaves = [parser.NodeState(Tensor(rng.normal(size=hidden)), Tensor(rng.normal(size=hidden)))
+              for _ in range(n)]
+    params, query = parser.init_composition_params(rng, hidden), parser.init_query(rng, hidden)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        parser.induce_tree(leaves, params, query, parser.GumbelConfig(mode=mode),
+                           np.random.default_rng(0))
+    assert tracer.calls["parser.induce_tree"] == 1
+    for span in ("parser.compose", "parser.validity_scores", "parser.st_gumbel_select"):
+        assert tracer.calls[span] == n - 1, span
+    assert tracer.counts["candidates"] == n * (n - 1) // 2

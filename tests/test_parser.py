@@ -723,6 +723,36 @@ class TestLockstepInduction:
             (1, (), ("a",)), (1, (), ("b",)), (1, (), ("c",))]
         assert [nodes for _, nodes in induced] == sentences and not calls
 
+    @pytest.mark.parametrize("n", [2, 3, 9, 40])
+    def test_train_under_constant_noise_gives_the_infer_merges_and_node_bytes(self,
+                                                                            monkeypatch, n):
+        # noise from uniform draws of 0.5 adds one constant to every
+        # log-probability, so away from near ties train mode picks infer's
+        # argmax and copies the same candidate bytes: train and infer share
+        # one loop, alone and with the sentence one member of an infer group
+        rng = np.random.default_rng(n)
+        hidden = 4
+        params, query = init_composition_params(rng, hidden), init_query(rng, hidden)
+        sentence = random_states(rng, n, hidden)
+        group = [random_states(rng, 6, hidden), sentence, random_states(rng, 3, hidden)]
+        gaps = []
+
+        def spy(logits, config, real=parser.validity_scores):
+            if len(logits) > 1:
+                top = np.sort(logits)
+                gaps.append(top[-1] - top[-2])
+            return real(logits, config)
+
+        monkeypatch.setattr(parser, "validity_scores", spy)
+        alone = induce_tree(sentence, params, query, GumbelConfig(mode="infer"))
+        assert min(gaps, default=1.0) > 1e-6  # no near tie
+        tree, nodes = induce_tree(sentence, params, query, GumbelConfig(mode="train"),
+                                  FixedUniform(np.full(n * (n - 1) // 2, 0.5)))
+        grouped = induce_tree(group, params, query, GumbelConfig(mode="infer"))[1]
+        for infer_tree, infer_nodes in (alone, grouped):
+            assert tree == infer_tree
+            assert node_bytes(nodes) == node_bytes(infer_nodes)
+
     @pytest.mark.parametrize("mode", ["train", "soft"])
     def test_only_infer_mode_takes_a_group(self, mode):
         rng = np.random.default_rng(2)
