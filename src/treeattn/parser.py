@@ -516,7 +516,7 @@ def induce_tree(leaves: list[NodeState] | list[list[NodeState]], params: Composi
     sentence order.  Each sentence's first layer of n - 1 pairs is one
     ``compose`` call of its own.  After that, a layer selects one merge per
     sentence still being induced, each through its own ``validity_scores``
-    and ``st_gumbel_select`` calls, writes every new node, gathers the at
+    and ``st_gumbel_select`` calls and writes its new node, gathers the at
     most two pairs that touch each new node with one ``take`` (nodes a, b,
     c as a, b, b, c), and composes them in one ``compose`` call with one
     segment per sentence, which writes the parents straight into their
@@ -638,7 +638,6 @@ def _induce(sentences: list[list[NodeState]], params: CompositionParams, query: 
         count = rows.stop
     active = runs
     while active:
-        made, chosen = [], []  # per sentence: its new node, the candidate row it copies
         # the pairs that touch the new nodes, and each sentence's rows of them
         children, segments, going_on = [], [], []
         for run in active:
@@ -654,8 +653,7 @@ def _induce(sentences: list[list[NodeState]], params: CompositionParams, query: 
                 node_h[node] = relaxed @ cand_h[run.live]
                 node_c[node] = relaxed @ cand_c[run.live]
             else:
-                made.append(node)
-                chosen.append(run.live[index])
+                nodes_hc[:, node] = cands_hc[:, run.live[index]]
             if record:
                 steps.append((run.live[:], index, scores, relaxed))
             run.merges.append(index)
@@ -668,7 +666,6 @@ def _induce(sentences: list[list[NodeState]], params: CompositionParams, query: 
             segments.append(slice(start, len(children) // 2))
             run.live[slot:index + 2] = range(count + start, count + len(children) // 2)
             going_on.append(run)
-        nodes_hc[:, made] = cands_hc[:, chosen]
         if going_on:
             rows = slice(count, count + len(children) // 2)
             pairs, mems = nodes_hc.take(children, 1).reshape(2, -1, 2 * hidden)
