@@ -1,5 +1,6 @@
 """Optimizer, evaluation metrics, training loop, checkpoints."""
 
+import hashlib
 import io
 import json
 import re
@@ -301,6 +302,42 @@ class TestTrainLoop:
         cfg = small_config(max_epochs=2, finetune_embeddings=True)
         train(tr, va, cfg, vocab, embedding, clock=lambda: 0.0)
         assert not embedding.vectors.data[0].any()
+
+
+# sha256 of the checkpoint and of the metrics TSV from zero-clock toy
+# ``train`` runs: 19 examples in batches of 8, 8 and 3 (the last one ragged),
+# sentences of 1 to 7 words, two epochs.  Recorded on numpy's OpenBLAS
+# build; a change that moves a bit of training moves these.
+TRAINING_BYTES = {
+    "rnn-frozen": ("ae9ebc24335d54b8b39a537704684dc9b6a87e7995ada06e8fc21c9ce3ebc6df",
+                   "5eab6bee33594bc31b259e43859f4aa426b45104dd17e1423ec7f76163daff3c"),
+    "rnn-finetuned": ("1a24284d1a7d9e39e5f2cd67375da401f03abb188a36459293729aa6b54c1e23",
+                      "b8c1226e786bbc148b719cef1421e0cc05467085b0cbdfc7a2022c0c763b117e"),
+    "affine-noise-per-sentence": (
+        "14d08958c0bcece01f6107252c311839f4e8a30fbc93add84c8455c6a6b58be9",
+        "65355cb3acb367619e413758b54aca05e24baf299f5b8704a2af8c0421ef5353"),
+}
+
+
+@pytest.mark.parametrize("case, overrides", [
+    ("rnn-frozen", dict(leaf_kind="rnn")),
+    ("rnn-finetuned", dict(leaf_kind="rnn", finetune_embeddings=True)),
+    ("affine-noise-per-sentence", dict(leaf_kind="affine", noise_per_layer=False)),
+])
+def test_training_bytes_are_pinned(case, overrides, tmp_path):
+    toy.write_embedding_file(tmp_path / "emb.txt", vocab_size=20, dim=6, seed=3)
+    vocab, embedding = load_embeddings(tmp_path / "emb.txt", seed=0)
+    corpora = []
+    for name, count, seed in (("train", 19, 41), ("val", 7, 42)):
+        toy.write_pair_corpus(tmp_path / name, toy.subset_pair_records(
+            count, vocab_size=20, min_len=1, max_len=7, seed=seed))
+        corpora.append(load_pair_corpus(tmp_path / name, vocab, toy.SUBSET_LABELS))
+    config = small_config(max_epochs=2, seed=7, learning_rate=0.03, **overrides)
+    if config.finetune_embeddings:
+        embedding = EmbeddingMatrix(Tensor(embedding.vectors, requires_grad=True))
+    result = train(*corpora, config, vocab, embedding, clock=lambda: 0.0)
+    assert (result.checkpoint.save(tmp_path / "model.ckpt"),
+            hashlib.sha256(result.log_text.encode()).hexdigest()) == TRAINING_BYTES[case]
 
 
 class TestGradientBatch:
