@@ -185,6 +185,9 @@ def cmd_train(args) -> tuple:
             noise_per_layer=not args.noise_per_sentence)
     except ValueError as err:
         raise CliError(f"bad training setting: {err}") from None
+    if args.dropout < 0.0:  # a rate above -1.1e-16 leaves dropout_keep at 1.0
+        raise CliError(f"bad training setting: dropout rate must be nonnegative, "
+                       f"got {args.dropout}")
     vocab, embedding = load_embeddings(args.embeddings, vocab_limit=args.vocab_limit,
                                        seed=seed, trainable=args.finetune_embeddings)
     train_set = _usable_corpus(config, "--train", args.train, vocab)
@@ -289,6 +292,32 @@ def cmd_similarity(args) -> tuple:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
+# the train flags that take a number.  argparse reads a word after a flag
+# that starts with "-" as another flag unless it is a plain decimal ("-1",
+# "-0.5"), so ``main`` joins a negative value to its flag: "--lr -inf" is
+# read as "--lr=-inf"
+_NUMBER_FLAGS = frozenset(("--hidden", "--d-attn", "--d-clf", "--batch", "--dropout", "--lr",
+                           "--epochs", "--patience", "--seed", "--temperature",
+                           "--vocab-limit", "--max-len"))
+
+
+def _negative_values_joined(argv: list[str]) -> list[str]:
+    """``argv`` with each number flag and a following word that starts
+    with "-" and reads as a float as one word ``--flag=value``."""
+    words: list[str] = []
+    for word in argv:
+        if words and words[-1] in _NUMBER_FLAGS and word.startswith("-"):
+            try:
+                float(word)
+            except ValueError:
+                pass
+            else:
+                words[-1] += "=" + word
+                continue
+        words.append(word)
+    return words
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="treeattn",
@@ -374,7 +403,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = build_arg_parser().parse_args(
+        _negative_values_joined(sys.argv[1:] if argv is None else list(argv)))
     started = _now()
     try:
         # every overflow, NaN and division by zero is checked where it

@@ -178,10 +178,18 @@ class TestTrain:
         (["--temperature", "nan"], "temperature must be positive and finite, got nan"),
         (["--temperature", "inf"], "temperature must be positive and finite, got inf"),
         (["--patience", "-1"], "patience must be nonnegative, got -1"),
+        # a negative value that is not a plain decimal reaches the check too
+        (["--lr", "-inf"], "learning_rate must be positive and finite, got -inf"),
+        (["--lr", "-1e308"], "learning_rate must be positive and finite, got -1e+308"),
+        (["--temperature", "-1e-320"],
+         "temperature must be positive and finite, got -1e-320"),
+        # a rate this close to 0 leaves dropout_keep at 1.0, so the rate is checked
+        (["--dropout", "-1e-17"], "dropout rate must be nonnegative, got -1e-17"),
     ], ids=["one-label", "negative-seed", "repeated-label", "empty-label", "zero-hidden",
             "negative-d-attn", "zero-d-clf", "zero-batch", "zero-epochs", "zero-max-len",
             "dropout-one", "negative-dropout", "nan-lr", "inf-lr", "zero-lr",
-            "nan-temperature", "inf-temperature", "negative-patience"])
+            "nan-temperature", "inf-temperature", "negative-patience", "minus-inf-lr",
+            "minus-huge-lr", "minus-subnormal-temperature", "tiny-negative-dropout"])
     def test_bad_setting_exits_2_before_writing(self, workspace, tmp_path, capsys,
                                                 setting, message):
         out = tmp_path / "x.ckpt"
@@ -862,24 +870,27 @@ TRAIN_FLAG_VALUES = st.lists(st.one_of(
 ), min_size=1, max_size=2)
 
 
-@given(TRAIN_FLAG_VALUES)
-@example([("--temperature", "1e-320")])  # finite, but the selection logits overflow
-@example([("--lr", "1e308")])
+@given(TRAIN_FLAG_VALUES, st.booleans())
+@example([("--temperature", "1e-320")], True)  # finite, but the selection logits overflow
+@example([("--lr", "1e308")], True)
+@example([("--lr", "-inf"), ("--dropout", "-1e-17")], False)
 @settings(max_examples=100, derandomize=True, deadline=None)
-def test_train_with_fuzzed_numeric_flags_exits_0_2_or_3(flags):
-    """Any value of the numeric train flags trains, or is rejected with exit
-    2 (3 if training diverges), never with a traceback."""
+def test_train_with_fuzzed_numeric_flags_exits_0_2_or_3(flags, joined):
+    """Any value of the numeric train flags, as ``--flag value`` or as
+    ``--flag=value``, trains, or is rejected with exit 2 (3 if training
+    diverges), never with a traceback; no value is read as another flag."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "emb.txt").write_text(VALID_EMBEDDINGS, encoding="utf-8")
         toy.write_pair_corpus(root / "pairs.jsonl", FUZZ_PAIRS)
-        # the drawn flags come last, so they override the small base sizes;
-        # "--lr=-inf" reaches the type conversion where "--lr -inf" would not
+        # the drawn flags come last, so they override the small base sizes
         argv = ["train", "--task", "pair", "--train", str(root / "pairs.jsonl"),
                 "--val", str(root / "pairs.jsonl"), "--embeddings", str(root / "emb.txt"),
                 "--labels", ",".join(toy.SUBSET_LABELS), "--out", str(root / "model.ckpt"),
                 "--hidden", "2", "--d-attn", "2", "--d-clf", "2", "--epochs", "1",
-                "--seed", "1", *(f"{flag}={value}" for flag, value in flags)]
+                "--seed", "1"]
+        for flag, value in flags:
+            argv += [f"{flag}={value}"] if joined else [flag, value]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
@@ -888,6 +899,7 @@ def test_train_with_fuzzed_numeric_flags_exits_0_2_or_3(flags):
                 code = exit_.code
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert "expected one argument" not in err.getvalue()
 
 
 class TestSimilarity:
