@@ -8,6 +8,7 @@ mapping for the optimizer and checkpoints.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -103,23 +104,11 @@ class Model:
         """Run the encoder over one sentence of vocabulary indices."""
         if mode != "infer" and rng is None:
             raise ValueError(f"mode {mode!r} draws Gumbel noise and needs an rng")
-        tree, nodes = parser.induce_tree(self._leaves(token_ids), self.composition, self.query,
+        words = take_rows(self.embedding.vectors, token_ids)
+        tree, nodes = parser.induce_tree(parser.leaf_transform(words, self.leaf_params),
+                                         self.composition, self.query,
                                          replace(self.selection, mode=mode), rng, tokens=tokens)
         return self._pooled(tree, nodes)
-
-    def encode_group(self, sentences: list[list[int]]) -> list[EncodedSentence]:
-        """``encode`` in ``infer`` mode over several sentences, whose trees
-        one ``parser.induce_tree`` call induces in lockstep, in the loop that
-        induces a sentence alone as a group of one; each result is bit for
-        bit what ``encode`` gives the sentence."""
-        induced = parser.induce_tree([self._leaves(ids) for ids in sentences],
-                                     self.composition, self.query,
-                                     replace(self.selection, mode="infer"))
-        return [self._pooled(tree, nodes) for tree, nodes in induced]
-
-    def _leaves(self, token_ids: list[int]) -> list[parser.NodeState]:
-        words = take_rows(self.embedding.vectors, token_ids)
-        return parser.leaf_transform(words, self.leaf_params)
 
     def _pooled(self, tree: BinaryTree, nodes: list[parser.NodeState]) -> EncodedSentence:
         pooled = attention.attend([state.h for state in nodes], self.attn)
@@ -128,35 +117,62 @@ class Model:
     def logits(self, example, mode: str = "infer",
                rng: np.random.Generator | None = None,
                dropout_keep: float = 1.0) -> Tensor:
-        """Class logits for a pair or sentence example (matching the task)."""
-        self._check_example(example)
-        if self.task == "pair":
-            s1 = self.encode(example.premise, mode, rng).sentence
-            s2 = self.encode(example.hypothesis, mode, rng).sentence
-            feature = classifier.featurize_pair(s1, s2)
-        else:
-            feature = self.encode(example.tokens, mode, rng).sentence
-        masks = None
-        if mode == "train" and dropout_keep < 1.0:
-            masks = (classifier.make_dropout_mask(rng, feature.shape[0], dropout_keep),
-                     classifier.make_dropout_mask(rng, self.head.hidden_bias.shape[0],
-                                                  dropout_keep))
-        return classifier.classify(feature, self.head, masks)
+        """Class logits for a pair or sentence example (matching the task):
+        ``batch_logits`` of a batch of one."""
+        return self.batch_logits([example], mode, [rng], dropout_keep)[0]
 
-    def infer_logits(self, examples) -> list[Tensor]:
-        """``logits`` in ``infer`` mode of each example, with the trees of
-        all their sentences induced by one ``encode_group`` call; each is
-        bit for bit what the example gives alone."""
+    def batch_logits(self, examples, mode: str = "infer", rngs=None,
+                     dropout_keep: float = 1.0, tapes=None) -> list[Tensor]:
+        """Class logits of each example (matching the task), in three phases.
+
+        First the leaves of all the examples' sentences (one
+        ``parser.leaf_transform`` group), then their trees (one
+        ``parser.induce_tree`` group), then each example's attention
+        pooling, dropout masks and head, recorded on ``tapes[i]`` when
+        ``tapes`` is given.  The sentences enter both groups with the
+        examples last to first, so that the group records, which hand the
+        sentences' gradients back last sentence first, give each tensor its
+        gradients in example order and, within an example, the hypothesis's
+        before the premise's: the order one tape per example gives them.
+        No sentence is padded and every matrix product stays per sentence,
+        so each example's logits are bit for bit those of the example alone.
+
+        ``mode`` is the induction's; each example's generator in ``rngs``,
+        needed unless it is ``infer``, draws its premise's Gumbel noise,
+        then its hypothesis's, then (in ``train`` mode with
+        ``dropout_keep`` below 1) its two dropout masks.
+        """
         for example in examples:
             self._check_example(example)
-        if self.task == "sentence":
-            return [classifier.classify(encoded.sentence, self.head)
-                    for encoded in self.encode_group([ex.tokens for ex in examples])]
-        encoded = self.encode_group([ids for ex in examples
-                                     for ids in (ex.premise, ex.hypothesis)])
-        return [classifier.classify(classifier.featurize_pair(s1.sentence, s2.sentence),
-                                    self.head)
-                for s1, s2 in zip(encoded[::2], encoded[1::2])]
+        if rngs is None:
+            rngs = [None] * len(examples)
+        if mode != "infer" and any(rng is None for rng in rngs):
+            raise ValueError(f"mode {mode!r} draws Gumbel noise and needs an rng")
+        if not examples:
+            return []
+        pair = self.task == "pair"
+        width = 2 if pair else 1  # sentences per example
+        sentences = [ids for ex in reversed(examples)
+                     for ids in ((ex.premise, ex.hypothesis) if pair else (ex.tokens,))]
+        words = [take_rows(self.embedding.vectors, ids) for ids in sentences]
+        induced = parser.induce_tree(parser.leaf_transform(words, self.leaf_params),
+                                     self.composition, self.query,
+                                     replace(self.selection, mode=mode),
+                                     [rng for rng in reversed(rngs) for _ in range(width)])
+        logits = []
+        for i, rng in enumerate(rngs):
+            at = (len(examples) - 1 - i) * width
+            with tapes[i] if tapes is not None else nullcontext():
+                pooled = [self._pooled(tree, nodes).sentence
+                          for tree, nodes in induced[at:at + width]]
+                feature = classifier.featurize_pair(*pooled) if pair else pooled[0]
+                masks = None
+                if mode == "train" and dropout_keep < 1.0:
+                    masks = (classifier.make_dropout_mask(rng, feature.shape[0], dropout_keep),
+                             classifier.make_dropout_mask(rng, self.head.hidden_bias.shape[0],
+                                                          dropout_keep))
+                logits.append(classifier.classify(feature, self.head, masks))
+        return logits
 
     def _check_example(self, example) -> None:
         if self.task == "pair" and not isinstance(example, PairExample):

@@ -113,106 +113,182 @@ class GumbelConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def leaf_transform(words: Tensor, params: LeafAffineParams | LeafRnnParams) -> list[NodeState]:
+def leaf_transform(words: Tensor | list[Tensor], params: LeafAffineParams | LeafRnnParams):
     """Turn a sentence's (n, D) word vectors into initial node states with
     the transform the type of ``params`` names ("affine" or "rnn").  Either
-    ends in one ``leaf_states`` record, so the affine leaf records one op
-    per sentence and the RNN leaf three."""
-    if words.data.ndim != 2:
-        raise ShapeError(f"leaf_transform: expected an (n, D) matrix, got shape {words.shape}")
-    if not words.shape[0]:
-        raise ShapeError("leaf_transform: empty sentence")
+    ends in one ``leaf_states`` record per sentence, so the affine leaf
+    records one op per sentence and the RNN leaf three.  Given a list of
+    sentences (a group), it returns one list of states per sentence, and the
+    RNN leaf's two ``gru_sequence`` records are those of the whole group."""
+    if isinstance(words, Tensor):
+        return _leaf_group([words], params)[0]
+    return _leaf_group(list(words), params)
+
+
+def _leaf_group(words: list[Tensor], params) -> list[list[NodeState]]:
+    """``leaf_transform`` of a group of sentences."""
+    for sentence in words:
+        if sentence.data.ndim != 2:
+            raise ShapeError(f"leaf_transform: expected an (n, D) matrix, "
+                             f"got shape {sentence.shape}")
+        if not sentence.shape[0]:
+            raise ShapeError("leaf_transform: empty sentence")
     if isinstance(params, LeafAffineParams):
-        return leaf_states(params.weight, params.bias, [words])
+        return [leaf_states(params.weight, params.bias, [sentence]) for sentence in words]
     if isinstance(params, LeafRnnParams):
-        return leaf_states(params.proj_weight, params.proj_bias,
-                           [gru_sequence(params.fwd, words),
-                            gru_sequence(params.bwd, words, reverse=True)])
+        forward = gru_sequence(params.fwd, words)
+        backward = gru_sequence(params.bwd, words, reverse=True)
+        return [leaf_states(params.proj_weight, params.proj_bias, [f, b])
+                for f, b in zip(forward, backward)]
     raise TypeError(f"leaf_transform: no leaf transform takes {type(params).__name__}")
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    # the tanh form saturates to exactly 0 or 1 and never overflows or underflows
-    return 0.5 + 0.5 * np.tanh(0.5 * x)
+def _logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 + 0.5 * tanh(x / 2), into ``out`` if given: the tanh form
+    saturates to exactly 0 or 1 and never overflows or underflows."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
-def gru_sequence(params: GruParams, inputs: Tensor, reverse: bool = False) -> Tensor:
+def gru_sequence(params: GruParams, inputs: Tensor | list[Tensor],
+                 reverse: bool = False) -> Tensor | list[Tensor]:
     """One GRU direction over a whole sentence as one record; returns the
-    (n, H) states in input order.
+    (n, H) states in input order.  Given a list of sentences (a group), it
+    returns one such matrix per sentence, all from one record that steps
+    every sentence still running together.
 
     ``params`` holds per gate an input map (H, D), a state map (H, H) and a
-    bias (H,); the record's inputs are its nine tensors in field order, then
-    ``inputs``.  The state starts at zero and runs over the rows of the
+    bias (H,).  The state starts at zero and runs over the rows of each
     (n, D) ``inputs`` from the first to the last, or from the last to the
-    first if ``reverse``.  The input half of the pre-activations does not depend on
-    the state, so it is one matrix product per gate over all steps; only
-    the state's matrix-vector products stay in the step loop.  The values
-    match those of the elementary ops to the last bits.  Every
+    first if ``reverse``.  The input half of the pre-activations does not
+    depend on the state, so it is one matrix product per gate and sentence
+    over all its steps; only the state's matrix-vector products stay in the
+    step loop.  A step takes them for every running sentence with stacked
+    ``np.matmul`` calls of the (H, H) maps (the update and reset maps in
+    one) over (S, H, 1) states, which numpy runs as one matrix-vector
+    product per map and sentence, and everything else is elementwise; so
+    each sentence's values do not depend on its group and match those of
+    the elementary ops to the last bits.  Every
     pre-activation is checked for non-finite values, because the saturating
     gates would otherwise hide an overflow.  The backward pass is
-    backpropagation through time; it hands back each weight matrix's
-    gradient as one deferred matrix product (an ``_Outer``).
+    backpropagation through time, stepped the same way.
+
+    The record's inputs are, per sentence, its direction's nine tensors in
+    field order and then its inputs, with the sentences last to first, so
+    that each tensor receives the sentences' gradients in the order their
+    own records, one per sentence in group order, would give them on a
+    tape.  Each weight matrix's gradient is one deferred matrix product (an
+    ``_Outer``) per sentence.
     """
-    if inputs.data.ndim != 2 or not inputs.shape[0]:
-        raise ShapeError(f"gru_sequence: expected a nonempty (n, D) matrix of inputs, "
-                         f"got shape {inputs.shape}")
+    if isinstance(inputs, Tensor):
+        return _gru_group(params, [inputs], reverse)[0]
+    return _gru_group(params, list(inputs), reverse)
+
+
+def _gru_group(params: GruParams, sentences: list[Tensor], reverse: bool) -> list[Tensor]:
+    """``gru_sequence`` of a group of sentences, one record."""
+    for inputs in sentences:
+        if inputs.data.ndim != 2 or not inputs.shape[0]:
+            raise ShapeError(f"gru_sequence: expected a nonempty (n, D) matrix of inputs, "
+                             f"got shape {inputs.shape}")
     # fields, not astuple: astuple deep-copies, so gradients would land on copies
     weights = tuple(getattr(params, f.name) for f in fields(params))
     u_in, u_state, u_bias, r_in, r_state, r_bias, c_in, c_state, c_bias = (
         w.data for w in weights)
-    x_all = inputs.data
-    n, d_in = x_all.shape
     hidden = u_bias.shape[0]
-    if any(w.shape != shape for w, shape in zip(
-            weights, [(hidden, d_in), (hidden, hidden), (hidden,)] * 3)):
-        raise ShapeError(f"gru_sequence: weights {[w.shape for w in weights]} do not "
-                         f"fit inputs of size {d_in}")
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    # per position, in input order: the state the step reads, the three
-    # pre-activations, the gates and candidate, and the state it writes
-    prev, fresh, states = (np.empty((n, hidden)) for _ in range(3))
-    pre, gates = np.empty((n, 3, hidden)), np.empty((n, 2, hidden))
-    # the input half of every pre-activation: one product per gate
-    in_u, in_r, in_c = (x_all @ w.T + b for w, b in ((u_in, u_bias), (r_in, r_bias),
-                                                      (c_in, c_bias)))
-    state = np.zeros(hidden)
-    for t in order:
-        pre_u, pre_r, pre_c = pre[t]
-        np.add(in_u[t], u_state @ state, out=pre_u)
-        np.add(in_r[t], r_state @ state, out=pre_r)
-        gates[t] = _logistic(pre[t, :2])
-        u, r = gates[t]
-        np.add(in_c[t], c_state @ (r * state), out=pre_c)
-        f = np.tanh(pre_c)
-        prev[t], fresh[t] = state, f
+    for inputs in sentences:
+        d_in = inputs.shape[1]
+        if any(w.shape != shape for w, shape in zip(
+                weights, [(hidden, d_in), (hidden, hidden), (hidden,)] * 3)):
+            raise ShapeError(f"gru_sequence: weights {[w.shape for w in weights]} do not "
+                             f"fit inputs of size {d_in}")
+    # the packed layout: the sentences take slots longest first, and step k
+    # (row k of a sentence, or row n - 1 - k if ``reverse``) of the a_k
+    # sentences still running takes rows offsets[k]:offsets[k] + a_k, slot order
+    lengths = [inputs.shape[0] for inputs in sentences]
+    slots = sorted(range(len(sentences)), key=lambda i: -lengths[i])
+    active = [sum(n > k for n in lengths) for k in range(max(lengths))]
+    offsets = np.concatenate(([0], np.cumsum(active)))
+    where = [None] * len(sentences)  # each sentence's packed rows, in input order
+    for slot, i in enumerate(slots):
+        rows = offsets[:lengths[i]] + slot
+        where[i] = rows[::-1] if reverse else rows
+    total = offsets[-1]
+    # the input half of every pre-activation, per gate: one product per sentence
+    given = np.empty((3, total, hidden))
+    for i, inputs in enumerate(sentences):
+        for gate, (w, b) in enumerate(((u_in, u_bias), (r_in, r_bias), (c_in, c_bias))):
+            given[gate, where[i]] = inputs.data @ w.T + b
+    # per packed row: the three pre-activations, the gates, the state the step
+    # reads, the candidate and the state it writes
+    pre, gates = np.empty((3, total, hidden)), np.empty((2, total, hidden))
+    prev, fresh, states = (np.empty((total, hidden)) for _ in range(3))
+    # the update and reset maps stacked: one matmul takes both gates' products
+    ur_state = np.stack((u_state, r_state))[:, None]
+    state = np.zeros((active[0], hidden))
+    for k, count in enumerate(active):
+        rows = slice(offsets[k], offsets[k] + count)
+        state = state[:count]
+        pre_ur, pre_c, gate = pre[:2, rows], pre[2, rows], gates[:, rows]
+        np.matmul(ur_state, state[:, :, None], out=pre_ur[:, :, :, None])
+        pre_ur += given[:2, rows]
+        u, r = _logistic(pre_ur, out=gate)
+        np.matmul(c_state, (r * state)[:, :, None], out=pre_c[:, :, None])
+        pre_c += given[2, rows]
+        f = np.tanh(pre_c, out=fresh[rows])
+        prev[rows] = state
         state = (1.0 - u) * f + u * state
-        states[t] = state
-    update, reset = gates[:, 0], gates[:, 1]
+        states[rows] = state
     if not np.isfinite(pre).all():
         raise NonFiniteError("gru_sequence: pre-activation has non-finite values")
+    update, reset = gates
 
-    def grad_fn(g):
+    def grad_fn(grads):
+        if len(sentences) == 1:
+            grads = (grads,)
+        g_out = np.zeros((total, hidden))
+        for rows, g in zip(where, grads):
+            if g is not None:
+                g_out[rows] = g
         # the factors of the pre-activation gradients that need no carry
         d_u = (prev - fresh) * update * (1.0 - update)
         d_r = prev * reset * (1.0 - reset)
         d_c = (1.0 - update) * (1.0 - fresh * fresh)
-        g_u, g_r, g_c = (np.empty((n, hidden)) for _ in range(3))
-        carry = np.zeros(hidden)
-        for t in reversed(order):
-            g_s = g[t] + carry
-            g_u[t] = g_s * d_u[t]
-            g_c[t] = g_s * d_c[t]
-            g_reset_state = c_state.T @ g_c[t]
-            g_r[t] = g_reset_state * d_r[t]
-            carry = (g_s * update[t] + g_reset_state * reset[t]
-                     + u_state.T @ g_u[t] + r_state.T @ g_r[t])
-        grads = []
-        for g_pre, state_in in ((g_u, prev), (g_r, prev), (g_c, reset * prev)):
-            grads += [_Outer(g_pre.T, x_all), _Outer(g_pre.T, state_in), g_pre.sum(0)]
-        grads.append(g_u @ u_in + g_r @ r_in + g_c @ c_in if inputs.requires_grad else None)
-        return tuple(grads)
+        g_ur, g_c = np.empty((2, total, hidden)), np.empty((total, hidden))
+        g_u, g_r = g_ur
+        ur_state_t = ur_state.transpose(0, 1, 3, 2)
+        carry = np.zeros((active[0], hidden))
+        for k in reversed(range(len(active))):
+            count = active[k]
+            rows = slice(offsets[k], offsets[k] + count)
+            g_s = g_out[rows] + carry[:count]
+            np.multiply(g_s, d_u[rows], out=g_u[rows])
+            np.multiply(g_s, d_c[rows], out=g_c[rows])
+            g_reset_state = np.matmul(c_state.T, g_c[rows, :, None])[:, :, 0]
+            np.multiply(g_reset_state, d_r[rows], out=g_r[rows])
+            from_u, from_r = np.matmul(ur_state_t, g_ur[:, rows, :, None])[:, :, :, 0]
+            carry[:count] = g_s * update[rows] + g_reset_state * reset[rows] + from_u + from_r
+        out = []
+        for i in reversed(range(len(sentences))):
+            inputs, rows = sentences[i], where[i]
+            if grads[i] is None:
+                out += [None] * (len(weights) + 1)
+                continue
+            x_all, state_in = inputs.data, prev[rows]
+            pres = g_u[rows], g_r[rows], g_c[rows]
+            for g_pre, factor in zip(pres, (state_in, state_in, reset[rows] * state_in)):
+                out += [_Outer(g_pre.T, x_all), _Outer(g_pre.T, factor), g_pre.sum(0)]
+            out.append(pres[0] @ u_in + pres[1] @ r_in + pres[2] @ c_in
+                       if inputs.requires_grad else None)
+        return tuple(out)
 
-    return _emit("gru_sequence", (*weights, inputs), states, grad_fn)
+    outs = _emit("gru_sequence",
+                 tuple(t for inputs in reversed(sentences) for t in (*weights, inputs)),
+                 tuple(states[rows] for rows in where), grad_fn)
+    return list(outs)
 
 
 def leaf_states(weight: Tensor, bias: Tensor, parts: list[Tensor]) -> list[NodeState]:
@@ -266,7 +342,7 @@ def leaf_states(weight: Tensor, bias: Tensor, parts: list[Tensor]) -> list[NodeS
 class TreeLstmCells:
     """The binary Tree-LSTM cell (Tai et al. 2015) over k child pairs, on
     arrays: the parents' ``h``, ``c`` and validity logits ``query . h``,
-    and what ``backward`` needs.
+    and what ``backward`` needs besides the children's ``c``.
 
     Row j of ``pairs`` (k, 2H) is ``[h_left; h_right]`` of pair j and row j
     of ``mems`` (k, 2H) its ``[c_left; c_right]``.  ``weight`` is (5H, 2H)
@@ -288,14 +364,13 @@ class TreeLstmCells:
     overflow, and so are ``c`` and the logits.
     """
 
-    __slots__ = ("query", "pairs", "mems", "blocks", "tanh_c", "h", "c", "logits")
+    __slots__ = ("query", "blocks", "tanh_c", "h", "c", "logits")
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, query: np.ndarray,
                  pairs: np.ndarray, mems: np.ndarray, h: np.ndarray, c: np.ndarray,
                  logits: np.ndarray, segments: tuple[slice, ...] = (slice(None),)):
         k, hidden = h.shape
-        self.query, self.pairs, self.mems, self.h, self.c, self.logits = (
-            query, pairs, mems, h, c, logits)
+        self.query, self.h, self.c, self.logits = query, h, c, logits
         pre, weight_t = np.empty((k, 5 * hidden)), weight.T
         for rows in segments:
             np.matmul(pairs[rows], weight_t, out=pre[rows])
@@ -321,11 +396,12 @@ class TreeLstmCells:
         if not (_all_finite(c) and _all_finite(logits)):
             raise NonFiniteError("tree_induction: produced non-finite values")
 
-    def backward(self, g_h: np.ndarray, g_c: np.ndarray,
-                 g_logit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def backward(self, g_h: np.ndarray, g_c: np.ndarray, g_logit: np.ndarray,
+                 mems: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (k, 5H) pre-activation gradient and the gradients of
         ``c_left`` and ``c_right``, from the gradients of the parents' h, c
-        and logits; ``g_h`` and ``g_c`` are updated in place.  The weight's
+        and logits and the children's ``mems`` the cell was made with;
+        ``g_h`` and ``g_c`` are updated in place.  The weight's
         gradient is ``g_pre.T @ pairs``, the bias's ``g_pre.sum(0)``, the
         query's ``g_logit @ h`` and that of ``[h_left; h_right]``
         ``g_pre @ weight``."""
@@ -336,8 +412,8 @@ class TreeLstmCells:
         g_c += g_h * gate_out * (1.0 - tanh_c * tanh_c)
         # per block, the gradient of its activation times that activation's
         # slope: 1 - t^2 for the candidate t, g (1 - g) for a gate g
-        g_pre = np.concatenate((g_c * gate_in, g_c * candidate, g_c * self.mems[:, :hidden],
-                                g_c * self.mems[:, hidden:], g_h * tanh_c), axis=1)
+        g_pre = np.concatenate((g_c * gate_in, g_c * candidate, g_c * mems[:, :hidden],
+                                g_c * mems[:, hidden:], g_h * tanh_c), axis=1)
         slope = blocks * (1.0 - blocks)
         slope[:, 0] = 1.0 - candidate * candidate
         g_pre *= slope.reshape(k, 5 * hidden)
@@ -490,8 +566,7 @@ def st_gumbel_select(scores, config: GumbelConfig,
 
 
 def induce_tree(leaves: list[NodeState] | list[list[NodeState]], params: CompositionParams,
-                query: Tensor, config: GumbelConfig, rng: np.random.Generator | None = None,
-                tokens=None):
+                query: Tensor, config: GumbelConfig, rng=None, tokens=None):
     """Reduce a sentence to a single node, one merge per layer.
 
     At every layer all adjacent pairs are candidates: each is composed,
@@ -499,13 +574,17 @@ def induce_tree(leaves: list[NodeState] | list[list[NodeState]], params: Composi
     ``infer`` mode the new node is the chosen candidate; in ``soft`` mode
     it is the weighted sum of all candidates under the relaxed selection
     weights.  Returns the induced tree and all 2n - 1 node states (leaves
-    first, then composed nodes in creation order).
+    first, then composed nodes in creation order).  ``train`` and ``soft``
+    mode draw the sentence's Gumbel noise from the generator ``rng``, and
+    raise ``ValueError`` naming it if it is None.
 
-    In ``infer`` mode ``leaves`` may instead be a group: a list of
-    sentences' leaf lists, with ``tokens`` None or one entry per sentence;
-    the result is then one (tree, nodes) per sentence, each bit for bit
-    what the sentence gives alone.  One loop serves every mode and induces
-    a group's trees in lockstep; a sentence alone is a group of one.
+    ``leaves`` may instead be a group: a list of sentences' leaf lists,
+    with ``tokens`` None or one entry per sentence and, in ``train`` and
+    ``soft`` mode, ``rng`` one generator per sentence (``infer`` draws
+    nothing and takes None); the result is then one (tree, nodes) per
+    sentence, each bit for bit what the sentence gives alone.  One loop
+    serves every mode and induces a group's trees in lockstep; a sentence
+    alone is a group of one.
 
     The state lives in arrays.  Each sentence's n leaves and the nodes its
     merges make (merge t makes node n + t) take 2n - 1 consecutive rows of
@@ -531,24 +610,34 @@ def induce_tree(leaves: list[NodeState] | list[list[NodeState]], params: Composi
     one.
 
     ``infer`` records nothing and keeps no cells.  In ``train`` and ``soft``
-    mode the composed nodes are the outputs of one ``tree_induction``
-    record, whose backward pass replays the merges in reverse: for each
-    merge ``TreeLstmCells.backward`` of the pairs composed after it, then
-    the gradient of the merge (under ``train`` the weighted sum's gradient
-    at the one-hot weights, which passes the relaxed gradient straight
+    mode the composed nodes of the whole group are the outputs of one
+    ``tree_induction`` record, whose backward pass replays the merges in
+    reverse, layer by layer in lockstep: for each layer
+    ``TreeLstmCells.backward`` of the pairs composed after it (one call for
+    the group, with the matrix product per sentence), then per sentence the
+    gradient of its merge (under ``train`` the weighted sum's gradient at
+    the one-hot weights, which passes the relaxed gradient straight
     through), of the Gumbel relaxation (``_gumbel_relaxation_grad``) and of
-    the validity softmax; the first layer's cells come last, as one batch.
-    The weight gradient is one deferred matrix product over all
-    candidates.  The Gumbel noise of all layers is one draw per sentence,
-    which gives the same values and leaves ``rng`` in the same state as one
-    draw per layer.
+    the validity softmax; the first layers' cells come last.  The record's
+    inputs are, per sentence, ``weight``, ``bias``, ``query`` and its
+    leaves' ``h`` and ``c``, with the sentences last to first: each
+    parameter receives one gradient per sentence (the weight's a deferred
+    matrix product over the sentence's candidates), in the order the
+    sentences' own records, one per sentence in group order, would give
+    them on a tape.  The Gumbel noise of all layers is one draw per
+    sentence, which gives the same values and leaves its generator in the
+    same state as one draw per layer; the sentences draw in group order.
     """
     if leaves and not isinstance(leaves[0], NodeState):
-        if config.mode != "infer":
-            raise ValueError(f"induce_tree: {config.mode} mode induces one sentence at a time")
-        return _induce(leaves, params, query, config, rng,
-                       tokens if tokens is not None else [None] * len(leaves))
-    return _induce([leaves], params, query, config, rng, [tokens])[0]
+        count = len(leaves)
+        if rng is None:
+            rng = [None] * count
+        elif isinstance(rng, np.random.Generator) or len(rng) != count:
+            raise ValueError(f"induce_tree: a group of {count} sentences takes one "
+                             f"generator per sentence")
+        return _induce(leaves, params, query, config, list(rng),
+                       tokens if tokens is not None else [None] * count)
+    return _induce([leaves], params, query, config, [rng], [tokens])[0]
 
 
 def _check_leaves(leaves: list[NodeState], params: CompositionParams, query: Tensor) -> None:
@@ -572,26 +661,36 @@ def _children(window: list[int]) -> list[int]:
 class _Lockstep:
     """One sentence of an induction: its position in the group, its size n,
     the group row of its first node, its Gumbel noise (None in ``infer``
-    mode) and the offset of its next layer's noise, and its current nodes,
-    live candidate rows (both in sentence order) and merges so far."""
+    mode) and the offset of its next layer's noise, its current nodes and
+    live candidate rows (both in sentence order), its merges so far and,
+    when recording, the row of every candidate it composed and the node
+    rows of its children (two per candidate), in creation order."""
 
-    __slots__ = ("index", "n", "base", "noise", "offset", "nodes", "live", "merges")
+    __slots__ = ("index", "n", "base", "noise", "offset", "nodes", "live", "merges", "rows",
+                 "children")
 
     def __init__(self, index: int, n: int, base: int, noise: np.ndarray | None):
         self.index, self.n, self.base, self.noise, self.offset = index, n, base, noise, 0
         self.nodes = list(range(base, base + n))
         self.live: list[int] = []
         self.merges: list[int] = []
+        self.rows: list[int] = []
+        self.children: list[int] = []
 
 
 def _induce(sentences: list[list[NodeState]], params: CompositionParams, query: Tensor,
-            config: GumbelConfig, rng: np.random.Generator | None,
-            tokens: list) -> list[tuple[BinaryTree, list[NodeState]]]:
-    """``induce_tree`` of a group of sentences, which is a group of one in
-    ``train`` and ``soft`` mode; one (tree, nodes) per sentence."""
+            config: GumbelConfig, rngs: list, tokens: list) -> list[tuple[BinaryTree,
+                                                                       list[NodeState]]]:
+    """``induce_tree`` of a group of sentences, with one generator (or None)
+    and one ``tokens`` entry per sentence; one (tree, nodes) per sentence."""
     hidden = query.shape[0]
     weight, bias = params.weight, params.bias
     soft, record = config.mode == "soft", config.mode != "infer"
+    if record:
+        for i, (leaves, rng) in enumerate(zip(sentences, rngs)):
+            if rng is None and len(leaves) > 1:
+                raise ValueError(f"induce_tree: {config.mode} mode draws Gumbel noise and "
+                                 f"needs a generator (rng) for sentence {i}, which has none")
     induced: list = [None] * len(sentences)
     runs: list[_Lockstep] = []
     size = 0  # node rows of the group
@@ -605,7 +704,7 @@ def _induce(sentences: list[list[NodeState]], params: CompositionParams, query: 
         _check_leaves(leaves, params, query)
         # one draw per sentence: layer t's n - 1 - t values start at offset
         # (every layer its own, as if drawn per layer) or at 0 (one vector reused)
-        noise = (gumbel_noise(n * (n - 1) // 2 if config.noise_per_layer else n - 1, rng)
+        noise = (gumbel_noise(n * (n - 1) // 2 if config.noise_per_layer else n - 1, rngs[i])
                  if record else None)
         runs.append(_Lockstep(i, n, size, noise))
         size += 2 * n - 1
@@ -619,10 +718,11 @@ def _induce(sentences: list[list[NodeState]], params: CompositionParams, query: 
     cand_h, cand_c = cands_hc
     cand_logit = np.empty(cand_rows)
     count = 0  # candidate rows filled
-    # kept when recording: per compose call (candidate rows, TreeLstmCells,
-    # children), per merge (live rows, index, scores, relaxed)
-    cells: list = []
-    steps: list = []
+    # kept when recording, per compose call (candidate rows, TreeLstmCells,
+    # children, segments): the first layers' calls, and per layer its merges
+    # (node, live rows, index, scores, relaxed) and the call after them, if any
+    first_layer: list = []
+    layers: list = []
     for run in runs:
         leaves = sentences[run.index]
         nodes_hc[:, run.base:run.base + run.n] = [[leaf.h.data for leaf in leaves],
@@ -633,13 +733,15 @@ def _induce(sentences: list[list[NodeState]], params: CompositionParams, query: 
         cell = compose(pairs, mems, query, params,
                        out=(cand_h[rows], cand_c[rows], cand_logit[rows]))
         if record:
-            cells.append((rows, cell, children))
+            first_layer.append((rows, cell, children, (slice(None),)))
+            run.rows.extend(range(rows.start, rows.stop))
+            run.children.extend(children)
         run.live = list(range(rows.start, rows.stop))
         count = rows.stop
     active = runs
     while active:
         # the pairs that touch the new nodes, and each sentence's rows of them
-        children, segments, going_on = [], [], []
+        children, segments, going_on, merges = [], [], [], []
         for run in active:
             logits = cand_logit.take(run.live)
             scores = validity_scores(logits, config)
@@ -655,17 +757,23 @@ def _induce(sentences: list[list[NodeState]], params: CompositionParams, query: 
             else:
                 nodes_hc[:, node] = cands_hc[:, run.live[index]]
             if record:
-                steps.append((run.live[:], index, scores, relaxed))
+                merges.append((node, run.live[:], index, scores, relaxed))
             run.merges.append(index)
             run.nodes[index:index + 2] = [node]
             if len(run.nodes) == 1:
                 continue
             slot = max(index - 1, 0)
             start = len(children) // 2
-            children += _children(run.nodes[slot:index + 2])
+            new_children = _children(run.nodes[slot:index + 2])
+            children += new_children
             segments.append(slice(start, len(children) // 2))
-            run.live[slot:index + 2] = range(count + start, count + len(children) // 2)
+            new_rows = range(count + start, count + len(children) // 2)
+            run.live[slot:index + 2] = new_rows
+            if record:
+                run.rows.extend(new_rows)
+                run.children.extend(new_children)
             going_on.append(run)
+        composed = None
         if going_on:
             rows = slice(count, count + len(children) // 2)
             pairs, mems = nodes_hc.take(children, 1).reshape(2, -1, 2 * hidden)
@@ -673,65 +781,88 @@ def _induce(sentences: list[list[NodeState]], params: CompositionParams, query: 
                            out=(cand_h[rows], cand_c[rows], cand_logit[rows]),
                            segments=tuple(segments))
             if record:
-                cells.append((rows, cell, children))
+                composed = (rows, cell, children, tuple(segments))
             count = rows.stop
-        active = going_on
-
-    def grad_fn(grads):
-        n = runs[0].n  # a group of one: its rows are all the group's
-        g_node_h, g_node_c = np.zeros((2, 2 * n - 1, hidden))
-        for i, g in enumerate(grads):
-            if g is not None:
-                (g_node_h if i < n - 1 else g_node_c)[n + i % (n - 1)] = g
-        g_cand_h, g_cand_c = np.zeros((2, count, hidden))
-        g_cand_logit = np.zeros(count)
-
-        def cell_backward(rows, cell, children):
-            g_pre, g_mem_l, g_mem_r = cell.backward(g_cand_h[rows], g_cand_c[rows],
-                                                    g_cand_logit[rows])
-            g_pairs = g_pre @ weight.data
-            lefts, rights = children[0::2], children[1::2]
-            g_node_h[lefts] += g_pairs[:, :hidden]
-            g_node_h[rights] += g_pairs[:, hidden:]
-            g_node_c[lefts] += g_mem_l
-            g_node_c[rights] += g_mem_r
-            return g_pre
-
-        g_pres = [None] * len(cells)
-        for t in reversed(range(n - 1)):
-            if t + 1 < len(cells):
-                g_pres[t + 1] = cell_backward(*cells[t + 1])
-            live_rows, index, probs, relaxed = steps[t]
-            g_h, g_c = g_node_h[n + t], g_node_c[n + t]
-            if soft:
-                g_cand_h[live_rows] += relaxed[:, None] * g_h
-                g_cand_c[live_rows] += relaxed[:, None] * g_c
-            else:
-                g_cand_h[live_rows[index]] += g_h
-                g_cand_c[live_rows[index]] += g_c
-            g_weights = cand_h[live_rows] @ g_h + cand_c[live_rows] @ g_c
-            g_probs = _gumbel_relaxation_grad(g_weights, relaxed, probs, config)
-            g_cand_logit[live_rows] += _softmax_grad(probs, g_probs)
-        g_pres[0] = cell_backward(*cells[0])
-        g_pre = np.concatenate(g_pres)
-        pairs = np.concatenate([cell.pairs for _, cell, _ in cells])
-        return (_Outer(g_pre.T, pairs), g_pre.sum(axis=0),
-                g_cand_logit @ cand_h[:count], *g_node_h[:n], *g_node_c[:n])
-
-    for run in runs:
-        n, first = run.n, run.base + run.n  # the sentence's first composed node
-        leaves = sentences[run.index]
-        hs, cs = nodes_hc[:, first:first + n - 1]
         if record:
-            outs = _emit("tree_induction", (weight, bias, query, *(leaf.h for leaf in leaves),
-                                            *(leaf.c for leaf in leaves)),
-                         (*hs, *cs), grad_fn, views_of=(hs, cs))
-        else:
-            # constants, copies of candidates whose values compose has checked
-            outs = _emit("tree_induction", (), (*hs, *cs), None, views_of=())
-        induced[run.index] = (
-            BinaryTree(n, tuple(run.merges), tokens[run.index]),
-            [*leaves, *(NodeState(h, c) for h, c in zip(outs[:n - 1], outs[n - 1:]))])
+            layers.append((merges, composed))
+        active = going_on
+    # each sentence's composed nodes: its h rows, then its c rows
+    made = [nodes_hc[:, run.base + run.n:run.base + 2 * run.n - 1] for run in runs]
+    if not record:
+        # constants, copies of candidates whose values compose has checked
+        outs = [t for hs, cs in made
+                for t in _emit("tree_induction", (), (*hs, *cs), None, views_of=())]
+    else:
+        def grad_fn(grads):
+            g_node_h, g_node_c = np.zeros((2, size, hidden))
+            at = 0  # the grads of a sentence's h, then of its c, sentence by sentence
+            for run in runs:
+                first, m = run.base + run.n, run.n - 1
+                for j, g in enumerate(grads[at:at + 2 * m]):
+                    if g is not None:
+                        (g_node_h if j < m else g_node_c)[first + j % m] = g
+                at += 2 * m
+            g_cand_h, g_cand_c = np.zeros((2, count, hidden))
+            g_cand_logit = np.zeros(count)
+            # the pre-activation gradients, sentence by sentence: candidate
+            # row r goes to row to_run[r] of g_pre
+            to_run = np.empty(count, dtype=np.intp)
+            to_run[np.concatenate([run.rows for run in runs])] = np.arange(count)
+            g_pre = np.empty((count, 5 * hidden))
+
+            def cell_backward(rows, cell, children, segments):
+                mems = node_c.take(children, 0).reshape(-1, 2 * hidden)
+                g_cell, g_mem_l, g_mem_r = cell.backward(g_cand_h[rows], g_cand_c[rows],
+                                                         g_cand_logit[rows], mems)
+                g_pairs = np.empty((len(g_cell), 2 * hidden))
+                for part in segments:
+                    np.matmul(g_cell[part], weight.data, out=g_pairs[part])
+                lefts, rights = children[0::2], children[1::2]
+                g_node_h[lefts] += g_pairs[:, :hidden]
+                g_node_h[rights] += g_pairs[:, hidden:]
+                g_node_c[lefts] += g_mem_l
+                g_node_c[rights] += g_mem_r
+                g_pre[to_run[rows]] = g_cell
+
+            for merges, composed in reversed(layers):
+                if composed is not None:
+                    cell_backward(*composed)
+                for node, live_rows, index, probs, relaxed in merges:
+                    g_h, g_c = g_node_h[node], g_node_c[node]
+                    if soft:
+                        g_cand_h[live_rows] += relaxed[:, None] * g_h
+                        g_cand_c[live_rows] += relaxed[:, None] * g_c
+                    else:
+                        g_cand_h[live_rows[index]] += g_h
+                        g_cand_c[live_rows[index]] += g_c
+                    g_weights = cand_h[live_rows] @ g_h + cand_c[live_rows] @ g_c
+                    g_probs = _gumbel_relaxation_grad(g_weights, relaxed, probs, config)
+                    g_cand_logit[live_rows] += _softmax_grad(probs, g_probs)
+            for composed in first_layer:
+                cell_backward(*composed)
+            out, ends = [], np.cumsum([len(run.rows) for run in runs])
+            for run, end in zip(reversed(runs), reversed(ends)):
+                g_run = g_pre[end - len(run.rows):end]
+                pairs = node_h.take(run.children, 0).reshape(-1, 2 * hidden)
+                leaves = slice(run.base, run.base + run.n)
+                out += [_Outer(g_run.T, pairs), g_run.sum(axis=0),
+                        g_cand_logit.take(run.rows) @ cand_h.take(run.rows, 0),
+                        *g_node_h[leaves], *g_node_c[leaves]]
+            return tuple(out)
+
+        inputs = tuple(t for run in reversed(runs)
+                       for t in (weight, bias, query, *(leaf.h for leaf in sentences[run.index]),
+                                 *(leaf.c for leaf in sentences[run.index])))
+        outs = _emit("tree_induction", inputs,
+                     tuple(t for hs, cs in made for t in (*hs, *cs)), grad_fn,
+                     views_of=tuple(half for halves in made for half in halves))
+    at = 0
+    for run in runs:
+        m = run.n - 1
+        hs, cs = outs[at:at + m], outs[at + m:at + 2 * m]
+        at += 2 * m
+        induced[run.index] = (BinaryTree(run.n, tuple(run.merges), tokens[run.index]),
+                              [*sentences[run.index], *(NodeState(h, c) for h, c in zip(hs, cs))])
     return induced
 
 

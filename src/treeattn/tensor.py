@@ -179,19 +179,23 @@ def _emit(name: str, inputs: Sequence[Tensor], out_data, grad_fn: Callable,
     return outs if multi else outs[0]
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
+def backward(tape: Tape, loss: Tensor | None) -> None:
     """Populate ``grad`` for every tensor reachable from ``loss``.
 
     Gradients accumulate additively, both across multiple uses of one
     tensor inside the tape and across repeated backward calls.  If the tape
     has a ``GradientBatch``, the deferred weight gradients of tensors that
-    no record on the tape made stay in it until its ``flush``.
+    no record on the tape made stay in it until its ``flush``.  With
+    ``loss`` None the tape is replayed from the gradients its records'
+    outputs already hold, which the backward passes of the tapes that read
+    those outputs have left there.
     """
-    if loss.shape != ():
-        raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
-    if not any(out is loss for rec in tape._records for out in rec.outputs):
-        raise ValueError("backward: loss was not produced on this tape")
-    loss.grad = (loss.grad if loss.grad is not None else np.zeros(())) + 1.0
+    if loss is not None:
+        if loss.shape != ():
+            raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
+        if not any(out is loss for rec in tape._records for out in rec.outputs):
+            raise ValueError("backward: loss was not produced on this tape")
+        loss.grad = (loss.grad if loss.grad is not None else np.zeros(())) + 1.0
     # id(tensor) -> (tensor, lefts, rights) of its not yet summed _Outer gradients
     pending: dict[int, tuple[Tensor, list, list]] = {}
     for rec in reversed(tape._records):

@@ -20,14 +20,17 @@ import numpy as np
 from .data import PAD_INDEX, EmbeddingMatrix, Vocabulary, write_file
 from .model import Model
 from .parser import GumbelConfig
-from .tensor import GradientBatch, NonFiniteError, Tape, Tensor, backward, stable_softmax
+from .tensor import (GradientBatch, NonFiniteError, Tape, Tensor, backward, cross_entropy,
+                     stable_softmax)
 
 CHECKPOINT_MAGIC = "treeattn-checkpoint"
 CHECKPOINT_VERSION = 1
 _BLOB_MARKER = b"blob\n"  # the line that ends a checkpoint's header; the float32 blob follows
-# examples per lockstep group in evaluate: large enough to share the per-call
-# work of tree induction, small enough that a group's arrays stay small
-EVAL_GROUP = 8
+# examples per lockstep group, in evaluate and in a training batch: large
+# enough to share the per-call work of the GRU leaf and tree induction, small
+# enough that a group's arrays, which a training group keeps until its
+# backward pass, stay small
+GROUP = 8
 
 
 class TrainingDiverged(ArithmeticError):
@@ -273,8 +276,8 @@ def macro_f1(gold: list[int], predicted: list[int], num_classes: int) -> float:
 def evaluate(examples, model: Model) -> EvalResult:
     """Accuracy and macro-F1 with deterministic inference-mode trees.
 
-    The examples are encoded in groups of ``EVAL_GROUP``, the trees of a
-    group's sentences induced in lockstep (``Model.infer_logits``).  No
+    The examples are encoded in groups of ``GROUP``, the trees of a
+    group's sentences induced in lockstep (``Model.batch_logits``).  No
     example is padded and every matrix product stays per sentence, so each
     example's probabilities are bit for bit those of encoding it alone,
     whatever the group holds; a group is freed before the next is encoded.
@@ -288,9 +291,9 @@ def evaluate(examples, model: Model) -> EvalResult:
                              f"model's {num_classes} classes")
 
     predictions = []
-    for start in range(0, len(examples), EVAL_GROUP):
-        group = examples[start:start + EVAL_GROUP]
-        for i, (ex, logits) in enumerate(zip(group, model.infer_logits(group)), start):
+    for start in range(0, len(examples), GROUP):
+        group = examples[start:start + GROUP]
+        for i, (ex, logits) in enumerate(zip(group, model.batch_logits(group)), start):
             probs = stable_softmax(logits.data)
             predictions.append(Prediction(i, ex.label, int(np.argmax(logits.data)), probs))
     gold = [p.gold for p in predictions]
@@ -517,6 +520,40 @@ def _seeded(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
+def batch_gradients(model: Model, examples, rngs: list[np.random.Generator],
+                    dropout_keep: float,
+                    weight_grads: GradientBatch) -> list[tuple[Tensor, Tensor]]:
+    """The (loss, logits) of each example of a training batch, whose
+    gradients the backward pass adds to the parameters, leaving their
+    deferred weight gradients in ``weight_grads``.
+
+    The batch runs in groups of ``GROUP`` examples, each forward and then
+    backward before the next.  A group's forward pass is
+    ``Model.batch_logits`` in ``train`` mode: the leaves and trees of all
+    its sentences on one tape, then each example's pooling, head and loss
+    on a tape of its own.  Its backward pass replays the examples' tapes in
+    example order, then the group's.  Every tensor so receives its
+    gradients in the order that one tape per example, replayed one after
+    another, gives them, so each parameter's gradient is bit for bit that
+    of the examples as batches of one under one ``GradientBatch``.
+    """
+    results = []
+    for start in range(0, len(examples), GROUP):
+        group = examples[start:start + GROUP]
+        tapes = [Tape(weight_grads) for _ in group]
+        with Tape(weight_grads) as group_tape:
+            all_logits = model.batch_logits(group, "train", rngs[start:start + GROUP],
+                                            dropout_keep, tapes)
+        for i, (example, logits) in enumerate(zip(group, all_logits)):
+            tape, tapes[i] = tapes[i], None  # free each example's tape once replayed
+            with tape:
+                loss = cross_entropy(logits, example.label)
+            backward(tape, loss)
+            results.append((loss, logits))
+        backward(group_tape, None)
+    return results
+
+
 def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
           embedding: EmbeddingMatrix, *, clock=time.monotonic,
           stop_condition=None) -> TrainResult:
@@ -564,14 +601,11 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
             batch = order[batch_index:batch_index + config.batch_size]
             optimizer.zero_grad()
             weight_grads = GradientBatch()  # one matrix product per weight per batch
+            examples = [train_examples[int(i)] for i in batch]
+            rngs = [_seeded(config.seed, 2, epoch, int(i)) for i in batch]
             try:
-                for orig_index in batch:
-                    example = train_examples[int(orig_index)]
-                    rng = _seeded(config.seed, 2, epoch, int(orig_index))
-                    with Tape(weight_grads) as tape:
-                        loss, logits = model.example_loss(
-                            example, "train", rng, config.dropout_keep)
-                        backward(tape, loss)
+                for example, (loss, logits) in zip(examples, batch_gradients(
+                        model, examples, rngs, config.dropout_keep, weight_grads)):
                     losses.append(loss.item())
                     if int(np.argmax(logits.data)) == example.label:
                         correct += 1

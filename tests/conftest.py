@@ -374,6 +374,69 @@ def op_gradient_cases(seed: int = 0):
             for probe in ("query", "leaf_h", "leaf_c"):
                 case(f"tree_induction_{mode}_n{n}_{probe}")(tree_induction_case(mode, probe, n))
 
+    def tree_induction_group_case(mode, probe, lengths=(4, 1, 3)):
+        # a group of sentences; probe is a composition parameter, "query", or
+        # "leaf_h" / "leaf_c" of the first sentence's second leaf.  The loss
+        # reads, per sentence, the h of every node and the c of every other
+        # composed node.  In train mode the fused op runs at the probe point
+        # and each sentence's straight-through surrogate elsewhere, as in
+        # tree_induction_case
+        config = GumbelConfig(temperature=0.8, mode=mode)
+
+        def build(rng):
+            hidden = 3
+            values = {"weight": rng.normal(scale=0.5, size=(5 * hidden, 2 * hidden)),
+                      "bias": rng.normal(size=5 * hidden), "query": rng.normal(size=hidden)}
+            leaf_values = [(rng.normal(size=(n, hidden)), rng.normal(size=(n, hidden)))
+                           for n in lengths]
+            values["leaf_h"], values["leaf_c"] = (part[1] for part in leaf_values[0])
+            draws = int(rng.integers(1 << 30))
+            probes = [Tensor(rng.normal(size=(2 * n - 1 + n // 2) * hidden)) for n in lengths]
+
+            def inputs(x):
+                def value(name):
+                    return x if probe == name else Tensor(values[name])
+                group = []
+                for i, (hs, cs) in enumerate(leaf_values):
+                    hs, cs = [Tensor(row) for row in hs], [Tensor(row) for row in cs]
+                    if i == 0 and probe.startswith("leaf_"):
+                        (hs if probe == "leaf_h" else cs)[1] = x
+                    group.append([NodeState(h, c) for h, c in zip(hs, cs)])
+                return group, CompositionParams(value("weight"), value("bias")), value("query")
+
+            def loss(induced):
+                total = None
+                for nodes, r, n in zip(induced, probes, lengths):
+                    term = T.dot(T.concat([*(node.h for node in nodes),
+                                           *(node.c for node in nodes[n::2])]), r)
+                    total = term if total is None else T.add(total, term)
+                return total
+
+            def rngs():
+                return [np.random.default_rng([draws, i]) for i in range(len(lengths))]
+
+            probe_value = values[probe]
+            anchors = None
+            if mode == "train":
+                group, params, query = inputs(Tensor(probe_value))
+                anchors = [unfused_induce_tree(leaves, params, query, config, rng)[2]
+                           for leaves, rng in zip(group, rngs())]
+
+            def f(x):
+                group, params, query = inputs(x)
+                if anchors is None or np.array_equal(x.data, probe_value):
+                    induced = induce_tree(group, params, query, config, rngs())
+                    return loss([nodes for _, nodes in induced])
+                return loss([unfused_induce_tree(leaves, params, query, config, rng, anchor)[1]
+                             for leaves, rng, anchor in zip(group, rngs(), anchors)])
+
+            return f, Tensor(probe_value.copy())
+        return build
+
+    for mode in ("train", "soft"):
+        for probe in ("weight", "bias", "query", "leaf_h", "leaf_c"):
+            case(f"tree_induction_group_{mode}_{probe}")(tree_induction_group_case(mode, probe))
+
     def gru_sequence_case(probe, reverse):
         # probe is a weight name or "inputs", the (3, 4) matrix of the three
         # input vectors, which both directions read with and without a
@@ -394,6 +457,32 @@ def op_gradient_cases(seed: int = 0):
     for probe in (*GRU_WEIGHTS, "inputs"):
         case(f"gru_sequence_{probe}")(gru_sequence_case(probe, reverse=False))
         case(f"gru_sequence_reverse_{probe}")(gru_sequence_case(probe, reverse=True))
+
+    def gru_sequence_group_case(probe, reverse, lengths=(2, 3, 1)):
+        # a group of sentences stepped together; probe is a weight name or
+        # "inputs", the first sentence's, which is not the longest
+        def build(rng):
+            weights, _ = gru_values(rng, hidden=3, d_in=4, n=0)
+            words = [rng.normal(size=(n, 4)) for n in lengths]
+            probes = [Tensor(rng.normal(size=(n, 3))) for n in lengths]
+
+            def run(x):
+                params = GruParams(*(x if name == probe else Tensor(v)
+                                     for name, v in weights.items()))
+                group = [x if probe == "inputs" and i == 0 else Tensor(w)
+                         for i, w in enumerate(words)]
+                total = None
+                for out, r in zip(gru_sequence(params, group, reverse), probes):
+                    term = E.mean(T.mul(out, r))
+                    total = term if total is None else T.add(total, term)
+                return total
+
+            return run, Tensor(words[0] if probe == "inputs" else weights[probe])
+        return build
+
+    for probe in (*GRU_WEIGHTS, "inputs"):
+        case(f"gru_sequence_group_{probe}")(gru_sequence_group_case(probe, reverse=False))
+        case(f"gru_sequence_group_reverse_{probe}")(gru_sequence_group_case(probe, reverse=True))
 
     def leaf_states_case(probe, widths, n):
         # probe is "weight", "bias" or "part<k>"; the loss reads every

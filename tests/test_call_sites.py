@@ -4,9 +4,9 @@
 looks up (``parser.compose``, ``training.backward``, ...).  A refactor that
 calls the function some other way leaves that span silent, which only a
 traced benchmark run would show; these tests run each span's caller under
-the tracer, on tiny inputs, instead: once over a training run, and once
-over an ``infer``-mode evaluation alone, whose induction path training
-does not take; and once over a single induction in every mode.
+the tracer, on tiny inputs, instead: once over a training run, once over an
+``infer``-mode evaluation and once over a training batch, pinning the calls
+of their lockstep groups, and once over a single induction in every mode.
 """
 
 import importlib.util
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from treeattn import cli, data, parser, toy, training
-from treeattn.tensor import Tensor
+from treeattn.tensor import GradientBatch, Tensor
 
 from conftest import tiny_pair_model
 
@@ -49,7 +49,7 @@ def test_every_call_site_records_calls(tmp_path):
 
 
 def test_infer_evaluation_records_every_induction_span():
-    # evaluate induces each group of EVAL_GROUP examples in one induce_tree
+    # evaluate induces each group of GROUP examples in one induce_tree
     # call: every sentence of n >= 2 words makes one compose call for its
     # first layer, then each later layer one compose call for the new pairs
     # of all sentences still being induced, so a group of longest sentence
@@ -59,12 +59,12 @@ def test_infer_evaluation_records_every_induction_span():
     model = tiny_pair_model()
     rng = np.random.default_rng(3)
     lengths = [(1, 4), (6, 2), (9, 3), *(tuple(int(n) for n in rng.integers(1, 8, size=2))
-                                         for _ in range(training.EVAL_GROUP))]
+                                         for _ in range(training.GROUP))]
     examples = [data.PairExample([int(i) for i in rng.integers(2, 12, size=p)],
                                  [int(i) for i in rng.integers(2, 12, size=h)], label % 3)
                 for label, (p, h) in enumerate(lengths)]
-    groups = [[n for pair in lengths[i:i + training.EVAL_GROUP] for n in pair]
-              for i in range(0, len(lengths), training.EVAL_GROUP)]
+    groups = [[n for pair in lengths[i:i + training.GROUP] for n in pair]
+              for i in range(0, len(lengths), training.GROUP)]
     sentences = [n for group in groups for n in group]
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
@@ -78,6 +78,43 @@ def test_infer_evaluation_records_every_induction_span():
     assert tracer.calls["parser.validity_scores"] == merges
     assert tracer.counts["candidates"] == sum(n * (n - 1) // 2 for n in sentences)
     assert tracer.calls["parser.st_gumbel_select"] == merges
+
+
+def test_a_training_batch_records_every_span_per_group():
+    # a training batch runs in groups of GROUP examples: per group one
+    # leaf_transform and one induce_tree call for all its sentences, then
+    # one backward call per example and one for the group; the compose,
+    # selection and candidate counts are those of an evaluation group
+    model = tiny_pair_model(leaf_kind="rnn")
+    rng = np.random.default_rng(5)
+    lengths = [(1, 4), (6, 2), *(tuple(int(n) for n in rng.integers(1, 8, size=2))
+                                 for _ in range(training.GROUP))]
+    examples = [data.PairExample([int(i) for i in rng.integers(2, 12, size=p)],
+                                 [int(i) for i in rng.integers(2, 12, size=h)], label % 3)
+                for label, (p, h) in enumerate(lengths)]
+    groups = [[n for pair in lengths[i:i + training.GROUP] for n in pair]
+              for i in range(0, len(lengths), training.GROUP)]
+    sentences = [n for group in groups for n in group]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        training.batch_gradients(model, examples,
+                                 [np.random.default_rng(i) for i in range(len(examples))],
+                                 0.9, GradientBatch())
+    merges = sum(n - 1 for n in sentences)
+    assert len(groups) == 2
+    assert tracer.calls["parser.leaf_transform"] == len(groups)
+    assert tracer.calls["parser.induce_tree"] == len(groups)
+    assert tracer.calls["parser.compose"] == sum(
+        sum(n > 1 for n in group) + max(max(group) - 2, 0) for group in groups)
+    assert tracer.calls["parser.validity_scores"] == merges
+    assert tracer.counts["candidates"] == sum(n * (n - 1) // 2 for n in sentences)
+    assert tracer.calls["parser.st_gumbel_select"] == merges
+    assert tracer.calls["attention.attend"] == len(sentences)
+    assert tracer.calls["tensor.backward"] == len(examples) + len(groups)
+    # per group: two GRU records, a leaf_states record per sentence and the
+    # induction; per example: two poolings, the pair features and head, the loss
+    assert sum(tracer.counts.values()) - tracer.counts["candidates"] - tracer.counts[
+        "nodes"] == sum(3 + len(group) for group in groups) + 14 * len(examples)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])

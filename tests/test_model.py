@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from treeattn.data import PairExample, SentenceExample
-from treeattn.tensor import Tape, backward
+from treeattn.tensor import Tape, backward, cross_entropy
 from treeattn.training import Checkpoint
 
 from conftest import tiny_pair_model
@@ -133,26 +133,50 @@ def test_unknown_leaf_kind_is_named():
         tiny_pair_model(leaf_kind="cnn")
 
 
-# per sentence: the leaf transform, the induction and the pooling; then the
-# pair features, the head with a dropout mask on each layer's input, the loss
-RNN_SENTENCE = ["gru_sequence", "gru_sequence", "leaf_states", "tree_induction",
-                "attention_pool"]
+# one example is a batch of one: per sentence its leaf transform, then one
+# induction record for both sentences, the pooling per sentence, the pair
+# features, the head with a dropout mask on each layer's input, the loss
+RNN_LEAVES = ["gru_sequence", "gru_sequence", "leaf_states", "leaf_states"]
+POOLED = ["tree_induction", "attention_pool", "attention_pool"]
 HEAD = ["sub", "abs", "mul", "concat", "mul", "matmul", "add", "relu", "mul", "matmul",
         "add", "cross_entropy"]
 
 
 @pytest.mark.parametrize("leaf_kind, finetune, records", [
-    ("rnn", False, [*RNN_SENTENCE, *RNN_SENTENCE, *HEAD]),
-    ("affine", False, [*RNN_SENTENCE[2:], *RNN_SENTENCE[2:], *HEAD]),
-    ("rnn", True, ["take_rows", *RNN_SENTENCE, "take_rows", *RNN_SENTENCE, *HEAD]),
+    ("rnn", False, [*RNN_LEAVES, *POOLED, *HEAD]),
+    ("affine", False, [*RNN_LEAVES[2:], *POOLED, *HEAD]),
+    ("rnn", True, ["take_rows", "take_rows", *RNN_LEAVES, *POOLED, *HEAD]),
 ], ids=["rnn-frozen", "affine-frozen", "rnn-finetuned"])
 def test_tape_records_of_one_training_example_are_pinned(leaf_kind, finetune, records):
     # the benchmark's train-pair setup (RNN leaf, frozen embeddings, dropout)
-    # records 22 ops per example; a fine-tuned table adds one lookup per sentence
+    # records 19 ops for one example on one tape; a fine-tuned table adds one
+    # lookup per sentence
     model = tiny_pair_model(leaf_kind=leaf_kind, finetune=finetune)
     example = PairExample([2, 3, 4, 5, 6], [7, 2, 8], 1)
     with Tape() as tape:
         loss, _ = model.example_loss(example, "train", np.random.default_rng(0), 0.87)
         backward(tape, loss)
     assert [record.name for record in tape._records] == records
-    assert len(records) == {"rnn": 22, "affine": 18}[leaf_kind] + 2 * finetune
+    assert len(records) == {"rnn": 19, "affine": 17}[leaf_kind] + 2 * finetune
+
+
+def test_tape_records_of_a_training_group_are_pinned():
+    # a group's leaves and trees on one tape: the two GRU directions once
+    # for the group, then one leaf_states record per sentence and one
+    # induction record; each example's pooling, head and loss on its own
+    model = tiny_pair_model(leaf_kind="rnn")
+    examples = [PairExample([2, 3, 4], [5, 6], 0), PairExample([7], [8, 9, 2, 3], 1),
+                PairExample([4, 5], [6, 7, 8], 2)]
+    tapes = [Tape() for _ in examples]
+    with Tape() as group_tape:
+        all_logits = model.batch_logits(examples, "train",
+                                        [np.random.default_rng(i) for i in range(3)], 0.87,
+                                        tapes)
+    assert [record.name for record in group_tape._records] == [
+        "gru_sequence", "gru_sequence", *["leaf_states"] * 6, "tree_induction"]
+    for tape, logits, example in zip(tapes, all_logits, examples):
+        with tape:
+            backward(tape, cross_entropy(logits, example.label))
+        assert [record.name for record in tape._records] == ["attention_pool"] * 2 + HEAD
+    backward(group_tape, None)
+    assert all(p.grad is not None for p in model.parameters().values())

@@ -13,8 +13,8 @@ from treeattn.parser import (MODES, CompositionParams, GumbelConfig, LeafAffineP
                              init_composition_params, init_leaf_affine,
                              init_leaf_rnn, init_query, leaf_transform,
                              softmax_argmax, st_gumbel_select, validity_scores)
-from treeattn.tensor import (NonFiniteError, ShapeError, Tape, Tensor, add, backward, dot,
-                             softmax, stable_softmax)
+from treeattn.tensor import (GradientBatch, NonFiniteError, ShapeError, Tape, Tensor, add,
+                             backward, concat, dot, softmax, stable_softmax)
 from treeattn.trees import export_bracketed, parse_bracketed
 
 from conftest import assert_last_bits
@@ -642,6 +642,11 @@ def node_bytes(nodes):
     return b"".join(node.h.data.tobytes() + node.c.data.tobytes() for node in nodes)
 
 
+def parser_concat(nodes):
+    """Every node's h, then every node's c, as one vector."""
+    return concat([*(node.h for node in nodes), *(node.c for node in nodes)])
+
+
 @st.composite
 def lockstep_groups(draw):
     """Sentences of 1, 2 or up to 60 leaves, random or near-tied, and a
@@ -753,12 +758,87 @@ class TestLockstepInduction:
             assert tree == infer_tree
             assert node_bytes(nodes) == node_bytes(infer_nodes)
 
+    @given(lockstep_groups(), st.sampled_from(["train", "soft"]), st.booleans())
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_a_noisy_group_gives_each_sentence_its_merges_nodes_and_gradients_alone(
+            self, drawn, mode, noise_per_layer):
+        # each sentence draws from its own generator, so alone and in any
+        # group it makes the same merges and node bytes, and its leaves get
+        # the same gradient bytes; under one GradientBatch each parameter
+        # gets the bytes of the sentences' own records replayed last to first
+        seed, lengths, tied, order, _ = drawn
+        rng = np.random.default_rng(seed)
+        hidden = 3
+        params, query = init_composition_params(rng, hidden), init_query(rng, hidden)
+        palette = [(rng.normal(size=hidden), rng.normal(size=hidden)) for _ in range(2)]
+        sentences = [near_tied_leaves(rng, n, hidden, palette) if tie
+                     else random_states(rng, n, hidden) for n, tie in zip(lengths, tied)]
+        probes = [rng.normal(size=2 * (2 * n - 1) * hidden) for n in lengths]
+        config = GumbelConfig(temperature=0.7, mode=mode, noise_per_layer=noise_per_layer)
+
+        def run(members):
+            """Merges, node bytes, leaf gradients and parameter gradients of
+            the sentences ``members``, alone when it is one int."""
+            group = [members] if isinstance(members, int) else members
+            leaves = [[NodeState(Tensor(leaf.h.data, requires_grad=True),
+                                 Tensor(leaf.c.data, requires_grad=True))
+                       for leaf in sentences[i]] for i in group]
+            rngs = [np.random.default_rng([seed, i]) for i in group]
+            with Tape(batch) as tape:
+                if isinstance(members, int):
+                    induced = [induce_tree(leaves[0], params, query, config, rngs[0])]
+                else:
+                    induced = induce_tree(leaves, params, query, config, rngs)
+                loss = None
+                for i, (_, nodes) in zip(group, induced):
+                    term = dot(Tensor(probes[i]), parser_concat(nodes))
+                    loss = term if loss is None else add(loss, term)
+                backward(tape, loss)
+            return {i: (tree.merges, node_bytes(nodes),
+                        b"".join(leaf.h.grad.tobytes() + leaf.c.grad.tobytes()
+                                 for leaf in sentence_leaves) if len(nodes) > 1 else b"")
+                    for i, (tree, nodes), sentence_leaves in zip(group, induced, leaves)}
+
+        def parameter_bytes(runs):
+            for p in (params.weight, params.bias, query):
+                p.grad = None
+            results = {}
+            for members in runs:
+                results.update(run(members))
+            batch.flush()
+            return results, [p.grad.tobytes() if p.grad is not None else None
+                             for p in (params.weight, params.bias, query)]
+
+        batch = GradientBatch()
+        alone, alone_grads = parameter_bytes(reversed(range(len(lengths))))
+        together, together_grads = parameter_bytes([list(range(len(lengths)))])
+        shuffled, _ = parameter_bytes([order[:1], *([list(order[1:])] if order[1:] else [])])
+        assert together == alone and shuffled == alone
+        assert together_grads == alone_grads
+
     @pytest.mark.parametrize("mode", ["train", "soft"])
-    def test_only_infer_mode_takes_a_group(self, mode):
+    def test_a_noisy_mode_names_a_missing_generator_alone_and_in_a_group(self, mode):
         rng = np.random.default_rng(2)
-        with pytest.raises(ValueError, match=f"{mode} mode induces one sentence at a time"):
-            induce_tree([random_states(rng, 3, 2)], init_composition_params(rng, 2),
-                        init_query(rng, 2), GumbelConfig(mode=mode), rng)
+        params, query = init_composition_params(rng, 2), init_query(rng, 2)
+        sentence = random_states(rng, 3, 2)
+        config = GumbelConfig(mode=mode)
+        missing = f"induce_tree: {mode} mode .* needs a generator \\(rng\\) for sentence"
+        with pytest.raises(ValueError, match=f"{missing} 0"):
+            induce_tree(sentence, params, query, config)
+        # the check covers every sentence before any draws; a one-word
+        # sentence draws nothing and needs none
+        given = np.random.default_rng(5)
+        before = given.bit_generator.state
+        group = [random_states(rng, 4, 2), random_states(rng, 1, 2), sentence]
+        with pytest.raises(ValueError, match=f"{missing} 2"):
+            induce_tree(group, params, query, config, [given, None, None])
+        assert given.bit_generator.state == before
+        induced = induce_tree(group, params, query, config, [given, None, given])
+        assert [tree.n for tree, _ in induced] == [4, 1, 3]
+        for wrong in (given, [given, given]):
+            with pytest.raises(ValueError, match="a group of 3 sentences takes one generator "
+                                                 "per sentence"):
+                induce_tree(group, params, query, config, wrong)
 
     def test_an_empty_sentence_in_a_group_raises(self):
         rng = np.random.default_rng(2)

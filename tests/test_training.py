@@ -18,12 +18,15 @@ from treeattn.tensor import (GradientBatch, Tape, Tensor, backward, cross_entrop
 from treeattn.training import (Adam, Checkpoint, TrainConfig,
                                TrainingDiverged, adam_step, clip_gradients, evaluate,
                                macro_f1, snapshot, train)
-from treeattn import toy, training
+from treeattn import parser, toy, training
 
 from conftest import tiny_pair_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LOCKSTEP_MODEL = tiny_pair_model(seed=17)
+# fine-tuned tables, so that every kind of gradient occurs
+LOCKSTEP_TRAIN_MODELS = {kind: tiny_pair_model(seed=19, leaf_kind=kind, finetune=True)
+                         for kind in ("rnn", "affine")}
 
 
 def toy_setup(tmp_path, n_train=24, n_val=12, emb_seed=1):
@@ -225,10 +228,10 @@ class TestEvaluate:
         examples = data.draw(st.lists(st.builds(PairExample, sentence, sentence,
                                                 st.integers(0, 2)), min_size=1, max_size=10))
         alone = [evaluate([ex], model).predictions[0].probs for ex in examples]
-        with mock.patch.object(training, "EVAL_GROUP", len(examples)):
+        with mock.patch.object(training, "GROUP", len(examples)):
             together = evaluate(examples, model).predictions
         order = data.draw(st.permutations(range(len(examples))))
-        with mock.patch.object(training, "EVAL_GROUP", data.draw(st.integers(1, 4))):
+        with mock.patch.object(training, "GROUP", data.draw(st.integers(1, 4))):
             shuffled = evaluate([examples[i] for i in order], model).predictions
         for i, probs in enumerate(alone):
             assert together[i].probs.tobytes() == probs.tobytes()
@@ -241,13 +244,13 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         examples = [PairExample([int(i) for i in rng.integers(2, 12, size=rng.integers(40, 61))],
                                 [int(i) for i in rng.integers(2, 12, size=rng.integers(20, 31))],
-                                i % 3) for i in range(4 * training.EVAL_GROUP)]
+                                i % 3) for i in range(4 * training.GROUP)]
         evaluate(examples[:2], model)  # caches and lazily built tables
         peaks = []
         for count in (1, 4):
             tracemalloc.start()
             try:
-                evaluate(examples[:count * training.EVAL_GROUP], model)
+                evaluate(examples[:count * training.GROUP], model)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -338,6 +341,64 @@ def test_training_bytes_are_pinned(case, overrides, tmp_path):
     result = train(*corpora, config, vocab, embedding, clock=lambda: 0.0)
     assert (result.checkpoint.save(tmp_path / "model.ckpt"),
             hashlib.sha256(result.log_text.encode()).hexdigest()) == TRAINING_BYTES[case]
+
+
+def grad_bytes(tensor):
+    return b"none" if tensor.grad is None else tensor.grad.tobytes()
+
+
+class TestBatchGradients:
+    @given(st.data())
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_an_example_trains_alike_alone_in_a_batch_and_shuffled(self, data):
+        # each sentence's merges, node bytes and leaf-gradient bytes are the
+        # same whether its example trains alone, in a batch or in a shuffled
+        # batch, whatever the group size; batches of one under one
+        # GradientBatch give every parameter the bytes of one batch
+        model = LOCKSTEP_TRAIN_MODELS[data.draw(st.sampled_from(sorted(LOCKSTEP_TRAIN_MODELS)))]
+        sentence = st.lists(st.integers(2, 11), min_size=1, max_size=9)
+        examples = data.draw(st.lists(st.builds(PairExample, sentence, sentence,
+                                                st.integers(0, 2)), min_size=1, max_size=6))
+        order = data.draw(st.permutations(range(len(examples))))
+        group = data.draw(st.integers(1, 4))
+        params = model.parameters()
+
+        def trained(batches):
+            for p in params.values():
+                p.grad = None
+            weight_grads, seen, calls = GradientBatch(), {}, []
+
+            def spy(*args, real=parser.induce_tree, **kwargs):
+                calls.append(real(*args, **kwargs))
+                return calls[-1]
+
+            with mock.patch.object(parser, "induce_tree", spy), \
+                    mock.patch.object(training, "GROUP", group):
+                for batch in batches:
+                    calls.clear()
+                    training.batch_gradients(model, [examples[i] for i in batch],
+                                             [np.random.default_rng([3, i]) for i in batch],
+                                             0.9, weight_grads)
+                    # a group's sentences are its examples' last to first,
+                    # each example's premise, then its hypothesis
+                    for k, induced in enumerate(calls):
+                        members = batch[k * group:(k + 1) * group]
+                        for j, (tree, nodes) in enumerate(induced):
+                            leaves = nodes[:tree.n]
+                            seen[members[len(members) - 1 - j // 2], j % 2] = (
+                                tree.merges,
+                                b"".join(n.h.data.tobytes() + n.c.data.tobytes() for n in nodes),
+                                b"".join(grad_bytes(n.h) + grad_bytes(n.c) for n in leaves))
+            weight_grads.flush()
+            return seen, {name: None if p.grad is None else p.grad.tobytes()
+                          for name, p in params.items()}
+
+        alone, alone_grads = trained([[i] for i in range(len(examples))])
+        together, together_grads = trained([list(range(len(examples)))])
+        shuffled, _ = trained([list(order)])
+        assert len(alone) == 2 * len(examples)
+        assert together == alone and shuffled == alone
+        assert together_grads == alone_grads
 
 
 class TestGradientBatch:
