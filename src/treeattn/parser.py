@@ -9,7 +9,7 @@ gradient of the temperature-scaled softmax relaxation, so the scoring
 parameters keep receiving signal.  n leaves always produce exactly
 2n - 1 node states.  One loop induces in every mode: it takes a group of
 sentences layer by layer in lockstep, and a sentence alone is a group of
-one (``train`` and ``soft`` mode take nothing else).
+one; so does the GRU of the RNN leaf, step by step.
 
 The fused ops of the leaf transforms (``gru_sequence``, ``leaf_states``)
 and of the induction (``tree_induction``, and ``st_gumbel_select``'s

@@ -26,11 +26,13 @@ from .tensor import (GradientBatch, NonFiniteError, Tape, Tensor, backward, cros
 CHECKPOINT_MAGIC = "treeattn-checkpoint"
 CHECKPOINT_VERSION = 1
 _BLOB_MARKER = b"blob\n"  # the line that ends a checkpoint's header; the float32 blob follows
-# examples per lockstep group, in evaluate and in a training batch: large
-# enough to share the per-call work of the GRU leaf and tree induction, small
-# enough that a group's arrays, which a training group keeps until its
-# backward pass, stay small
-GROUP = 8
+# examples per lockstep group in evaluate: large enough to share the per-call
+# work of tree induction, small enough that a group's arrays stay small
+EVAL_GROUP = 8
+# examples per lockstep group of a training batch, whose forward arrays live
+# until its backward pass: on the train-pair benchmark, groups of 4, 8 and 16
+# trained equally fast, and only groups of 4 kept the peak memory flat
+TRAIN_GROUP = 4
 
 
 class TrainingDiverged(ArithmeticError):
@@ -276,7 +278,7 @@ def macro_f1(gold: list[int], predicted: list[int], num_classes: int) -> float:
 def evaluate(examples, model: Model) -> EvalResult:
     """Accuracy and macro-F1 with deterministic inference-mode trees.
 
-    The examples are encoded in groups of ``GROUP``, the trees of a
+    The examples are encoded in groups of ``EVAL_GROUP``, the trees of a
     group's sentences induced in lockstep (``Model.batch_logits``).  No
     example is padded and every matrix product stays per sentence, so each
     example's probabilities are bit for bit those of encoding it alone,
@@ -291,8 +293,8 @@ def evaluate(examples, model: Model) -> EvalResult:
                              f"model's {num_classes} classes")
 
     predictions = []
-    for start in range(0, len(examples), GROUP):
-        group = examples[start:start + GROUP]
+    for start in range(0, len(examples), EVAL_GROUP):
+        group = examples[start:start + EVAL_GROUP]
         for i, (ex, logits) in enumerate(zip(group, model.batch_logits(group)), start):
             probs = stable_softmax(logits.data)
             predictions.append(Prediction(i, ex.label, int(np.argmax(logits.data)), probs))
@@ -527,7 +529,7 @@ def batch_gradients(model: Model, examples, rngs: list[np.random.Generator],
     gradients the backward pass adds to the parameters, leaving their
     deferred weight gradients in ``weight_grads``.
 
-    The batch runs in groups of ``GROUP`` examples, each forward and then
+    The batch runs in groups of ``TRAIN_GROUP`` examples, each forward and then
     backward before the next.  A group's forward pass is
     ``Model.batch_logits`` in ``train`` mode: the leaves and trees of all
     its sentences on one tape, then each example's pooling, head and loss
@@ -538,11 +540,11 @@ def batch_gradients(model: Model, examples, rngs: list[np.random.Generator],
     of the examples as batches of one under one ``GradientBatch``.
     """
     results = []
-    for start in range(0, len(examples), GROUP):
-        group = examples[start:start + GROUP]
+    for start in range(0, len(examples), TRAIN_GROUP):
+        group = examples[start:start + TRAIN_GROUP]
         tapes = [Tape(weight_grads) for _ in group]
         with Tape(weight_grads) as group_tape:
-            all_logits = model.batch_logits(group, "train", rngs[start:start + GROUP],
+            all_logits = model.batch_logits(group, "train", rngs[start:start + TRAIN_GROUP],
                                             dropout_keep, tapes)
         for i, (example, logits) in enumerate(zip(group, all_logits)):
             tape, tapes[i] = tapes[i], None  # free each example's tape once replayed
@@ -560,9 +562,11 @@ def train(train_examples, val_examples, config: TrainConfig, vocab: Vocabulary,
     """Full training run; returns the best checkpoint and the metrics log.
 
     Per epoch the corpus is reshuffled from a seeded stream, each example
-    gets its own noise/dropout substream keyed by its corpus index, batch
-    gradients are averaged and clipped to a global norm, and validation
-    accuracy drives early stopping.  ``clock`` exists so the seconds column
+    gets its own noise/dropout substream keyed by its corpus index, a
+    batch's gradients (``batch_gradients``, which trains the batch in
+    lockstep groups bit for bit as one example at a time) are averaged and
+    clipped to a global norm, and validation accuracy drives early
+    stopping.  ``clock`` exists so the seconds column
     of the log can be made deterministic in tests; ``stop_condition`` may
     inspect each epoch's metrics and end the run early (e.g. once a target
     accuracy is reached).

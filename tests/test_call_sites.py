@@ -49,7 +49,7 @@ def test_every_call_site_records_calls(tmp_path):
 
 
 def test_infer_evaluation_records_every_induction_span():
-    # evaluate induces each group of GROUP examples in one induce_tree
+    # evaluate induces each group of EVAL_GROUP examples in one induce_tree
     # call: every sentence of n >= 2 words makes one compose call for its
     # first layer, then each later layer one compose call for the new pairs
     # of all sentences still being induced, so a group of longest sentence
@@ -59,12 +59,12 @@ def test_infer_evaluation_records_every_induction_span():
     model = tiny_pair_model()
     rng = np.random.default_rng(3)
     lengths = [(1, 4), (6, 2), (9, 3), *(tuple(int(n) for n in rng.integers(1, 8, size=2))
-                                         for _ in range(training.GROUP))]
+                                         for _ in range(training.EVAL_GROUP))]
     examples = [data.PairExample([int(i) for i in rng.integers(2, 12, size=p)],
                                  [int(i) for i in rng.integers(2, 12, size=h)], label % 3)
                 for label, (p, h) in enumerate(lengths)]
-    groups = [[n for pair in lengths[i:i + training.GROUP] for n in pair]
-              for i in range(0, len(lengths), training.GROUP)]
+    groups = [[n for pair in lengths[i:i + training.EVAL_GROUP] for n in pair]
+              for i in range(0, len(lengths), training.EVAL_GROUP)]
     sentences = [n for group in groups for n in group]
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
@@ -81,19 +81,19 @@ def test_infer_evaluation_records_every_induction_span():
 
 
 def test_a_training_batch_records_every_span_per_group():
-    # a training batch runs in groups of GROUP examples: per group one
+    # a training batch runs in groups of TRAIN_GROUP examples: per group one
     # leaf_transform and one induce_tree call for all its sentences, then
     # one backward call per example and one for the group; the compose,
     # selection and candidate counts are those of an evaluation group
     model = tiny_pair_model(leaf_kind="rnn")
     rng = np.random.default_rng(5)
     lengths = [(1, 4), (6, 2), *(tuple(int(n) for n in rng.integers(1, 8, size=2))
-                                 for _ in range(training.GROUP))]
+                                 for _ in range(training.TRAIN_GROUP))]
     examples = [data.PairExample([int(i) for i in rng.integers(2, 12, size=p)],
                                  [int(i) for i in rng.integers(2, 12, size=h)], label % 3)
                 for label, (p, h) in enumerate(lengths)]
-    groups = [[n for pair in lengths[i:i + training.GROUP] for n in pair]
-              for i in range(0, len(lengths), training.GROUP)]
+    groups = [[n for pair in lengths[i:i + training.TRAIN_GROUP] for n in pair]
+              for i in range(0, len(lengths), training.TRAIN_GROUP)]
     sentences = [n for group in groups for n in group]
     tracer = tracing.Tracer()
     with tracing.installed(tracer):

@@ -13,8 +13,8 @@ from treeattn.parser import (MODES, CompositionParams, GumbelConfig, LeafAffineP
                              init_composition_params, init_leaf_affine,
                              init_leaf_rnn, init_query, leaf_transform,
                              softmax_argmax, st_gumbel_select, validity_scores)
-from treeattn.tensor import (GradientBatch, NonFiniteError, ShapeError, Tape, Tensor, add,
-                             backward, concat, dot, softmax, stable_softmax)
+from treeattn.tensor import (GradientBatch, NonFiniteError, ShapeError, Tape, Tensor, _Outer,
+                             add, backward, concat, dot, softmax, stable_softmax)
 from treeattn.trees import export_bracketed, parse_bracketed
 
 from conftest import assert_last_bits
@@ -207,6 +207,59 @@ class TestLeafTransforms:
             leaf_transform(Tensor(np.zeros((0, 4))), params)
         with pytest.raises(ShapeError, match="leaf_transform"):
             leaf_transform(Tensor(np.zeros(4)), params)
+
+
+class TestGruGroup:
+    @pytest.mark.parametrize("hidden", [3, 8, 100, 300])
+    def test_stacked_matrix_vector_products_give_the_bits_of_separate_ones(self, hidden):
+        # the GRU step's stacked np.matmul calls over S states: numpy runs one
+        # matrix-vector product per state, bit for bit the plain product, for
+        # a map, its transpose and two maps stacked, into a slice of a larger
+        # array, whatever S
+        rng = np.random.default_rng(hidden)
+        maps = rng.normal(size=(2, hidden, hidden))
+        stacked = maps[:, None]
+        for count in (1, 2, 3, 16, 32):
+            states = rng.normal(size=(count + 3, hidden))[:count]
+            out = np.empty((2, count + 5, hidden))
+            np.matmul(stacked, states[:, :, None], out=out[:, 2:count + 2, :, None])
+            for k, w in enumerate(maps):
+                want = np.array([w @ x for x in states])
+                assert np.matmul(w, states[:, :, None])[:, :, 0].tobytes() == want.tobytes()
+                assert out[k, 2:count + 2].tobytes() == want.tobytes()
+                want_t = np.array([w.T @ x for x in states])
+                got_t = np.matmul(stacked.transpose(0, 1, 3, 2), states[:, :, None])[k, :, :, 0]
+                assert np.matmul(w.T, states[:, :, None])[:, :, 0].tobytes() == want_t.tobytes()
+                assert got_t.tobytes() == want_t.tobytes()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_a_group_gives_each_sentence_its_bits_alone_at_paper_size(self, reverse):
+        # H = 100 and D = 300: each sentence's states, and each gradient the
+        # record hands back for it, are those of the sentence alone
+        rng = np.random.default_rng(7)
+        params = parser._init_gru(rng, 300, 100)
+        group = [Tensor(rng.normal(size=(n, 300)), requires_grad=True)
+                 for n in (1, 7, 25, 12, 3, 25)]
+        probes = [rng.normal(size=(len(words.data), 100)) for words in group]
+
+        def record(sentences):
+            with Tape() as tape:
+                states = parser.gru_sequence(params, sentences, reverse)
+            rec = tape._records[0]
+            grads = rec.grad_fn(tuple(probes[i] for i in members(sentences)))
+            return [out.data.tobytes() for out in states], [
+                b"".join(g.left.tobytes() + g.right.tobytes() if isinstance(g, _Outer)
+                         else g.tobytes() for g in grads[10 * j:10 * j + 10])
+                for j in range(len(sentences))][::-1]
+
+        def members(sentences):
+            return [next(i for i, words in enumerate(group) if words is s) for s in sentences]
+
+        together = record(group)
+        for i, words in enumerate(group):
+            alone = record([words])
+            assert together[0][i] == alone[0][0]
+            assert together[1][i] == alone[1][0]
 
 
 class TestValidityScores:
@@ -815,6 +868,40 @@ class TestLockstepInduction:
         shuffled, _ = parameter_bytes([order[:1], *([list(order[1:])] if order[1:] else [])])
         assert together == alone and shuffled == alone
         assert together_grads == alone_grads
+
+    @pytest.mark.parametrize("mode", ["train", "soft"])
+    def test_a_noisy_group_gives_each_sentence_its_bits_alone_at_paper_size(self, mode):
+        # H = 100: each sentence's merges and node bytes, and each gradient
+        # the record hands back for it, are those of the sentence alone
+        rng = np.random.default_rng(11)
+        hidden = 100
+        params, query = init_composition_params(rng, hidden), init_query(rng, hidden)
+        group = [random_states(rng, n, hidden) for n in (2, 9, 25, 1, 14, 25)]
+        config = GumbelConfig(mode=mode)
+
+        def record(sentences, first):
+            with Tape() as tape:
+                induced = induce_tree(sentences, params, query, config,
+                                      [np.random.default_rng([3, first + i])
+                                       for i in range(len(sentences))])
+            grads = ()
+            if tape._records:
+                rec = tape._records[0]
+                # a function of each output's own values, wherever it sits
+                grads = rec.grad_fn(tuple(np.cos(o.data) for o in rec.outputs))
+            results, at = [], 0
+            for tree, nodes in reversed(induced):  # the record's last sentence first
+                width = 3 + 2 * tree.n if tree.n > 1 else 0
+                part = grads[at:at + width]
+                at += width
+                results.append((tree.merges, node_bytes(nodes), b"".join(
+                    g.left.tobytes() + g.right.tobytes() if isinstance(g, _Outer)
+                    else g.tobytes() for g in part)))
+            return results[::-1]
+
+        together = record(group, 0)
+        for i, leaves in enumerate(group):
+            assert together[i] == record([leaves], i)[0]
 
     @pytest.mark.parametrize("mode", ["train", "soft"])
     def test_a_noisy_mode_names_a_missing_generator_alone_and_in_a_group(self, mode):

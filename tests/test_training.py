@@ -228,10 +228,10 @@ class TestEvaluate:
         examples = data.draw(st.lists(st.builds(PairExample, sentence, sentence,
                                                 st.integers(0, 2)), min_size=1, max_size=10))
         alone = [evaluate([ex], model).predictions[0].probs for ex in examples]
-        with mock.patch.object(training, "GROUP", len(examples)):
+        with mock.patch.object(training, "EVAL_GROUP", len(examples)):
             together = evaluate(examples, model).predictions
         order = data.draw(st.permutations(range(len(examples))))
-        with mock.patch.object(training, "GROUP", data.draw(st.integers(1, 4))):
+        with mock.patch.object(training, "EVAL_GROUP", data.draw(st.integers(1, 4))):
             shuffled = evaluate([examples[i] for i in order], model).predictions
         for i, probs in enumerate(alone):
             assert together[i].probs.tobytes() == probs.tobytes()
@@ -244,13 +244,13 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         examples = [PairExample([int(i) for i in rng.integers(2, 12, size=rng.integers(40, 61))],
                                 [int(i) for i in rng.integers(2, 12, size=rng.integers(20, 31))],
-                                i % 3) for i in range(4 * training.GROUP)]
+                                i % 3) for i in range(4 * training.EVAL_GROUP)]
         evaluate(examples[:2], model)  # caches and lazily built tables
         peaks = []
         for count in (1, 4):
             tracemalloc.start()
             try:
-                evaluate(examples[:count * training.GROUP], model)
+                evaluate(examples[:count * training.EVAL_GROUP], model)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -373,7 +373,7 @@ class TestBatchGradients:
                 return calls[-1]
 
             with mock.patch.object(parser, "induce_tree", spy), \
-                    mock.patch.object(training, "GROUP", group):
+                    mock.patch.object(training, "TRAIN_GROUP", group):
                 for batch in batches:
                     calls.clear()
                     training.batch_gradients(model, [examples[i] for i in batch],
