@@ -154,9 +154,11 @@ class Model:
         width = 2 if pair else 1  # sentences per example
         sentences = [ids for ex in reversed(examples)
                      for ids in ((ex.premise, ex.hypothesis) if pair else (ex.tokens,))]
-        words = [take_rows(self.embedding.vectors, ids) for ids in sentences]
-        induced = parser.induce_tree(parser.leaf_transform(words, self.leaf_params),
-                                     self.composition, self.query,
+        # word matrices made as the leaves need them: the affine leaf maps
+        # one sentence at a time, so no more than one is alive in inference
+        leaves = parser.leaf_transform((take_rows(self.embedding.vectors, ids)
+                                        for ids in sentences), self.leaf_params)
+        induced = parser.induce_tree(leaves, self.composition, self.query,
                                      replace(self.selection, mode=mode),
                                      [rng for rng in reversed(rngs) for _ in range(width)])
         logits = []

@@ -113,29 +113,34 @@ class GumbelConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def leaf_transform(words: Tensor | list[Tensor], params: LeafAffineParams | LeafRnnParams):
+def leaf_transform(words, params: LeafAffineParams | LeafRnnParams):
     """Turn a sentence's (n, D) word vectors into initial node states with
     the transform the type of ``params`` names ("affine" or "rnn").  Either
     ends in one ``leaf_states`` record per sentence, so the affine leaf
-    records one op per sentence and the RNN leaf three.  Given a list of
-    sentences (a group), it returns one list of states per sentence, and the
-    RNN leaf's two ``gru_sequence`` records are those of the whole group."""
+    records one op per sentence and the RNN leaf three.  Given an iterable
+    of sentences (a group), it returns one list of states per sentence: the
+    affine leaf maps them one at a time, and the RNN leaf's two
+    ``gru_sequence`` records are those of the whole group."""
     if isinstance(words, Tensor):
         return _leaf_group([words], params)[0]
-    return _leaf_group(list(words), params)
+    return _leaf_group(words, params)
 
 
-def _leaf_group(words: list[Tensor], params) -> list[list[NodeState]]:
-    """``leaf_transform`` of a group of sentences."""
-    for sentence in words:
+def _leaf_group(words, params) -> list[list[NodeState]]:
+    """``leaf_transform`` of an iterable of sentences."""
+    def checked(sentence: Tensor) -> Tensor:
         if sentence.data.ndim != 2:
             raise ShapeError(f"leaf_transform: expected an (n, D) matrix, "
                              f"got shape {sentence.shape}")
         if not sentence.shape[0]:
             raise ShapeError("leaf_transform: empty sentence")
+        return sentence
+
     if isinstance(params, LeafAffineParams):
-        return [leaf_states(params.weight, params.bias, [sentence]) for sentence in words]
+        return [leaf_states(params.weight, params.bias, [checked(sentence)])
+                for sentence in words]
     if isinstance(params, LeafRnnParams):
+        words = [checked(sentence) for sentence in words]
         forward = gru_sequence(params.fwd, words)
         backward = gru_sequence(params.bwd, words, reverse=True)
         return [leaf_states(params.proj_weight, params.proj_bias, [f, b])
