@@ -31,7 +31,7 @@ _BLOB_MARKER = b"blob\n"  # the line that ends a checkpoint's header; the float3
 EVAL_GROUP = 8
 # examples per lockstep group of a training batch, whose forward arrays live
 # until its backward pass: on the train-pair benchmark, groups of 4, 8 and 16
-# trained equally fast, and only groups of 4 kept the peak memory flat
+# trained about equally fast, and only groups of 4 kept the peak memory flat
 TRAIN_GROUP = 4
 
 
